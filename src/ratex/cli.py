@@ -38,7 +38,7 @@ from .paramdsl import (
     generic_ident,
     local_ident,
 )
-from .polylab import LaurentMatrix, SingularMatrixError, lp_det_and_zeros
+from .polylab import LaurentMatrix, SingularMatrixError
 from .resolve import (
     NotInvertible,
     RankDeficientC0,
@@ -135,7 +135,7 @@ def cmd_factorize(args) -> int:
                    "reason": str(exc), "exit_code": EXIT_SOLVE}
         return _emit(args, payload, lambda: print(f"existence/uniqueness fails: {exc}"))
     fac = bundle.factors
-    _, zeros = lp_det_and_zeros(model.B.trimmed())
+    zeros = fac.zeros
     payload = {
         "command": "factorize", "verdict": "factorized", "exit_code": EXIT_OK,
         "b_minus": _laurent_payload(fac.b_minus),

@@ -39,7 +39,6 @@ class IdentSystem:
     H: np.ndarray
     P: np.ndarray
     hankel_rank: int
-    mcmillan_delta: int
     hankel_singular_values: np.ndarray
 
 
@@ -99,8 +98,7 @@ class RestrictionSet:
 
     @classmethod
     def nonlinear(cls, fn, r: int, equation: int | None = None) -> "RestrictionSet":
-        kind = "nonlinear"
-        return cls(kind=kind, residual_fn=fn, r=r, equation=equation)
+        return cls(kind="nonlinear", residual_fn=fn, r=r, equation=equation)
 
 
 # -- coefficient vectorization (normative ordering) ------------------------
@@ -113,11 +111,13 @@ def coeff_vec_length(n: int, m: int, kappa: int, lam: int, equation: bool = Fals
 
 
 def coeff_vec_index(block: str, lag: int, row: int, col: int,
-                    n: int, m: int, kappa: int, lam: int) -> int:
+                    n: int, m: int, kappa: int, lam: int, equation: bool = False) -> int:
     """Position of a coefficient entry in vec([B_-lam..B_kappa | A_0..A_kappa]).
 
     ``row``/``col`` are 0-based here; vec stacks the columns of the
-    horizontal concatenation.
+    horizontal concatenation.  With ``equation`` the vector is the single
+    row ``row`` of that concatenation (see :func:`coeff_vec_length`), so the
+    position is the column index alone.
     """
     if block == "B":
         if not (-lam <= lag <= kappa) or not (0 <= row < n and 0 <= col < n):
@@ -129,7 +129,7 @@ def coeff_vec_index(block: str, lag: int, row: int, col: int,
         c = n * (kappa + lam + 1) + lag * m + col
     else:
         raise ValueError("block must be 'B' or 'A'")
-    return c * n + row
+    return c if equation else c * n + row
 
 
 def model_coeff_vec(model: Model) -> np.ndarray:
@@ -194,7 +194,7 @@ def build_ident_system(transfer: TransferSeries, n: int, m: int,
                   [np.eye(m * q), np.zeros((m * q, n * m * kappa))]])
     rank, svals, _ = numerical_rank(H, tol_rank)
     return IdentSystem(n=n, m=m, kappa=kappa, lam=lam, T=T, H=H, P=P,
-                       hankel_rank=rank, mcmillan_delta=rank,
+                       hankel_rank=rank,
                        hankel_singular_values=svals)
 
 

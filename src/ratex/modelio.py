@@ -112,15 +112,8 @@ def compile_nonlinear(exprs, n, m, kappa, lam, equation=None) -> RestrictionSet:
                 raise ModelFileError(
                     f"{match.group(0)}: equation-{equation} restrictions may only "
                     f"reference row {equation}")
-            if equation is None:
-                idx = coeff_vec_index(block, lag, row - 1, col - 1, n, m, kappa, lam)
-            else:
-                if block == "B":
-                    idx = (lag + lam) * n + (col - 1)
-                else:
-                    if not 0 <= lag <= kappa:
-                        raise ModelFileError(f"{match.group(0)}: A lag outside 0..{kappa}")
-                    idx = n * (kappa + lam + 1) + lag * m + (col - 1)
+            idx = coeff_vec_index(block, lag, row - 1, col - 1, n, m, kappa, lam,
+                                  equation=equation is not None)
             name = _ref_name(block, lag, row, col)
             refs[name] = idx
             return name
@@ -180,23 +173,14 @@ def restrictions_from_dict(spec: dict, n: int, m: int, kappa: int, lam: int) -> 
             cols = n if block == "B" else m
             if not (1 <= row <= n and 1 <= col <= cols):
                 raise ModelFileError(f"pin #{k + 1}: row/col outside 1-based bounds")
-            if equation is not None:
-                if row != equation:
-                    raise ModelFileError(
-                        f"pin #{k + 1}: equation-{equation} restrictions must pin row {equation}")
-                if block == "B":
-                    idx = (lag + lam) * n + (col - 1)
-                    if not -lam <= lag <= kappa:
-                        raise ModelFileError(f"pin #{k + 1}: B lag outside -{lam}..{kappa}")
-                else:
-                    if not 0 <= lag <= kappa:
-                        raise ModelFileError(f"pin #{k + 1}: A lag outside 0..{kappa}")
-                    idx = n * (kappa + lam + 1) + lag * m + (col - 1)
-            else:
-                try:
-                    idx = coeff_vec_index(block, lag, row - 1, col - 1, n, m, kappa, lam)
-                except (IndexError, ValueError) as exc:
-                    raise ModelFileError(f"pin #{k + 1}: {exc}")
+            if equation is not None and row != equation:
+                raise ModelFileError(
+                    f"pin #{k + 1}: equation-{equation} restrictions must pin row {equation}")
+            try:
+                idx = coeff_vec_index(block, lag, row - 1, col - 1, n, m, kappa, lam,
+                                      equation=equation is not None)
+            except (IndexError, ValueError) as exc:
+                raise ModelFileError(f"pin #{k + 1}: {exc}")
             R[k, idx] = 1.0
     else:
         R = np.atleast_2d(np.asarray(spec["R"], dtype=float))

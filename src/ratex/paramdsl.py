@@ -564,9 +564,6 @@ def local_ident(model: Model, restrictions: RestrictionSet,
         raise ValueError("local test needs nonlinear restrictions with a residual map")
     fn = restrictions.residual_fn
     bundle = solve_model(model)
-    need = (model.n + 1) * model.kappa + model.lam
-    if bundle.transfer.horizon < need:
-        bundle = solve_model(model, horizon=need)
     sys = build_ident_system(bundle.transfer, model.n, model.m,
                              model.kappa, model.lam, tol_rank)
     equation = restrictions.equation

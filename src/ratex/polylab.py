@@ -4,6 +4,11 @@ A LaurentMatrix stores an n x m matrix whose entries are real Laurent
 polynomials, as one dense coefficient matrix per lag.  Everything else in
 the package (factorization, solution operators, identification systems)
 computes on this substrate.
+
+Polynomial zeros have one source: the block-companion pencil of
+:func:`companion_pencil`, whose finite generalized eigenvalues are the
+zeros of det(z**max(0, -min_lag) * a(z)).  The determinant coefficients
+themselves are never formed.
 """
 
 from __future__ import annotations
@@ -11,14 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import eig
 
 # Relative threshold below which a coefficient matrix counts as zero when
 # trimming lag ranges.  The floor at 1 keeps all-tiny matrices intact.
 TRIM_RTOL = 1e-12
 
-# Relative threshold for dropping spurious high-order terms of an
-# interpolated determinant before root finding.
-DET_TRIM_RTOL = 1e-11
+# Relative size, against the norm of its pencil matrix, below which alpha
+# or beta of a generalized eigenvalue pair counts as zero: beta alone marks
+# an infinite eigenvalue, alpha and beta together a singular pencil.
+PENCIL_SINGULAR_RTOL = 1e-10
 
 
 class ShapeMismatchError(ValueError):
@@ -201,51 +208,64 @@ def lp_mul(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
     return LaurentMatrix.from_coeffs(out, a.min_lag + b.min_lag)
 
 
-def lp_det_poly(a: LaurentMatrix) -> np.ndarray:
-    """Determinant of z**(-min_lag) * a as polynomial coefficients.
+def companion_pencil(a: LaurentMatrix):
+    """Block-companion pencil (A, E) of P(z) = z**max(0, -min_lag) * a(z).
 
-    Returns ascending coefficients ``c[0] + c[1] z + ...`` with spurious
-    high-order interpolation dust trimmed.  The determinant is evaluated at
-    roots of unity and recovered by inverse FFT, which is exact up to
-    rounding for the bounded degree n * (max_lag - min_lag).
-
-    The shift by z**(-min_lag) makes the lowest stored lag the constant
-    term, so for a positive min_lag the n * min_lag zeros of det(a) at the
-    origin are divided out here; :func:`lp_det_and_zeros` restores them.
+    P is taken as degree d = max(0, -min_lag) + max(0, max_lag), at least 1,
+    in first companion form A = [[0, I, ..], .., [-P_0 .. -P_{d-1}]],
+    E = diag(I, .., I, P_d), so det(z E - A) = det P(z).  A deflating
+    subspace of n*k eigenvalues with an invertible top block yields the
+    monic degree-k right divisor of P carrying them.  The zeros of det P are
+    the finite eigenvalues alpha/beta, a positive min_lag giving exact ones
+    at the origin; a singular P_d adds infinite ones (beta = 0), which are
+    not zeros.
     """
     if a.rows != a.cols:
         raise ShapeMismatchError("determinant requires a square matrix")
     n = a.rows
-    deg = n * (a.max_lag - a.min_lag)
-    if deg == 0:
-        return np.array([float(np.linalg.det(a.coeffs[0]))])
-    pts = np.exp(2j * np.pi * np.arange(deg + 1) / (deg + 1))
-    vals = np.array([np.linalg.det(a.value(z) * z ** (-a.min_lag)) for z in pts])
-    coef = (np.fft.fft(vals) / (deg + 1)).real
-    scale = max(float(np.max(np.abs(coef))), 1.0)
-    nz = np.nonzero(np.abs(coef) > DET_TRIM_RTOL * scale)[0]
-    if nz.size == 0:
-        return np.array([0.0])
-    return coef[: nz[-1] + 1]
+    s = max(0, -a.min_lag)
+    d = max(s + max(a.max_lag, 0), 1)
+    N = n * d
+    A = np.zeros((N, N))
+    E = np.eye(N)
+    for i in range(d - 1):
+        A[i * n:(i + 1) * n, (i + 1) * n:(i + 2) * n] = np.eye(n)
+    for j in range(d):
+        A[(d - 1) * n:, j * n:(j + 1) * n] = -a.coefficient(j - s)
+    E[(d - 1) * n:, (d - 1) * n:] = a.coefficient(d - s)
+    return A, E
 
 
-def lp_det_and_zeros(a: LaurentMatrix):
-    """Determinant polynomial of z**max(0, -min_lag) * a and its complex zeros.
+def pencil_eigenvalues(alpha, beta, A: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """Generalized eigenvalues alpha/beta of the pencil (A, E), in input order.
+
+    An eigenvalue whose beta is negligible against ||E|| is infinite and
+    comes back as ``inf``.  A pair with alpha and beta both negligible
+    against ||A|| and ||E|| is 0/0, which a QZ decomposition only produces
+    for a singular pencil (det(z E - A) identically zero), so it raises
+    SingularMatrixError.
+    """
+    infinite = np.abs(beta) <= PENCIL_SINGULAR_RTOL * np.linalg.norm(E)
+    if np.any(infinite & (np.abs(alpha) <= PENCIL_SINGULAR_RTOL * np.linalg.norm(A))):
+        raise SingularMatrixError("determinant is identically zero")
+    return np.where(infinite, np.inf, alpha / np.where(infinite, 1.0, beta))
+
+
+def lp_det_and_zeros(a: LaurentMatrix) -> np.ndarray:
+    """Complex zeros of det(z**max(0, -min_lag) * a(z)).
 
     A negative min_lag -lam is cleared by z**lam, as in det(z**lam B(z)).
     A positive min_lag is kept: the polynomial is det(a) itself, whose
     n * min_lag zeros at the origin are among the returned zeros and count
-    as inside the unit circle.  The zeros are the roots of the returned
-    ascending coefficients, computed as the eigenvalues of the (balanced)
-    companion matrix of the trimmed determinant polynomial.
+    as inside the unit circle.  The zeros are the finite generalized
+    eigenvalues of :func:`companion_pencil`; infinite eigenvalues are
+    excluded.  Raises SingularMatrixError when the determinant is
+    identically zero.
     """
-    coef = lp_det_poly(a)
-    if coef.size == 1 and coef[0] == 0.0:
-        raise SingularMatrixError("determinant is identically zero")
-    if a.min_lag > 0:
-        coef = np.concatenate([np.zeros(a.rows * a.min_lag), coef])
-    zeros = np.roots(coef[::-1]) if coef.size > 1 else np.array([], dtype=complex)
-    return coef, zeros
+    A, E = companion_pencil(a)
+    alpha, beta = eig(A, E, right=False, check_finite=False, homogeneous_eigvals=True)
+    eigs = pencil_eigenvalues(alpha, beta, A, E)
+    return eigs[np.isfinite(eigs)]
 
 
 def lp_truncated_inverse_series(a: LaurentMatrix, horizon: int) -> list[np.ndarray]:

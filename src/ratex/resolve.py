@@ -9,7 +9,6 @@ they produce the same transfer coefficients.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -189,49 +188,31 @@ def canonical_rotation(c0: np.ndarray, tol_rank: float = DEFAULT_TOL_RANK) -> np
 
 
 def _rank_drop_points(ma_part: LaurentMatrix, cutoff_scale: float):
-    """Open-disk points where the moving-average part loses column rank.
+    """Closed-disk points where the n x m moving-average part M loses column rank.
 
-    Square case: zeros of det.  Wide case (n > m): zeros of every maximal
-    minor are screened by SVD of the full matrix value, plus a dense disk
-    grid as a fallback that does not rely on the minors being well scaled.
+    Requires rank M(0) = m, which callers guarantee through rank(C0) = m.
+    With U the m leading left singular vectors of M(0), U' M(z) is square
+    and U' M(0) is invertible, so det(U' M(z)) is not identically zero, and
+    every rank drop of M is one of its zeros: the finite eigenvalues of the
+    companion pencil of U' M (infinite ones excluded).  When n = m these
+    are exactly the zeros of det M; when n > m each candidate is confirmed
+    by the SVD of M(z).  Returns ``(inside, boundary)``: points in the open
+    disk and within CF_BOUNDARY_MARGIN of the unit circle.
     """
     n, m = ma_part.rows, ma_part.cols
-    inside, boundary = [], []
-
-    def classify(z):
-        r = abs(z)
-        if r < 1.0 - CF_BOUNDARY_MARGIN:
-            inside.append(z)
-        elif r <= 1.0 + CF_BOUNDARY_MARGIN:
-            boundary.append(z)
-
-    if n == m:
-        try:
-            _, zeros = lp_det_and_zeros(ma_part)
-        except SingularMatrixError:
-            raise NotInvertible("moving-average part is singular everywhere")
-        for z in zeros:
-            classify(z)
-        return inside, boundary
-
-    candidates = []
-    for rows in itertools.combinations(range(n), m):
-        sub = LaurentMatrix.from_coeffs(ma_part.coeffs[:, rows, :], ma_part.min_lag)
-        try:
-            _, zeros = lp_det_and_zeros(sub)
-        except SingularMatrixError:
-            continue
-        candidates.extend(zeros)
-    # grid screen: radii 0.1..0.9, 64 angles
-    for r in np.arange(0.1, 0.95, 0.1):
-        candidates.extend(r * np.exp(2j * np.pi * np.arange(64) / 64))
+    if ma_part.max_lag <= 0:
+        return [], []  # constant: the rank m of M(0) holds everywhere
+    u = np.linalg.svd(ma_part.coefficient(0))[0][:, :m]
+    zeros = lp_det_and_zeros(LaurentMatrix(u.T @ ma_part.coeffs, ma_part.min_lag))
     scale = max(ma_part.max_abs(), 1.0)
-    for z in candidates:
-        if abs(z) > 1.0 + CF_BOUNDARY_MARGIN:
+    inside, boundary = [], []
+    for z in zeros:
+        r = abs(z)
+        if r > 1.0 + CF_BOUNDARY_MARGIN:
             continue
-        svals = np.linalg.svd(ma_part.value(z), compute_uv=False)
-        if svals[-1] <= cutoff_scale * scale:
-            classify(z)
+        if n > m and np.linalg.svd(ma_part.value(z), compute_uv=False)[-1] > cutoff_scale * scale:
+            continue
+        (inside if r < 1.0 - CF_BOUNDARY_MARGIN else boundary).append(z)
     return inside, boundary
 
 

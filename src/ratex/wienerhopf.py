@@ -9,9 +9,9 @@ downstream diagnostics can turn into verdicts.
 
 Algorithm: form P(z) = z**lam * B(z), transpose so the sought monic
 degree-lam factor becomes a right divisor, linearize as a block companion
-pencil, split its spectrum at the unit circle with an ordered generalized
-Schur decomposition, and reconstruct the divisor from the deflating
-subspace.  B_plus then falls out of the truncated-series long division
+pencil, split its spectrum at the unit circle with one ordered generalized
+Schur decomposition (whose eigenvalues are also the zeros counted for the
+verdict), and reconstruct the divisor from the deflating subspace.  B_plus then falls out of the truncated-series long division
 B_minus**-1 * B with exact degree cutoff.
 """
 
@@ -25,14 +25,23 @@ from scipy.linalg import ordqz
 from .polylab import (
     LaurentMatrix,
     SingularMatrixError,
-    lp_det_and_zeros,
+    companion_pencil,
     lp_mul,
     lp_truncated_inverse_series,
+    pencil_eigenvalues,
 )
 
 
 class FactorizationError(Exception):
-    """The required factorization does not exist (or is numerically unresolvable)."""
+    """The required factorization does not exist (or is numerically unresolvable).
+
+    ``zeros`` holds the zeros of det(z**lam B(z)) when they were computed
+    before the failure (empty otherwise), so verdicts can report them.
+    """
+
+    def __init__(self, message: str, zeros=()):
+        super().__init__(message)
+        self.zeros = np.asarray(zeros, dtype=complex)
 
 
 class ZerosOnUnitCircle(FactorizationError):
@@ -61,12 +70,14 @@ DEFAULT_TOL = ToleranceConfig()
 
 @dataclass(frozen=True)
 class WHFactors:
-    """Factors of B = B_minus * B_plus plus the reconstruction certificate."""
+    """Factors of B = B_minus * B_plus, the reconstruction certificate and the
+    zeros of det(z**lam B(z)) the factorization was decided on."""
 
     b_minus: LaurentMatrix
     b_plus: LaurentMatrix
     residual: float
     scale: float = 1.0
+    zeros: np.ndarray = field(default_factory=lambda: np.array([], dtype=complex))
 
     def __post_init__(self):
         n = self.b_minus.rows
@@ -104,16 +115,21 @@ def wh_factorize(B: LaurentMatrix, tol: ToleranceConfig | None = None) -> WHFact
     tol : ToleranceConfig, optional
         Boundary band, reconstruction bound and extraction conditioning.
 
-    The zeros counted are those of det(z**lam B(z)) (see
-    :func:`~ratex.polylab.lp_det_and_zeros`), and exactly n * lam of them
-    must lie inside the unit circle.  A positive min_lag leaves lam = 0 and
-    contributes n * min_lag zeros at the origin, which count as inside, so
-    B = z**k B_plus with k > 0 raises WrongStableCount.
+    The zeros counted are those of det(z**lam B(z)): the finite generalized
+    eigenvalues of the companion pencil (see
+    :func:`~ratex.polylab.companion_pencil`), infinite ones excluded.
+    Exactly n * lam of them must lie inside the unit circle.  A positive
+    min_lag leaves lam = 0 and contributes n * min_lag zeros at the origin,
+    which count as inside, so B = z**k B_plus with k > 0 raises
+    WrongStableCount.  One ordered QZ decomposition both counts the zeros
+    and yields B_minus, and the zeros are returned on the factors (and on
+    the error when the count fails).
 
     Raises
     ------
     ZerosOnUnitCircle, WrongStableCount, DivisorExtractionSingular
-        The three ways the existence/uniqueness condition fails.
+        The three ways the existence/uniqueness condition fails; an
+        identically zero det(B) is reported as ZerosOnUnitCircle.
     """
     tol = tol or DEFAULT_TOL
     if B.rows != B.cols:
@@ -123,25 +139,40 @@ def wh_factorize(B: LaurentMatrix, tol: ToleranceConfig | None = None) -> WHFact
     lam = max(0, -B.min_lag)
     scale = max(B.max_abs(), 1.0)
 
+    # The transpose has the same determinant, and B_minus' is a right
+    # divisor of (z^lam B)'.
+    A, E = companion_pencil(LaurentMatrix(B.coeffs.transpose(0, 2, 1), B.min_lag))
+    zeros = None
+
+    def stable_first(alpha, beta):
+        # ordqz calls this once with the eigenvalues of the unordered QZ,
+        # before reordering, so a failed count never reaches the reorder
+        nonlocal zeros
+        eigs = pencil_eigenvalues(alpha, beta, A, E)
+        zeros = eigs[np.isfinite(eigs)]
+        stable, on_band = _classify_zeros(zeros, tol.boundary)
+        if on_band:
+            raise ZerosOnUnitCircle(
+                f"{on_band} zero(s) of det(z^{lam} B(z)) within {tol.boundary:g} "
+                "of the unit circle", zeros)
+        if stable != n * lam:
+            raise WrongStableCount(
+                f"found {stable} zero(s) inside the unit circle, need exactly {n * lam}",
+                zeros)
+        return np.abs(eigs) < 1.0 - tol.boundary
+
     try:
-        _, zeros = lp_det_and_zeros(B)
+        AA, EE, _, _, _, Z = ordqz(A, E, sort=stable_first)
     except SingularMatrixError as exc:
         raise ZerosOnUnitCircle(
             "det(B) is identically zero; B(z) is nowhere invertible") from exc
-    stable, on_band = _classify_zeros(zeros, tol.boundary)
-    if on_band:
-        raise ZerosOnUnitCircle(
-            f"{on_band} zero(s) of det(z^{lam} B(z)) within {tol.boundary:g} of the unit circle")
-    if stable != n * lam:
-        raise WrongStableCount(
-            f"found {stable} zero(s) inside the unit circle, need exactly {n * lam}")
 
     if lam == 0:
         b_minus = LaurentMatrix.identity(n)
         b_plus = B
-        return WHFactors(b_minus, b_plus, residual=0.0, scale=scale)
+        return WHFactors(b_minus, b_plus, residual=0.0, scale=scale, zeros=zeros)
 
-    f_coeffs = _stable_monic_divisor(B, lam, tol)
+    f_coeffs = _stable_monic_divisor(AA, EE, Z, n, lam, tol, zeros)
     b_minus = LaurentMatrix.from_coeffs(
         [f_coeffs[i] for i in range(lam, 0, -1)] + [np.eye(n)], -lam, trim=False)
 
@@ -163,51 +194,29 @@ def wh_factorize(B: LaurentMatrix, tol: ToleranceConfig | None = None) -> WHFact
     residual = max(diff, extra)
     if residual > tol.reconstruction * scale:
         raise DivisorExtractionSingular(
-            f"reconstruction residual {residual:.3e} exceeds {tol.reconstruction:g} * scale")
-    return WHFactors(b_minus, b_plus, residual=residual, scale=scale)
+            f"reconstruction residual {residual:.3e} exceeds {tol.reconstruction:g} * scale",
+            zeros)
+    return WHFactors(b_minus, b_plus, residual=residual, scale=scale, zeros=zeros)
 
 
-def _stable_monic_divisor(B: LaurentMatrix, lam: int, tol: ToleranceConfig):
+def _stable_monic_divisor(AA, EE, Z, n: int, lam: int, tol: ToleranceConfig, zeros):
     """Coefficients F_1..F_lam of B_minus = I + sum F_i z^-i.
 
-    Works on the transposed polynomial Q(z) = (z^lam B(z))', whose monic
-    right divisor of degree lam carries the stable spectrum.  The divisor is
-    read off the deflating subspace of the companion pencil for the n*lam
-    generalized eigenvalues inside the unit circle.
+    Takes the ordered QZ (AA, EE, Z) of the companion pencil of the
+    transposed polynomial Q(z) = (z^lam B(z))', with the n*lam generalized
+    eigenvalues inside the unit circle leading.  The monic right divisor of
+    Q of degree lam carrying them is read off that deflating subspace.
     """
-    n = B.rows
-    d = lam + max(B.max_lag, 0)
-    q = [B.coefficient(i - lam).T for i in range(d + 1)]
-
-    N = n * d
-    A = np.zeros((N, N))
-    E = np.eye(N)
-    for i in range(d - 1):
-        A[i * n:(i + 1) * n, (i + 1) * n:(i + 2) * n] = np.eye(n)
-    for j in range(d):
-        A[(d - 1) * n:, j * n:(j + 1) * n] = -q[j]
-    E[(d - 1) * n:, (d - 1) * n:] = q[d]
-
-    def inside(alpha, beta):
-        return np.abs(alpha) < (1.0 - tol.boundary) * np.abs(beta)
-
-    AA, EE, alpha, beta, _, Z = ordqz(A, E, sort=inside)
     k = n * lam
-    with np.errstate(divide="ignore", invalid="ignore"):
-        selected = np.abs(alpha) < (1.0 - tol.boundary) * np.abs(beta)
-    if int(np.sum(selected)) != k:
-        raise WrongStableCount(
-            f"pencil has {int(np.sum(selected))} stable eigenvalue(s), need {k}")
-
     Z1 = Z[:, :k]
     U = Z1[:k, :]
     svals = np.linalg.svd(U, compute_uv=False)
     if svals[-1] <= tol.extraction_rcond * max(svals[0], 1.0):
         raise DivisorExtractionSingular(
             "deflating-subspace block is numerically singular; "
-            "no monic stable divisor of the required degree exists")
+            "no monic stable divisor of the required degree exists", zeros)
 
-    if d >= lam + 1:
+    if Z.shape[0] > k:
         v_next = Z1[k:k + n, :]
     else:
         # degree-lam polynomial: advance the last block one step via the
@@ -222,22 +231,18 @@ def check_eu(B: LaurentMatrix, tol: ToleranceConfig | None = None):
     """Existence/uniqueness verdict plus zero diagnostics.
 
     Returns ``(holds, EUDiagnostic)``; never raises for factorization
-    failures, which are folded into the verdict.
+    failures, which are folded into the verdict.  The zeros are those of
+    det(z**lam B(z)) that :func:`wh_factorize` decided on (finite pencil
+    eigenvalues only); they are empty when det(B) is identically zero.
     """
     tol = tol or DEFAULT_TOL
     Bt = B.trimmed()
-    n = Bt.rows
-    lam = max(0, -Bt.min_lag)
     try:
-        _, zeros = lp_det_and_zeros(Bt)
-    except SingularMatrixError:
-        return False, EUDiagnostic(False, "determinant identically zero")
-    stable, on_band = _classify_zeros(zeros, tol.boundary)
-    diag = EUDiagnostic(True, "", zeros=zeros, stable_count=stable,
-                        expected_stable=n * lam, boundary_count=on_band)
-    try:
-        wh_factorize(Bt, tol)
+        zeros, reason = wh_factorize(Bt, tol).zeros, ""
     except FactorizationError as exc:
-        return False, EUDiagnostic(False, str(exc), zeros=zeros, stable_count=stable,
-                                   expected_stable=n * lam, boundary_count=on_band)
-    return True, diag
+        zeros, reason = exc.zeros, str(exc)
+    stable, on_band = _classify_zeros(zeros, tol.boundary)
+    holds = not reason
+    return holds, EUDiagnostic(holds, reason, zeros=zeros, stable_count=stable,
+                               expected_stable=Bt.rows * max(0, -Bt.min_lag),
+                               boundary_count=on_band)

@@ -274,7 +274,7 @@ def test_criterion_07_solution_algebra_property_suite():
 
 def _coprime(model):
     from ratex.polylab import lp_det_and_zeros
-    _, zeros = lp_det_and_zeros(model.B)
+    zeros = lp_det_and_zeros(model.B)
     for z in zeros:
         stacked = np.hstack([model.B.value(z), model.A.value(z)])
         svals = np.linalg.svd(stacked, compute_uv=False)

@@ -122,6 +122,9 @@ class TestRestrictionFiles:
     def test_nonlinear_bad_reference(self):
         with pytest.raises(ModelFileError):
             compile_nonlinear(["B[0][5][1]"], n=1, m=1, kappa=0, lam=0)
+        # equation mode: B lag 2 lies outside -lam..kappa = 0..1
+        with pytest.raises(ModelFileError):
+            compile_nonlinear(["B[2][1][1] - 0.5"], n=2, m=1, kappa=1, lam=0, equation=1)
 
     def test_dependent_rows_warn(self):
         with pytest.warns(UserWarning):

@@ -11,6 +11,7 @@ from ratex.polylab import (
     lp_mul,
     lp_truncated_inverse_series,
 )
+from ratex.wienerhopf import ZerosOnUnitCircle, wh_factorize
 
 
 def scalar(coeffs, min_lag=0):
@@ -117,13 +118,12 @@ class TestDetAndZeros:
     def test_scalar_linear_factor(self):
         b0, b_plus = 2.0, 0.4
         a = scalar([b0, -b0 * b_plus])
-        coef, zeros = lp_det_and_zeros(a)
+        zeros = lp_det_and_zeros(a)
         assert len(zeros) == 1
         assert zeros[0] == pytest.approx(1 / b_plus)
 
     def test_identity_has_no_zeros(self):
-        coef, zeros = lp_det_and_zeros(LaurentMatrix.identity(2))
-        assert coef == pytest.approx([1.0])
+        zeros = lp_det_and_zeros(LaurentMatrix.identity(2))
         assert zeros.size == 0
 
     def test_quadratic_vieta(self):
@@ -131,7 +131,7 @@ class TestDetAndZeros:
         # theta1 and sum to s (quadratic-formula oracle).
         theta1, s = 0.9, 2.6
         a = scalar([theta1, -s, 1.0], -1)
-        _, zeros = lp_det_and_zeros(a)
+        zeros = lp_det_and_zeros(a)
         assert np.prod(zeros).real == pytest.approx(theta1)
         assert np.sum(zeros).real == pytest.approx(s)
         disc = np.sqrt(s * s - 4 * theta1)
@@ -144,14 +144,22 @@ class TestDetAndZeros:
         u1 = 0.4 * rng.standard_normal((2, 2))
         left = LaurentMatrix.from_coeffs([-s1, np.eye(2)], -1)
         right = LaurentMatrix.from_coeffs([np.eye(2), -u1], 0)
-        _, zeros = lp_det_and_zeros(lp_mul(left, right))
+        zeros = lp_det_and_zeros(lp_mul(left, right))
         expected = np.concatenate([np.linalg.eigvals(s1), 1.0 / np.linalg.eigvals(u1)])
         assert sorted(np.round(zeros, 8)) == pytest.approx(sorted(np.round(expected, 8)), abs=1e-6)
 
     def test_identically_zero_det(self):
-        a = LaurentMatrix.from_coeffs([np.array([[1.0, 1.0], [1.0, 1.0]])], 0)
-        with pytest.raises(SingularMatrixError):
-            lp_det_and_zeros(a)
+        cases = [
+            LaurentMatrix.from_coeffs([np.array([[1.0, 1.0], [1.0, 1.0]])], 0),
+            # u(z) v(z)' with linear 2x1 u and 1x2 v: rank 1 at every z
+            lp_mul(LaurentMatrix.from_coeffs([[[1.0], [2.0]], [[0.5], [-1.0]]], 0),
+                   LaurentMatrix.from_coeffs([[[1.0, -1.0]], [[0.3, 2.0]]], 0)),
+        ]
+        for a in cases:
+            with pytest.raises(SingularMatrixError):
+                lp_det_and_zeros(a)
+            with pytest.raises(ZerosOnUnitCircle):
+                wh_factorize(a)
 
 
 class TestInverseSeries:

@@ -226,6 +226,26 @@ class TestCanonicalForm:
         assert checked.warnings
         assert np.array_equal(v, np.eye(1))
 
+    def test_wide_unit_circle_drop_warned_once(self):
+        # (1 + z) [1, 0.5, 0.25]' drops rank only at z = -1: one warning,
+        # however many maximal minors vanish there
+        col = np.array([[1.0], [0.5], [0.25]])
+        model = Model(LaurentMatrix.identity(3), LaurentMatrix.from_coeffs([col, col], 0),
+                      lam=0, kappa=1)
+        _, checked = cf_check_and_normalize(solve_model(model))
+        assert len(checked.warnings) == 1
+
+    def test_wide_not_invertible_detected(self, rng):
+        # N(z) diag(1, 1 - 2.5 z) with N of full column rank on the disk
+        # loses rank at z = 0.4
+        n0 = np.linalg.qr(rng.standard_normal((3, 2)))[0]
+        n1 = 0.2 * rng.standard_normal((3, 2))
+        ma = lp_mul(LaurentMatrix.from_coeffs([n0, n1], 0),
+                    LaurentMatrix.from_coeffs([np.eye(2), np.diag([0.0, -2.5])], 0))
+        bundle = solve_model(Model(LaurentMatrix.identity(3), ma, lam=0, kappa=2))
+        with pytest.raises(NotInvertible, match="0.400000"):
+            cf_check_and_normalize(bundle)
+
 
 class TestSpectralDensity:
     def test_white_noise_flat(self):

@@ -139,9 +139,9 @@ class TestProperties:
             kappa = int(rng.integers(1, 3))
             model, *_ = make_valid_model(rng, n=n, m=n, lam=lam, kappa=kappa)
             fac = wh_factorize(model.B)
-            _, zb = lp_det_and_zeros(model.B)
-            _, zm = lp_det_and_zeros(fac.b_minus)
-            _, zp = lp_det_and_zeros(fac.b_plus)
+            zb = lp_det_and_zeros(model.B)
+            zm = lp_det_and_zeros(fac.b_minus)
+            zp = lp_det_and_zeros(fac.b_plus)
             assert match_zero_multisets(zb, np.concatenate([zm, zp]), tol=1e-6)
             assert np.all(np.abs(zm) < 1) and np.all(np.abs(zp) > 1)
 
@@ -189,6 +189,35 @@ class TestCheckEU:
         assert diag.stable_count == 2 and diag.expected_stable == 0
         assert np.sum(diag.zeros == 0) == 2
         assert "inside the unit circle" in diag.reason
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_high_degree_zero_count(self, seed):
+        # B = B_minus B_plus with n = 8 and lam = kappa = 5, built from
+        # factors I - S/z and I - z S with S = Q diag(s) Q': det(z^5 B) has
+        # degree 80, with the 40 s of B_minus inside the circle and the 40
+        # 1/s of B_plus outside (|s| in [0.72, 0.97], all distinct)
+        n, lam, kappa = 8, 5, 5
+        rng = np.random.default_rng(seed)
+        t = np.linspace(0.0, 1.0, n * (lam + kappa))
+        s = rng.permutation(0.97 * np.exp(-0.3 * t) * rng.choice([-1.0, 1.0], t.size))
+        s = s.reshape(lam + kappa, n)
+
+        def sym(v):
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            return q @ np.diag(v) @ q.T
+
+        B = LaurentMatrix.identity(n)
+        for v in s[:lam]:
+            B = lp_mul(B, LaurentMatrix.from_coeffs([-sym(v), np.eye(n)], -1))
+        for v in s[lam:]:
+            B = lp_mul(B, LaurentMatrix.from_coeffs([np.eye(n), -sym(v)], 0))
+        fac = wh_factorize(B)
+        assert fac.residual <= 1e-8 * fac.scale
+        holds, diag = check_eu(B)
+        assert holds
+        assert diag.stable_count == n * lam == 40
+        expected = np.concatenate([s[:lam].ravel(), 1.0 / s[lam:].ravel()])
+        assert match_zero_multisets(diag.zeros, expected, tol=1e-4)
 
     def test_declared_lam_with_zero_lead_not_double_counted(self, rng):
         # lam = 1 declared but B_{-1} = 0: det(z B_plus(z)) has n zeros at the
