@@ -6,9 +6,10 @@ the package (factorization, solution operators, identification systems)
 computes on this substrate.
 
 Polynomial zeros have one source: the block-companion pencil of
-:func:`companion_pencil`, whose finite generalized eigenvalues are the
-zeros of det(z**max(0, -min_lag) * a(z)).  The determinant coefficients
-themselves are never formed.
+:func:`companion_pencil`, whose infinite eigenvalues are split off so that
+its remaining generalized eigenvalues are exactly the zeros of
+det(z**max(0, -min_lag) * a(z)).  The determinant coefficients themselves
+are never formed.
 """
 
 from __future__ import annotations
@@ -22,9 +23,11 @@ from scipy.linalg import eig
 # trimming lag ranges.  The floor at 1 keeps all-tiny matrices intact.
 TRIM_RTOL = 1e-12
 
-# Relative size, against the norm of its pencil matrix, below which alpha
-# or beta of a generalized eigenvalue pair counts as zero: beta alone marks
-# an infinite eigenvalue, alpha and beta together a singular pencil.
+# Rank decisions on a companion pencil scaled to unit size: singular values
+# of E below PENCIL_INFINITE_RTOL span infinite eigenvalues (dropping any
+# genuine zero beyond about 1e8 with them); one of W'A below
+# PENCIL_SINGULAR_RTOL marks a singular pencil, det(z E - A) identically 0.
+PENCIL_INFINITE_RTOL = np.sqrt(np.finfo(float).eps)
 PENCIL_SINGULAR_RTOL = 1e-10
 
 
@@ -209,46 +212,59 @@ def lp_mul(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
 
 
 def companion_pencil(a: LaurentMatrix):
-    """Block-companion pencil (A, E) of P(z) = z**max(0, -min_lag) * a(z).
+    """Finite part (A, E, V) of the companion pencil of P(z) = z**max(0, -min_lag) a(z).
 
-    P is taken as degree d = max(0, -min_lag) + max(0, max_lag), at least 1,
-    in first companion form A = [[0, I, ..], .., [-P_0 .. -P_{d-1}]],
-    E = diag(I, .., I, P_d), so det(z E - A) = det P(z).  A deflating
-    subspace of n*k eigenvalues with an invertible top block yields the
-    monic degree-k right divisor of P carrying them.  The zeros of det P are
-    the finite eigenvalues alpha/beta, a positive min_lag giving exact ones
-    at the origin; a singular P_d adds infinite ones (beta = 0), which are
-    not zeros.
+    P, scaled by a power of two to unit size and taken as degree
+    d = max(0, -min_lag) + max(0, max_lag) >= 1, gives A = [[0, I, ..], ..,
+    [-P_0 .. -P_{d-1}]] and E = diag(I, .., I, P_d), det(z E - A) a constant
+    multiple of det P(z).  The infinite eigenvalues of a singular P_d are
+    split off (:func:`_deflate_infinite`), so the generalized eigenvalues of
+    the returned (A, E) are exactly the zeros of det P, a positive min_lag
+    giving exact ones at the origin.  V maps a right deflating subspace of
+    (A, E) to one of the full pencil, where one of n*k eigenvalues with an
+    invertible top block yields the monic degree-k right divisor of P
+    carrying them.  Raises SingularMatrixError when det P is identically 0.
     """
     if a.rows != a.cols:
         raise ShapeMismatchError("determinant requires a square matrix")
     n = a.rows
     s = max(0, -a.min_lag)
     d = max(s + max(a.max_lag, 0), 1)
+    e = np.frexp(a.max_abs())[1]
     N = n * d
     A = np.zeros((N, N))
     E = np.eye(N)
     for i in range(d - 1):
         A[i * n:(i + 1) * n, (i + 1) * n:(i + 2) * n] = np.eye(n)
     for j in range(d):
-        A[(d - 1) * n:, j * n:(j + 1) * n] = -a.coefficient(j - s)
-    E[(d - 1) * n:, (d - 1) * n:] = a.coefficient(d - s)
-    return A, E
+        A[(d - 1) * n:, j * n:(j + 1) * n] = -np.ldexp(a.coefficient(j - s), -e)
+    E[(d - 1) * n:, (d - 1) * n:] = np.ldexp(a.coefficient(d - s), -e)
+    return _deflate_infinite(A, E)
 
 
-def pencil_eigenvalues(alpha, beta, A: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """Generalized eigenvalues alpha/beta of the pencil (A, E), in input order.
+def _deflate_infinite(A: np.ndarray, E: np.ndarray):
+    """Split the infinite eigenvalues off a regular pencil (A, E).
 
-    An eigenvalue whose beta is negligible against ||E|| is infinite and
-    comes back as ``inf``.  A pair with alpha and beta both negligible
-    against ||A|| and ||E|| is 0/0, which a QZ decomposition only produces
-    for a singular pencil (det(z E - A) identically zero), so it raises
-    SingularMatrixError.
+    With W the left null space of E and V1 the null space of W'A (full row
+    rank unless the pencil is singular), (z E - A) V1 = U1 (z E11 - A11) for
+    orthonormal U1 orthogonal to W; the rest holds infinite eigenvalues only.
+    Repeating until E11 is nonsingular removes whole Jordan chains at
+    infinity, which a QZ of the full pencil would perturb by eps**(1/k) into
+    huge spurious zeros.  Returns the last (A11, E11) and the product V of
+    the V1s.
     """
-    infinite = np.abs(beta) <= PENCIL_SINGULAR_RTOL * np.linalg.norm(E)
-    if np.any(infinite & (np.abs(alpha) <= PENCIL_SINGULAR_RTOL * np.linalg.norm(A))):
-        raise SingularMatrixError("determinant is identically zero")
-    return np.where(infinite, np.inf, alpha / np.where(infinite, 1.0, beta))
+    V = np.eye(A.shape[0])
+    while A.size:
+        u, s, _ = np.linalg.svd(E)
+        r = int(np.sum(s > PENCIL_INFINITE_RTOL))
+        if r == A.shape[0]:
+            break
+        _, t, h = np.linalg.svd(u[:, r:].T @ A)
+        if t[-1] <= PENCIL_SINGULAR_RTOL:
+            raise SingularMatrixError("determinant is identically zero")
+        u1, v1 = u[:, :r], h[A.shape[0] - r:].T
+        A, E, V = u1.T @ A @ v1, u1.T @ E @ v1, V @ v1
+    return A, E, V
 
 
 def lp_det_and_zeros(a: LaurentMatrix) -> np.ndarray:
@@ -257,15 +273,13 @@ def lp_det_and_zeros(a: LaurentMatrix) -> np.ndarray:
     A negative min_lag -lam is cleared by z**lam, as in det(z**lam B(z)).
     A positive min_lag is kept: the polynomial is det(a) itself, whose
     n * min_lag zeros at the origin are among the returned zeros and count
-    as inside the unit circle.  The zeros are the finite generalized
-    eigenvalues of :func:`companion_pencil`; infinite eigenvalues are
-    excluded.  Raises SingularMatrixError when the determinant is
+    as inside the unit circle.  The zeros are the generalized eigenvalues
+    of the finite part of :func:`companion_pencil`; infinite eigenvalues
+    are excluded.  Raises SingularMatrixError when the determinant is
     identically zero.
     """
-    A, E = companion_pencil(a)
-    alpha, beta = eig(A, E, right=False, check_finite=False, homogeneous_eigvals=True)
-    eigs = pencil_eigenvalues(alpha, beta, A, E)
-    return eigs[np.isfinite(eigs)]
+    A, E, _ = companion_pencil(a)
+    return eig(A, E, right=False, check_finite=False).astype(complex)
 
 
 def lp_truncated_inverse_series(a: LaurentMatrix, horizon: int) -> list[np.ndarray]:

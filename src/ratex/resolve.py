@@ -190,18 +190,15 @@ def canonical_rotation(c0: np.ndarray, tol_rank: float = DEFAULT_TOL_RANK) -> np
 def _rank_drop_points(ma_part: LaurentMatrix, cutoff_scale: float):
     """Closed-disk points where the n x m moving-average part M loses column rank.
 
-    Requires rank M(0) = m, which callers guarantee through rank(C0) = m.
-    With U the m leading left singular vectors of M(0), U' M(z) is square
-    and U' M(0) is invertible, so det(U' M(z)) is not identically zero, and
-    every rank drop of M is one of its zeros: the finite eigenvalues of the
-    companion pencil of U' M (infinite ones excluded).  When n = m these
-    are exactly the zeros of det M; when n > m each candidate is confirmed
-    by the SVD of M(z).  Returns ``(inside, boundary)``: points in the open
-    disk and within CF_BOUNDARY_MARGIN of the unit circle.
+    Relies on rank M(0) = m, which callers guarantee through rank(C0) = m:
+    with U the m leading left singular vectors of M(0), det(U' M(z)) is then
+    not identically zero, and every rank drop of M is one of its zeros (from
+    :func:`lp_det_and_zeros`, infinite pencil eigenvalues excluded).  These
+    are the zeros of det M when n = m; when n > m each is confirmed by the
+    SVD of M(z).  Returns ``(inside, boundary)``: points in the open disk
+    and within CF_BOUNDARY_MARGIN of the unit circle.
     """
     n, m = ma_part.rows, ma_part.cols
-    if ma_part.max_lag <= 0:
-        return [], []  # constant: the rank m of M(0) holds everywhere
     u = np.linalg.svd(ma_part.coefficient(0))[0][:, :m]
     zeros = lp_det_and_zeros(LaurentMatrix(u.T @ ma_part.coeffs, ma_part.min_lag))
     scale = max(ma_part.max_abs(), 1.0)

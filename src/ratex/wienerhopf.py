@@ -11,8 +11,8 @@ Algorithm: form P(z) = z**lam * B(z), transpose so the sought monic
 degree-lam factor becomes a right divisor, linearize as a block companion
 pencil, split its spectrum at the unit circle with one ordered generalized
 Schur decomposition (whose eigenvalues are also the zeros counted for the
-verdict), and reconstruct the divisor from the deflating subspace.  B_plus then falls out of the truncated-series long division
-B_minus**-1 * B with exact degree cutoff.
+verdict), and reconstruct the divisor from the deflating subspace.  B_plus
+then falls out of the long division B_minus**-1 * B with exact degree cutoff.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .polylab import (
     companion_pencil,
     lp_mul,
     lp_truncated_inverse_series,
-    pencil_eigenvalues,
 )
 
 
@@ -115,15 +114,14 @@ def wh_factorize(B: LaurentMatrix, tol: ToleranceConfig | None = None) -> WHFact
     tol : ToleranceConfig, optional
         Boundary band, reconstruction bound and extraction conditioning.
 
-    The zeros counted are those of det(z**lam B(z)): the finite generalized
-    eigenvalues of the companion pencil (see
-    :func:`~ratex.polylab.companion_pencil`), infinite ones excluded.
+    The zeros counted are those of det(z**lam B(z)): the generalized
+    eigenvalues of the finite part of the companion pencil (see
+    :func:`~ratex.polylab.companion_pencil`), infinite ones split off.
     Exactly n * lam of them must lie inside the unit circle.  A positive
     min_lag leaves lam = 0 and contributes n * min_lag zeros at the origin,
     which count as inside, so B = z**k B_plus with k > 0 raises
-    WrongStableCount.  One ordered QZ decomposition both counts the zeros
-    and yields B_minus, and the zeros are returned on the factors (and on
-    the error when the count fails).
+    WrongStableCount.  One ordered QZ both counts the zeros and yields
+    B_minus; the zeros are returned on the factors or the error.
 
     Raises
     ------
@@ -141,15 +139,18 @@ def wh_factorize(B: LaurentMatrix, tol: ToleranceConfig | None = None) -> WHFact
 
     # The transpose has the same determinant, and B_minus' is a right
     # divisor of (z^lam B)'.
-    A, E = companion_pencil(LaurentMatrix(B.coeffs.transpose(0, 2, 1), B.min_lag))
-    zeros = None
+    try:
+        A, E, V = companion_pencil(LaurentMatrix(B.coeffs.transpose(0, 2, 1), B.min_lag))
+    except SingularMatrixError as exc:
+        raise ZerosOnUnitCircle(
+            "det(B) is identically zero; B(z) is nowhere invertible") from exc
+    zeros = np.array([], dtype=complex)
 
     def stable_first(alpha, beta):
         # ordqz calls this once with the eigenvalues of the unordered QZ,
         # before reordering, so a failed count never reaches the reorder
         nonlocal zeros
-        eigs = pencil_eigenvalues(alpha, beta, A, E)
-        zeros = eigs[np.isfinite(eigs)]
+        zeros = alpha / beta
         stable, on_band = _classify_zeros(zeros, tol.boundary)
         if on_band:
             raise ZerosOnUnitCircle(
@@ -159,20 +160,19 @@ def wh_factorize(B: LaurentMatrix, tol: ToleranceConfig | None = None) -> WHFact
             raise WrongStableCount(
                 f"found {stable} zero(s) inside the unit circle, need exactly {n * lam}",
                 zeros)
-        return np.abs(eigs) < 1.0 - tol.boundary
+        return np.abs(zeros) < 1.0 - tol.boundary
 
-    try:
+    if A.size:
         AA, EE, _, _, _, Z = ordqz(A, E, sort=stable_first)
-    except SingularMatrixError as exc:
-        raise ZerosOnUnitCircle(
-            "det(B) is identically zero; B(z) is nowhere invertible") from exc
+    else:  # det(z^lam B) is constant
+        stable_first(zeros, np.ones(0))
 
     if lam == 0:
         b_minus = LaurentMatrix.identity(n)
         b_plus = B
         return WHFactors(b_minus, b_plus, residual=0.0, scale=scale, zeros=zeros)
 
-    f_coeffs = _stable_monic_divisor(AA, EE, Z, n, lam, tol, zeros)
+    f_coeffs = _stable_monic_divisor(AA, EE, V @ Z, n, lam, tol, zeros)
     b_minus = LaurentMatrix.from_coeffs(
         [f_coeffs[i] for i in range(lam, 0, -1)] + [np.eye(n)], -lam, trim=False)
 
@@ -202,10 +202,11 @@ def wh_factorize(B: LaurentMatrix, tol: ToleranceConfig | None = None) -> WHFact
 def _stable_monic_divisor(AA, EE, Z, n: int, lam: int, tol: ToleranceConfig, zeros):
     """Coefficients F_1..F_lam of B_minus = I + sum F_i z^-i.
 
-    Takes the ordered QZ (AA, EE, Z) of the companion pencil of the
-    transposed polynomial Q(z) = (z^lam B(z))', with the n*lam generalized
-    eigenvalues inside the unit circle leading.  The monic right divisor of
-    Q of degree lam carrying them is read off that deflating subspace.
+    Takes the ordered QZ (AA, EE) of the finite part of the companion
+    pencil of the transposed polynomial Q(z) = (z^lam B(z))', with the n*lam
+    generalized eigenvalues inside the unit circle leading, and its right
+    Schur vectors Z mapped back to the full pencil.  The monic right divisor
+    of Q of degree lam carrying them is read off that deflating subspace.
     """
     k = n * lam
     Z1 = Z[:, :k]

@@ -11,7 +11,7 @@ from ratex.polylab import (
     lp_mul,
     lp_truncated_inverse_series,
 )
-from ratex.wienerhopf import ZerosOnUnitCircle, wh_factorize
+from ratex.wienerhopf import ZerosOnUnitCircle, check_eu, wh_factorize
 
 
 def scalar(coeffs, min_lag=0):
@@ -147,6 +147,23 @@ class TestDetAndZeros:
         zeros = lp_det_and_zeros(lp_mul(left, right))
         expected = np.concatenate([np.linalg.eigvals(s1), 1.0 / np.linalg.eigvals(u1)])
         assert sorted(np.round(zeros, 8)) == pytest.approx(sorted(np.round(expected, 8)), abs=1e-6)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_unimodular_has_no_zeros(self, seed):
+        # I + z Q N Q' with N nilpotent has det identically 1; its singular
+        # lead gives Jordan chains at infinity, which must not turn into huge
+        # finite zeros.  Chains of length 2, 3 and 4 (two length-2 factors).
+        rng = np.random.default_rng(seed)
+
+        def factor(n):
+            q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            return LaurentMatrix.from_coeffs([np.eye(n), q @ np.eye(n, k=1) @ q.T], 0)
+
+        cases = [factor(2), factor(3), lp_mul(factor(2), factor(2))]
+        for b in cases:
+            assert lp_det_and_zeros(b).size == 0
+            holds, diag = check_eu(b)
+            assert holds and diag.zeros.size == 0
 
     def test_identically_zero_det(self):
         cases = [

@@ -145,6 +145,22 @@ class TestProperties:
             assert match_zero_multisets(zb, np.concatenate([zm, zp]), tol=1e-6)
             assert np.all(np.abs(zm) < 1) and np.all(np.abs(zp) > 1)
 
+    def test_unimodular_right_factor(self, rng):
+        # B = B_minus B_plus (I + z Q N Q') with N nilpotent: the last factor
+        # has det 1 but gives B a singular lead with a Jordan chain at
+        # infinity, which must not add huge spurious zeros; B_minus and the
+        # zeros of B_minus and B_plus are all that remain.
+        n = 3
+        for _ in range(4):
+            bm = random_b_minus(rng, n, 1)
+            bp = random_b_plus(rng, n, 1)
+            q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            u = LaurentMatrix.from_coeffs([np.eye(n), q @ np.eye(n, k=1) @ q.T], 0)
+            fac = wh_factorize(lp_mul(bm, lp_mul(bp, u)))
+            assert fac.b_minus.allclose(bm, atol=1e-6 * max(bm.max_abs(), 1.0))
+            expected = np.concatenate([lp_det_and_zeros(bm), lp_det_and_zeros(bp)])
+            assert match_zero_multisets(fac.zeros, expected, tol=1e-6)
+
     def test_varma_degenerate_b_minus_exact_identity(self, rng):
         for _ in range(5):
             bp = random_b_plus(rng, 2, 2)
