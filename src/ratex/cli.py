@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -422,10 +423,11 @@ def _add_common(p, model=True, restrictions=False):
     if restrictions:
         p.add_argument("restrictions", help="restriction JSON file")
     p.add_argument("--format", choices=["text", "json-report"], default="text")
-    p.add_argument("--tol-rank", type=float, default=env_tol_rank(),
+    p.add_argument("--tol-rank", type=float, default=None,
                    help="relative rank threshold (env RATEX_TOL_RANK overrides the default)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ratex",
@@ -489,8 +491,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # read at every call: the parser is built once per process
+    if getattr(args, "tol_rank", 0.0) is None:
+        args.tol_rank = env_tol_rank()
     try:
         return args.fn(args)
     except _FILE_ERRORS as exc:

@@ -1,21 +1,20 @@
 """Observational-equivalence kernel and identification rank tests.
 
 The first 1 + (n+1)*kappa + lam impulse responses determine a matrix P
-whose kernel (after a Kronecker lift) is exactly the linear space carrying
-observationally equivalent parameters.  Stacking restriction rows under
-P' (x) I_n yields the full-column-rank tests for system-wide and
-equation-wise identification, and a structural-coefficient variant gives
+whose left kernel, with basis N, holds exactly the observationally equivalent
+parameters.  Restrictions R identify the model iff R (N (x) I_n), or R N for
+one equation, has full column rank; a structural-coefficient variant gives
 the independent cross-check for the pure-VARMA case.
 """
 
 from __future__ import annotations
 
 import warnings as _warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .numrank import DEFAULT_TOL_RANK, numerical_rank
+from .numrank import DEFAULT_TOL_RANK, left_null_space, numerical_rank
 from .polylab import LaurentMatrix, Model
 from .resolve import SolutionBundle, TransferSeries, solve_model, spectral_distance
 
@@ -40,11 +39,18 @@ class IdentSystem:
     P: np.ndarray
     hankel_rank: int
     hankel_singular_values: np.ndarray
+    N: np.ndarray                     # null(P') on [B_-lam..B_kappa | A_0..A_kappa]
 
 
 @dataclass(frozen=True)
 class RankReport:
-    """Outcome of one full-column-rank test, with the evidence attached."""
+    """Outcome of one full-column-rank test, with the evidence attached.
+
+    The system and equation tests rank R (N (x) I_n) or R N: the shape and
+    singular values are that matrix's, ``required_rank`` is n * dim N (the
+    equivalence-class dimension) or dim N, and the shortfall of
+    ``numerical_rank`` is the rank deficiency of [P' (x) I_n; R] or [P'; R].
+    """
 
     matrix_shape: tuple
     singular_values: np.ndarray
@@ -148,35 +154,18 @@ def kernel_vec(B: LaurentMatrix, a_plus_mat: LaurentMatrix,
     return np.hstack(blocks).flatten(order="F")
 
 
-def pad_restriction(R: np.ndarray, n: int, m: int, kappa: int, lam: int,
-                    equation: bool = False) -> np.ndarray:
-    """Insert the zero block for the negative lags of A+.
-
-    The first n^2(kappa+lam+1) columns (n(kappa+lam+1) in equation mode) act
-    on the B coefficients, the rest on the A coefficients; a zero block of
-    width nm*lam (m*lam) sits between them in the padded matrix.
-    """
-    R = np.atleast_2d(np.asarray(R, dtype=float))
-    nb = n * (kappa + lam + 1) * (1 if equation else n)
-    na = m * (kappa + 1) * (1 if equation else n)
-    pad = m * lam * (1 if equation else n)
-    if R.shape[1] != nb + na:
-        raise RestrictionDimensionError(
-            f"restriction matrix has {R.shape[1]} columns, expected {nb + na}")
-    return np.hstack([R[:, :nb], np.zeros((R.shape[0], pad)), R[:, nb:]])
-
-
 # -- system construction ---------------------------------------------------
 
 
 def build_ident_system(transfer: TransferSeries, n: int, m: int,
                        kappa: int, lam: int,
                        tol_rank: float = DEFAULT_TOL_RANK) -> IdentSystem:
-    """Assemble T (block Toeplitz), H (block Hankel) and P = [[-T,-H],[I,0]].
+    """Assemble T (block Toeplitz), H (block Hankel), P = [[-T,-H],[I,0]], N.
 
     H's bottom-left block is C_1 and its top-right block is
     C_{(n+1)kappa+lam}; the Hankel rank is the McMillan degree of the
-    strictly proper part of the transfer function.
+    strictly proper part of the transfer function.  P' [x_B; x_A] = 0 iff
+    H' x_B = 0 and x_A = T' x_B; N keeps the rows of A_0..A_kappa.
     """
     need = (n + 1) * kappa + lam
     if transfer.horizon < need:
@@ -192,10 +181,11 @@ def build_ident_system(transfer: TransferSeries, n: int, m: int,
             H[r * n:(r + 1) * n, c * m:(c + 1) * m] = transfer.coefficient(q - r + c)
     P = np.block([[-T, -H],
                   [np.eye(m * q), np.zeros((m * q, n * m * kappa))]])
-    rank, svals, _ = numerical_rank(H, tol_rank)
+    rank, svals, U = left_null_space(H, tol_rank)
+    N = np.vstack([U, T[:, m * lam:].T @ U])
     return IdentSystem(n=n, m=m, kappa=kappa, lam=lam, T=T, H=H, P=P,
                        hankel_rank=rank,
-                       hankel_singular_values=svals)
+                       hankel_singular_values=svals, N=N)
 
 
 def equivalence_class_dim(sys: IdentSystem) -> int:
@@ -259,8 +249,8 @@ def spectral_equivalent(bundle_a: SolutionBundle, bundle_b: SolutionBundle,
 
 
 def _rank_report(M: np.ndarray, required: int, tol_rank: float,
-                 warn: tuple = ()) -> RankReport:
-    rank, svals, cutoff = numerical_rank(M, tol_rank)
+                 scale: float | None = None, shape: tuple | None = None) -> RankReport:
+    rank, svals, cutoff = numerical_rank(M, tol_rank, scale, shape)
     if required <= svals.size and cutoff > 0:
         gap = float(svals[required - 1] / cutoff)
     else:
@@ -268,7 +258,24 @@ def _rank_report(M: np.ndarray, required: int, tol_rank: float,
     verdict = "identified" if rank == required else "not_identified"
     return RankReport(matrix_shape=M.shape, singular_values=svals,
                       numerical_rank=rank, required_rank=required,
-                      verdict=verdict, gap_ratio=gap, warnings=warn)
+                      verdict=verdict, gap_ratio=gap)
+
+
+def _kernel_rank_test(sys: IdentSystem, R: np.ndarray, equation: bool,
+                      tol_rank: float) -> RankReport:
+    """Rank R (N (x) I_n), or R N for one equation, at the cutoff of the
+    stack [P' (x) I_n; R] or [P'; R]; R N has no scale of its own, so
+    max(|P|_F, |R|_F) stands in for the stack's sigma_max."""
+    n = 1 if equation else sys.n
+    R = np.atleast_2d(np.asarray(R, dtype=float))
+    rows, cols = R.shape[0], n * sys.N.shape[0]
+    if R.shape[1] != cols:
+        raise RestrictionDimensionError(
+            f"restriction matrix has {R.shape[1]} columns, expected {cols}")
+    RN = np.einsum("kcs,cj->kjs", R.reshape(rows, sys.N.shape[0], n), sys.N).reshape(rows, -1)
+    stacked = (n * sys.P.shape[1] + rows, n * sys.P.shape[0])
+    scale = max(np.linalg.norm(sys.P), np.linalg.norm(R))
+    return _rank_report(RN, RN.shape[1], tol_rank, scale, stacked)
 
 
 def _membership_warning(R, u, vec, label):
@@ -287,15 +294,11 @@ def ident_test_affine(sys: IdentSystem, restrictions: RestrictionSet,
         raise ValueError("system-wide test needs affine restrictions")
     if restrictions.u is not None and not np.any(restrictions.u):
         raise ValueError("u = 0 is meaningless: the whole scale direction satisfies it")
-    n, m, kappa, lam = sys.n, sys.m, sys.kappa, sys.lam
-    Rbar = pad_restriction(restrictions.R, n, m, kappa, lam)
-    M = np.vstack([np.kron(sys.P.T, np.eye(n)), Rbar])
-    warn = ()
-    if model is not None:
-        warn = _membership_warning(restrictions.R, restrictions.u,
-                                   model_coeff_vec(model), "affine")
-    required = n * (n + m) * (kappa + lam + 1)
-    return _rank_report(M, required, tol_rank, warn)
+    report = _kernel_rank_test(sys, restrictions.R, False, tol_rank)
+    if model is None:
+        return report
+    return replace(report, warnings=_membership_warning(
+        restrictions.R, restrictions.u, model_coeff_vec(model), "affine"))
 
 
 def ident_test_equation(sys: IdentSystem, restrictions: RestrictionSet,
@@ -305,19 +308,14 @@ def ident_test_equation(sys: IdentSystem, restrictions: RestrictionSet,
     if restrictions.kind != "equation":
         raise ValueError("equation test needs equation-wise restrictions")
     i = restrictions.equation
-    n, m, kappa, lam = sys.n, sys.m, sys.kappa, sys.lam
-    if not 1 <= i <= n:
-        raise ValueError(f"equation index {i} outside 1..{n}")
-    Rbar = pad_restriction(restrictions.R, n, m, kappa, lam, equation=True)
-    M = np.vstack([sys.P.T, Rbar])
-    warn = ()
-    if model is not None:
-        vec = model_coeff_vec(model)
-        row_vec = vec.reshape(n, -1, order="F")[i - 1]
-        warn = _membership_warning(restrictions.R, restrictions.u, row_vec,
-                                   f"equation-{i}")
-    required = (n + m) * (kappa + lam + 1)
-    return _rank_report(M, required, tol_rank, warn)
+    if not 1 <= i <= sys.n:
+        raise ValueError(f"equation index {i} outside 1..{sys.n}")
+    report = _kernel_rank_test(sys, restrictions.R, True, tol_rank)
+    if model is None:
+        return report
+    row_vec = model_coeff_vec(model).reshape(sys.n, -1, order="F")[i - 1]
+    return replace(report, warnings=_membership_warning(
+        restrictions.R, restrictions.u, row_vec, f"equation-{i}"))
 
 
 # -- structural-coefficient cross-check (pure VARMA) ------------------------

@@ -15,14 +15,30 @@ def env_tol_rank() -> float:
     return float(raw) if raw else DEFAULT_TOL_RANK
 
 
-def numerical_rank(mat: np.ndarray, tol_rank: float = DEFAULT_TOL_RANK):
-    """Rank = number of singular values above tol_rank * sigma_max * max(shape).
+def numerical_rank(mat: np.ndarray, tol_rank: float = DEFAULT_TOL_RANK,
+                   scale: float | None = None, shape: tuple | None = None):
+    """Rank = number of singular values above tol_rank * scale * max(shape).
+
+    ``scale`` and ``shape`` default to sigma_max and the matrix's own shape;
+    a matrix that decides the rank of a larger one passes that one's.
 
     Returns ``(rank, singular_values, cutoff)``.
     """
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    if mat.size == 0:
-        return 0, np.array([]), 0.0
     svals = np.linalg.svd(mat, compute_uv=False)
-    cutoff = tol_rank * svals[0] * max(mat.shape)
-    return int(np.sum(svals > cutoff)), svals, float(cutoff)
+    rank, cutoff = _count_above(svals, tol_rank, scale, shape or mat.shape)
+    return rank, svals, cutoff
+
+
+def left_null_space(mat: np.ndarray, tol_rank: float = DEFAULT_TOL_RANK):
+    """Rank of ``mat`` as :func:`numerical_rank` decides it, its singular
+    values and an orthonormal basis of null(mat'), all from one SVD."""
+    U, svals, _ = np.linalg.svd(mat)
+    rank, _ = _count_above(svals, tol_rank, None, mat.shape)
+    return rank, svals, U[:, rank:]
+
+
+def _count_above(svals, tol_rank, scale, shape):
+    scale = svals.max(initial=0.0) if scale is None else scale
+    cutoff = float(tol_rank * scale * max(shape))
+    return int(np.sum(svals > cutoff)), cutoff

@@ -20,13 +20,13 @@ import numpy as np
 from .identcore import (
     RankReport,
     RestrictionSet,
+    _kernel_rank_test,
     build_ident_system,
     ident_test_affine,
     ident_test_equation,
     model_coeff_vec,
-    pad_restriction,
 )
-from .numrank import DEFAULT_TOL_RANK, numerical_rank
+from .numrank import DEFAULT_TOL_RANK
 from .polylab import LaurentMatrix, Model, SingularMatrixError
 from .resolve import is_canonical_staircase, _rank_drop_points, solve_model
 from .wienerhopf import FactorizationError
@@ -567,33 +567,20 @@ def local_ident(model: Model, restrictions: RestrictionSet,
     sys = build_ident_system(bundle.transfer, model.n, model.m,
                              model.kappa, model.lam, tol_rank)
     equation = restrictions.equation
-    if equation is None:
-        x0 = model_coeff_vec(model)
-        top = np.kron(sys.P.T, np.eye(model.n))
-        required = model.n * (model.n + model.m) * (model.kappa + model.lam + 1)
-    else:
-        x0 = model_coeff_vec(model).reshape(model.n, -1, order="F")[equation - 1]
-        top = sys.P.T
-        required = (model.n + model.m) * (model.kappa + model.lam + 1)
+    x0 = model_coeff_vec(model)
+    if equation is not None:
+        x0 = x0.reshape(model.n, -1, order="F")[equation - 1]
 
     resid = np.max(np.abs(np.atleast_1d(np.asarray(fn(x0), dtype=float))))
     if resid > 1e-8 * (1.0 + np.max(np.abs(x0))):
         raise ValueError(f"restrictions do not hold at the point (residual {resid:.3e})")
 
-    def padded_jacobian(x):
-        J = fd_jacobian(fn, x, fd_step)
-        return pad_restriction(J, model.n, model.m, model.kappa, model.lam,
-                               equation=equation is not None)
+    def jacobian_test(x):
+        return _kernel_rank_test(sys, fd_jacobian(fn, x, fd_step),
+                                 equation is not None, tol_rank)
 
-    M = np.vstack([top, padded_jacobian(x0)])
-    rank, svals, cutoff = numerical_rank(M, tol_rank)
-    gap = float(svals[required - 1] / cutoff) if required <= svals.size and cutoff > 0 else 0.0
-    identified = rank == required
-    report = RankReport(matrix_shape=M.shape, singular_values=svals,
-                        numerical_rank=rank, required_rank=required,
-                        verdict="identified" if identified else "not_identified",
-                        gap_ratio=gap)
-    if identified:
+    report = jacobian_test(x0)
+    if report.identified:
         return LocalReport(report, True, None, (),
                            "full column rank: locally identified")
 
@@ -602,9 +589,8 @@ def local_ident(model: Model, restrictions: RestrictionSet,
     probe_ranks = []
     for _ in range(n_probes):
         x = x0 + scale * rng.standard_normal(x0.size)
-        Mp = np.vstack([top, padded_jacobian(x)])
-        probe_ranks.append(numerical_rank(Mp, tol_rank)[0])
-    constant = all(r == rank for r in probe_ranks)
+        probe_ranks.append(jacobian_test(x).numerical_rank)
+    constant = all(r == report.numerical_rank for r in probe_ranks)
     if constant:
         note = ("rank deficient and locally constant: not locally identified "
                 "under the regularity condition")

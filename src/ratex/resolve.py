@@ -20,9 +20,8 @@ from .polylab import (
     SingularMatrixError,
     lp_det_and_zeros,
     lp_mul,
-    lp_truncated_inverse_series,
 )
-from .wienerhopf import ToleranceConfig, WHFactors, wh_factorize
+from .wienerhopf import ToleranceConfig, WHFactors, plus_part_of_bminus_inv_a, wh_factorize
 
 # zeros of the moving-average part this close to |z| = 1 are boundary cases
 # (reported, not fatal); strictly smaller moduli violate invertibility
@@ -68,21 +67,6 @@ class SolutionBundle:
     c0_canonical: bool
     c0_rank: int
     warnings: tuple = field(default_factory=tuple)
-
-
-def plus_part_of_bminus_inv_a(b_minus: LaurentMatrix, A: LaurentMatrix) -> LaurentMatrix:
-    """Nonnegative-lag part of B_minus^-1 A.
-
-    The lag-k coefficient is a finite sum of inverse-series coefficients of
-    B_minus against A_{k..max_lag(A)}, so no truncation is involved.
-    """
-    if A.is_zero:
-        return LaurentMatrix.zero(b_minus.rows, A.cols)
-    k_a = A.max_lag
-    f = lp_truncated_inverse_series(b_minus, k_a)
-    out = [sum(f[i] @ A.coefficient(k + i) for i in range(k_a - k + 1))
-           for k in range(k_a + 1)]
-    return LaurentMatrix.from_coeffs(out, 0)
 
 
 def a_plus(b_minus: LaurentMatrix, ma_part: LaurentMatrix) -> LaurentMatrix:
@@ -158,10 +142,9 @@ def canonical_rotation(c0: np.ndarray, tol_rank: float = DEFAULT_TOL_RANK) -> np
     """
     c0 = np.atleast_2d(np.asarray(c0, dtype=float))
     n, m = c0.shape
-    svals = np.linalg.svd(c0, compute_uv=False)
-    cutoff = tol_rank * (svals[0] if svals.size else 0.0) * max(n, m)
     if is_canonical_staircase(c0):
         return np.eye(m)
+    _, _, cutoff = numerical_rank(c0, tol_rank)
     M = c0.T.copy()
     Q = np.eye(m)
     r = 0

@@ -176,12 +176,8 @@ def wh_factorize(B: LaurentMatrix, tol: ToleranceConfig | None = None) -> WHFact
     b_minus = LaurentMatrix.from_coeffs(
         [f_coeffs[i] for i in range(lam, 0, -1)] + [np.eye(n)], -lam, trim=False)
 
-    # long division B_plus = B_minus^-1 B, exact degree cutoff at max_lag(B)
     kappa = B.max_lag
-    finv = lp_truncated_inverse_series(b_minus, kappa)
-    plus = [sum(finv[i] @ B.coefficient(k + i) for i in range(kappa - k + 1))
-            for k in range(kappa + 1)]
-    b_plus = LaurentMatrix.from_coeffs(plus, 0)
+    b_plus = plus_part_of_bminus_inv_a(b_minus, B)  # exact: B_plus = B_minus^-1 B
 
     recon = lp_mul(b_minus, b_plus)
     diff = max(abs(recon.coefficient(lag) - B.coefficient(lag)).max()
@@ -197,6 +193,21 @@ def wh_factorize(B: LaurentMatrix, tol: ToleranceConfig | None = None) -> WHFact
             f"reconstruction residual {residual:.3e} exceeds {tol.reconstruction:g} * scale",
             zeros)
     return WHFactors(b_minus, b_plus, residual=residual, scale=scale, zeros=zeros)
+
+
+def plus_part_of_bminus_inv_a(b_minus: LaurentMatrix, A: LaurentMatrix) -> LaurentMatrix:
+    """Nonnegative-lag part of B_minus^-1 A.
+
+    The lag-k coefficient is a finite sum of inverse-series coefficients of
+    B_minus against A_{k..max_lag(A)}, so no truncation is involved.
+    """
+    if A.is_zero:
+        return LaurentMatrix.zero(b_minus.rows, A.cols)
+    k_a = A.max_lag
+    f = lp_truncated_inverse_series(b_minus, k_a)
+    out = [sum(f[i] @ A.coefficient(k + i) for i in range(k_a - k + 1))
+           for k in range(k_a + 1)]
+    return LaurentMatrix.from_coeffs(out, 0)
 
 
 def _stable_monic_divisor(AA, EE, Z, n: int, lam: int, tol: ToleranceConfig, zeros):

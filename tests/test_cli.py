@@ -253,8 +253,8 @@ class TestIdentCommand:
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
         assert payload["verdict"] == "identified"
-        assert payload["required_rank"] == 6
-        assert len(payload["singular_values"]) >= 6
+        assert payload["required_rank"] == payload["equivalence_class_dim"]
+        assert len(payload["singular_values"]) >= payload["required_rank"]
 
     def test_ds_flag_agreement(self, tmp_path, capsys):
         spec = {"n": 1, "m": 1, "lambda": 0, "kappa": 1,

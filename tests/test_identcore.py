@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_valid_model
 from ratex.identcore import (
@@ -17,7 +19,7 @@ from ratex.identcore import (
     obs_equivalent,
     spectral_equivalent,
 )
-from ratex.numrank import numerical_rank
+from ratex.numrank import DEFAULT_TOL_RANK, numerical_rank
 from ratex.polylab import LaurentMatrix, Model
 from ratex.resolve import solve_model
 
@@ -250,7 +252,7 @@ class TestAffineTest:
                  ("A", 0, 0, 0, model.A.coefficient(0)[0, 0])], 1, 1, 1, 1)
             report = ident_test_affine(sys, res, model)
             assert report.identified
-            assert report.required_rank == 1 * 2 * 3
+            assert report.required_rank == equivalence_class_dim(sys)
             assert not report.warnings
 
     def test_white_noise_not_identified_by_two_pins(self):
@@ -291,6 +293,22 @@ class TestAffineTest:
         from ratex.identcore import RestrictionDimensionError
         with pytest.raises(RestrictionDimensionError):
             ident_test_affine(sys, RestrictionSet.affine(np.ones((1, 7)), [1.0]), model)
+
+    def test_stack_conditioning_does_not_decide(self):
+        # n = 8, m = 4, lam = 1, kappa = 2: the Hankel rank 16 is clear
+        # (sigma_16 = 7e-3, sigma_17 = 1.5e-13), and 128 random rows on the
+        # 128-dimensional kernel have sigma_min = 7e-3, about 170x the
+        # cutoff; the 768 x 384 stack [P' (x) I_n; R] of the same case has
+        # its sigma_min at 0.27x its own cutoff, a rank deficiency of 1
+        rng = np.random.default_rng(46)
+        model, *_ = make_valid_model(rng, n=8, m=4, lam=1, kappa=2)
+        sys = build_ident_system(solve_model(model).transfer, 8, 4, 2, 1)
+        assert sys.hankel_rank == 16
+        R = rng.standard_normal((128, coeff_vec_length(8, 4, 2, 1)))
+        report = ident_test_affine(sys, RestrictionSet.affine(R, np.ones(128)))
+        assert report.required_rank == equivalence_class_dim(sys) == 128
+        assert report.identified
+        assert report.gap_ratio > 10
 
 
 class TestEquationTest:
@@ -343,6 +361,55 @@ class TestEquationTest:
                         us.append(u_i[k])
                 rep = ident_test_affine(sys, RestrictionSet.affine(np.array(rows), us), model)
                 assert rep.identified
+
+
+def _clear_of_cutoff(svals, rank, cutoff):
+    """The rank decision sits at least 10x away from the cutoff."""
+    above = rank == 0 or svals[rank - 1] >= 10 * cutoff
+    below = rank == svals.size or svals[rank] <= cutoff / 10
+    return above and below
+
+
+class TestKernelOracle:
+    """The kernel test against the Kronecker-lifted stack it stands for:
+    [P' (x) I_n; R] (system) or [P'; R] (one equation), with zero columns
+    for the A+ lags -lam..-1 in R, has full column rank iff R has full
+    column rank on the kernel of the upper block."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(n=st.integers(1, 4), m=st.integers(1, 2), lam=st.integers(0, 2),
+           kappa=st.integers(0, 2), extra=st.sampled_from([-1, 0, 1]),
+           equation=st.booleans(), pins=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_deficiency_matches_stack(self, n, m, lam, kappa, extra, equation, pins, seed):
+        m = min(m, n)
+        rng = np.random.default_rng(seed)
+        model, *_ = make_valid_model(rng, n=n, m=m, lam=lam, kappa=kappa)
+        sys = build_ident_system(solve_model(model).transfer, n, m, kappa, lam)
+        dim = equivalence_class_dim(sys)
+        lift = 1 if equation else n
+        rows = max(dim // n * lift + extra, 1)
+        cols = coeff_vec_length(n, m, kappa, lam, equation=equation)
+        if pins:  # single coefficients, so the verdict depends on where N lies
+            R = np.eye(cols)[rng.choice(cols, rows, replace=False)]
+        else:
+            R = rng.standard_normal((rows, cols))
+        if equation:
+            i = int(rng.integers(1, n + 1))
+            report = ident_test_equation(
+                sys, RestrictionSet.for_equation(i, R, np.ones(rows)))
+        else:
+            report = ident_test_affine(sys, RestrictionSet.affine(R, np.ones(rows)))
+            assert report.required_rank == dim
+
+        nb = lift * n * (kappa + lam + 1)
+        Rbar = np.hstack([R[:, :nb], np.zeros((rows, lift * m * lam)), R[:, nb:]])
+        M = np.vstack([np.kron(sys.P.T, np.eye(lift)), Rbar])
+        rank, svals, cutoff = numerical_rank(M)
+        kernel_cutoff = (DEFAULT_TOL_RANK * max(np.linalg.norm(sys.P), np.linalg.norm(R))
+                         * max(M.shape))
+        assume(_clear_of_cutoff(svals, rank, cutoff))
+        assume(_clear_of_cutoff(report.singular_values, report.numerical_rank, kernel_cutoff))
+        assert M.shape[1] - rank == report.required_rank - report.numerical_rank
 
 
 class TestDSCriterion:
