@@ -32,6 +32,7 @@ from .polylab import (
     lp_add,
     lp_det_and_zeros,
     lp_mul,
+    lp_series_divide,
     lp_truncated_inverse_series,
 )
 from .resolve import (
@@ -54,7 +55,7 @@ __all__ = [
     "GenericReport", "LocalReport", "ParamMap", "SamplerConfig", "eval_model",
     "fd_jacobian", "generic_ident", "local_ident", "parse_expression",
     "parse_model", "LaurentMatrix", "Model", "lp_add", "lp_det_and_zeros",
-    "lp_mul", "lp_truncated_inverse_series", "SolutionBundle",
+    "lp_mul", "lp_series_divide", "lp_truncated_inverse_series", "SolutionBundle",
     "TransferSeries", "cf_check_and_normalize", "simulate", "solve_model",
     "spectral_density", "unit_circle_grid", "ToleranceConfig", "WHFactors",
     "check_eu", "wh_factorize",

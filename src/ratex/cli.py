@@ -34,7 +34,6 @@ from .paramdsl import (
     ParamMap,
     ParseError,
     SamplerConfig,
-    affine_as_nonlinear,
     eval_model,
     generic_ident,
     local_ident,
@@ -214,7 +213,7 @@ def cmd_equiv(args) -> int:
 
     results = {}
     if args.oracle in ("kernel", "both"):
-        eq, resid, scale = obs_equivalent(bundle_a, model_b, tol=args.tol)
+        eq, resid, scale = obs_equivalent(bundle_a, bundle_b, tol=args.tol)
         results["kernel"] = {"equivalent": eq, "residual": resid, "scale": scale}
     if args.oracle in ("spectral", "both"):
         eq, diff, scale = spectral_equivalent(bundle_a, bundle_b,
@@ -327,9 +326,6 @@ def cmd_generic(args) -> int:
 def cmd_local(args) -> int:
     model = _load_numeric_model(args)
     restrictions = load_restriction_file(args.restrictions, model)
-    if restrictions.kind in ("affine", "equation"):
-        restrictions = affine_as_nonlinear(
-            restrictions.R, restrictions.u, equation=restrictions.equation)
     try:
         report = local_ident(model, restrictions, tol_rank=args.tol_rank)
     except _SOLVE_ERRORS as exc:

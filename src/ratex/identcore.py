@@ -16,7 +16,8 @@ import numpy as np
 
 from .numrank import DEFAULT_TOL_RANK, left_null_space, numerical_rank
 from .polylab import LaurentMatrix, Model
-from .resolve import SolutionBundle, TransferSeries, solve_model, spectral_distance
+from .resolve import (SolutionBundle, TransferSeries, solve_model, spectral_distance,
+                      unit_circle_grid)
 
 # tolerance for "the restrictions hold at the supplied point"
 MEMBERSHIP_RTOL = 1e-8
@@ -213,22 +214,21 @@ def _system_for_model(model_or_bundle, kappa=None, lam=None):
     return bundle, kappa, lam
 
 
-def obs_equivalent(bundle_a: SolutionBundle, model_b: Model,
+def obs_equivalent(bundle_a: SolutionBundle, bundle_b: SolutionBundle,
                    tol: float = 1e-8):
     """Kernel-membership test for observational equivalence.
 
     Returns ``(equivalent, residual, scale)``.  The kernel criterion lives
     in the coefficient space with the joint lag bounds of the two models;
-    model_b is solved internally to obtain its extended shock loading.
+    model b enters through its B and its extended shock loading.
     """
-    ma, mb = bundle_a.model, model_b
+    ma, mb = bundle_a.model, bundle_b.model
     if (ma.n, ma.m) != (mb.n, mb.m):
         raise RestrictionDimensionError("models must share dimensions (n, m)")
     kappa = max(ma.kappa, mb.kappa)
     lam = max(ma.lam, mb.lam)
     bundle_a, kappa, lam = _system_for_model(bundle_a, kappa, lam)
     sys = build_ident_system(bundle_a.transfer, ma.n, ma.m, kappa, lam)
-    bundle_b = solve_model(mb)
     xi = kernel_vec(mb.B, bundle_b.a_plus, ma.n, ma.m, kappa, lam)
     X = xi.reshape(ma.n, -1, order="F")
     resid = float(np.max(np.abs(X @ sys.P)))
@@ -239,8 +239,6 @@ def obs_equivalent(bundle_a: SolutionBundle, model_b: Model,
 def spectral_equivalent(bundle_a: SolutionBundle, bundle_b: SolutionBundle,
                         grid_size: int = 64, tol: float = 1e-8):
     """Spectral-density oracle for observational equivalence."""
-    from .resolve import unit_circle_grid
-
     diff, scale = spectral_distance(bundle_a, bundle_b, unit_circle_grid(grid_size))
     return diff <= tol * scale, diff, scale
 
@@ -355,12 +353,10 @@ def ds_criterion(model: Model, restrictions: RestrictionSet,
         for col in range(n * nb + j * m, n * nb + (j + 1) * m):
             keep.extend(range(col * n, (col + 1) * n))
     total = n * (n + m) * nb
-    keep = np.asarray(keep)
     drop = np.setdiff1d(np.arange(total), keep)
-    E = np.eye(total)[keep]
-    E_perp = np.eye(total)[drop]
 
-    R_ds = np.vstack([restrictions.R @ E, E_perp])
-    M = R_ds @ np.kron(D.T, np.eye(n))
+    # [R E; E_perp] K, with the selectors E and E_perp applied as row picks
+    K = np.kron(D.T, np.eye(n))
+    M = np.vstack([restrictions.R @ K[keep], K[drop]])
     required = n * n * nb
     return _rank_report(M, required, tol_rank)

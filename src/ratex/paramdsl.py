@@ -552,17 +552,20 @@ def local_ident(model: Model, restrictions: RestrictionSet,
                 fd_step: float | None = None,
                 n_probes: int = 8, probe_scale: float = 1e-4,
                 seed: int = 0) -> LocalReport:
-    """Rank test with a finite-difference Jacobian of the restriction map.
+    """Rank test with the Jacobian of the restriction map: finite differences
+    for nonlinear restrictions, R itself for affine or equation-wise ones.
 
     Full column rank certifies local identification.  A rank-deficient
     matrix only indicates non-identification when the rank is locally
     constant (the regularity condition), so nearby points are probed and
     the report says whether the rank looks constant; without that, no
-    non-identification claim is made.
+    non-identification claim is made.  An affine map's rank is constant.
     """
-    if restrictions.kind != "nonlinear" or restrictions.residual_fn is None:
-        raise ValueError("local test needs nonlinear restrictions with a residual map")
-    fn = restrictions.residual_fn
+    affine = restrictions.kind != "nonlinear"
+    fn = (affine_as_nonlinear(restrictions.R, restrictions.u) if affine
+          else restrictions).residual_fn
+    if fn is None:
+        raise ValueError("local test needs restrictions with a residual map")
     bundle = solve_model(model)
     sys = build_ident_system(bundle.transfer, model.n, model.m,
                              model.kappa, model.lam, tol_rank)
@@ -576,13 +579,16 @@ def local_ident(model: Model, restrictions: RestrictionSet,
         raise ValueError(f"restrictions do not hold at the point (residual {resid:.3e})")
 
     def jacobian_test(x):
-        return _kernel_rank_test(sys, fd_jacobian(fn, x, fd_step),
-                                 equation is not None, tol_rank)
+        J = restrictions.R if affine else fd_jacobian(fn, x, fd_step)
+        return _kernel_rank_test(sys, J, equation is not None, tol_rank)
 
     report = jacobian_test(x0)
     if report.identified:
         return LocalReport(report, True, None, (),
                            "full column rank: locally identified")
+    if affine:
+        return LocalReport(report, False, True, (), "rank deficient and constant "
+                           "(affine restrictions): not locally identified")
 
     rng = np.random.default_rng(seed)
     scale = probe_scale * max(1.0, float(np.max(np.abs(x0))))

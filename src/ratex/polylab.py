@@ -5,6 +5,9 @@ polynomials, as one dense coefficient matrix per lag.  Everything else in
 the package (factorization, solution operators, identification systems)
 computes on this substrate.
 
+Evaluation is batched (:meth:`LaurentMatrix.value` takes an array of
+points), and :func:`lp_series_divide` is the one long-division kernel.
+
 Polynomial zeros have one source: the block-companion pencil of
 :func:`companion_pencil`, whose infinite eigenvalues are split off so that
 its remaining generalized eigenvalues are exactly the zeros of
@@ -108,14 +111,15 @@ class LaurentMatrix:
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.coeffs)))
 
-    def value(self, z: complex) -> np.ndarray:
-        """Evaluate the matrix at a nonzero complex point."""
-        if z == 0 and self.min_lag < 0:
+    def value(self, z) -> np.ndarray:
+        """Evaluate at a complex point, or batched at an array of points
+        (shape ``z.shape + (rows, cols)``) by one product of the power table
+        z**lag with the coefficients.  ZeroDivisionError at 0 if min_lag < 0."""
+        z = np.asarray(z, dtype=complex)
+        if self.min_lag < 0 and np.any(z == 0):
             raise ZeroDivisionError("negative lags cannot be evaluated at z=0")
-        out = np.zeros((self.rows, self.cols), dtype=complex)
-        for k in range(self.coeffs.shape[0]):
-            out += self.coeffs[k] * z ** (self.min_lag + k)
-        return out
+        lags = np.arange(self.min_lag, self.max_lag + 1)
+        return np.tensordot(z[..., None] ** lags, self.coeffs, axes=1)
 
     def shifted(self, s: int) -> "LaurentMatrix":
         """Multiply by z**s."""
@@ -206,8 +210,7 @@ def lp_mul(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
     na, nb = a.coeffs.shape[0], b.coeffs.shape[0]
     out = np.zeros((na + nb - 1, a.rows, b.cols))
     for i in range(na):
-        for j in range(nb):
-            out[i + j] += a.coeffs[i] @ b.coeffs[j]
+        out[i:i + nb] += a.coeffs[i] @ b.coeffs
     return LaurentMatrix.from_coeffs(out, a.min_lag + b.min_lag)
 
 
@@ -282,35 +285,42 @@ def lp_det_and_zeros(a: LaurentMatrix) -> np.ndarray:
     return eig(A, E, right=False, check_finite=False).astype(complex)
 
 
+def lp_series_divide(g: LaurentMatrix, rhs: LaurentMatrix, horizon: int) -> np.ndarray:
+    """Coefficients 0..horizon of the power series g^-1 rhs by matrix long
+    division, out_j = g_0^-1 (rhs_j - sum_{i>=1} g_i out_{j-i}); g is a
+    polynomial in z with invertible g_0.  Returns (horizon + 1, rows, cols).
+    """
+    try:
+        g0_inv = np.linalg.inv(g.coefficient(0))
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError("lag-0 coefficient of the divisor is singular") from exc
+    gs = [g.coefficient(i) for i in range(g.max_lag + 1)]
+    out = np.zeros((horizon + 1, g.rows, rhs.cols))
+    for j in range(horizon + 1):
+        acc = rhs.coefficient(j)
+        for i in range(1, min(len(gs) - 1, j) + 1):
+            acc = acc - gs[i] @ out[j - i]
+        out[j] = g0_inv @ acc
+    return out
+
+
 def lp_truncated_inverse_series(a: LaurentMatrix, horizon: int) -> list[np.ndarray]:
     """First ``horizon + 1`` coefficients of the matrix power-series inverse.
 
     For a polynomial in z (min_lag >= 0 after trimming) the expansion is in
     powers of z; for a polynomial in 1/z (max_lag <= 0) it is in powers of
-    1/z.  Either way ``G[0]`` must be invertible and the returned list
-    starts at the lag-0 coefficient of the inverse.
+    1/z, computed as the inverse of the reversed polynomial a(1/z).  Either
+    way ``G[0]`` must be invertible and the returned list starts at the
+    lag-0 coefficient of the inverse.
     """
     if a.rows != a.cols:
         raise ShapeMismatchError("series inverse requires a square matrix")
     t = a.trimmed()
-    if t.min_lag >= 0:
-        g = [t.coefficient(i) for i in range(t.max_lag + 1)]
-    elif t.max_lag <= 0:
-        g = [t.coefficient(-i) for i in range(-t.min_lag + 1)]
-    else:
+    if t.min_lag < 0 < t.max_lag:
         raise ValueError("matrix mixes positive and negative lags; no one-sided expansion")
-    try:
-        g0_inv = np.linalg.inv(g[0])
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("leading coefficient is singular") from exc
-    out = [g0_inv]
-    d = len(g) - 1
-    for j in range(1, horizon + 1):
-        acc = np.zeros((a.rows, a.cols))
-        for i in range(1, min(d, j) + 1):
-            acc += g[i] @ out[j - i]
-        out.append(-g0_inv @ acc)
-    return out
+    if t.min_lag < 0:
+        t = LaurentMatrix(t.coeffs[::-1], -t.max_lag)
+    return list(lp_series_divide(t, LaurentMatrix(np.eye(a.rows)[None], 0), horizon))
 
 
 # -- the model type -------------------------------------------------------

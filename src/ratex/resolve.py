@@ -20,12 +20,17 @@ from .polylab import (
     SingularMatrixError,
     lp_det_and_zeros,
     lp_mul,
+    lp_series_divide,
 )
 from .wienerhopf import ToleranceConfig, WHFactors, plus_part_of_bminus_inv_a, wh_factorize
 
 # zeros of the moving-average part this close to |z| = 1 are boundary cases
 # (reported, not fatal); strictly smaller moduli violate invertibility
 CF_BOUNDARY_MARGIN = 1e-9
+
+# truncation rule of simulate (see there)
+SIM_DECAY_RTOL = 1e-12
+SIM_HORIZON_CAP = 10_000
 
 
 class RankDeficientC0(Exception):
@@ -76,19 +81,7 @@ def a_plus(b_minus: LaurentMatrix, ma_part: LaurentMatrix) -> LaurentMatrix:
 
 def transfer_series(b_plus: LaurentMatrix, ma_part: LaurentMatrix, horizon: int) -> TransferSeries:
     """C_0..C_horizon solving B_plus * C = ma_part by matrix long division."""
-    g0 = b_plus.coefficient(0)
-    try:
-        g0_inv = np.linalg.inv(g0)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("lag-0 coefficient of B_plus is singular") from exc
-    d = b_plus.max_lag
-    out = np.zeros((horizon + 1, b_plus.rows, ma_part.cols))
-    for j in range(horizon + 1):
-        acc = ma_part.coefficient(j)
-        for i in range(1, min(d, j) + 1):
-            acc = acc - b_plus.coefficient(i) @ out[j - i]
-        out[j] = g0_inv @ acc
-    return TransferSeries(out)
+    return TransferSeries(lp_series_divide(b_plus, ma_part, horizon))
 
 
 def solve_model(model: Model, tol: ToleranceConfig | None = None,
@@ -184,16 +177,12 @@ def _rank_drop_points(ma_part: LaurentMatrix, cutoff_scale: float):
     n, m = ma_part.rows, ma_part.cols
     u = np.linalg.svd(ma_part.coefficient(0))[0][:, :m]
     zeros = lp_det_and_zeros(LaurentMatrix(u.T @ ma_part.coeffs, ma_part.min_lag))
-    scale = max(ma_part.max_abs(), 1.0)
-    inside, boundary = [], []
-    for z in zeros:
-        r = abs(z)
-        if r > 1.0 + CF_BOUNDARY_MARGIN:
-            continue
-        if n > m and np.linalg.svd(ma_part.value(z), compute_uv=False)[-1] > cutoff_scale * scale:
-            continue
-        (inside if r < 1.0 - CF_BOUNDARY_MARGIN else boundary).append(z)
-    return inside, boundary
+    zeros = zeros[np.abs(zeros) <= 1.0 + CF_BOUNDARY_MARGIN]
+    if n > m and zeros.size:
+        smin = np.linalg.svd(ma_part.value(zeros), compute_uv=False)[:, -1]
+        zeros = zeros[smin <= cutoff_scale * max(ma_part.max_abs(), 1.0)]
+    inside = np.abs(zeros) < 1.0 - CF_BOUNDARY_MARGIN
+    return list(zeros[inside]), list(zeros[~inside])
 
 
 def cf_check_and_normalize(bundle: SolutionBundle, tol_rank: float = DEFAULT_TOL_RANK):
@@ -244,72 +233,61 @@ def unit_circle_grid(k: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(k) / k)
 
 
-def spectral_density(model: Model, a_plus_mat: LaurentMatrix, z_grid) -> list[np.ndarray]:
+def spectral_density(model: Model, a_plus_mat: LaurentMatrix, z_grid) -> np.ndarray:
     """f(z) = B^-1(z) A_plus(z) A_plus'(1/z) B^-1'(1/z) on unit-circle points.
 
-    Hermitian positive semidefinite by construction; the model-agnostic
-    observational-equivalence oracle.
+    Returns a (k, n, n) array, one density matrix per grid point, from one
+    batched solve.  Hermitian positive semidefinite by construction; the
+    model-agnostic observational-equivalence oracle.
     """
-    out = []
-    for z in np.asarray(z_grid):
-        bz = model.B.value(z)
-        try:
-            g = np.linalg.solve(bz, a_plus_mat.value(z))
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError(f"B(z) singular at grid point z = {z:.6g}") from exc
-        out.append(g @ g.conj().T)
-    return out
+    z = np.asarray(z_grid)
+    bz = model.B.value(z)
+    try:
+        g = np.linalg.solve(bz, a_plus_mat.value(z))
+    except np.linalg.LinAlgError as exc:
+        worst = z[np.argmin(np.abs(np.linalg.det(bz)))]
+        raise SingularMatrixError(f"B(z) singular at grid point z = {worst:.6g}") from exc
+    return g @ np.conj(np.swapaxes(g, -1, -2))
 
 
 def spectral_distance(bundle_a: SolutionBundle, bundle_b: SolutionBundle, z_grid):
     """Max-abs difference of the two spectral densities and the comparison scale."""
     fa = spectral_density(bundle_a.model, bundle_a.a_plus, z_grid)
     fb = spectral_density(bundle_b.model, bundle_b.a_plus, z_grid)
-    diff = max(float(np.max(np.abs(a - b))) for a, b in zip(fa, fb))
-    scale = max(max(float(np.max(np.abs(a))) for a in fa), 1e-12)
-    return diff, scale
+    return float(np.max(np.abs(fa - fb))), max(float(np.max(np.abs(fa))), 1e-12)
 
 
 def autocovariances_from_spectrum(bundle: SolutionBundle, lags: int, grid_size: int = 512):
     """Autocovariances gamma(0..lags) via the inverse transform of the spectrum."""
     grid = unit_circle_grid(grid_size)
-    f = np.array(spectral_density(bundle.model, bundle.a_plus, grid))
-    out = []
-    for h in range(lags + 1):
-        weights = grid ** (-h)
-        out.append(np.real(np.tensordot(weights, f, axes=(0, 0)) / grid_size))
-    return np.array(out)
+    f = spectral_density(bundle.model, bundle.a_plus, grid)
+    weights = grid ** -np.arange(lags + 1)[:, None]
+    return np.real(np.tensordot(weights, f, axes=1) / grid_size)
 
 
-def decay_horizon(bundle: SolutionBundle, rtol: float = 1e-12, cap: int = 10_000) -> int:
-    """Smallest h with max-abs(C_h) < rtol * max-abs(C_0), capped."""
+def simulate(bundle: SolutionBundle, T: int, seed: int) -> np.ndarray:
+    """Sample path of length T from the truncated moving-average representation.
+
+    It is cut at the first C_h below SIM_DECAY_RTOL * max-abs(C_0) (or at
+    SIM_HORIZON_CAP), searched on series of 16, 32, 64, ... lags; the last
+    series built is the one convolved with the draws.  Deterministic given the seed; innovations are i.i.d. standard normal.
+    """
     c0_scale = max(float(np.max(np.abs(bundle.transfer.coefficient(0)))), 1e-300)
     h = max(bundle.transfer.horizon, 16)
     while True:
-        series = transfer_series(bundle.factors.b_plus, bundle.ma_part, min(h, cap))
-        norms = np.max(np.abs(series.coeffs), axis=(1, 2))
-        small = np.nonzero(norms < rtol * c0_scale)[0]
-        if small.size:
-            return int(small[0])
-        if h >= cap:
-            return cap
+        coeffs = lp_series_divide(bundle.factors.b_plus, bundle.ma_part,
+                                  min(h, SIM_HORIZON_CAP))
+        small = np.flatnonzero(np.max(np.abs(coeffs), axis=(1, 2)) < SIM_DECAY_RTOL * c0_scale)
+        if small.size or h >= SIM_HORIZON_CAP:
+            break
         h *= 2
-
-
-def simulate(bundle: SolutionBundle, T: int, seed: int,
-             truncation: int | None = None) -> np.ndarray:
-    """Sample path of length T from the truncated moving-average representation.
-
-    Deterministic given the seed; innovations are i.i.d. standard normal.
-    """
-    h = decay_horizon(bundle) if truncation is None else truncation
-    series = transfer_series(bundle.factors.b_plus, bundle.ma_part, h)
+    h = int(small[0]) if small.size else SIM_HORIZON_CAP
     rng = np.random.default_rng(seed)
     m, n = bundle.model.m, bundle.model.n
     eps = rng.standard_normal((T + h, m))
     y = np.zeros((T, n))
     for j in range(h + 1):
-        y += eps[h - j: h - j + T] @ series.coeffs[j].T
+        y += eps[h - j: h - j + T] @ coeffs[j].T
     return y
 
 

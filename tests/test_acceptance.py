@@ -116,11 +116,11 @@ def test_criterion_03_observational_equivalence_oracles():
         Model(scalar([1 / 3, 1.0, 0.5], -1), scalar([1.0, 0.5]), lam=1, kappa=1),
     ]
     for other in equivalent:
-        k_eq, *_ = obs_equivalent(bundle, other)
+        k_eq, *_ = obs_equivalent(bundle, solve_model(other))
         s_eq, *_ = spectral_equivalent(bundle, solve_model(other), grid_size=64)
         assert k_eq and s_eq  # both oracles, agreement mandatory
     different = Model(scalar([1.0]), scalar([1.0, 0.5]), lam=1, kappa=1)
-    k_eq, *_ = obs_equivalent(bundle, different)
+    k_eq, *_ = obs_equivalent(bundle, solve_model(different))
     s_eq, *_ = spectral_equivalent(bundle, solve_model(different), grid_size=64)
     assert not k_eq and not s_eq
     _passed(3, "equivalence oracles agree")

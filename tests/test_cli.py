@@ -333,6 +333,18 @@ class TestLocalCommand:
         assert main(["local", path, r]) == 0
         assert "locally_identified" in capsys.readouterr().out
 
+    def test_deficient_pin_file_constant_rank(self, tmp_path, capsys):
+        # one pin leaves the equivalence class of this model unresolved; an
+        # affine map's rank is the same everywhere, so nothing is probed
+        path = write(tmp_path / "m.json", mixed_lag_model())
+        r = write(tmp_path / "r.json", {"pins": [
+            {"block": "B", "lag": -1, "row": 1, "col": 1, "value": 1 / 3}]})
+        code = main(["local", path, r, "--format", "json-report"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 3
+        assert payload["rank_locally_constant"] is True
+        assert payload["probe_ranks"] == []
+
 
 class TestCsvCommands:
     def test_spectrum_constant_column(self, tmp_path):

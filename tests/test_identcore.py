@@ -172,7 +172,7 @@ class TestObsEquivalent:
     def test_redundant_dynamics_pair(self):
         model, bundle = white_noise_bundle()
         other = Model(scalar([1.0, 0.5]), scalar([1.0, 0.5]), lam=1, kappa=1)
-        eq, resid, scale = obs_equivalent(bundle, other)
+        eq, resid, scale = obs_equivalent(bundle, solve_model(other))
         assert eq and resid <= 1e-10 * scale
         xi = kernel_vec(other.B, solve_model(other).a_plus, 1, 1, 1, 1)
         assert xi == pytest.approx([0, 1, 0.5, 0, 1, 0.5], abs=1e-12)
@@ -180,7 +180,7 @@ class TestObsEquivalent:
     def test_forward_shift_pair(self):
         model, bundle = white_noise_bundle()
         other = Model(scalar([1 / 3, 1.0, 0.5], -1), scalar([1.0, 0.5]), lam=1, kappa=1)
-        eq, resid, scale = obs_equivalent(bundle, other)
+        eq, resid, scale = obs_equivalent(bundle, solve_model(other))
         assert eq
         xi = kernel_vec(other.B, solve_model(other).a_plus, 1, 1, 1, 1)
         assert xi == pytest.approx([1 / 3, 1, 0.5, 1 / 3, 1, 0.5], abs=1e-10)
@@ -188,7 +188,7 @@ class TestObsEquivalent:
     def test_non_equivalent_pair(self):
         model, bundle = white_noise_bundle()
         other = Model(scalar([1.0]), scalar([1.0, 0.5]), lam=1, kappa=1)
-        eq, *_ = obs_equivalent(bundle, other)
+        eq, *_ = obs_equivalent(bundle, solve_model(other))
         assert not eq
         noteq, diff, scale = spectral_equivalent(bundle, solve_model(other))
         assert not noteq and diff > 1e-3 * scale
@@ -198,7 +198,7 @@ class TestObsEquivalent:
         for other in [Model(scalar([1.0, 0.5]), scalar([1.0, 0.5]), lam=1, kappa=1),
                       Model(scalar([1 / 3, 1.0, 0.5], -1), scalar([1.0, 0.5]), lam=1, kappa=1),
                       Model(scalar([1.0]), scalar([1.0, 0.5]), lam=1, kappa=1)]:
-            k_eq, *_ = obs_equivalent(bundle, other)
+            k_eq, *_ = obs_equivalent(bundle, solve_model(other))
             s_eq, *_ = spectral_equivalent(bundle, solve_model(other))
             assert k_eq == s_eq
 
@@ -230,7 +230,7 @@ class TestObsEquivalent:
                 [X[:, nb + k * n:nb + (k + 1) * n] for k in range(kappa + lam + 1)], -lam)
             try:
                 other = Model(Bt, Ap.plus_part(), lam=lam, kappa=kappa)
-                eq, resid, scale = obs_equivalent(bundle, other)
+                eq, resid, scale = obs_equivalent(bundle, solve_model(other))
             except Exception:
                 continue  # perturbation left the parameter space
             assert eq, f"kernel perturbation broke equivalence: resid={resid}"

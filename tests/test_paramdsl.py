@@ -347,3 +347,36 @@ class TestLocalIdent:
         sys_report = local_ident(model, affine_as_nonlinear(R, u))
         eq_report = local_ident(model, affine_as_nonlinear(R, u, equation=1))
         assert sys_report.locally_identified == eq_report.locally_identified
+
+    def test_affine_sets_rank_R_itself(self, rng, monkeypatch):
+        # R is the exact Jacobian: same rank as the finite-difference path,
+        # no differencing, and a deficient rank is constant without probes
+        from conftest import make_valid_model
+        from ratex import paramdsl
+        from ratex.identcore import model_coeff_vec
+        model, *_ = make_valid_model(rng, n=2, m=2, lam=1, kappa=1)
+        x0 = model_coeff_vec(model)
+        N = coeff_vec_length(2, 2, 1, 1)
+        cases = [(RestrictionSet.affine(R, R @ x0), affine_as_nonlinear(R, R @ x0))
+                 for R in (rng.standard_normal((r, N)) for r in (2, N))]
+        row = x0.reshape(2, -1, order="F")[1]
+        R = rng.standard_normal((3, row.size))
+        cases.append((RestrictionSet.for_equation(2, R, R @ row),
+                      affine_as_nonlinear(R, R @ row, equation=2)))
+        expected = [local_ident(model, wrapped) for _, wrapped in cases]
+
+        def no_differencing(*args, **kwargs):
+            raise AssertionError("affine restrictions need no finite differences")
+
+        monkeypatch.setattr(paramdsl, "fd_jacobian", no_differencing)
+        for (affine, _), want in zip(cases, expected):
+            got = local_ident(model, affine)
+            assert got.rank_report.numerical_rank == want.rank_report.numerical_rank
+            assert got.locally_identified == want.locally_identified
+            if not got.locally_identified:
+                assert got.rank_locally_constant is True
+                assert got.probe_ranks == ()
+        assert not local_ident(model, cases[0][0]).locally_identified
+        assert local_ident(model, cases[1][0]).locally_identified
+        with pytest.raises(ValueError, match="do not hold"):
+            local_ident(model, RestrictionSet.affine(np.eye(1, N), [x0[0] + 1.0]))

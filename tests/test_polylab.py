@@ -9,6 +9,7 @@ from ratex.polylab import (
     lp_add,
     lp_det_and_zeros,
     lp_mul,
+    lp_series_divide,
     lp_truncated_inverse_series,
 )
 from ratex.wienerhopf import ZerosOnUnitCircle, check_eu, wh_factorize
@@ -114,6 +115,42 @@ class TestMul:
                 assert p.min_lag == a.min_lag + b.min_lag
 
 
+def per_lag_value(a, z):
+    """Scalar evaluation by a loop over lags, the oracle for batched value."""
+    out = np.zeros((a.rows, a.cols), dtype=complex)
+    for lag in range(a.min_lag, a.max_lag + 1):
+        out += a.coefficient(lag) * complex(z) ** lag
+    return out
+
+
+class TestValue:
+    @pytest.mark.parametrize("min_lag", [-2, 0, 1])
+    def test_batched_matches_per_point(self, min_lag):
+        rng = np.random.default_rng(3)
+        a = LaurentMatrix.from_coeffs(rng.standard_normal((4, 3, 2)), min_lag)
+        for shape in [(), (5,), (3, 4)]:
+            z = (rng.uniform(0.5, 1.5, shape)
+                 * np.exp(1j * rng.uniform(0, 2 * np.pi, shape)))
+            got = a.value(z)
+            assert got.shape == shape + (3, 2)
+            want = np.array([per_lag_value(a, w) for w in np.ravel(z)]).reshape(got.shape)
+            assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+
+    def test_scalar_point_gives_matrix(self):
+        a = scalar([2.0, 1.0, 3.0], -1)
+        assert a.value(2.0).shape == (1, 1)
+        assert a.value(2.0)[0, 0] == pytest.approx(1.0 + 1.0 + 6.0)
+
+    def test_zero_inside_array_with_negative_lags(self):
+        a = scalar([2.0, 1.0], -1)
+        with pytest.raises(ZeroDivisionError):
+            a.value(np.array([1.0, 0.0, 1j]))
+        with pytest.raises(ZeroDivisionError):
+            a.value(0.0)
+        # plain polynomials evaluate at the origin
+        assert np.allclose(scalar([2.0, 1.0]).value(np.array([0.0, 1.0]))[:, 0, 0], [2.0, 3.0])
+
+
 class TestDetAndZeros:
     def test_scalar_linear_factor(self):
         b0, b_plus = 2.0, 0.4
@@ -214,6 +251,61 @@ class TestInverseSeries:
         a = LaurentMatrix.from_coeffs([np.zeros((2, 2)), np.eye(2)], 0, trim=False)
         with pytest.raises((SingularMatrixError, ValueError)):
             lp_truncated_inverse_series(a, 2)
+
+
+def long_division_oracle(g, rhs, horizon):
+    """Per-coefficient long division of rhs by a list g of coefficients in z."""
+    g0_inv = np.linalg.inv(g[0])
+    out = []
+    for j in range(horizon + 1):
+        acc = np.array(rhs[j]) if j < len(rhs) else np.zeros_like(rhs[0])
+        for i in range(1, min(len(g) - 1, j) + 1):
+            acc = acc - g[i] @ out[j - i]
+        out.append(g0_inv @ acc)
+    return np.array(out)
+
+
+class TestSeriesDivide:
+    def random_poly(self, rng, n, degree):
+        return [np.eye(n) + 0.2 * rng.standard_normal((n, n))] + \
+            [0.3 * rng.standard_normal((n, n)) for _ in range(degree)]
+
+    def test_inverse_in_z(self):
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            g = self.random_poly(rng, 3, 2)
+            want = long_division_oracle(g, [np.eye(3)], 9)
+            got = lp_truncated_inverse_series(LaurentMatrix.from_coeffs(g, 0), 9)
+            assert np.allclose(got, want, rtol=0, atol=1e-13)
+
+    def test_inverse_in_one_over_z(self):
+        # a(z) = sum_i g_i z^-i: its inverse series in 1/z has the
+        # coefficients of the inverse of sum_i g_i w^i
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            g = self.random_poly(rng, 2, 3)
+            a = LaurentMatrix.from_coeffs(g[::-1], -3)
+            want = long_division_oracle(g, [np.eye(2)], 8)
+            assert np.allclose(lp_truncated_inverse_series(a, 8), want, rtol=0, atol=1e-13)
+
+    def test_rectangular_right_hand_side(self):
+        from ratex.resolve import transfer_series
+        rng = np.random.default_rng(13)
+        for _ in range(5):
+            g = self.random_poly(rng, 3, 2)
+            rhs = [rng.standard_normal((3, 2)) for _ in range(3)]
+            want = long_division_oracle(g, rhs, 10)
+            b_plus = LaurentMatrix.from_coeffs(g, 0)
+            ma = LaurentMatrix.from_coeffs(rhs, 0)
+            got = lp_series_divide(b_plus, ma, 10)
+            assert got.shape == (11, 3, 2)
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
+            assert np.allclose(transfer_series(b_plus, ma, 10).coeffs, want, rtol=0, atol=1e-12)
+            # multiplying back recovers the right-hand side
+            back = lp_mul(b_plus, LaurentMatrix.from_coeffs(got, 0, trim=False))
+            for j in range(11):
+                target = rhs[j] if j < 3 else np.zeros((3, 2))
+                assert np.allclose(back.coefficient(j), target, atol=1e-12)
 
 
 class TestModel:

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import make_valid_model
-from ratex.polylab import LaurentMatrix, Model, lp_mul, lp_truncated_inverse_series
+from ratex.polylab import (
+    LaurentMatrix,
+    Model,
+    SingularMatrixError,
+    lp_mul,
+    lp_truncated_inverse_series,
+)
 from ratex.resolve import (
     NotInvertible,
     RankDeficientC0,
@@ -275,6 +281,25 @@ class TestSpectralDensity:
         for f in spectral_density(model, bundle.a_plus, unit_circle_grid(8)):
             assert np.allclose(f, f.conj().T, atol=1e-12)
             assert np.min(np.linalg.eigvalsh(f)) >= -1e-10
+
+
+    def test_matches_per_point_solve(self, rng):
+        grid = unit_circle_grid(24)
+        for n, m, lam, kappa in [(1, 1, 1, 1), (3, 2, 1, 2), (4, 2, 2, 1)]:
+            model, *_ = make_valid_model(rng, n=n, m=m, lam=lam, kappa=kappa)
+            bundle = solve_model(model)
+            f = spectral_density(model, bundle.a_plus, grid)
+            assert f.shape == (24, n, n)
+            for z, fz in zip(grid, f):
+                g = np.linalg.solve(model.B.value(z), bundle.a_plus.value(z))
+                want = g @ g.conj().T
+                assert np.allclose(fz, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    def test_singular_point_named(self):
+        model = Model(scalar([1.0, 1.0]), scalar([1.0]), lam=0, kappa=1)
+        a_plus_mat = scalar([1.0])
+        with pytest.raises(SingularMatrixError, match=r"grid point z = -1\+0j"):
+            spectral_density(model, a_plus_mat, np.array([1.0, 1j, -1.0, -1j]))
 
 
 class TestSimulate:
