@@ -10,7 +10,6 @@ evidence of non-identification), 4 inconclusive outcomes.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import sys
@@ -352,10 +351,20 @@ def cmd_local(args) -> int:
     return _emit(args, payload, text)
 
 
-def _open_out(path):
+def _write_csv(path, header, table):
+    """Header and rows of ``table`` as csv.writer writes them (CRLF line
+    ends), every entry as _fmt formats it."""
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", newline="", encoding="utf-8"), True
+        fh, close = sys.stdout, False
+    else:
+        fh, close = open(path, "w", newline="", encoding="utf-8"), True
+    row = ",".join(["%.12g"] * len(header)) + "\r\n"
+    try:
+        fh.write(",".join(header) + "\r\n")
+        fh.write("".join([row % tuple(r) for r in table.tolist()]))
+    finally:
+        if close:
+            fh.close()
 
 
 def cmd_spectrum(args) -> int:
@@ -372,19 +381,10 @@ def cmd_spectrum(args) -> int:
     for i in range(n):
         for j in range(n):
             header += [f"re_f_{i + 1}_{j + 1}", f"im_f_{i + 1}_{j + 1}"]
-    fh, close = _open_out(args.out)
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k, f in enumerate(density):
-            row = [_fmt(2 * np.pi * k / args.grid)]
-            for i in range(n):
-                for j in range(n):
-                    row += [_fmt(f[i, j].real), _fmt(f[i, j].imag)]
-            writer.writerow(row)
-    finally:
-        if close:
-            fh.close()
+    # per point: omega, then re and im of f[0, 0], f[0, 1], ... (row-major)
+    omega = 2 * np.pi * np.arange(len(density)) / args.grid
+    parts = np.stack([density.real, density.imag], axis=-1).reshape(len(density), 2 * n * n)
+    _write_csv(args.out, header, np.column_stack([omega, parts]))
     return EXIT_OK
 
 
@@ -396,15 +396,9 @@ def cmd_simulate(args) -> int:
         print(f"solve failed: {exc}", file=sys.stderr)
         return EXIT_SOLVE
     path = simulate(bundle, args.T, seed=args.seed)
-    fh, close = _open_out(args.out)
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"y_{i + 1}" for i in range(model.n)])
-        for t in range(args.T):
-            writer.writerow([t] + [_fmt(v) for v in path[t]])
-    finally:
-        if close:
-            fh.close()
+    # "%.12g" prints every t below 1e12 as the integer itself
+    _write_csv(args.out, ["t"] + [f"y_{i + 1}" for i in range(model.n)],
+               np.column_stack([np.arange(args.T), path]))
     return EXIT_OK
 
 

@@ -72,7 +72,8 @@ class RestrictionSet:
 
     Affine rows act on vec([B_-lam .. B_kappa | A_0 .. A_kappa]) in
     column-stacking order; equation mode restricts row i (1-based) only.
-    Nonlinear restrictions supply a residual callable of that same vector.
+    Nonlinear restrictions supply a residual callable of that same vector
+    and, when they come from compiled expressions, its exact Jacobian.
     """
 
     kind: str                          # "affine" | "equation" | "nonlinear"
@@ -81,6 +82,7 @@ class RestrictionSet:
     equation: int | None = None
     residual_fn: object = None
     r: int = 0
+    jacobian_fn: object = None         # x -> d residual / dx (nonlinear only)
 
     @classmethod
     def affine(cls, R, u) -> "RestrictionSet":
@@ -104,8 +106,24 @@ class RestrictionSet:
         return cls(kind="equation", R=R, u=u, equation=i, r=R.shape[0])
 
     @classmethod
-    def nonlinear(cls, fn, r: int, equation: int | None = None) -> "RestrictionSet":
-        return cls(kind="nonlinear", residual_fn=fn, r=r, equation=equation)
+    def nonlinear(cls, fn, r: int, equation: int | None = None,
+                  jacobian=None) -> "RestrictionSet":
+        """Residual map ``fn``; ``jacobian`` is its exact Jacobian, and
+        without one :meth:`jacobian` falls back to central differences."""
+        return cls(kind="nonlinear", residual_fn=fn, r=r, equation=equation,
+                   jacobian_fn=jacobian)
+
+    def jacobian(self, x) -> np.ndarray:
+        """Jacobian of the restriction map at x: R for affine restrictions,
+        the exact Jacobian of compiled expressions, and central differences
+        only for an opaque residual callable."""
+        if self.kind != "nonlinear":
+            return self.R
+        if self.jacobian_fn is not None:
+            return self.jacobian_fn(x)
+        from .paramdsl import fd_jacobian  # paramdsl imports this module
+
+        return fd_jacobian(self.residual_fn, x)
 
 
 # -- coefficient vectorization (normative ordering) ------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from .identcore import RestrictionSet, coeff_vec_index, coeff_vec_length
 from .numrank import numerical_rank
-from .paramdsl import ParamMap, eval_expr, expr_names, parse_expression, parse_model
+from .paramdsl import CompiledExprs, expr_names, parse_expression, parse_model
 from .polylab import LaurentMatrix, Model
 
 
@@ -94,10 +94,12 @@ def _ref_name(block, lag, row, col):
 
 
 def compile_nonlinear(exprs, n, m, kappa, lam, equation=None) -> RestrictionSet:
-    """Expression strings over named coefficients -> residual callable.
+    """Expression strings over named coefficients -> compiled residual map
+    with its exact Jacobian.
 
     References look like B[-1][1][1] (block, lag, 1-based row, 1-based
     column); in equation mode the row must match the restricted equation.
+    Each reference resolves to its coeff_vec_index position once, here.
     """
     refs = {}
 
@@ -131,12 +133,9 @@ def compile_nonlinear(exprs, n, m, kappa, lam, equation=None) -> RestrictionSet:
             raise ModelFileError(
                 f"unknown name(s) in nonlinear restriction: {', '.join(sorted(stray))}")
         trees.append(tree)
-
-    def residual(x):
-        env = {name: x[idx] for name, idx in refs.items()}
-        return np.array([eval_expr(t, env) for t in trees])
-
-    return RestrictionSet.nonlinear(residual, len(trees), equation=equation)
+    program = CompiledExprs(trees, refs)
+    return RestrictionSet.nonlinear(program.values, len(trees), equation=equation,
+                                    jacobian=program.jacobian)
 
 
 def restrictions_from_dict(spec: dict, n: int, m: int, kappa: int, lam: int) -> RestrictionSet:

@@ -7,13 +7,24 @@ analytic on their domain, which is what the generic-identification
 sampling logic needs; a single full-rank sample point certifies generic
 identification, while rank deficiency everywhere can only be evidenced,
 never proven, by sampling.  Report wording keeps that asymmetry explicit.
+
+A list of expression trees is compiled once (:class:`CompiledExprs`): names
+resolve to positions in an argument vector (theta for a ParamMap, the
+coefficient vector for a restriction file), and one forward-mode walk
+returns the values and, on request, the exact sparse Jacobian.  So the
+local identification test ranks an exact Jacobian for compiled
+expressions; central differences (:func:`fd_jacobian`) are used only for
+an opaque residual callable.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import warnings as _warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,33 +90,6 @@ class Pow:
     exponent: int  # non-negative integer literal only
 
 
-def eval_expr(expr, env: dict) -> float:
-    if isinstance(expr, Lit):
-        return expr.value
-    if isinstance(expr, Var):
-        try:
-            return env[expr.name]
-        except KeyError as exc:
-            raise EvalError(f"unknown identifier '{expr.name}'") from exc
-    if isinstance(expr, Neg):
-        return -eval_expr(expr.operand, env)
-    if isinstance(expr, Pow):
-        return eval_expr(expr.base, env) ** expr.exponent
-    if isinstance(expr, BinOp):
-        l = eval_expr(expr.left, env)
-        r = eval_expr(expr.right, env)
-        if expr.op == "+":
-            return l + r
-        if expr.op == "-":
-            return l - r
-        if expr.op == "*":
-            return l * r
-        if abs(r) < DIV_FLOOR:
-            raise EvalError(f"division by {r!r}")
-        return l / r
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
 def expr_names(expr) -> set:
     if isinstance(expr, Var):
         return {expr.name}
@@ -118,13 +102,126 @@ def expr_names(expr) -> set:
     return set()
 
 
+# -- compiled evaluation -----------------------------------------------------
+
+_LIT, _VAR, _NEG, _POW, _ADD, _SUB, _MUL, _DIV = range(8)
+_BINOPS = {"+": _ADD, "-": _SUB, "*": _MUL, "/": _DIV}
+
+
+def _resolve(expr, positions: dict):
+    """Tree -> nested tuples (opcode, ...) with each name replaced by its
+    position in the argument vector."""
+    if isinstance(expr, Lit):
+        return (_LIT, expr.value)
+    if isinstance(expr, Var):
+        try:
+            return (_VAR, positions[expr.name])
+        except KeyError as exc:
+            raise EvalError(f"unknown identifier '{expr.name}'") from exc
+    if isinstance(expr, Neg):
+        return (_NEG, _resolve(expr.operand, positions))
+    if isinstance(expr, Pow):
+        return (_POW, _resolve(expr.base, positions), expr.exponent)
+    if isinstance(expr, BinOp):
+        return (_BINOPS[expr.op], _resolve(expr.left, positions),
+                _resolve(expr.right, positions))
+    raise TypeError(f"not an expression node: {expr!r}")
+
+
+def _scale(c, g):
+    """c*g for a sparse gradient {position: partial}; None stays None."""
+    return None if g is None else {i: c * d for i, d in g.items()}
+
+
+def _lincomb(ca, a, cb, b):
+    """ca*a + cb*b for sparse gradients; None (values only) stays None."""
+    if a is None:
+        return None
+    out = {i: ca * d for i, d in a.items()}
+    for i, d in b.items():
+        out[i] = out[i] + cb * d if i in out else cb * d
+    return out
+
+
+def _forward(node, x, grad: bool):
+    """Value of a compiled node at x and, with ``grad``, its exact sparse
+    gradient by forward mode (None without)."""
+    op = node[0]
+    if op == _VAR:
+        return x[node[1]], ({node[1]: 1.0} if grad else None)
+    if op == _LIT:
+        return node[1], ({} if grad else None)
+    if op == _NEG:
+        v, g = _forward(node[1], x, grad)
+        return -v, _scale(-1.0, g)
+    if op == _POW:
+        v, g = _forward(node[1], x, grad)
+        k = node[2]
+        try:
+            out = v ** k
+        except OverflowError as exc:
+            raise EvalError(f"overflow in {v!r}^{k}") from exc
+        if g is not None:
+            g = _scale(k * v ** (k - 1), g) if k else {}
+        return out, g
+    l, gl = _forward(node[1], x, grad)
+    r, gr = _forward(node[2], x, grad)
+    if op == _ADD:
+        return l + r, _lincomb(1.0, gl, 1.0, gr)
+    if op == _SUB:
+        return l - r, _lincomb(1.0, gl, -1.0, gr)
+    if op == _MUL:
+        return l * r, _lincomb(r, gl, l, gr)
+    if abs(r) < DIV_FLOOR:
+        raise EvalError(f"division by {r!r}")
+    v = l / r
+    return v, _lincomb(1.0 / r, gl, -v / r, gr)
+
+
+class CompiledExprs:
+    """A list of expression trees compiled once against ``positions``
+    (name -> index into the argument vector x).
+
+    ``values(x)`` evaluates every tree; ``jacobian(x)`` is the exact
+    Jacobian of those values, d values[k] / d x[j], by forward mode.
+    """
+
+    def __init__(self, trees, positions: dict):
+        self.nodes = tuple(_resolve(t, positions) for t in trees)
+
+    def values(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float).tolist()
+        return np.array([_forward(node, x, False)[0] for node in self.nodes])
+
+    def jacobian(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        J = np.zeros((len(self.nodes), x.size))
+        xs = x.tolist()
+        for k, node in enumerate(self.nodes):
+            for j, d in _forward(node, xs, True)[1].items():
+                J[k, j] = d
+        return J
+
+
+def eval_expr(expr, env: dict) -> float:
+    """One tree's value with names bound by ``env`` (values-only entry)."""
+    return float(CompiledExprs([expr], {name: k for k, name in enumerate(env)})
+                 .values(list(env.values()))[0])
+
+
 # -- lexer / recursive-descent parser --------------------------------------
 
-_OPS = set("+-*/^()")
+# one alternative per token kind; whitespace runs carry the line breaks
+_TOKEN = re.compile(r"""
+    (?P<space>\s+)
+  | (?P<num>[\d.]+(?:[eE](?:[+-]|(?=\d))[\d.]*)?)
+  | (?P<ident>[^\W\d]\w*)
+  | (?P<op>[-+*/^()])
+  | (?P<bad>.)
+""", re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str   # 'num' | 'ident' | an operator character | 'end'
     text: str
     line: int
@@ -133,51 +230,20 @@ class _Token:
 
 def _tokenize(text: str):
     tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(text):
+        kind, tok = match.lastgroup, match.group()
+        col = match.start() - line_start + 1
+        if kind == "space":
+            breaks = tok.count("\n")
+            if breaks:
+                line += breaks
+                line_start = match.start() + tok.rindex("\n") + 1
             continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch in _OPS:
-            tokens.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit() or ch == ".":
-            j = i
-            seen_exp = False
-            while j < len(text):
-                c = text[j]
-                if c.isdigit() or c == ".":
-                    j += 1
-                elif c in "eE" and not seen_exp and j + 1 < len(text) and (
-                        text[j + 1].isdigit() or text[j + 1] in "+-"):
-                    seen_exp = True
-                    j += 2 if text[j + 1] in "+-" else 1
-                else:
-                    break
-            tokens.append(_Token("num", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("end", "", line, col))
+        if kind == "bad" or (kind == "ident" and not (tok[0].isalpha() or tok[0] == "_")):
+            raise ParseError(f"unexpected character {tok[0]!r}", line, col)
+        tokens.append(_Token(tok if kind == "op" else kind, tok, line, col))
+    tokens.append(_Token("end", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -311,6 +377,21 @@ class ParamMap:
     def dim(self) -> int:
         return len(self.param_names)
 
+    @cached_property
+    def _compiled(self):
+        """Every B and A entry compiled once against theta positions, and
+        each entry's index in the flattened coefficient stacks [B | A]."""
+        trees, slots, offset = [], [], 0
+        for entries, rows, cols, lo in ((self.b_entries, self.n, self.n, -self.lam),
+                                        (self.a_entries, self.n, self.m, 0)):
+            for lag, grid in entries.items():
+                start = offset + (lag - lo) * rows * cols
+                trees += list(grid.flat)
+                slots += range(start, start + rows * cols)
+            offset += (self.kappa - lo + 1) * rows * cols
+        positions = {name: k for k, name in enumerate(self.param_names)}
+        return CompiledExprs(trees, positions), np.array(slots, dtype=int), offset
+
 
 def _entry_grid(raw, rows, cols, label):
     """Normalize a scalar / nested-list entry spec into an expression grid."""
@@ -390,18 +471,12 @@ def eval_model(pm: ParamMap, theta) -> Model:
         raise ValueError(f"theta must have {pm.dim} entries")
     if pm.dim and (np.any(theta < pm.domain[:, 0]) or np.any(theta > pm.domain[:, 1])):
         _warnings.warn("theta outside the declared domain box")
-    env = dict(zip(pm.param_names, theta))
-
-    def numeric(entries, rows, cols, lo):
-        coeffs = np.zeros((pm.kappa - lo + 1, rows, cols))
-        for lag, grid in entries.items():
-            for i in range(rows):
-                for j in range(cols):
-                    coeffs[lag - lo, i, j] = eval_expr(grid[i, j], env)
-        return LaurentMatrix.from_coeffs(coeffs, lo)
-
-    B = numeric(pm.b_entries, pm.n, pm.n, -pm.lam)
-    A = numeric(pm.a_entries, pm.n, pm.m, 0)
+    program, slots, size = pm._compiled
+    flat = np.zeros(size)
+    flat[slots] = program.values(theta)
+    nb = (pm.kappa + pm.lam + 1) * pm.n * pm.n
+    B = LaurentMatrix.from_coeffs(flat[:nb].reshape(-1, pm.n, pm.n), -pm.lam)
+    A = LaurentMatrix.from_coeffs(flat[nb:].reshape(-1, pm.n, pm.m), 0)
     return Model(B, A, lam=pm.lam, kappa=pm.kappa)
 
 
@@ -549,22 +624,23 @@ class LocalReport:
 
 def local_ident(model: Model, restrictions: RestrictionSet,
                 tol_rank: float = DEFAULT_TOL_RANK,
-                fd_step: float | None = None,
                 n_probes: int = 8, probe_scale: float = 1e-4,
                 seed: int = 0) -> LocalReport:
-    """Rank test with the Jacobian of the restriction map: finite differences
-    for nonlinear restrictions, R itself for affine or equation-wise ones.
+    """Rank test with the Jacobian of the restriction map on the kernel,
+    R(x)·(N⊗Iₙ) (or R(x)·N for one equation).
 
-    Full column rank certifies local identification.  A rank-deficient
-    matrix only indicates non-identification when the rank is locally
-    constant (the regularity condition), so nearby points are probed and
-    the report says whether the rank looks constant; without that, no
-    non-identification claim is made.  An affine map's rank is constant.
+    ``restrictions.jacobian`` supplies it: R itself for affine or
+    equation-wise restrictions, the exact Jacobian for compiled expressions
+    (restriction files), and central differences only for an opaque
+    residual callable.  Full column rank certifies local identification.
+    A rank-deficient matrix only indicates non-identification when the
+    rank is locally constant (the regularity condition), so nearby points
+    are probed and the report says whether the rank looks constant;
+    without that, no non-identification claim is made.  An affine map's
+    rank is constant.
     """
     affine = restrictions.kind != "nonlinear"
-    fn = (affine_as_nonlinear(restrictions.R, restrictions.u) if affine
-          else restrictions).residual_fn
-    if fn is None:
+    if not affine and restrictions.residual_fn is None:
         raise ValueError("local test needs restrictions with a residual map")
     bundle = solve_model(model)
     sys = build_ident_system(bundle.transfer, model.n, model.m,
@@ -574,12 +650,14 @@ def local_ident(model: Model, restrictions: RestrictionSet,
     if equation is not None:
         x0 = x0.reshape(model.n, -1, order="F")[equation - 1]
 
-    resid = np.max(np.abs(np.atleast_1d(np.asarray(fn(x0), dtype=float))))
+    resid = (restrictions.R @ x0 - restrictions.u if affine
+             else restrictions.residual_fn(x0))
+    resid = np.max(np.abs(np.atleast_1d(np.asarray(resid, dtype=float))))
     if resid > 1e-8 * (1.0 + np.max(np.abs(x0))):
         raise ValueError(f"restrictions do not hold at the point (residual {resid:.3e})")
 
     def jacobian_test(x):
-        J = restrictions.R if affine else fd_jacobian(fn, x, fd_step)
+        J = restrictions.jacobian(x)
         return _kernel_rank_test(sys, J, equation is not None, tol_rank)
 
     report = jacobian_test(x0)

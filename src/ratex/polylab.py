@@ -125,9 +125,6 @@ class LaurentMatrix:
         """Multiply by z**s."""
         return LaurentMatrix(self.coeffs, self.min_lag + s)
 
-    def scaled(self, c: float) -> "LaurentMatrix":
-        return LaurentMatrix.from_coeffs(self.coeffs * c, self.min_lag)
-
     def right_multiplied(self, v: np.ndarray) -> "LaurentMatrix":
         """Apply a constant matrix on the right (each coefficient @ v)."""
         return LaurentMatrix.from_coeffs(self.coeffs @ v, self.min_lag)
@@ -196,10 +193,6 @@ def lp_add(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
     out[a.min_lag - lo: a.max_lag - lo + 1] += a.coeffs
     out[b.min_lag - lo: b.max_lag - lo + 1] += b.coeffs
     return LaurentMatrix.from_coeffs(out, lo)
-
-
-def lp_sub(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
-    return lp_add(a, b.scaled(-1.0))
 
 
 def lp_mul(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:

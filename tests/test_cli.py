@@ -346,6 +346,66 @@ class TestLocalCommand:
         assert payload["probe_ranks"] == []
 
 
+def numeric_spec(model):
+    return {"n": model.n, "m": model.m, "lambda": model.lam, "kappa": model.kappa,
+            "B": {str(lag): model.B.coefficient(lag).tolist()
+                  for lag in range(-model.lam, model.kappa + 1)},
+            "A": {str(lag): model.A.coefficient(lag).tolist()
+                  for lag in range(model.kappa + 1)}}
+
+
+def squared_b_pins(model, rows):
+    """Every B coefficient of ``rows`` (1-based) pinned through x^2 = v^2."""
+    return [f"B[{lag}][{i}][{j}]^2 - {v ** 2!r}" if abs(v) > 0.1 else
+            f"B[{lag}][{i}][{j}] - {v!r}"
+            for lag in range(-model.lam, model.kappa + 1)
+            for j in range(1, model.n + 1) for i in rows
+            for v in [float(model.B.coefficient(lag)[i - 1, j - 1])]]
+
+
+class TestLocalExactJacobian:
+    """`local` on expression files ranks the exact Jacobian: the exit code,
+    rank and probe ranks of the finite-difference path, with no differencing."""
+
+    def cases(self):
+        from conftest import make_valid_model
+        model, *_ = make_valid_model(np.random.default_rng(11), n=2, m=2, lam=1, kappa=0)
+        full = squared_b_pins(model, rows=(1, 2))
+        row = squared_b_pins(model, rows=(2,))
+        a11 = float(model.A.coefficient(0)[0, 0])
+        # exit codes: identified 0, deficient with constant rank 3, regularity fails 4
+        return model, [({"nonlinear": full}, 0),
+                       ({"nonlinear": full[:-1]}, 3),
+                       ({"nonlinear": [f"(A[0][1][1] - {a11!r})^2"]}, 4),
+                       ({"equation": 2, "nonlinear": row}, 0),
+                       ({"equation": 2, "nonlinear": row[:-1]}, 3)]
+
+    def test_same_verdicts_without_differencing(self, tmp_path, capsys, monkeypatch):
+        from ratex import paramdsl
+        from ratex.paramdsl import local_ident
+
+        model, cases = self.cases()
+        path = write(tmp_path / "m.json", numeric_spec(model))
+        expected = []
+        for spec, _ in cases:
+            compiled = restrictions_from_dict(spec, model.n, model.m, model.kappa, model.lam)
+            opaque = RestrictionSet.nonlinear(compiled.residual_fn, compiled.r,
+                                              equation=compiled.equation)
+            expected.append(local_ident(model, opaque))
+
+        def no_differencing(*args, **kwargs):
+            raise AssertionError("compiled expressions need no finite differences")
+
+        monkeypatch.setattr(paramdsl, "fd_jacobian", no_differencing)
+        for k, ((spec, code), want) in enumerate(zip(cases, expected)):
+            r = write(tmp_path / f"r{k}.json", spec)
+            assert main(["local", path, r, "--format", "json-report"]) == code
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["numerical_rank"] == want.rank_report.numerical_rank
+            assert payload["probe_ranks"] == list(want.probe_ranks)
+            assert payload["rank_locally_constant"] == want.rank_locally_constant
+
+
 class TestCsvCommands:
     def test_spectrum_constant_column(self, tmp_path):
         path = write(tmp_path / "m.json", white_noise_model())
@@ -383,6 +443,38 @@ class TestCsvCommands:
         with open(out) as fh:
             header = next(csv.reader(fh))
         assert header == ["t", "y_1"]
+
+    @pytest.mark.parametrize("command, size", [("spectrum", 24), ("spectrum", 0),
+                                               ("simulate", 40)])
+    def test_bytes_match_csv_writer(self, tmp_path, command, size):
+        from ratex.cli import _fmt
+        from ratex.resolve import simulate, solve_model, spectral_density, unit_circle_grid
+
+        from conftest import make_valid_model
+        model, *_ = make_valid_model(np.random.default_rng(5), n=3, m=2, lam=1, kappa=1)
+        path = write(tmp_path / "m.json", numeric_spec(model))
+        out = tmp_path / "out.csv"
+        bundle = solve_model(model)
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            if command == "spectrum":
+                assert main(["spectrum", path, "--grid", str(size), "--out", str(out)]) == 0
+                density = spectral_density(model, bundle.a_plus, unit_circle_grid(size))
+                writer.writerow(["omega"] + [f"{part}_f_{i}_{j}" for i in (1, 2, 3)
+                                             for j in (1, 2, 3) for part in ("re", "im")])
+                for k, f in enumerate(density):
+                    writer.writerow([_fmt(2 * np.pi * k / size)] + [
+                        _fmt(p) for v in f.flat for p in (v.real, v.imag)])
+            else:
+                assert main(["simulate", path, "--T", str(size), "--seed", "3",
+                             "--out", str(out)]) == 0
+                y = simulate(bundle, size, seed=3)
+                writer.writerow(["t", "y_1", "y_2", "y_3"])
+                for t in range(size):
+                    writer.writerow([t] + [_fmt(v) for v in y[t]])
+        assert out.read_bytes() == expected.read_bytes()
+        assert b"\r\n" in out.read_bytes()
 
 
 class TestThetaOption:

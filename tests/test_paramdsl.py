@@ -1,7 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ratex.identcore import (
     RestrictionSet,
@@ -11,7 +14,9 @@ from ratex.identcore import (
     ident_test_affine,
 )
 from ratex.paramdsl import (
+    DIV_FLOOR,
     BinOp,
+    CompiledExprs,
     EvalError,
     GenericReport,
     Lit,
@@ -96,6 +101,16 @@ class TestParser:
             parse_expression("theta1 + * 2")
         assert "'*'" in str(err.value)
         assert err.value.col == 10
+
+    def test_error_positions_across_lines(self):
+        for text, message, line, col in [("a +\n  * 2", "unexpected '*'", 2, 3),
+                                         ("1.5e-3 * b\r\n\t$", "unexpected character '$'", 2, 2),
+                                         ("x^2.5", "exponent must be", 1, 3),
+                                         ("(θ1 + 2", "expected ')'", 1, 8),
+                                         ("1e+ * y", "bad number literal '1e+'", 1, 1)]:
+            with pytest.raises(ParseError, match=re.escape(message)) as err:
+                parse_expression(text)
+            assert (err.value.line, err.value.col) == (line, col)
 
     def test_unknown_identifier_rejected(self):
         spec = employment_model_spec()
@@ -380,3 +395,116 @@ class TestLocalIdent:
         assert local_ident(model, cases[1][0]).locally_identified
         with pytest.raises(ValueError, match="do not hold"):
             local_ident(model, RestrictionSet.affine(np.eye(1, N), [x0[0] + 1.0]))
+
+
+def walk(expr, env, divisors=None):
+    """Plain recursive evaluation, the oracle for the compiled evaluator;
+    records |divisor| of every division in ``divisors``."""
+    if isinstance(expr, Lit):
+        return expr.value
+    if isinstance(expr, Var):
+        return env[expr.name]
+    if isinstance(expr, Neg):
+        return -walk(expr.operand, env, divisors)
+    if isinstance(expr, Pow):
+        return walk(expr.base, env, divisors) ** expr.exponent
+    left, right = walk(expr.left, env, divisors), walk(expr.right, env, divisors)
+    if expr.op == "+":
+        return left + right
+    if expr.op == "-":
+        return left - right
+    if expr.op == "*":
+        return left * right
+    if divisors is not None:
+        divisors.append(abs(right))
+    return left / right
+
+
+NAMES = ("a", "b", "c")
+trees = st.recursive(
+    st.one_of(st.builds(Lit, st.floats(0.25, 4.0)), st.sampled_from(NAMES).map(Var)),
+    lambda sub: st.one_of(
+        st.builds(Neg, sub),
+        st.builds(Pow, sub, st.integers(0, 3)),
+        st.builds(BinOp, st.sampled_from("+-*/"), sub, sub)),
+    max_leaves=10)
+
+
+class TestCompiledExprs:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(exprs=st.lists(trees, min_size=1, max_size=3),
+           x=st.lists(st.floats(0.5, 2.0) | st.floats(-2.0, -0.5), min_size=3, max_size=3))
+    def test_matches_walk_and_finite_differences(self, exprs, x):
+        env = dict(zip(NAMES, x))
+        divisors = []
+        try:
+            want = [walk(e, env, divisors) for e in exprs]
+        except (ZeroDivisionError, OverflowError):
+            want = None
+        assume(want is not None and all(d >= 1e-3 for d in divisors))
+        program = CompiledExprs(exprs, {name: k for k, name in enumerate(NAMES)})
+        got = program.values(np.array(x))
+        # the same arithmetic in the same order: bitwise equal values
+        assert got.tolist() == want
+        J = program.jacobian(np.array(x))
+        assert J.shape == (len(exprs), 3)
+        F = fd_jacobian(program.values, np.array(x))
+        scale = 1.0 + np.abs(J)
+        assert np.all(np.abs(J - F) <= 1e-6 * scale)
+
+    def test_division_below_floor_raises_on_both_paths(self):
+        program = CompiledExprs([parse_expression("1 + a / (b * 1e-301)")],
+                                {"a": 0, "b": 1})
+        assert 1e-301 < DIV_FLOOR
+        for evaluate in (program.values, program.jacobian):
+            with pytest.raises(EvalError, match="division"):
+                evaluate(np.array([1.0, 1.0]))
+        with pytest.raises(EvalError, match="division"):
+            eval_expr(parse_expression("a / (a - a)"), {"a": 3.0})
+
+    def test_sparse_exact_jacobian(self):
+        program = CompiledExprs([parse_expression("a^3 - 2*c"), parse_expression("-(b/a)")],
+                                {"a": 0, "b": 2, "c": 4})
+        x = np.array([2.0, 9.0, 3.0, 9.0, 5.0])
+        assert program.values(x).tolist() == [-2.0, -1.5]
+        J = program.jacobian(x)
+        expected = np.zeros((2, 5))
+        expected[0, 0], expected[0, 4] = 12.0, -2.0
+        expected[1, 0], expected[1, 2] = 3.0 / 4.0, -0.5
+        assert np.array_equal(J, expected)
+
+    def test_unknown_name_rejected(self):
+        with pytest.raises(EvalError, match="unknown identifier 'z'"):
+            CompiledExprs([parse_expression("a + z")], {"a": 0})
+        with pytest.raises(EvalError, match="unknown identifier 'z'"):
+            eval_expr(parse_expression("z"), {"a": 1.0})
+
+
+VARMA_SPEC = {
+    "n": 2, "m": 2, "lambda": 0, "kappa": 1,
+    "params": ["b11", "b12", "b21", "b22", "a0", "a1", "a2"],
+    "domain": [[-0.4, 0.4]] * 4 + [[0.5, 1.5], [-0.3, 0.3], [-0.3, 0.3]],
+    "B": {"0": [[1, 0], [0, 1]], "1": [["b11", "b12"], ["b21", "b22"]]},
+    "A": {"0": [["a0", 0], ["a1*a0", "a0^2 - a1/a0"]],
+          "1": [["a2", "-a1"], [0, "(a1 + a2)/(1 + a0)"]]},
+}
+
+
+class TestEvalModelOracle:
+    @pytest.mark.parametrize("spec", [employment_model_spec(), VARMA_SPEC],
+                             ids=["employment", "varma"])
+    def test_bitwise_equal_to_per_entry_walk(self, spec, rng):
+        pm = parse_model(spec)
+        lo, hi = pm.domain[:, 0], pm.domain[:, 1]
+        for _ in range(20):
+            theta = lo + (hi - lo) * rng.random(pm.dim)
+            model = eval_model(pm, theta)
+            env = dict(zip(pm.param_names, theta.tolist()))
+            for lm, entries, lags in ((model.B, pm.b_entries, range(-pm.lam, pm.kappa + 1)),
+                                      (model.A, pm.a_entries, range(pm.kappa + 1))):
+                for lag in lags:
+                    want = np.zeros(lm.coefficient(lag).shape)
+                    if lag in entries:
+                        want = np.vectorize(lambda e: walk(e, env), otypes=[float])(
+                            entries[lag])
+                    assert np.array_equal(lm.coefficient(lag), want)
