@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import warnings as _warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
-from .numrank import DEFAULT_TOL_RANK, left_null_space, numerical_rank
+from .numrank import DEFAULT_TOL_RANK, count_above, stacked_rank
 from .polylab import LaurentMatrix, Model
 from .resolve import (SolutionBundle, TransferSeries, solve_model, spectral_distance,
                       unit_circle_grid)
@@ -41,6 +42,11 @@ class IdentSystem:
     hankel_rank: int
     hankel_singular_values: np.ndarray
     N: np.ndarray                     # null(P') on [B_-lam..B_kappa | A_0..A_kappa]
+
+    @cached_property
+    def p_norm(self) -> float:
+        """|P|_F, as :func:`p_norm` computes it for a stack."""
+        return float(p_norm(self.T[None], self.H[None])[0])
 
 
 @dataclass(frozen=True)
@@ -160,9 +166,13 @@ def coeff_vec_index(block: str, lag: int, row: int, col: int,
 def model_coeff_vec(model: Model) -> np.ndarray:
     """vec([B_-lam .. B_kappa | A_0 .. A_kappa]) at the model's declared bounds."""
     n, m, kappa, lam = model.n, model.m, model.kappa, model.lam
-    blocks = [model.B.coefficient(lag) for lag in range(-lam, kappa + 1)]
-    blocks += [model.A.coefficient(lag) for lag in range(0, kappa + 1)]
-    return np.hstack(blocks).flatten(order="F")
+    return coeff_vec([model.B.coefficient(lag) for lag in range(-lam, kappa + 1)],
+                     [model.A.coefficient(lag) for lag in range(0, kappa + 1)])
+
+
+def coeff_vec(b_blocks, a_blocks) -> np.ndarray:
+    """vec([B_-lam .. B_kappa | A_0 .. A_kappa]) from the two lists of blocks."""
+    return np.hstack(list(b_blocks) + list(a_blocks)).flatten(order="F")
 
 
 def kernel_vec(B: LaurentMatrix, a_plus_mat: LaurentMatrix,
@@ -189,22 +199,50 @@ def build_ident_system(transfer: TransferSeries, n: int, m: int,
     need = (n + 1) * kappa + lam
     if transfer.horizon < need:
         raise ValueError(f"transfer horizon {transfer.horizon} < required {need}")
+    T, H = toeplitz_hankel(transfer.coeffs[None], n, m, kappa, lam)
+    ranks, svals, groups = kernel_bases(T, H, m, lam, tol_rank)
+    T, H = T[0], H[0]
     q = kappa + lam + 1
-    T = np.zeros((n * q, m * q))
-    for i in range(q):
-        for j in range(i, q):
-            T[i * n:(i + 1) * n, j * m:(j + 1) * m] = transfer.coefficient(j - i)
-    H = np.zeros((n * q, m * n * kappa))
-    for r in range(q):
-        for c in range(n * kappa):
-            H[r * n:(r + 1) * n, c * m:(c + 1) * m] = transfer.coefficient(q - r + c)
     P = np.block([[-T, -H],
                   [np.eye(m * q), np.zeros((m * q, n * m * kappa))]])
-    rank, svals, U = left_null_space(H, tol_rank)
-    N = np.vstack([U, T[:, m * lam:].T @ U])
     return IdentSystem(n=n, m=m, kappa=kappa, lam=lam, T=T, H=H, P=P,
-                       hankel_rank=rank,
-                       hankel_singular_values=svals, N=N)
+                       hankel_rank=int(ranks[0]),
+                       hankel_singular_values=svals[0], N=groups[ranks[0]][1][0])
+
+
+def toeplitz_hankel(C: np.ndarray, n: int, m: int, kappa: int, lam: int):
+    """T and H of :func:`build_ident_system` for each transfer series of an
+    (S, horizon + 1, n, m) stack, by one gather each."""
+    S, need, q = C.shape[0], (n + 1) * kappa + lam, kappa + lam + 1
+    Cz = np.concatenate([C[:, :need + 1], np.zeros((S, 1, n, m))], axis=1)
+    i, j = np.arange(q)[:, None], np.arange(q)[None, :]
+    T = Cz[:, np.where(j >= i, j - i, need + 1)]            # block (i, j) = C_{j-i}
+    H = Cz[:, q - i + np.arange(n * kappa)[None, :]]        # block (r, c) = C_{q-r+c}
+    return (T.transpose(0, 1, 3, 2, 4).reshape(S, n * q, m * q),
+            H.transpose(0, 1, 3, 2, 4).reshape(S, n * q, m * n * kappa))
+
+
+def kernel_bases(T: np.ndarray, H: np.ndarray, m: int, lam: int, tol_rank: float):
+    """Hankel rank, Hankel singular values and N = null(P') of each sample of
+    a (T, H) stack, from one stacked SVD of H.
+
+    N has n*q - rank columns, so the bases come grouped by Hankel rank:
+    ``{rank: (sample indices, N stack)}``.
+    """
+    U, svals, _ = np.linalg.svd(H)
+    ranks, _ = count_above(svals, tol_rank, None, H.shape[1:])
+    groups = {}
+    for rank in sorted(set(ranks.tolist())):
+        lanes = np.flatnonzero(ranks == rank)
+        Ur = U[lanes][:, :, rank:]
+        groups[rank] = (lanes, np.concatenate(
+            [Ur, T[lanes][:, :, m * lam:].swapaxes(1, 2) @ Ur], axis=1))
+    return ranks, svals, groups
+
+
+def p_norm(T: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """Frobenius norm of P = [[-T, -H], [I, 0]] for each sample of a stack."""
+    return np.sqrt((T * T).sum(axis=(1, 2)) + (H * H).sum(axis=(1, 2)) + T.shape[2])
 
 
 def equivalence_class_dim(sys: IdentSystem) -> int:
@@ -266,32 +304,59 @@ def spectral_equivalent(bundle_a: SolutionBundle, bundle_b: SolutionBundle,
 
 def _rank_report(M: np.ndarray, required: int, tol_rank: float,
                  scale: float | None = None, shape: tuple | None = None) -> RankReport:
-    rank, svals, cutoff = numerical_rank(M, tol_rank, scale, shape)
-    if required <= svals.size and cutoff > 0:
-        gap = float(svals[required - 1] / cutoff)
-    else:
-        gap = 0.0
+    ranks, svals, gaps = rank_stack(M[None], required, tol_rank,
+                                    None if scale is None else [scale], shape)
+    return lane_report(M.shape, ranks[0], svals[0], required, gaps[0])
+
+
+def rank_stack(M: np.ndarray, required: int, tol_rank: float, scale=None,
+               shape: tuple | None = None):
+    """Ranks, singular values and gap ratios (the margin of
+    sigma[required - 1] over the cutoff, 0 without one) of an (S, rows,
+    cols) stack."""
+    ranks, svals, cutoffs = stacked_rank(M, tol_rank, scale, shape)
+    if required > svals.shape[1]:
+        return ranks, svals, np.zeros(len(M))
+    gaps = np.divide(svals[:, required - 1], cutoffs, out=np.zeros(len(M)), where=cutoffs > 0)
+    return ranks, svals, gaps
+
+
+def lane_report(shape: tuple, rank, svals: np.ndarray, required: int, gap) -> RankReport:
+    """The RankReport of one sample of :func:`rank_stack`."""
     verdict = "identified" if rank == required else "not_identified"
-    return RankReport(matrix_shape=M.shape, singular_values=svals,
-                      numerical_rank=rank, required_rank=required,
-                      verdict=verdict, gap_ratio=gap)
+    return RankReport(matrix_shape=tuple(shape), singular_values=svals,
+                      numerical_rank=int(rank), required_rank=required,
+                      verdict=verdict, gap_ratio=float(gap))
 
 
 def _kernel_rank_test(sys: IdentSystem, R: np.ndarray, equation: bool,
                       tol_rank: float) -> RankReport:
-    """Rank R (N (x) I_n), or R N for one equation, at the cutoff of the
-    stack [P' (x) I_n; R] or [P'; R]; R N has no scale of its own, so
-    max(|P|_F, |R|_F) stands in for the stack's sigma_max."""
-    n = 1 if equation else sys.n
+    """:func:`kernel_rank_stack` for one system."""
     R = np.atleast_2d(np.asarray(R, dtype=float))
-    rows, cols = R.shape[0], n * sys.N.shape[0]
+    shape, ranks, svals, gaps = kernel_rank_stack(
+        sys.N[None], R, 1 if equation else sys.n,
+        np.array([sys.p_norm]), sys.P.shape, tol_rank)
+    return lane_report(shape, ranks[0], svals[0], shape[1], gaps[0])
+
+
+def kernel_rank_stack(N: np.ndarray, R: np.ndarray, n: int, pnorm: np.ndarray,
+                      p_shape: tuple, tol_rank: float):
+    """Rank R (N (x) I_n), or R N for one equation (n = 1), for each basis of
+    an (S, rows, dim N) stack, at the cutoff of the stack [P' (x) I_n; R]
+    or [P'; R]; R N has no scale of its own, so max(|P|_F, |R|_F) stands in
+    for the stack's sigma_max.  Returns (shape of R (N (x) I_n), ranks,
+    singular values, gap ratios)."""
+    rows, cols = R.shape[0], n * N.shape[1]
     if R.shape[1] != cols:
         raise RestrictionDimensionError(
             f"restriction matrix has {R.shape[1]} columns, expected {cols}")
-    RN = np.einsum("kcs,cj->kjs", R.reshape(rows, sys.N.shape[0], n), sys.N).reshape(rows, -1)
-    stacked = (n * sys.P.shape[1] + rows, n * sys.P.shape[0])
-    scale = max(np.linalg.norm(sys.P), np.linalg.norm(R))
-    return _rank_report(RN, RN.shape[1], tol_rank, scale, stacked)
+    # RN[z, k, (s, j)] = sum_c R[k, (c, s)] N[z, c, j], one matmul over the stack; the
+    # columns of R (N (x) I_n) in another order, which leaves the singular values alone
+    Rt = R.reshape(rows, N.shape[1], n).transpose(0, 2, 1).reshape(rows * n, N.shape[1])
+    RN = (Rt @ N).reshape(len(N), rows, -1)
+    stacked = (n * p_shape[1] + rows, n * p_shape[0])
+    scale = np.maximum(pnorm, np.linalg.norm(R))
+    return (RN.shape[1:],) + rank_stack(RN, RN.shape[2], tol_rank, scale, stacked)
 
 
 def _membership_warning(R, u, vec, label):
@@ -302,36 +367,53 @@ def _membership_warning(R, u, vec, label):
     return ()
 
 
+def check_test_kind(restrictions: RestrictionSet, n: int, equation: bool):
+    """Raise ValueError when the restrictions cannot drive the system-wide
+    test (``equation`` false) or the equation test of an n-equation model."""
+    if not equation:
+        if restrictions.kind != "affine":
+            raise ValueError("system-wide test needs affine restrictions")
+        if restrictions.u is not None and not np.any(restrictions.u):
+            raise ValueError("u = 0 is meaningless: the whole scale direction satisfies it")
+        return
+    if restrictions.kind != "equation":
+        raise ValueError("equation test needs equation-wise restrictions")
+    if not 1 <= restrictions.equation <= n:
+        raise ValueError(f"equation index {restrictions.equation} outside 1..{n}")
+
+
+def membership_warnings(restrictions: RestrictionSet, vec: np.ndarray, n: int) -> tuple:
+    """Warning when affine or equation restrictions miss the point whose
+    coefficient vector (:func:`coeff_vec`) is ``vec``."""
+    if restrictions.kind == "equation":
+        i = restrictions.equation
+        return _membership_warning(restrictions.R, restrictions.u,
+                                   vec.reshape(n, -1, order="F")[i - 1], f"equation-{i}")
+    return _membership_warning(restrictions.R, restrictions.u, vec, "affine")
+
+
 def ident_test_affine(sys: IdentSystem, restrictions: RestrictionSet,
                       model: Model | None = None,
                       tol_rank: float = DEFAULT_TOL_RANK) -> RankReport:
     """Full-column-rank test for system-wide identification under R vec = u."""
-    if restrictions.kind != "affine":
-        raise ValueError("system-wide test needs affine restrictions")
-    if restrictions.u is not None and not np.any(restrictions.u):
-        raise ValueError("u = 0 is meaningless: the whole scale direction satisfies it")
+    check_test_kind(restrictions, sys.n, equation=False)
     report = _kernel_rank_test(sys, restrictions.R, False, tol_rank)
     if model is None:
         return report
-    return replace(report, warnings=_membership_warning(
-        restrictions.R, restrictions.u, model_coeff_vec(model), "affine"))
+    return replace(report, warnings=membership_warnings(
+        restrictions, model_coeff_vec(model), sys.n))
 
 
 def ident_test_equation(sys: IdentSystem, restrictions: RestrictionSet,
                         model: Model | None = None,
                         tol_rank: float = DEFAULT_TOL_RANK) -> RankReport:
     """Full-column-rank test for identification of a single equation."""
-    if restrictions.kind != "equation":
-        raise ValueError("equation test needs equation-wise restrictions")
-    i = restrictions.equation
-    if not 1 <= i <= sys.n:
-        raise ValueError(f"equation index {i} outside 1..{sys.n}")
+    check_test_kind(restrictions, sys.n, equation=True)
     report = _kernel_rank_test(sys, restrictions.R, True, tol_rank)
     if model is None:
         return report
-    row_vec = model_coeff_vec(model).reshape(sys.n, -1, order="F")[i - 1]
-    return replace(report, warnings=_membership_warning(
-        restrictions.R, restrictions.u, row_vec, f"equation-{i}"))
+    return replace(report, warnings=membership_warnings(
+        restrictions, model_coeff_vec(model), sys.n))
 
 
 # -- structural-coefficient cross-check (pure VARMA) ------------------------

@@ -32,6 +32,8 @@ def _to_matrix(raw, rows, cols, label):
     arr = np.asarray(raw, dtype=float)
     if arr.shape != (rows, cols):
         raise ModelFileError(f"{label}: shape {arr.shape} != ({rows}, {cols})")
+    if not np.all(np.isfinite(arr)):
+        raise ModelFileError(f"{label}: coefficients must be finite")
     return arr
 
 

@@ -25,20 +25,27 @@ def numerical_rank(mat: np.ndarray, tol_rank: float = DEFAULT_TOL_RANK,
     Returns ``(rank, singular_values, cutoff)``.
     """
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    svals = np.linalg.svd(mat, compute_uv=False)
-    rank, cutoff = _count_above(svals, tol_rank, scale, shape or mat.shape)
-    return rank, svals, cutoff
+    ranks, svals, cutoffs = stacked_rank(mat[None], tol_rank,
+                                        None if scale is None else [scale], shape)
+    return int(ranks[0]), svals[0], float(cutoffs[0])
 
 
-def left_null_space(mat: np.ndarray, tol_rank: float = DEFAULT_TOL_RANK):
-    """Rank of ``mat`` as :func:`numerical_rank` decides it, its singular
-    values and an orthonormal basis of null(mat'), all from one SVD."""
-    U, svals, _ = np.linalg.svd(mat)
-    rank, _ = _count_above(svals, tol_rank, None, mat.shape)
-    return rank, svals, U[:, rank:]
+def stacked_rank(mats: np.ndarray, tol_rank: float = DEFAULT_TOL_RANK,
+                 scale=None, shape: tuple | None = None):
+    """:func:`numerical_rank` of each matrix of an (S, rows, cols) stack, from
+    one stacked SVD; ``scale`` is a number or one per matrix.
+
+    Returns ``(ranks, singular_values, cutoffs)`` with a leading axis S.
+    """
+    svals = np.linalg.svd(mats, compute_uv=False)
+    ranks, cutoffs = count_above(svals, tol_rank, scale, shape or mats.shape[1:])
+    return ranks, svals, cutoffs
 
 
-def _count_above(svals, tol_rank, scale, shape):
-    scale = svals.max(initial=0.0) if scale is None else scale
-    cutoff = float(tol_rank * scale * max(shape))
-    return int(np.sum(svals > cutoff)), cutoff
+def count_above(svals, tol_rank, scale, shape):
+    """Singular values (S, k) above each cutoff tol_rank * scale * max(shape),
+    the scale defaulting to each row's sigma_max; returns (counts, cutoffs)."""
+    if scale is None:
+        scale = svals.max(axis=-1, initial=0.0)
+    cutoff = tol_rank * np.asarray(scale, dtype=float) * max(shape)
+    return (svals > cutoff[..., None]).sum(axis=-1), cutoff

@@ -15,6 +15,18 @@ returns the values and, on request, the exact sparse Jacobian.  So the
 local identification test ranks an exact Jacobian for compiled
 expressions; central differences (:func:`fd_jacobian`) are used only for
 an opaque residual callable.
+
+Generic identification stacks samples.  The draws go through the pipeline
+in draw-order chunks of 1, 2, 4, ... points: the same walk evaluates a
+whole chunk at once (one array of values per parameter), and every later
+stage takes coefficient stacks with a leading sample axis, dropping
+invalid samples as it goes.  The existence/uniqueness screen, the series
+divisions, the rank tests and the canonical-form check each run once per
+chunk; only the ordered QZ of a model with lam > 0, and samples the
+stacked zero screen cannot decide, run one sample at a time.  The scan
+stops at the first full-rank sample, and the counts are those of scanning
+the samples one by one; the scalar entry points (solve_model,
+build_ident_system, ident_test_*) run the same kernels at one sample.
 """
 
 from __future__ import annotations
@@ -22,7 +34,7 @@ from __future__ import annotations
 import json
 import re
 import warnings as _warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -33,14 +45,27 @@ from .identcore import (
     RestrictionSet,
     _kernel_rank_test,
     build_ident_system,
-    ident_test_affine,
-    ident_test_equation,
+    check_test_kind,
+    coeff_vec,
+    kernel_bases,
+    kernel_rank_stack,
+    lane_report,
+    membership_warnings,
     model_coeff_vec,
+    p_norm,
+    toeplitz_hankel,
 )
 from .numrank import DEFAULT_TOL_RANK
-from .polylab import LaurentMatrix, Model, SingularMatrixError
-from .resolve import is_canonical_staircase, _rank_drop_points, solve_model
-from .wienerhopf import FactorizationError
+from .polylab import LaurentMatrix, Model, SingularMatrixError, trim_dust
+from .resolve import (
+    CF_BOUNDARY_MARGIN,
+    canonical_staircase_mask,
+    default_horizon,
+    rank_drop_stack,
+    solve_model,
+    solve_stack,
+)
+from .wienerhopf import wh_factorize_stack
 
 DIV_FLOOR = 1e-300
 BORDERLINE_GAP = 0.1  # deficient samples within 10x of the rank cutoff
@@ -143,55 +168,92 @@ def _lincomb(ca, a, cb, b):
     return out
 
 
-def _forward(node, x, grad: bool):
+def _forward(node, x, grad: bool, failed=None):
     """Value of a compiled node at x and, with ``grad``, its exact sparse
-    gradient by forward mode (None without)."""
+    gradient by forward mode (None without).
+
+    With ``failed`` (a boolean array over samples) x holds one array of
+    values per argument, and a division below DIV_FLOOR marks its samples
+    in ``failed`` instead of raising.
+    """
     op = node[0]
     if op == _VAR:
         return x[node[1]], ({node[1]: 1.0} if grad else None)
     if op == _LIT:
         return node[1], ({} if grad else None)
     if op == _NEG:
-        v, g = _forward(node[1], x, grad)
+        v, g = _forward(node[1], x, grad, failed)
         return -v, _scale(-1.0, g)
     if op == _POW:
-        v, g = _forward(node[1], x, grad)
+        v, g = _forward(node[1], x, grad, failed)
         k = node[2]
-        try:
-            out = v ** k
-        except OverflowError as exc:
-            raise EvalError(f"overflow in {v!r}^{k}") from exc
+        if failed is not None:
+            out = _lane_power(v, k)
+        else:
+            try:
+                out = v ** k
+            except OverflowError as exc:
+                raise EvalError(f"overflow in {v!r}^{k}") from exc
         if g is not None:
             g = _scale(k * v ** (k - 1), g) if k else {}
         return out, g
-    l, gl = _forward(node[1], x, grad)
-    r, gr = _forward(node[2], x, grad)
+    l, gl = _forward(node[1], x, grad, failed)
+    r, gr = _forward(node[2], x, grad, failed)
     if op == _ADD:
         return l + r, _lincomb(1.0, gl, 1.0, gr)
     if op == _SUB:
         return l - r, _lincomb(1.0, gl, -1.0, gr)
     if op == _MUL:
         return l * r, _lincomb(r, gl, l, gr)
-    if abs(r) < DIV_FLOOR:
+    small = abs(r) < DIV_FLOOR
+    if failed is not None:
+        failed |= small
+    elif small:
         raise EvalError(f"division by {r!r}")
     v = l / r
     return v, _lincomb(1.0 / r, gl, -v / r, gr)
+
+
+def _lane_power(v, k: int):
+    """v**k for a stack of samples by Python's float power on each value,
+    so that every sample gets the bits of a one-point evaluation; an
+    overflowing sample gives inf."""
+    if isinstance(v, np.ndarray):
+        return np.array([_lane_power(t, k) for t in v.tolist()])
+    try:
+        return v ** k
+    except OverflowError:
+        return np.inf
 
 
 class CompiledExprs:
     """A list of expression trees compiled once against ``positions``
     (name -> index into the argument vector x).
 
-    ``values(x)`` evaluates every tree; ``jacobian(x)`` is the exact
-    Jacobian of those values, d values[k] / d x[j], by forward mode.
+    ``values(x)`` evaluates every tree, at one point x or at each row of an
+    (S, d) array of points; ``jacobian(x)`` is the exact Jacobian of those
+    values at one point, d values[k] / d x[j], by forward mode.
     """
 
     def __init__(self, trees, positions: dict):
         self.nodes = tuple(_resolve(t, positions) for t in trees)
 
     def values(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float).tolist()
-        return np.array([_forward(node, x, False)[0] for node in self.nodes])
+        """(K,) values at a point, raising EvalError; or (S, K) values at
+        the rows of an (S, d) array, with the rows whose evaluation failed
+        (a division below DIV_FLOOR) set to NaN."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            xs = x.tolist()
+            return np.array([_forward(node, xs, False)[0] for node in self.nodes])
+        failed = np.zeros(len(x), dtype=bool)
+        out = np.empty((len(x), len(self.nodes)))
+        columns = list(x.T)
+        with np.errstate(all="ignore"):  # failed or overflowing samples only
+            for k, node in enumerate(self.nodes):
+                out[:, k] = _forward(node, columns, False, failed)[0]
+        out[failed] = np.nan
+        return out
 
     def jacobian(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -465,19 +527,38 @@ def parse_model(spec) -> ParamMap:
 
 
 def eval_model(pm: ParamMap, theta) -> Model:
-    """Evaluate the map at a parameter point; deterministic in theta."""
+    """Evaluate the map at a parameter point; deterministic in theta.
+    Raises EvalError when an entry fails or is not finite."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if theta.shape != (pm.dim,):
         raise ValueError(f"theta must have {pm.dim} entries")
-    if pm.dim and (np.any(theta < pm.domain[:, 0]) or np.any(theta > pm.domain[:, 1])):
-        _warnings.warn("theta outside the declared domain box")
-    program, slots, size = pm._compiled
-    flat = np.zeros(size)
-    flat[slots] = program.values(theta)
+    if _outside(pm, theta[None])[0]:
+        _warnings.warn(OUTSIDE_WARNING)
+    values = pm._compiled[0].values(theta)
+    if not np.all(np.isfinite(values)):
+        raise EvalError("non-finite coefficient value")
+    B, A = _coeff_stacks(pm, values[None])
+    return Model(LaurentMatrix.from_coeffs(B[0], -pm.lam), LaurentMatrix.from_coeffs(A[0], 0),
+                 lam=pm.lam, kappa=pm.kappa)
+
+
+OUTSIDE_WARNING = "theta outside the declared domain box"
+
+
+def _outside(pm: ParamMap, thetas: np.ndarray) -> np.ndarray:
+    """Which rows of an (S, d) array of points lie outside the domain box."""
+    return ((thetas < pm.domain[:, 0]) | (thetas > pm.domain[:, 1])).any(axis=1)
+
+
+def _coeff_stacks(pm: ParamMap, values: np.ndarray):
+    """Entry values (S, K) -> raw coefficient stacks of B (S, lam+kappa+1, n, n)
+    at lags -lam..kappa and A (S, kappa+1, n, m) at lags 0..kappa."""
+    _, slots, size = pm._compiled
+    flat = np.zeros((len(values), size))
+    flat[:, slots] = values
     nb = (pm.kappa + pm.lam + 1) * pm.n * pm.n
-    B = LaurentMatrix.from_coeffs(flat[:nb].reshape(-1, pm.n, pm.n), -pm.lam)
-    A = LaurentMatrix.from_coeffs(flat[nb:].reshape(-1, pm.n, pm.m), 0)
-    return Model(B, A, lam=pm.lam, kappa=pm.kappa)
+    return (flat[:, :nb].reshape(len(values), -1, pm.n, pm.n),
+            flat[:, nb:].reshape(len(values), -1, pm.n, pm.m))
 
 
 # -- generic identification by sampling -------------------------------------
@@ -512,25 +593,6 @@ class GenericReport:
     notes: tuple
 
 
-def _validate_point(model: Model, tol_rank: float):
-    """EU + canonical-form screen; returns (bundle, reason-if-invalid)."""
-    try:
-        bundle = solve_model(model)
-    except (FactorizationError, SingularMatrixError) as exc:
-        return None, f"eu_failed: {type(exc).__name__}"
-    if bundle.c0_rank < model.m:
-        return None, "c0_rank_deficient"
-    try:
-        inside, _ = _rank_drop_points(bundle.ma_part, tol_rank)
-    except Exception:
-        return None, "not_invertible"
-    if inside:
-        return None, "not_invertible"
-    if not is_canonical_staircase(bundle.transfer.coefficient(0)):
-        return None, "c0_not_canonical"
-    return bundle, None
-
-
 def generic_ident(pm: ParamMap, restrictions: RestrictionSet,
                   config: SamplerConfig | None = None) -> GenericReport:
     """Sample the domain box and hunt for a single full-rank witness.
@@ -538,42 +600,42 @@ def generic_ident(pm: ParamMap, restrictions: RestrictionSet,
     Probe points run first (in order), then uniform draws; the scan stops
     at the first full-rank sample.  Rank-deficient samples whose margin is
     within 10x of the cutoff count as borderline, not as evidence.
+
+    The points go through :func:`_scan_chunk` in draw order, in chunks of
+    1, 2, 4, ... samples, so a witness on the first draw costs one sample;
+    the counts stop at the witness, as if the samples ran one at a time.
     """
     config = config or SamplerConfig()
     rng = np.random.default_rng(config.seed)
     lo, hi = (pm.domain[:, 0], pm.domain[:, 1]) if pm.dim else (np.zeros(0), np.zeros(0))
-    points = [np.asarray(p, dtype=float) for p in config.probe_points]
-    points += [lo + (hi - lo) * rng.random(pm.dim) for _ in range(config.num_samples)]
+    probes = [np.atleast_1d(np.asarray(p, dtype=float)) for p in config.probe_points]
+    if any(p.shape != (pm.dim,) for p in probes):
+        raise ValueError(f"theta must have {pm.dim} entries")
+    draws = lo + (hi - lo) * rng.random((config.num_samples, pm.dim))
+    points = np.concatenate([np.reshape(probes, (len(probes), pm.dim)), draws])
 
     drawn = valid = deficient = borderline = 0
     witness = None
     invalid = {}
-    for theta in points:
-        if witness is not None:
-            break
-        drawn += 1
-        try:
-            model = eval_model(pm, theta)
-        except EvalError:
-            invalid["eval_error"] = invalid.get("eval_error", 0) + 1
-            continue
-        bundle, reason = _validate_point(model, config.tol_rank)
-        if bundle is None:
-            invalid[reason] = invalid.get(reason, 0) + 1
-            continue
-        valid += 1
-        sys = build_ident_system(bundle.transfer, model.n, model.m,
-                                 model.kappa, model.lam, config.tol_rank)
-        if restrictions.kind == "equation":
-            report = ident_test_equation(sys, restrictions, model, config.tol_rank)
-        else:
-            report = ident_test_affine(sys, restrictions, model, config.tol_rank)
-        if report.identified:
-            witness = (np.array(theta), report)
-        elif report.gap_ratio >= BORDERLINE_GAP:
-            borderline += 1
-        else:
-            deficient += 1
+    start, size = 0, 1
+    while start < len(points) and witness is None:
+        chunk = points[start:start + size]
+        outcomes = _scan_chunk(pm, restrictions, chunk, config.tol_rank)
+        for theta, outside, outcome in zip(chunk, _outside(pm, chunk), outcomes):
+            drawn += 1
+            if outside:
+                _warnings.warn(OUTSIDE_WARNING)
+            if isinstance(outcome, RankReport):
+                valid += 1
+                witness = (np.array(theta), outcome)
+                break
+            if outcome in ("deficient", "borderline"):
+                valid += 1
+                deficient += outcome == "deficient"
+                borderline += outcome == "borderline"
+            else:
+                invalid[outcome] = invalid.get(outcome, 0) + 1
+        start, size = start + size, 2 * size
 
     notes = [ASSUMPTION_NOTE]
     if witness is not None:
@@ -587,6 +649,101 @@ def generic_ident(pm: ParamMap, restrictions: RestrictionSet,
                          full_rank_found=witness is not None, witness=witness,
                          deficient_count=deficient, borderline_count=borderline,
                          verdict=verdict, invalid_reasons=invalid, notes=tuple(notes))
+
+
+def _scan_chunk(pm: ParamMap, restrictions: RestrictionSet, thetas: np.ndarray,
+                tol_rank: float) -> list:
+    """The outcome of each point of a chunk, from kernels over the stack.
+
+    An outcome is the reason a point is invalid ("eval_error", "eu_failed:
+    <error>", "c0_rank_deficient", "not_invertible", "c0_not_canonical"),
+    "deficient" or "borderline" for a rank-deficient valid point, or the
+    RankReport of the first full-rank point; later points stay None.  The
+    checks run in the order of one point's: evaluate, solve the model
+    (:func:`~ratex.resolve.solve_model`), rank(C_0), rank drops of the
+    moving-average part in the closed disk, canonical form of C_0, then the
+    identification rank test.
+    """
+    n, m, lam, kappa = pm.n, pm.m, pm.lam, pm.kappa
+    outcomes = [None] * len(thetas)
+    lanes = np.arange(len(thetas))
+
+    def reject(bad, reason, *stacks):
+        """Record ``reason`` (one string, or one per sample) for the samples
+        flagged ``bad``; the rest of ``lanes`` and ``stacks`` go on."""
+        nonlocal lanes
+        for k in np.flatnonzero(bad):
+            outcomes[lanes[k]] = reason if isinstance(reason, str) else reason[k]
+        lanes = lanes[~bad]
+        return [a[~bad] for a in stacks]
+
+    values = pm._compiled[0].values(thetas)
+    B, A = reject(~np.isfinite(values).all(axis=1), "eval_error", *_coeff_stacks(pm, values))
+    B, A = trim_dust(B)[0], trim_dust(A)[0]
+
+    b_minus, b_plus, errors = wh_factorize_stack(B, lam)
+    B, A, b_minus, b_plus = reject(
+        np.array([e is not None for e in errors], dtype=bool),
+        [e and f"eu_failed: {type(e).__name__}" for e in errors], B, A, b_minus, b_plus)
+    if not lanes.size:
+        return outcomes
+    horizon = default_horizon(n, kappa, lam)
+    (ma, transfer, c0_ranks), singular = _lanewise(
+        lambda *s: solve_stack(*s, horizon), b_minus, b_plus, A)
+    B, A = reject(singular, "eu_failed: SingularMatrixError", B, A)
+    B, A, ma, transfer = reject(c0_ranks < m, "c0_rank_deficient", B, A, ma, transfer)
+    (z, hit), failed = _lanewise(lambda M: rank_drop_stack(M, tol_rank), ma)
+    B, A, transfer, z, hit = reject(failed, "not_invertible", B, A, transfer, z, hit)
+    inside = (hit & (np.abs(z) < 1.0 - CF_BOUNDARY_MARGIN)).any(axis=1)
+    B, A, transfer = reject(inside, "not_invertible", B, A, transfer)
+    B, A, transfer = reject(~canonical_staircase_mask(transfer[:, 0]), "c0_not_canonical",
+                            B, A, transfer)
+    if not lanes.size:
+        return outcomes
+
+    equation = restrictions.kind == "equation"
+    check_test_kind(restrictions, n, equation)
+    T, H = toeplitz_hankel(transfer, n, m, kappa, lam)
+    q = kappa + lam + 1
+    p_shape = (n * q + m * q, m * q + m * n * kappa)
+    pnorm = p_norm(T, H)
+    first = None
+    for group, N in kernel_bases(T, H, m, lam, tol_rank)[2].values():
+        shape, ranks, svals, gaps = kernel_rank_stack(
+            N, restrictions.R, 1 if equation else n, pnorm[group], p_shape, tol_rank)
+        for k, s in enumerate(group):
+            if ranks[k] == shape[1]:
+                if first is None or s < first[0]:
+                    first = (s, lane_report(shape, ranks[k], svals[k], shape[1], gaps[k]))
+            else:
+                outcomes[lanes[s]] = "borderline" if gaps[k] >= BORDERLINE_GAP else "deficient"
+    if first is not None:
+        s, report = first
+        outcomes[lanes[s]] = replace(report, warnings=membership_warnings(
+            restrictions, coeff_vec(B[s], A[s]), n))
+    return outcomes
+
+
+def _lanewise(fn, *stacks):
+    """``fn`` on stacks with a leading sample axis, returning a tuple of
+    stacks.  If it raises SingularMatrixError or LinAlgError it runs on each
+    sample alone.  Returns (outputs of the samples that passed, mask of the
+    samples that raised)."""
+    try:
+        return fn(*stacks), np.zeros(len(stacks[0]), dtype=bool)
+    except (SingularMatrixError, np.linalg.LinAlgError):
+        pass
+    outputs, failed = [], []
+    for s in range(len(stacks[0])):
+        try:
+            outputs.append(fn(*(a[s:s + 1] for a in stacks)))
+        except (SingularMatrixError, np.linalg.LinAlgError):
+            failed.append(True)
+            continue
+        failed.append(False)
+    if not outputs:  # shapes of an empty result
+        outputs.append(fn(*(a[:0] for a in stacks)))
+    return tuple(np.concatenate(parts) for parts in zip(*outputs)), np.array(failed, dtype=bool)
 
 
 # -- local identification under nonlinear restrictions -----------------------

@@ -6,7 +6,11 @@ the package (factorization, solution operators, identification systems)
 computes on this substrate.
 
 Evaluation is batched (:meth:`LaurentMatrix.value` takes an array of
-points), and :func:`lp_series_divide` is the one long-division kernel.
+points).  The kernels below the class take coefficient stacks with a
+leading sample axis S, so one call serves S polynomials at once: the dust
+rule of :func:`trim_dust`, the long division of :func:`series_divide` and
+the companion pencils of :func:`companion_stack`.  The LaurentMatrix
+functions call them at S = 1.
 
 Polynomial zeros have one source: the block-companion pencil of
 :func:`companion_pencil`, whose infinite eigenvalues are split off so that
@@ -67,6 +71,9 @@ class LaurentMatrix:
         arr = np.array([np.atleast_2d(np.asarray(c, dtype=float)) for c in coeffs], dtype=float)
         if arr.ndim != 3:
             raise ValueError("coefficient matrices must all have the same shape")
+        if not np.all(np.isfinite(arr)):
+            # checked before trimming: a non-finite scale would make every lag dust
+            raise ValueError("coefficients must be finite")
         if trim:
             arr, min_lag = _trim(arr, min_lag)
         return cls(arr, int(min_lag))
@@ -165,18 +172,28 @@ class LaurentMatrix:
                 f"lags {self.min_lag}..{self.max_lag})")
 
 
+def trim_dust(arr: np.ndarray):
+    """The dust rule on each sample of a (S, n_lags, rows, cols) stack.
+
+    Entries at or below TRIM_RTOL * max(max |coefficient|, 1) of their own
+    sample are set to zero.  Returns the zeroed copy and the (S, n_lags)
+    mask of lags that keep a nonzero entry.
+    """
+    mag = np.abs(arr)
+    thresh = TRIM_RTOL * np.maximum(mag.max(axis=(1, 2, 3), initial=0.0), 1.0)
+    keep = mag > thresh[:, None, None, None]
+    return np.where(keep, arr, 0.0), keep.any(axis=(2, 3))
+
+
 def _trim(arr: np.ndarray, min_lag: int):
     """Drop leading/trailing coefficient matrices that are numerical dust."""
-    scale = max(float(np.max(np.abs(arr))), 1.0)
-    thresh = TRIM_RTOL * scale
-    keep = np.max(np.abs(arr), axis=(1, 2)) > thresh
+    out, keep = trim_dust(arr[None])
+    keep = keep[0]
     if not np.any(keep):
         return np.zeros((1,) + arr.shape[1:]), 0
     first = int(np.argmax(keep))
     last = int(len(keep) - 1 - np.argmax(keep[::-1]))
-    out = np.array(arr[first: last + 1])
-    out[np.abs(out) <= thresh] = 0.0
-    return out, min_lag + first
+    return out[0, first: last + 1], min_lag + first
 
 
 # -- arithmetic -----------------------------------------------------------
@@ -223,19 +240,30 @@ def companion_pencil(a: LaurentMatrix):
     """
     if a.rows != a.cols:
         raise ShapeMismatchError("determinant requires a square matrix")
-    n = a.rows
     s = max(0, -a.min_lag)
     d = max(s + max(a.max_lag, 0), 1)
-    e = np.frexp(a.max_abs())[1]
+    A, E = companion_stack(np.array([a.coefficient(j - s) for j in range(d + 1)])[None])
+    return _deflate_infinite(A[0], E[0])
+
+
+def companion_stack(P: np.ndarray):
+    """Block-companion pencils (A, E), each (S, n*d, n*d), of a stack of
+    polynomials P_0 + P_1 z + .. + P_d z**d given as (S, d + 1, n, n), d >= 1.
+
+    Each polynomial is scaled by a power of two to unit size; A = [[0, I, ..],
+    .., [-P_0 .. -P_{d-1}]] and E = diag(I, .., I, P_d), before any infinite
+    eigenvalue is split off.
+    """
+    S, d, n = P.shape[0], P.shape[1] - 1, P.shape[2]
+    e = np.frexp(np.abs(P).max(axis=(1, 2, 3)))[1]
+    P = np.ldexp(P, -e[:, None, None, None])
     N = n * d
-    A = np.zeros((N, N))
-    E = np.eye(N)
-    for i in range(d - 1):
-        A[i * n:(i + 1) * n, (i + 1) * n:(i + 2) * n] = np.eye(n)
-    for j in range(d):
-        A[(d - 1) * n:, j * n:(j + 1) * n] = -np.ldexp(a.coefficient(j - s), -e)
-    E[(d - 1) * n:, (d - 1) * n:] = np.ldexp(a.coefficient(d - s), -e)
-    return _deflate_infinite(A, E)
+    A = np.zeros((S, N, N))
+    E = np.broadcast_to(np.eye(N), (S, N, N)).copy()
+    A[:, :N - n, n:] = np.eye(N - n)
+    A[:, N - n:, :] = -P[:, :d].transpose(0, 2, 1, 3).reshape(S, n, N)
+    E[:, N - n:, N - n:] = P[:, d]
+    return A, E
 
 
 def _deflate_infinite(A: np.ndarray, E: np.ndarray):
@@ -279,21 +307,32 @@ def lp_det_and_zeros(a: LaurentMatrix) -> np.ndarray:
 
 
 def lp_series_divide(g: LaurentMatrix, rhs: LaurentMatrix, horizon: int) -> np.ndarray:
-    """Coefficients 0..horizon of the power series g^-1 rhs by matrix long
-    division, out_j = g_0^-1 (rhs_j - sum_{i>=1} g_i out_{j-i}); g is a
-    polynomial in z with invertible g_0.  Returns (horizon + 1, rows, cols).
+    """Coefficients 0..horizon of the power series g^-1 rhs (see
+    :func:`series_divide`); g is a polynomial in z with invertible g_0.
+    Returns (horizon + 1, rows, cols)."""
+    gs = np.array([g.coefficient(i) for i in range(max(g.max_lag, 0) + 1)])
+    rs = np.array([rhs.coefficient(j) for j in range(max(min(rhs.max_lag, horizon), 0) + 1)])
+    return series_divide(gs[None], rs[None], horizon)[0]
+
+
+def series_divide(g: np.ndarray, rhs: np.ndarray, horizon: int) -> np.ndarray:
+    """The one long-division kernel, over a leading sample axis.
+
+    g (S, Lg, n, n) and rhs (S, Lr, n, c) hold lags 0.. of polynomials in z;
+    returns the (S, horizon + 1, n, c) coefficients of g^-1 rhs from
+    out_j = g_0^-1 (rhs_j - sum_{i>=1} g_i out_{j-i}).  Raises
+    SingularMatrixError when some g_0 is singular.
     """
     try:
-        g0_inv = np.linalg.inv(g.coefficient(0))
+        g0_inv = np.linalg.inv(g[:, 0])
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError("lag-0 coefficient of the divisor is singular") from exc
-    gs = [g.coefficient(i) for i in range(g.max_lag + 1)]
-    out = np.zeros((horizon + 1, g.rows, rhs.cols))
+    out = np.zeros((g.shape[0], horizon + 1, g.shape[2], rhs.shape[3]))
     for j in range(horizon + 1):
-        acc = rhs.coefficient(j)
-        for i in range(1, min(len(gs) - 1, j) + 1):
-            acc = acc - gs[i] @ out[j - i]
-        out[j] = g0_inv @ acc
+        acc = rhs[:, j] if j < rhs.shape[1] else out[:, j]     # still zero
+        for i in range(1, min(g.shape[1] - 1, j) + 1):
+            acc = acc - g[:, i] @ out[:, j - i]
+        out[:, j] = g0_inv @ acc
     return out
 
 

@@ -13,16 +13,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numrank import DEFAULT_TOL_RANK, numerical_rank
+from .numrank import DEFAULT_TOL_RANK, numerical_rank, stacked_rank
 from .polylab import (
     LaurentMatrix,
     Model,
     SingularMatrixError,
-    lp_det_and_zeros,
     lp_mul,
     lp_series_divide,
+    series_divide,
+    trim_dust,
 )
-from .wienerhopf import ToleranceConfig, WHFactors, plus_part_of_bminus_inv_a, wh_factorize
+from .wienerhopf import ToleranceConfig, WHFactors, bminus_inv_plus, wh_factorize
+from .wienerhopf import plus_part_of_bminus_inv_a  # noqa: F401 (public here too)
 
 # zeros of the moving-average part this close to |z| = 1 are boundary cases
 # (reported, not fatal); strictly smaller moduli violate invertibility
@@ -84,47 +86,67 @@ def transfer_series(b_plus: LaurentMatrix, ma_part: LaurentMatrix, horizon: int)
     return TransferSeries(lp_series_divide(b_plus, ma_part, horizon))
 
 
+def default_horizon(n: int, kappa: int, lam: int) -> int:
+    """Transfer coefficients a solution carries: enough for the identification system."""
+    return max((n + 1) * kappa + lam, 2)
+
+
+def solve_stack(b_minus: np.ndarray, b_plus: np.ndarray, A: np.ndarray, horizon: int):
+    """Moving-average parts, transfer series and rank(C_0) of a stack of factored models.
+
+    b_minus (S, lam+1, n, n) holds lags -lam..0, b_plus (S, L, n, n) and
+    A (S, L, n, m) hold lags 0..L-1.  Returns M = [B_minus^-1 A]_+ (dust
+    trimmed, (S, L, n, m)), C_0..C_horizon ((S, horizon+1, n, m)) and the
+    ranks of C_0.  Raises SingularMatrixError when some B_plus(0) is singular.
+    """
+    ma = trim_dust(bminus_inv_plus(b_minus, A))[0]
+    transfer = series_divide(b_plus, ma, horizon)
+    ranks, _, _ = stacked_rank(transfer[:, 0])
+    return ma, transfer, ranks
+
+
 def solve_model(model: Model, tol: ToleranceConfig | None = None,
                 horizon: int | None = None) -> SolutionBundle:
     """Factorize and assemble the full solution bundle for a model."""
     fac = wh_factorize(model.B, tol)
-    ma = plus_part_of_bminus_inv_a(fac.b_minus, model.A)
-    ap = a_plus(fac.b_minus, ma)
     if horizon is None:
-        horizon = max((model.n + 1) * model.kappa + model.lam, 2)
-    transfer = transfer_series(fac.b_plus, ma, horizon)
+        horizon = default_horizon(model.n, model.kappa, model.lam)
+    L = max(model.A.max_lag, fac.b_plus.max_lag, 0) + 1
+    ma, transfer, ranks = solve_stack(
+        fac.b_minus.coeffs[None], _lags(fac.b_plus, L)[None], _lags(model.A, L)[None], horizon)
+    ma = LaurentMatrix.from_coeffs(ma[0], 0)
+    transfer = TransferSeries(transfer[0])
     c0 = transfer.coefficient(0)
-    rank, _, _ = numerical_rank(c0)
     return SolutionBundle(
-        model=model, factors=fac, ma_part=ma, a_plus=ap, transfer=transfer,
-        c0_canonical=is_canonical_staircase(c0), c0_rank=rank)
+        model=model, factors=fac, ma_part=ma, a_plus=a_plus(fac.b_minus, ma),
+        transfer=transfer, c0_canonical=is_canonical_staircase(c0), c0_rank=int(ranks[0]))
+
+
+def _lags(a: LaurentMatrix, L: int) -> np.ndarray:
+    """Coefficients at lags 0..L-1."""
+    return np.array([a.coefficient(k) for k in range(L)])
 
 
 # -- canonical quasi-lower triangular form --------------------------------
 
 
-def staircase_rows(c0: np.ndarray, tol: float | None = None):
-    """Row index of the first nonzero entry of each column, or None per column."""
-    c0 = np.atleast_2d(np.asarray(c0, dtype=float))
-    if tol is None:
-        tol = 1e-9 * max(1.0, float(np.max(np.abs(c0))))
-    rows = []
-    for j in range(c0.shape[1]):
-        nz = np.nonzero(np.abs(c0[:, j]) > tol)[0]
-        rows.append(int(nz[0]) if nz.size else None)
-    return rows
-
-
 def is_canonical_staircase(c0: np.ndarray, tol: float | None = None) -> bool:
     """First nonzero of column j positive in row i_j with i_1 < ... < i_m."""
-    c0 = np.atleast_2d(np.asarray(c0, dtype=float))
-    rows = staircase_rows(c0, tol)
-    prev = -1
-    for j, r in enumerate(rows):
-        if r is None or r <= prev or c0[r, j] <= 0:
-            return False
-        prev = r
-    return True
+    return bool(canonical_staircase_mask(np.atleast_2d(np.asarray(c0, dtype=float))[None], tol)[0])
+
+
+def canonical_staircase_mask(c0: np.ndarray, tol: float | None = None) -> np.ndarray:
+    """:func:`is_canonical_staircase` for each matrix of an (S, n, m) stack;
+    an entry counts as nonzero above ``tol``, by default 1e-9 * max(1, max |C_0|)
+    of its own matrix."""
+    mag = np.abs(c0)
+    if tol is None:
+        tol = 1e-9 * np.maximum(mag.max(axis=(1, 2), initial=0.0), 1.0)
+    nonzero = mag > np.reshape(tol, (-1, 1, 1))
+    rows = nonzero.argmax(axis=1)                       # first nonzero row per column
+    pivot = (np.arange(len(c0))[:, None], rows, np.arange(c0.shape[2]))
+    return ((nonzero[pivot] & (c0[pivot] > 0)).all(axis=1)
+            & (rows[:, 1:] > rows[:, :-1]).all(axis=1))
 
 
 def canonical_rotation(c0: np.ndarray, tol_rank: float = DEFAULT_TOL_RANK) -> np.ndarray:
@@ -164,25 +186,55 @@ def canonical_rotation(c0: np.ndarray, tol_rank: float = DEFAULT_TOL_RANK) -> np
 
 
 def _rank_drop_points(ma_part: LaurentMatrix, cutoff_scale: float):
-    """Closed-disk points where the n x m moving-average part M loses column rank.
-
-    Relies on rank M(0) = m, which callers guarantee through rank(C0) = m:
-    with U the m leading left singular vectors of M(0), det(U' M(z)) is then
-    not identically zero, and every rank drop of M is one of its zeros (from
-    :func:`lp_det_and_zeros`, infinite pencil eigenvalues excluded).  These
-    are the zeros of det M when n = m; when n > m each is confirmed by the
-    SVD of M(z).  Returns ``(inside, boundary)``: points in the open disk
-    and within CF_BOUNDARY_MARGIN of the unit circle.
+    """Closed-disk points where the n x m moving-average part M loses column
+    rank (see :func:`rank_drop_stack`).  Returns ``(inside, boundary)``:
+    points in the open disk and within CF_BOUNDARY_MARGIN of the unit circle.
     """
-    n, m = ma_part.rows, ma_part.cols
-    u = np.linalg.svd(ma_part.coefficient(0))[0][:, :m]
-    zeros = lp_det_and_zeros(LaurentMatrix(u.T @ ma_part.coeffs, ma_part.min_lag))
-    zeros = zeros[np.abs(zeros) <= 1.0 + CF_BOUNDARY_MARGIN]
-    if n > m and zeros.size:
-        smin = np.linalg.svd(ma_part.value(zeros), compute_uv=False)[:, -1]
-        zeros = zeros[smin <= cutoff_scale * max(ma_part.max_abs(), 1.0)]
+    M = np.array([ma_part.coefficient(k) for k in range(max(ma_part.max_lag, 0) + 1)])
+    z, hit = rank_drop_stack(M[None], cutoff_scale)
+    zeros = z[0][hit[0]]
     inside = np.abs(zeros) < 1.0 - CF_BOUNDARY_MARGIN
     return list(zeros[inside]), list(zeros[~inside])
+
+
+def rank_drop_stack(M: np.ndarray, cutoff_scale: float):
+    """Rank drops in the closed disk of each moving-average part of an
+    (S, L, n, m) stack (lags 0..L-1).
+
+    Relies on rank M(0) = m, which callers guarantee through rank(C0) = m:
+    with U the m leading left singular vectors of M(0), Q = U'M has an
+    invertible lag-0 coefficient Q_0 = U'M_0, and every rank drop of M is a
+    zero of det Q.  Those are the inverses of the nonzero eigenvalues of the
+    monic companion matrix of the reversed polynomial Q_0^-1 z**(L-1) Q(1/z);
+    zeros of det Q at infinity (a singular lead Q_{L-1}) become eigenvalues at
+    0 and drop out.  These are the zeros of det M when n = m; when n > m each
+    is confirmed by the SVD of M(z).
+
+    Returns ``(z, hit)``, each (S, (L-1)*m): candidate points and the mask of
+    rank drops within CF_BOUNDARY_MARGIN of the closed disk.  Raises
+    np.linalg.LinAlgError when some Q_0 is singular.
+    """
+    S, L, n, m = M.shape
+    d = L - 1
+    if d == 0:
+        return np.zeros((S, 0), dtype=complex), np.zeros((S, 0), dtype=bool)
+    u = np.linalg.svd(M[:, 0])[0][:, :, :m]
+    Q = u.swapaxes(1, 2)[:, None] @ M
+    lower = np.linalg.solve(Q[:, 0], -Q[:, :0:-1].transpose(0, 2, 1, 3).reshape(S, m, d * m))
+    comp = np.zeros((S, d * m, d * m))
+    comp[:, :-m, m:] = np.eye((d - 1) * m)
+    comp[:, -m:] = lower
+    w = np.linalg.eigvals(comp).astype(complex)
+    finite = w != 0
+    with np.errstate(over="ignore"):
+        z = np.where(finite, 1.0 / np.where(finite, w, 1.0), 0.0)
+    hit = finite & (np.abs(z) <= 1.0 + CF_BOUNDARY_MARGIN)
+    if n > m and hit.any():
+        Mz = np.einsum("skl,slij->skij", np.where(hit, z, 0.0)[..., None] ** np.arange(L), M)
+        smin = np.linalg.svd(Mz, compute_uv=False)[..., -1]
+        scale = np.maximum(np.abs(M).max(axis=(1, 2, 3)), 1.0)
+        hit &= smin <= cutoff_scale * scale[:, None]
+    return z, hit
 
 
 def cf_check_and_normalize(bundle: SolutionBundle, tol_rank: float = DEFAULT_TOL_RANK):

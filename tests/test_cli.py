@@ -162,6 +162,14 @@ class TestFactorizeCommand:
     def test_missing_file_exit_1(self, capsys):
         assert main(["factorize", "/nonexistent/m.json"]) == 1
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_non_finite_coefficient_exit_1(self, tmp_path, capsys, bad):
+        path = tmp_path / "m.json"
+        path.write_text('{"n": 1, "m": 1, "lambda": 0, "kappa": 1, '
+                        f'"B": {{"0": 1, "1": {bad}}}, "A": {{"0": 1}}}}')
+        assert main(["factorize", str(path)]) == 1
+        assert "B[1]: coefficients must be finite" in capsys.readouterr().err
+
     def test_json_report(self, tmp_path, capsys):
         path = write(tmp_path / "m.json", mixed_lag_model())
         assert main(["factorize", path, "--format", "json-report"]) == 0

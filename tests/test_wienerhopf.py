@@ -1,16 +1,30 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_valid_model, match_zero_multisets, random_b_minus, random_b_plus
-from ratex.polylab import LaurentMatrix, Model, lp_det_and_zeros, lp_mul
+from ratex.polylab import (
+    PENCIL_INFINITE_RTOL,
+    LaurentMatrix,
+    Model,
+    companion_stack,
+    lp_det_and_zeros,
+    lp_mul,
+    trim_dust,
+)
 from ratex.resolve import solve_model
 from ratex.wienerhopf import (
+    FactorizationError,
     ToleranceConfig,
     WHFactors,
     WrongStableCount,
     ZerosOnUnitCircle,
+    _classify_zeros,
+    _screen_counts,
     check_eu,
     wh_factorize,
+    wh_factorize_stack,
 )
 
 
@@ -248,3 +262,57 @@ class TestCheckEU:
         bundle = solve_model(Model(padded, LaurentMatrix.identity(2), lam=1, kappa=1))
         assert bundle.factors.b_minus.allclose(LaurentMatrix.identity(2))
         assert bundle.factors.b_plus.allclose(bp)
+
+
+def near_band_stack(rng, lam, lead_margin, zero_kinds):
+    """B (1, lam + 2, 2, 2) at lags -lam..1 with the 2 * (lam + 1) zeros of
+    det(z^lam B) picked by ``zero_kinds`` and a lead B_1 whose sigma_min,
+    after the companion pencil's power-of-two scaling, is ``lead_margin``
+    times PENCIL_INFINITE_RTOL."""
+    boundary = ToleranceConfig().boundary
+    moduli = {"out": 1 + 10 * boundary, "in": 1 - 10 * boundary, "deep": 0.5, "far": 2.0}
+    poly = [np.eye(2)]                               # ascending coefficients
+    for pair in np.reshape(zero_kinds, (-1, 2)):
+        s = rng.standard_normal((2, 2)) + 2 * np.eye(2)
+        x = s @ np.diag([moduli[k] * rng.choice([-1.0, 1.0]) for k in pair]) @ np.linalg.inv(s)
+        factor = [-x, np.eye(2)]                     # z I - X
+        poly = [sum(poly[i] @ factor[k - i] for i in range(len(poly)) if 0 <= k - i < 2)
+                for k in range(len(poly) + 1)]
+    q1, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    q2, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    e = 0
+    for _ in range(3):          # the scaling exponent of the product settles
+        lead = q1 @ np.diag([1.0, lead_margin * PENCIL_INFINITE_RTOL * 2.0 ** e]) @ q2
+        Bc = np.array([lead @ c for c in poly])
+        e = np.frexp(np.abs(Bc).max())[1]
+    return trim_dust(Bc[None])[0]
+
+
+class TestStackedScreen:
+    """The eigenvalue screen of wh_factorize_stack against the pencil path."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 20), lam=st.sampled_from([0, 1]),
+           lead_margin=st.sampled_from([1.01, 1.5, 3.0, 10.0, 1e3, 1e6]),
+           kinds=st.lists(st.sampled_from(["out", "in", "deep", "far"]), min_size=4, max_size=4))
+    def test_near_band_counts_match_pencil(self, seed, lam, lead_margin, kinds):
+        Bc = near_band_stack(np.random.default_rng(seed), lam, lead_margin, kinds[:2 * (lam + 1)])
+        tol = ToleranceConfig()
+        A, E = companion_stack(Bc.swapaxes(2, 3))
+        stable, on_band, _, decided = _screen_counts(A, E, tol.boundary)
+        try:
+            zeros, want = wh_factorize(LaurentMatrix(Bc[0], -lam)).zeros, None
+        except FactorizationError as exc:
+            zeros, want = exc.zeros, type(exc)
+        except ValueError:      # scipy's ordqz could not reorder: no reference counts
+            assume(False)
+        if decided[0]:
+            assert (stable[0], on_band[0]) == _classify_zeros(zeros, tol.boundary)
+        got = wh_factorize_stack(Bc, lam)[2][0]
+        assert type(got) is want if want else got is None
+
+    def test_well_conditioned_near_band_is_screened(self):
+        rng = np.random.default_rng(3)
+        for kinds in (["out", "in"], ["in", "in"], ["out", "far"]):
+            Bc = near_band_stack(rng, 0, 1e6, kinds)
+            assert _screen_counts(*companion_stack(Bc.swapaxes(2, 3)), 1e-9)[3][0]
