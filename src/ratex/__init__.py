@@ -44,7 +44,7 @@ from .resolve import (
     spectral_density,
     unit_circle_grid,
 )
-from .wienerhopf import ToleranceConfig, WHFactors, check_eu, wh_factorize
+from .wienerhopf import ToleranceConfig, WHFactors, wh_factorize
 
 __version__ = "0.1.0"
 
@@ -58,5 +58,5 @@ __all__ = [
     "lp_mul", "lp_series_divide", "lp_truncated_inverse_series", "SolutionBundle",
     "TransferSeries", "cf_check_and_normalize", "simulate", "solve_model",
     "spectral_density", "unit_circle_grid", "ToleranceConfig", "WHFactors",
-    "check_eu", "wh_factorize",
+    "wh_factorize",
 ]

@@ -428,7 +428,8 @@ def ds_criterion(model: Model, restrictions: RestrictionSet,
     if model.lam != 0:
         raise ValueError("the structural-coefficient criterion requires lam = 0")
     if restrictions.kind != "affine":
-        raise ValueError("needs affine restrictions")
+        raise ValueError("the structural-coefficient criterion needs system-wide "
+                         "affine restrictions")
     n, m, kappa = model.n, model.m, model.kappa
     nb = 1 + (n + 1) * kappa          # block count of the lifted space
     expected_cols = coeff_vec_length(n, m, kappa, 0)

@@ -95,6 +95,22 @@ def _ref_name(block, lag, row, col):
     return f"_{block}_{lag_part}_{row}_{col}"
 
 
+def _coeff_position(label, block, lag, row, col, n, m, kappa, lam, equation):
+    """coeff_vec_index of a coefficient reference with 1-based row and
+    column; every error names the reference by ``label``."""
+    cols = n if block == "B" else m
+    if not (1 <= row <= n and 1 <= col <= cols):
+        raise ModelFileError(f"{label}: row/col outside 1-based bounds")
+    if equation is not None and row != equation:
+        raise ModelFileError(
+            f"{label}: equation-{equation} restrictions may only reference row {equation}")
+    try:
+        return coeff_vec_index(block, lag, row - 1, col - 1, n, m, kappa, lam,
+                               equation=equation is not None)
+    except (IndexError, ValueError) as exc:
+        raise ModelFileError(f"{label}: {exc}")
+
+
 def compile_nonlinear(exprs, n, m, kappa, lam, equation=None) -> RestrictionSet:
     """Expression strings over named coefficients -> compiled residual map
     with its exact Jacobian.
@@ -105,31 +121,17 @@ def compile_nonlinear(exprs, n, m, kappa, lam, equation=None) -> RestrictionSet:
     """
     refs = {}
 
-    def translate(text):
-        def sub(match):
-            block, lag, row, col = (match.group(1), int(match.group(2)),
-                                    int(match.group(3)), int(match.group(4)))
-            cols = n if block == "B" else m
-            if not (1 <= row <= n and 1 <= col <= cols):
-                raise ModelFileError(f"{match.group(0)}: row/col outside 1-based bounds")
-            if equation is not None and row != equation:
-                raise ModelFileError(
-                    f"{match.group(0)}: equation-{equation} restrictions may only "
-                    f"reference row {equation}")
-            idx = coeff_vec_index(block, lag, row - 1, col - 1, n, m, kappa, lam,
-                                  equation=equation is not None)
-            name = _ref_name(block, lag, row, col)
-            refs[name] = idx
-            return name
-
-        try:
-            return _COEFF_REF.sub(sub, text)
-        except IndexError as exc:
-            raise ModelFileError(f"{text!r}: {exc}")
+    def sub(match):
+        block, lag, row, col = (match.group(1), int(match.group(2)),
+                                int(match.group(3)), int(match.group(4)))
+        name = _ref_name(block, lag, row, col)
+        refs[name] = _coeff_position(match.group(0), block, lag, row, col,
+                                     n, m, kappa, lam, equation)
+        return name
 
     trees = []
     for text in exprs:
-        tree = parse_expression(translate(str(text)))
+        tree = parse_expression(_COEFF_REF.sub(sub, str(text)))
         stray = expr_names(tree) - set(refs)
         if stray:
             raise ModelFileError(
@@ -171,18 +173,8 @@ def restrictions_from_dict(spec: dict, n: int, m: int, kappa: int, lam: int) -> 
                 u[k] = float(pin["value"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ModelFileError(f"pin #{k + 1}: {exc}")
-            cols = n if block == "B" else m
-            if not (1 <= row <= n and 1 <= col <= cols):
-                raise ModelFileError(f"pin #{k + 1}: row/col outside 1-based bounds")
-            if equation is not None and row != equation:
-                raise ModelFileError(
-                    f"pin #{k + 1}: equation-{equation} restrictions must pin row {equation}")
-            try:
-                idx = coeff_vec_index(block, lag, row - 1, col - 1, n, m, kappa, lam,
-                                      equation=equation is not None)
-            except (IndexError, ValueError) as exc:
-                raise ModelFileError(f"pin #{k + 1}: {exc}")
-            R[k, idx] = 1.0
+            R[k, _coeff_position(f"pin #{k + 1}", block, lag, row, col,
+                                 n, m, kappa, lam, equation)] = 1.0
     else:
         R = np.atleast_2d(np.asarray(spec["R"], dtype=float))
         u = np.atleast_1d(np.asarray(spec.get("u", np.zeros(R.shape[0])), dtype=float))

@@ -89,18 +89,6 @@ class WHFactors:
             raise ValueError("b_minus must equal the identity at lag 0")
 
 
-@dataclass(frozen=True)
-class EUDiagnostic:
-    """Zero locations and counts backing an existence/uniqueness verdict."""
-
-    holds: bool
-    reason: str
-    zeros: np.ndarray = field(default_factory=lambda: np.array([], dtype=complex))
-    stable_count: int = 0
-    expected_stable: int = 0
-    boundary_count: int = 0
-
-
 def _classify_zeros(zeros: np.ndarray, boundary: float):
     mods = np.abs(zeros)
     on_band = np.abs(mods - 1.0) <= boundary
@@ -134,6 +122,9 @@ def wh_factorize(B: LaurentMatrix, tol: ToleranceConfig | None = None) -> WHFact
     ZerosOnUnitCircle, WrongStableCount, DivisorExtractionSingular
         The three ways the existence/uniqueness condition fails; an
         identically zero det(B) is reported as ZerosOnUnitCircle.
+    FactorizationError
+        The counts pass but the pencil is too ill-conditioned for the
+        ordered QZ to split its zeros at the unit circle.
     """
     tol = tol or DEFAULT_TOL
     if B.rows != B.cols:
@@ -305,7 +296,8 @@ def _ordered_qz(A: np.ndarray, E: np.ndarray, n: int, lam: int, tol: ToleranceCo
     """Ordered QZ of the finite pencil (A, E), stable eigenvalues leading.
 
     Returns (AA, EE, Z, zeros); raises ZerosOnUnitCircle or WrongStableCount
-    from the counts, before any reordering."""
+    from the counts, before any reordering, and FactorizationError when the
+    counts pass but the pencil is too ill-conditioned to reorder."""
     zeros = np.array([], dtype=complex)
 
     def stable_first(alpha, beta):
@@ -319,7 +311,10 @@ def _ordered_qz(A: np.ndarray, E: np.ndarray, n: int, lam: int, tol: ToleranceCo
     if not A.size:  # det(z^lam B) is constant
         stable_first(zeros, np.ones(0))
         return None, None, None, zeros
-    AA, EE, _, _, _, Z = ordqz(A, E, sort=stable_first, check_finite=False)
+    try:
+        AA, EE, _, _, _, Z = ordqz(A, E, sort=stable_first, check_finite=False)
+    except ValueError as exc:   # LAPACK's reordering gave up
+        raise FactorizationError(f"ordered QZ failed: {exc}", zeros) from exc
     return AA, EE, Z, zeros
 
 
@@ -402,24 +397,3 @@ def _stable_monic_divisor(AA, EE, Z, n: int, lam: int, tol: ToleranceConfig):
     L = -v_next @ np.linalg.inv(U[ok])  # [L_0 ... L_{lam-1}] of the monic divisor
     out[ok, :lam] = L.reshape(-1, n, lam, n).transpose(0, 2, 3, 1)
     return out, ok
-
-
-def check_eu(B: LaurentMatrix, tol: ToleranceConfig | None = None):
-    """Existence/uniqueness verdict plus zero diagnostics.
-
-    Returns ``(holds, EUDiagnostic)``; never raises for factorization
-    failures, which are folded into the verdict.  The zeros are those of
-    det(z**lam B(z)) that :func:`wh_factorize` decided on (finite pencil
-    eigenvalues only); they are empty when det(B) is identically zero.
-    """
-    tol = tol or DEFAULT_TOL
-    Bt = B.trimmed()
-    try:
-        zeros, reason = wh_factorize(Bt, tol).zeros, ""
-    except FactorizationError as exc:
-        zeros, reason = exc.zeros, str(exc)
-    stable, on_band = _classify_zeros(zeros, tol.boundary)
-    holds = not reason
-    return holds, EUDiagnostic(holds, reason, zeros=zeros, stable_count=stable,
-                               expected_stable=Bt.rows * max(0, -Bt.min_lag),
-                               boundary_count=on_band)

@@ -10,8 +10,9 @@ construction, with the true factors available as oracles.
 import numpy as np
 import pytest
 
-from ratex.polylab import LaurentMatrix, Model, lp_mul
+from ratex.polylab import PENCIL_INFINITE_RTOL, LaurentMatrix, Model, lp_mul, trim_dust
 from ratex.resolve import canonical_rotation, solve_model
+from ratex.wienerhopf import ToleranceConfig
 
 
 def spectral_scale(rng, n, radius):
@@ -100,6 +101,30 @@ def match_zero_multisets(za, zb, tol=1e-6):
             return False
         zb.pop(j)
     return True
+
+
+def near_band_stack(rng, lam, lead_margin, zero_kinds):
+    """B (1, lam + 2, 2, 2) at lags -lam..1 with the 2 * (lam + 1) zeros of
+    det(z^lam B) picked by ``zero_kinds`` and a lead B_1 whose sigma_min,
+    after the companion pencil's power-of-two scaling, is ``lead_margin``
+    times PENCIL_INFINITE_RTOL."""
+    boundary = ToleranceConfig().boundary
+    moduli = {"out": 1 + 10 * boundary, "in": 1 - 10 * boundary, "deep": 0.5, "far": 2.0}
+    poly = [np.eye(2)]                               # ascending coefficients
+    for pair in np.reshape(zero_kinds, (-1, 2)):
+        s = rng.standard_normal((2, 2)) + 2 * np.eye(2)
+        x = s @ np.diag([moduli[k] * rng.choice([-1.0, 1.0]) for k in pair]) @ np.linalg.inv(s)
+        factor = [-x, np.eye(2)]                     # z I - X
+        poly = [sum(poly[i] @ factor[k - i] for i in range(len(poly)) if 0 <= k - i < 2)
+                for k in range(len(poly) + 1)]
+    q1, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    q2, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    e = 0
+    for _ in range(3):          # the scaling exponent of the product settles
+        lead = q1 @ np.diag([1.0, lead_margin * PENCIL_INFINITE_RTOL * 2.0 ** e]) @ q2
+        Bc = np.array([lead @ c for c in poly])
+        e = np.frexp(np.abs(Bc).max())[1]
+    return trim_dust(Bc[None])[0]
 
 
 @pytest.fixture

@@ -1,10 +1,12 @@
+import argparse
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
 
-from ratex.cli import main
+from ratex.cli import build_parser, main
 from ratex.identcore import RestrictionSet
 from ratex.modelio import (
     ModelFileError,
@@ -134,6 +136,27 @@ class TestRestrictionFiles:
     def test_wrong_width_rejected(self):
         with pytest.raises(ModelFileError):
             restrictions_from_dict({"R": [[1, 0]], "u": [1.0]}, n=1, m=1, kappa=1, lam=1)
+
+    @pytest.mark.parametrize("block, lag, row, col, equation, message", [
+        ("B", 0, 3, 1, None, "row/col outside 1-based bounds"),
+        ("A", 0, 1, 2, None, "row/col outside 1-based bounds"),
+        ("B", 0, 1, 1, 2, "equation-2 restrictions may only reference row 2"),
+        ("B", 2, 1, 1, None, "outside the coefficient space"),
+    ])
+    def test_pin_and_reference_errors_name_their_source(self, block, lag, row, col,
+                                                        equation, message):
+        # pins and B[lag][row][col] references share one decoder; its
+        # errors name the pin number or the reference text (n = 2, m = 1,
+        # lags 0..1)
+        spec = {} if equation is None else {"equation": equation}
+        good = {"block": "B", "lag": 0, "row": equation or 1, "col": 1, "value": 1.0}
+        bad = {"block": block, "lag": lag, "row": row, "col": col, "value": 0.0}
+        with pytest.raises(ModelFileError, match=f"^pin #2: .*{message}"):
+            restrictions_from_dict({**spec, "pins": [good, bad]}, n=2, m=1, kappa=1, lam=0)
+        ref = f"{block}[{lag}][{row}][{col}]"
+        with pytest.raises(ModelFileError, match=f"^{re.escape(ref)}: .*{message}"):
+            restrictions_from_dict({**spec, "nonlinear": [f"({ref} - 1)^2"]},
+                                   n=2, m=1, kappa=1, lam=0)
 
 
 class TestFactorizeCommand:
@@ -520,3 +543,201 @@ class TestMisc:
         path.write_text("{not json")
         assert main(["solve", str(path)]) == 1
         assert "error" in capsys.readouterr().err
+
+
+# -- report schema -----------------------------------------------------------
+
+RANK_KEYS = {"verdict", "required_rank", "numerical_rank", "singular_values",
+             "gap_ratio", "warnings"}
+FAILURE_KEYS = {"command", "verdict", "reason", "exit_code"}
+
+
+def unit_root_model():
+    """B = 1 - z: a zero on the unit circle, so existence/uniqueness fails."""
+    return {"n": 1, "m": 1, "lambda": 0, "kappa": 1,
+            "B": {"0": [[1.0]], "1": [[-1.0]]}, "A": {"0": [[1.0]]}}
+
+
+def ident_point_model():
+    return {"n": 1, "m": 1, "lambda": 1, "kappa": 1,
+            "B": {"-1": [[0.2]], "0": [[1.1]], "1": [[0.3]]},
+            "A": {"0": [[1.0]], "1": [[0.4]]}}
+
+
+def ds_model():
+    return {"n": 1, "m": 1, "lambda": 0, "kappa": 1,
+            "B": {"0": [[1.0]], "1": [[-0.5]]}, "A": {"0": [[1.0]]}}
+
+
+def pins(*entries):
+    return {"pins": [{"block": b, "lag": lag, "row": 1, "col": 1, "value": v}
+                     for b, lag, v in entries]}
+
+
+class TestReportSchema:
+    """One golden json-report payload per command: its key set (nested
+    blocks included), verdict and exit code."""
+
+    GOLDEN = {
+        "factorize": (
+            [("m", mixed_lag_model())], [],
+            {"command", "verdict", "exit_code", "b_minus", "b_plus", "zeros",
+             "residual", "scale"},
+            {"b_minus": {"-1", "0"}, "b_plus": {"0", "1"}}, "factorized", 0),
+        "solve": (
+            [("m", mixed_lag_model())], ["--horizon", "2"],
+            {"command", "verdict", "exit_code", "ma_part", "a_plus", "transfer",
+             "cf_canonical_input", "rotation", "c0_rank", "warnings"},
+            {"ma_part": {"0", "1"}, "a_plus": {"-1", "0", "1"}}, "solved", 0),
+        "equiv": (
+            [("a", white_noise_model()), ("b", mixed_lag_model())], [],
+            {"command", "verdict", "exit_code", "oracles"},
+            {"oracles": {"kernel", "spectral"},
+             "oracles.kernel": {"equivalent", "residual", "scale"},
+             "oracles.spectral": {"equivalent", "residual", "scale"}}, "equivalent", 0),
+        "ident": (
+            [("m", ds_model()), ("r", pins(("B", 0, 1.0), ("A", 0, 1.0)))], ["--ds"],
+            {"command", "mode", "exit_code", "equivalence_class_dim", "hankel_rank",
+             "ds", "ds_agrees"} | RANK_KEYS,
+            {"ds": RANK_KEYS}, "identified", 0),
+        "generic": (
+            [("p", employment_model()),
+             ("r", pins(("B", 1, 1.0), ("A", 1, 0.0), ("B", -1, 1.0)))],
+            ["--samples", "8", "--seed", "2", "--probe=-2,-1"],
+            {"command", "verdict", "exit_code", "samples_drawn", "samples_valid",
+             "deficient_count", "borderline_count", "invalid_reasons", "notes", "witness"},
+            {"witness": {"theta"} | RANK_KEYS}, "generically_identified", 0),
+        "local": (
+            [("m", ident_point_model()), ("r", pins(("B", -1, 0.2), ("A", 0, 1.0)))], [],
+            {"command", "exit_code", "note", "rank_locally_constant", "probe_ranks"} | RANK_KEYS,
+            {}, "identified", 0),     # the rank verdict: see the cli docstring
+    }
+
+    @pytest.mark.parametrize("command", sorted(GOLDEN))
+    def test_golden_payload(self, tmp_path, capsys, command):
+        files, extra, keys, nested, verdict, code = self.GOLDEN[command]
+        paths = [write(tmp_path / f"{name}.json", spec) for name, spec in files]
+        assert main([command, *paths, *extra, "--format", "json-report"]) == code
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == keys
+        for path, want in nested.items():
+            block = payload
+            for key in path.split("."):
+                block = block[key]
+            assert set(block) == want, path
+        assert (payload["command"], payload["verdict"], payload["exit_code"]) == (
+            command, verdict, code)
+
+    @pytest.mark.parametrize("command, verdict, lead", [
+        ("factorize", "eu_failed", "existence/uniqueness fails: "),
+        ("solve", "solve_failed", "solve failed: "),
+    ])
+    def test_failure_payload(self, tmp_path, capsys, command, verdict, lead):
+        path = write(tmp_path / "m.json", unit_root_model())
+        assert main([command, path, "--format", "json-report"]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == FAILURE_KEYS
+        assert (payload["command"], payload["verdict"], payload["exit_code"]) == (
+            command, verdict, 2)
+        assert "circle" in payload["reason"]
+        assert main([command, path]) == 2
+        assert capsys.readouterr().out == f"{lead}{payload['reason']}\n"
+
+    @pytest.mark.parametrize("command", ["spectrum", "simulate"])
+    def test_csv_failure_goes_to_stderr(self, tmp_path, capsys, command):
+        path = write(tmp_path / "m.json", unit_root_model())
+        assert main([command, path]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("solve failed: ") and "circle" in err
+
+
+class TestParserAudit:
+    """Every option a command accepts is one it reads: the option set of
+    each subcommand (positionals by name, -h aside) equals this table."""
+
+    OPTIONS = {
+        "factorize": {"model", "--theta", "--format", "--tol-boundary"},
+        "solve": {"model", "--theta", "--format", "--horizon"},
+        "equiv": {"model_a", "model_b", "--oracle", "--grid", "--tol", "--format"},
+        "ident": {"model", "restrictions", "--theta", "--tol-rank", "--format", "--ds"},
+        "generic": {"model", "restrictions", "--tol-rank", "--format", "--samples",
+                    "--seed", "--min-valid", "--probe"},
+        "local": {"model", "restrictions", "--theta", "--tol-rank", "--format"},
+        "spectrum": {"model", "--theta", "--grid", "--out"},
+        "simulate": {"model", "--theta", "--T", "--seed", "--out"},
+    }
+
+    def test_option_sets(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        found = {name: {s for a in p._actions if not isinstance(a, argparse._HelpAction)
+                        for s in (a.option_strings or [a.dest])}
+                 for name, p in sub.choices.items()}
+        assert found == self.OPTIONS
+
+
+class TestSolveFailureOrder:
+    """Restriction-kind errors are file errors (exit 1) even when the model
+    would fail existence/uniqueness (exit 2): they are checked first."""
+
+    def eu_failing_model(self, tmp_path):
+        return write(tmp_path / "m.json", unit_root_model())
+
+    def test_nonlinear_file_to_ident(self, tmp_path, capsys):
+        r = write(tmp_path / "r.json", {"nonlinear": ["B[0][1][1]-1"]})
+        assert main(["ident", self.eu_failing_model(tmp_path), r]) == 1
+        assert "belong to the 'local' command" in capsys.readouterr().err
+
+    def test_ds_with_equation_restrictions(self, tmp_path, capsys):
+        r = write(tmp_path / "r.json", {"equation": 1, **pins(("B", 0, 1.0))})
+        assert main(["ident", self.eu_failing_model(tmp_path), r, "--ds"]) == 1
+        assert "needs system-wide affine restrictions" in capsys.readouterr().err
+
+    def test_ds_with_positive_lam(self, tmp_path, capsys):
+        # B = 1/z - 2 + z: a double zero at z = 1
+        path = write(tmp_path / "m.json", {"n": 1, "m": 1, "lambda": 1, "kappa": 1,
+                                           "B": {"-1": [[1.0]], "0": [[-2.0]], "1": [[1.0]]},
+                                           "A": {"0": [[1.0]]}})
+        r = write(tmp_path / "r.json", pins(("B", -1, 1.0)))
+        assert main(["ident", path, r, "--ds"]) == 1
+        assert "requires lam = 0" in capsys.readouterr().err
+
+    def test_affine_file_still_reports_the_solve_failure(self, tmp_path):
+        r = write(tmp_path / "r.json", pins(("B", 0, 1.0)))
+        assert main(["ident", self.eu_failing_model(tmp_path), r]) == 2
+
+
+class TestFailedReordering:
+    """A pencil whose zero counts pass but which LAPACK cannot reorder (see
+    test_wienerhopf) is a solvability failure, not a file error."""
+
+    def coefficients(self):
+        from conftest import near_band_stack
+
+        Bc = near_band_stack(np.random.default_rng(0), 1, 1.01, ["in", "out", "out", "in"])[0]
+        return {str(lag - 1): c.tolist() for lag, c in enumerate(Bc)}
+
+    @pytest.mark.parametrize("command, verdict", [("factorize", "eu_failed"),
+                                                  ("solve", "solve_failed")])
+    def test_exit_2_with_failure_payload(self, tmp_path, capsys, command, verdict):
+        path = write(tmp_path / "m.json", {"n": 2, "m": 2, "lambda": 1, "kappa": 1,
+                                           "B": self.coefficients(),
+                                           "A": {"0": np.eye(2).tolist()}})
+        assert main([command, path, "--format", "json-report"]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] == verdict
+        assert payload["reason"].startswith("ordered QZ failed")
+
+    def test_generic_counts_the_sample(self, tmp_path, capsys):
+        # B does not depend on theta, so every draw fails the same way
+        entries = {lag: [[repr(v) for v in row] for row in c]
+                   for lag, c in self.coefficients().items()}
+        path = write(tmp_path / "p.json", {"n": 2, "m": 2, "lambda": 1, "kappa": 1,
+                                           "parametrized": {
+                                               "params": ["t"], "domain": [[0.5, 1.5]],
+                                               "B": entries,
+                                               "A": {"0": [["t", "0"], ["0", "1"]]}}})
+        r = write(tmp_path / "r.json", pins(("B", 1, 1.0)))
+        assert main(["generic", path, r, "--samples", "4", "--format", "json-report"]) == 4
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["invalid_reasons"] == {"eu_failed: FactorizationError": 4}

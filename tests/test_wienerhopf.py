@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_valid_model, match_zero_multisets, random_b_minus, random_b_plus
+from conftest import (
+    make_valid_model,
+    match_zero_multisets,
+    near_band_stack,
+    random_b_minus,
+    random_b_plus,
+)
 from ratex.polylab import (
-    PENCIL_INFINITE_RTOL,
     LaurentMatrix,
     Model,
     companion_stack,
     lp_det_and_zeros,
     lp_mul,
-    trim_dust,
 )
 from ratex.resolve import solve_model
 from ratex.wienerhopf import (
@@ -22,7 +26,6 @@ from ratex.wienerhopf import (
     ZerosOnUnitCircle,
     _classify_zeros,
     _screen_counts,
-    check_eu,
     wh_factorize,
     wh_factorize_stack,
 )
@@ -196,29 +199,35 @@ class TestProperties:
 
 
 class TestCheckEU:
+    """The existence/uniqueness verdict and its evidence: wh_factorize's
+    zeros when it holds, the FactorizationError's zeros and message when
+    it fails, counted by _classify_zeros."""
+
+    BOUNDARY = ToleranceConfig().boundary
+
     def test_trivial_scalar(self):
-        holds, diag = check_eu(scalar([1.0]))
-        assert holds and diag.stable_count == 0
+        fac = wh_factorize(scalar([1.0]))
+        assert _classify_zeros(fac.zeros, self.BOUNDARY) == (0, 0)
 
     def test_unit_circle_zero(self):
-        holds, diag = check_eu(scalar([1.0, -1.0]))
-        assert not holds
-        assert diag.boundary_count >= 1 or "circle" in diag.reason
+        with pytest.raises(ZerosOnUnitCircle, match="circle") as info:
+            wh_factorize(scalar([1.0, -1.0]))
+        assert _classify_zeros(info.value.zeros, self.BOUNDARY) == (0, 1)
 
     def test_hansen_sargent_point(self):
         # theta = (1, -2, -1): theta3/theta2 = 0.5, so B = 1/z - 2.5 + z
-        holds, diag = check_eu(scalar([1.0, -2.5, 1.0], -1))
-        assert holds
-        assert diag.stable_count == 1 and diag.expected_stable == 1
-        stable = [z for z in diag.zeros if abs(z) < 1]
-        assert stable[0].real == pytest.approx(0.5, abs=1e-10)
+        fac = wh_factorize(scalar([1.0, -2.5, 1.0], -1))
+        stable, on_band = _classify_zeros(fac.zeros, self.BOUNDARY)
+        assert stable == 1 * 1 and on_band == 0      # n * lam
+        inside = [z for z in fac.zeros if abs(z) < 1]
+        assert inside[0].real == pytest.approx(0.5, abs=1e-10)
 
     def test_origin_zeros_counted(self):
-        holds, diag = check_eu(LaurentMatrix.from_coeffs([np.eye(2)], 1))
-        assert not holds
-        assert diag.stable_count == 2 and diag.expected_stable == 0
-        assert np.sum(diag.zeros == 0) == 2
-        assert "inside the unit circle" in diag.reason
+        # lam = 0, so no zero may lie inside; det(z I) has two at the origin
+        with pytest.raises(WrongStableCount, match="inside the unit circle") as info:
+            wh_factorize(LaurentMatrix.from_coeffs([np.eye(2)], 1))
+        assert _classify_zeros(info.value.zeros, self.BOUNDARY) == (2, 0)
+        assert np.sum(info.value.zeros == 0) == 2
 
     @pytest.mark.parametrize("seed", range(6))
     def test_high_degree_zero_count(self, seed):
@@ -243,11 +252,9 @@ class TestCheckEU:
             B = lp_mul(B, LaurentMatrix.from_coeffs([np.eye(n), -sym(v)], 0))
         fac = wh_factorize(B)
         assert fac.residual <= 1e-8 * fac.scale
-        holds, diag = check_eu(B)
-        assert holds
-        assert diag.stable_count == n * lam == 40
+        assert _classify_zeros(fac.zeros, self.BOUNDARY) == (n * lam, 0) == (40, 0)
         expected = np.concatenate([s[:lam].ravel(), 1.0 / s[lam:].ravel()])
-        assert match_zero_multisets(diag.zeros, expected, tol=1e-4)
+        assert match_zero_multisets(fac.zeros, expected, tol=1e-4)
 
     def test_declared_lam_with_zero_lead_not_double_counted(self, rng):
         # lam = 1 declared but B_{-1} = 0: det(z B_plus(z)) has n zeros at the
@@ -256,36 +263,11 @@ class TestCheckEU:
         bp = random_b_plus(rng, 2, 1)
         padded = LaurentMatrix.from_coeffs(
             [np.zeros((2, 2))] + list(bp.coeffs), -1, trim=False)
-        holds, diag = check_eu(padded)
-        assert holds
-        assert diag.stable_count == diag.expected_stable
+        fac = wh_factorize(padded)
+        assert _classify_zeros(fac.zeros, self.BOUNDARY)[0] == 0
         bundle = solve_model(Model(padded, LaurentMatrix.identity(2), lam=1, kappa=1))
         assert bundle.factors.b_minus.allclose(LaurentMatrix.identity(2))
         assert bundle.factors.b_plus.allclose(bp)
-
-
-def near_band_stack(rng, lam, lead_margin, zero_kinds):
-    """B (1, lam + 2, 2, 2) at lags -lam..1 with the 2 * (lam + 1) zeros of
-    det(z^lam B) picked by ``zero_kinds`` and a lead B_1 whose sigma_min,
-    after the companion pencil's power-of-two scaling, is ``lead_margin``
-    times PENCIL_INFINITE_RTOL."""
-    boundary = ToleranceConfig().boundary
-    moduli = {"out": 1 + 10 * boundary, "in": 1 - 10 * boundary, "deep": 0.5, "far": 2.0}
-    poly = [np.eye(2)]                               # ascending coefficients
-    for pair in np.reshape(zero_kinds, (-1, 2)):
-        s = rng.standard_normal((2, 2)) + 2 * np.eye(2)
-        x = s @ np.diag([moduli[k] * rng.choice([-1.0, 1.0]) for k in pair]) @ np.linalg.inv(s)
-        factor = [-x, np.eye(2)]                     # z I - X
-        poly = [sum(poly[i] @ factor[k - i] for i in range(len(poly)) if 0 <= k - i < 2)
-                for k in range(len(poly) + 1)]
-    q1, _ = np.linalg.qr(rng.standard_normal((2, 2)))
-    q2, _ = np.linalg.qr(rng.standard_normal((2, 2)))
-    e = 0
-    for _ in range(3):          # the scaling exponent of the product settles
-        lead = q1 @ np.diag([1.0, lead_margin * PENCIL_INFINITE_RTOL * 2.0 ** e]) @ q2
-        Bc = np.array([lead @ c for c in poly])
-        e = np.frexp(np.abs(Bc).max())[1]
-    return trim_dust(Bc[None])[0]
 
 
 class TestStackedScreen:
@@ -304,8 +286,6 @@ class TestStackedScreen:
             zeros, want = wh_factorize(LaurentMatrix(Bc[0], -lam)).zeros, None
         except FactorizationError as exc:
             zeros, want = exc.zeros, type(exc)
-        except ValueError:      # scipy's ordqz could not reorder: no reference counts
-            assume(False)
         if decided[0]:
             assert (stable[0], on_band[0]) == _classify_zeros(zeros, tol.boundary)
         got = wh_factorize_stack(Bc, lam)[2][0]
@@ -316,3 +296,17 @@ class TestStackedScreen:
         for kinds in (["out", "in"], ["in", "in"], ["out", "far"]):
             Bc = near_band_stack(rng, 0, 1e6, kinds)
             assert _screen_counts(*companion_stack(Bc.swapaxes(2, 3)), 1e-9)[3][0]
+
+
+def test_failed_reordering_is_a_factorization_error():
+    # the counts pass (two zeros just inside the band, two just outside,
+    # n * lam = 2), but the pencil with its nearly singular lead is too
+    # ill-conditioned for LAPACK to reorder; both paths report it with the
+    # zeros instead of letting scipy's ValueError escape
+    Bc = near_band_stack(np.random.default_rng(0), 1, 1.01, ["in", "out", "out", "in"])
+    with pytest.raises(FactorizationError, match="ordered QZ failed") as info:
+        wh_factorize(LaurentMatrix(Bc[0], -1))
+    assert type(info.value) is FactorizationError
+    assert _classify_zeros(info.value.zeros, ToleranceConfig().boundary) == (2, 0)
+    error = wh_factorize_stack(Bc, 1)[2][0]
+    assert type(error) is FactorizationError and "ordered QZ failed" in str(error)
