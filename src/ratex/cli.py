@@ -13,12 +13,15 @@ Failures.  ``main`` is the one place that catches solvability failures
 failure payload ``{command, verdict, reason, exit_code}``, with verdict
 ``eu_failed`` for ``factorize`` and ``solve_failed`` elsewhere; the CSV
 commands print its reason to standard error.  File and validation errors
-print ``error: ...`` to standard error.
+(InputError, OSError, EvalError) print ``error: ...`` to standard error;
+any other exception is a program fault and propagates.
 
-Exit codes: 0 success (identified / equivalent / witness found), 1 file or
-validation errors, 2 solvability failures (existence/uniqueness or
-canonical form), 3 negative verdicts (not identified, not equivalent,
-evidence of non-identification), 4 inconclusive outcomes.
+Exit codes (``main`` returns them, never raising SystemExit): 0 success
+(identified / equivalent / witness found) or ``--help``, 1 usage errors
+(argparse's message goes to standard error) and file or validation
+errors, 2 solvability failures (existence/uniqueness or canonical form),
+3 negative verdicts (not identified, not equivalent, evidence of
+non-identification), 4 inconclusive outcomes.
 
 Caveat: the ``local`` payload's ``verdict`` is the rank test's verdict
 (``identified`` / ``not_identified``); the local verdict itself follows
@@ -36,7 +39,7 @@ import sys
 import numpy as np
 
 from .identcore import (
-    RestrictionDimensionError,
+    InputError,
     build_ident_system,
     ds_criterion,
     equivalence_class_dim,
@@ -50,7 +53,6 @@ from .numrank import env_tol_rank
 from .paramdsl import (
     EvalError,
     ParamMap,
-    ParseError,
     SamplerConfig,
     eval_model,
     generic_ident,
@@ -74,8 +76,7 @@ EXIT_SOLVE = 2
 EXIT_NEGATIVE = 3
 EXIT_INCONCLUSIVE = 4
 
-_FILE_ERRORS = (ModelFileError, ParseError, RestrictionDimensionError,
-                OSError, ValueError, EvalError)
+_FILE_ERRORS = (InputError, OSError, EvalError)
 _SOLVE_ERRORS = (FactorizationError, SingularMatrixError, RankDeficientC0, NotInvertible)
 
 _LOCAL_VERDICTS = {EXIT_OK: "locally_identified", EXIT_NEGATIVE: "not_locally_identified",
@@ -108,8 +109,7 @@ def _load_numeric_model(args):
         if args.theta is None:
             raise ModelFileError(
                 f"{args.model} is parametrized; pass --theta to evaluate it")
-        theta = [float(t) for t in args.theta.split(",")]
-        return eval_model(loaded, theta)
+        return eval_model(loaded, args.theta)
     return loaded
 
 
@@ -201,7 +201,7 @@ def cmd_generic(args) -> dict:
     if not isinstance(loaded, ParamMap):
         raise ModelFileError("generic needs a parametrized model file")
     restrictions = load_restriction_file(args.restrictions, loaded)
-    probes = tuple(tuple(float(t) for t in p.split(",")) for p in (args.probe or ()))
+    probes = tuple(tuple(p) for p in (args.probe or ()))
     config = SamplerConfig(num_samples=args.samples, seed=args.seed,
                            min_valid=args.min_valid, probe_points=probes,
                            tol_rank=args.tol_rank)
@@ -376,10 +376,25 @@ def _render(args, payload: dict):
 # -- argument wiring ---------------------------------------------------------
 
 
+def _int_from(low: int):
+    """argparse type: an integer >= ``low``."""
+    def integer(text: str) -> int:  # argparse names it in "invalid integer value"
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text}")
+        return int(text)
+
+    return integer
+
+
+def float_list(text: str) -> list:
+    """argparse type of --theta and --probe: comma-separated numbers."""
+    return [float(t) for t in text.split(",")]
+
+
 def _add_common(p, restrictions=False, theta=True, report=True):
     p.add_argument("model", help="model JSON file")
     if theta:
-        p.add_argument("--theta", default=None,
+        p.add_argument("--theta", type=float_list, default=None,
                        help="comma-separated parameter values for a parametrized model")
     if restrictions:
         p.add_argument("restrictions", help="restriction JSON file")
@@ -411,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model_a")
     p.add_argument("model_b")
     p.add_argument("--oracle", choices=["spectral", "kernel", "both"], default="both")
-    p.add_argument("--grid", type=int, default=64)
+    p.add_argument("--grid", type=_int_from(1), default=64)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--format", choices=["text", "json-report"], default="text")
     p.set_defaults(fn=cmd_equiv, render=_text_equiv)
@@ -425,10 +440,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generic", help="sampled generic identification of a "
                                        "parametrized model")
     _add_common(p, restrictions=True, theta=False)
-    p.add_argument("--samples", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_int_from(0), default=64)
+    p.add_argument("--seed", type=_int_from(0), default=0)
     p.add_argument("--min-valid", type=int, default=16)
-    p.add_argument("--probe", action="append", default=None,
+    p.add_argument("--probe", type=float_list, action="append", default=None,
                    help="comma-separated theta evaluated before sampling (repeatable)")
     p.set_defaults(fn=cmd_generic, render=_text_generic)
 
@@ -438,14 +453,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="spectral density on a unit-circle grid (CSV)")
     _add_common(p, report=False)
-    p.add_argument("--grid", type=int, default=64)
+    p.add_argument("--grid", type=_int_from(0), default=64)
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
     p.set_defaults(fn=cmd_spectrum, render=_write_csv, format="csv")
 
     p = sub.add_parser("simulate", help="sample path of the stationary solution (CSV)")
     _add_common(p, report=False)
-    p.add_argument("--T", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--T", type=_int_from(0), default=1000)
+    p.add_argument("--seed", type=_int_from(0), default=0)
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
     p.set_defaults(fn=cmd_simulate, render=_write_csv, format="csv")
 
@@ -453,7 +468,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help (code 0) or a usage error (code 2)
+        return EXIT_OK if not exc.code else EXIT_FILE
     # read at every call: the parser is built once per process
     if getattr(args, "tol_rank", 0.0) is None:
         args.tol_rank = env_tol_rank()

@@ -24,7 +24,12 @@ from .resolve import (SolutionBundle, TransferSeries, solve_model, spectral_dist
 MEMBERSHIP_RTOL = 1e-8
 
 
-class RestrictionDimensionError(ValueError):
+class InputError(ValueError):
+    """Input that fails validation: a malformed file, or restrictions or
+    parameter values the requested test cannot use."""
+
+
+class RestrictionDimensionError(InputError):
     """Restriction matrix columns do not match the coefficient space."""
 
 
@@ -165,9 +170,7 @@ def coeff_vec_index(block: str, lag: int, row: int, col: int,
 
 def model_coeff_vec(model: Model) -> np.ndarray:
     """vec([B_-lam .. B_kappa | A_0 .. A_kappa]) at the model's declared bounds."""
-    n, m, kappa, lam = model.n, model.m, model.kappa, model.lam
-    return coeff_vec([model.B.coefficient(lag) for lag in range(-lam, kappa + 1)],
-                     [model.A.coefficient(lag) for lag in range(0, kappa + 1)])
+    return coeff_vec(model.B.window(-model.lam, model.kappa), model.A.window(0, model.kappa))
 
 
 def coeff_vec(b_blocks, a_blocks) -> np.ndarray:
@@ -178,9 +181,7 @@ def coeff_vec(b_blocks, a_blocks) -> np.ndarray:
 def kernel_vec(B: LaurentMatrix, a_plus_mat: LaurentMatrix,
                n: int, m: int, kappa: int, lam: int) -> np.ndarray:
     """vec([B_-lam .. B_kappa | A+_-lam .. A+_kappa]) for kernel-membership tests."""
-    blocks = [B.coefficient(lag) for lag in range(-lam, kappa + 1)]
-    blocks += [a_plus_mat.coefficient(lag) for lag in range(-lam, kappa + 1)]
-    return np.hstack(blocks).flatten(order="F")
+    return coeff_vec(B.window(-lam, kappa), a_plus_mat.window(-lam, kappa))
 
 
 # -- system construction ---------------------------------------------------
@@ -256,20 +257,6 @@ def equivalence_class_dim(sys: IdentSystem) -> int:
     return dim
 
 
-def _system_for_model(model_or_bundle, kappa=None, lam=None):
-    if isinstance(model_or_bundle, SolutionBundle):
-        bundle = model_or_bundle
-    else:
-        bundle = solve_model(model_or_bundle)
-    model = bundle.model
-    kappa = model.kappa if kappa is None else kappa
-    lam = model.lam if lam is None else lam
-    need = (model.n + 1) * kappa + lam
-    if bundle.transfer.horizon < need:
-        bundle = solve_model(model, horizon=need)
-    return bundle, kappa, lam
-
-
 def obs_equivalent(bundle_a: SolutionBundle, bundle_b: SolutionBundle,
                    tol: float = 1e-8):
     """Kernel-membership test for observational equivalence.
@@ -283,7 +270,9 @@ def obs_equivalent(bundle_a: SolutionBundle, bundle_b: SolutionBundle,
         raise RestrictionDimensionError("models must share dimensions (n, m)")
     kappa = max(ma.kappa, mb.kappa)
     lam = max(ma.lam, mb.lam)
-    bundle_a, kappa, lam = _system_for_model(bundle_a, kappa, lam)
+    need = (ma.n + 1) * kappa + lam
+    if bundle_a.transfer.horizon < need:
+        bundle_a = solve_model(ma, horizon=need)
     sys = build_ident_system(bundle_a.transfer, ma.n, ma.m, kappa, lam)
     xi = kernel_vec(mb.B, bundle_b.a_plus, ma.n, ma.m, kappa, lam)
     X = xi.reshape(ma.n, -1, order="F")
@@ -295,6 +284,8 @@ def obs_equivalent(bundle_a: SolutionBundle, bundle_b: SolutionBundle,
 def spectral_equivalent(bundle_a: SolutionBundle, bundle_b: SolutionBundle,
                         grid_size: int = 64, tol: float = 1e-8):
     """Spectral-density oracle for observational equivalence."""
+    if bundle_a.model.n != bundle_b.model.n:
+        raise RestrictionDimensionError("models must share the dimension n")
     diff, scale = spectral_distance(bundle_a, bundle_b, unit_circle_grid(grid_size))
     return diff <= tol * scale, diff, scale
 
@@ -368,18 +359,18 @@ def _membership_warning(R, u, vec, label):
 
 
 def check_test_kind(restrictions: RestrictionSet, n: int, equation: bool):
-    """Raise ValueError when the restrictions cannot drive the system-wide
+    """Raise InputError when the restrictions cannot drive the system-wide
     test (``equation`` false) or the equation test of an n-equation model."""
     if not equation:
         if restrictions.kind != "affine":
-            raise ValueError("system-wide test needs affine restrictions")
+            raise InputError("system-wide test needs affine restrictions")
         if restrictions.u is not None and not np.any(restrictions.u):
-            raise ValueError("u = 0 is meaningless: the whole scale direction satisfies it")
+            raise InputError("u = 0 is meaningless: the whole scale direction satisfies it")
         return
     if restrictions.kind != "equation":
-        raise ValueError("equation test needs equation-wise restrictions")
+        raise InputError("equation test needs equation-wise restrictions")
     if not 1 <= restrictions.equation <= n:
-        raise ValueError(f"equation index {restrictions.equation} outside 1..{n}")
+        raise InputError(f"equation index {restrictions.equation} outside 1..{n}")
 
 
 def membership_warnings(restrictions: RestrictionSet, vec: np.ndarray, n: int) -> tuple:
@@ -426,9 +417,9 @@ def ds_criterion(model: Model, restrictions: RestrictionSet,
     ident_test_affine there.
     """
     if model.lam != 0:
-        raise ValueError("the structural-coefficient criterion requires lam = 0")
+        raise InputError("the structural-coefficient criterion requires lam = 0")
     if restrictions.kind != "affine":
-        raise ValueError("the structural-coefficient criterion needs system-wide "
+        raise InputError("the structural-coefficient criterion needs system-wide "
                          "affine restrictions")
     n, m, kappa = model.n, model.m, model.kappa
     nb = 1 + (n + 1) * kappa          # block count of the lifted space

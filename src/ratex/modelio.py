@@ -1,98 +1,97 @@
-"""JSON model and restriction files.
+"""JSON model and restriction files: the one front end for both.
 
-Model files carry either a numeric coefficient map (lag-string keys, so
-negative lags stay unambiguous) or a parametrized block with expression
-entries.  Restriction files carry structured pins, a dense (R, u) pair in
-the normative vec ordering, or nonlinear expression strings over named
-coefficients like B[-1][1][1] (1-based rows/columns).
+Model files: a JSON object with integer fields n, m, lambda, kappa and
+maps "B" (lags -lambda..kappa, n x n blocks) and "A" (lags 0..kappa, n x m
+blocks), either at the top (numeric form) or inside "parametrized" next to
+"params" (names) and "domain" (one [lo, hi] box per name, default [-1, 1]).
+Keys are integer lag strings; an absent lag is zero.  A block is nested
+rows, or a bare scalar for a 1 x 1 block.  Numeric entries are finite
+numbers; parametrized entries are numbers or expression strings over the
+names (+ - * /, unary minus, parentheses, integer powers ^k).  Both forms
+go through one decoder, :func:`~ratex.paramdsl.decode_lag_blocks`.
+
+Restriction files: a JSON object with exactly one of "pins" (a list of
+{block, lag, row, col, value}, 1-based row and column), "R" and "u"
+(default 0), a dense R vec = u in the vec ordering of
+:func:`~ratex.identcore.coeff_vec_index`, or "nonlinear" (expression
+strings, residuals that vanish at admissible coefficients).  In those
+expressions a coefficient reference such as B[-1][1][2] (block, lag,
+1-based row and column) is one name token of the same grammar.  An
+optional integer "equation" restricts that row of [B | A] alone.
+
+Every malformed file raises :class:`~ratex.paramdsl.ModelFileError`; an
+expression syntax error raises its subclass ParseError, with the line and
+column in the file's own text.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import warnings
 
 import numpy as np
 
 from .identcore import RestrictionSet, coeff_vec_index, coeff_vec_length
 from .numrank import numerical_rank
-from .paramdsl import CompiledExprs, expr_names, parse_expression, parse_model
+from .paramdsl import (
+    HEADER_FIELDS,
+    CompiledExprs,
+    EvalError,
+    ModelFileError,
+    decode_lag_blocks,
+    json_array,
+    json_int,
+    json_typed,
+    parse_expression,
+    parse_model,
+)
 from .polylab import LaurentMatrix, Model
 
 
-class ModelFileError(ValueError):
-    """Malformed model or restriction file."""
-
-
-def _to_matrix(raw, rows, cols, label):
-    if isinstance(raw, (int, float)):
-        if (rows, cols) != (1, 1):
-            raise ModelFileError(f"{label}: scalar given for a {rows}x{cols} block")
-        raw = [[raw]]
-    arr = np.asarray(raw, dtype=float)
-    if arr.shape != (rows, cols):
-        raise ModelFileError(f"{label}: shape {arr.shape} != ({rows}, {cols})")
-    if not np.all(np.isfinite(arr)):
+def _finite(block: np.ndarray, label: str) -> np.ndarray:
+    if not np.all(np.isfinite(block)):
         raise ModelFileError(f"{label}: coefficients must be finite")
-    return arr
+    return block
 
 
 def model_from_dict(spec: dict):
     """Decode a model file dict into a Model or ParamMap."""
-    if not isinstance(spec, dict):
-        raise ModelFileError("model file must hold a JSON object")
-    try:
-        n, m = int(spec["n"]), int(spec["m"])
-        lam, kappa = int(spec["lambda"]), int(spec["kappa"])
-    except KeyError as exc:
-        raise ModelFileError(f"missing required field {exc}")
+    json_typed(spec, dict, "model file")
     has_numeric = "B" in spec or "A" in spec
     has_param = "parametrized" in spec
     if has_numeric == has_param:
         raise ModelFileError("exactly one of numeric B/A or 'parametrized' is required")
     if has_param:
-        inner = dict(spec["parametrized"])
-        inner.update(n=n, m=m, **{"lambda": lam, "kappa": kappa})
-        return parse_model(inner)
+        header = {key: spec[key] for key in HEADER_FIELDS if key in spec}
+        return parse_model({**json_typed(spec["parametrized"], dict, "parametrized"), **header})
+    (n, m, lam, kappa), b_blocks, a_blocks = decode_lag_blocks(spec, float, _finite)
 
-    def block(key, rows, cols, lo):
-        coeffs = np.zeros((kappa - lo + 1, rows, cols))
-        for lag_str, raw in dict(spec.get(key, {})).items():
-            try:
-                lag = int(lag_str)
-            except ValueError:
-                raise ModelFileError(f"{key} lag key {lag_str!r} is not an integer")
-            if not lo <= lag <= kappa:
-                raise ModelFileError(f"{key} lag {lag} outside {lo}..{kappa}")
-            coeffs[lag - lo] = _to_matrix(raw, rows, cols, f"{key}[{lag}]")
-        return LaurentMatrix.from_coeffs(coeffs, lo)
+    def laurent(blocks, cols, lo):
+        zero = np.zeros((n, cols))
+        return LaurentMatrix.from_coeffs([blocks.get(lag, zero) for lag in range(lo, kappa + 1)], lo)
 
-    B = block("B", n, n, -lam)
-    A = block("A", n, m, 0)
     try:
-        return Model(B, A, lam=lam, kappa=kappa)
+        return Model(laurent(b_blocks, n, -lam), laurent(a_blocks, m, 0), lam=lam, kappa=kappa)
     except ValueError as exc:
         raise ModelFileError(str(exc))
 
 
-def load_model_file(path: str):
+def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            spec = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except ValueError as exc:  # malformed JSON or text that is not UTF-8
             raise ModelFileError(f"{path}: {exc}")
-    out = model_from_dict(spec)
-    return out
+
+
+def load_model_file(path: str):
+    return model_from_dict(_load_json(path))
 
 
 # -- restriction files -------------------------------------------------------
 
 _COEFF_REF = re.compile(r"([AB])\[(-?\d+)\]\[(\d+)\]\[(\d+)\]")
-
-
-def _ref_name(block, lag, row, col):
-    lag_part = f"m{-lag}" if lag < 0 else str(lag)
-    return f"_{block}_{lag_part}_{row}_{col}"
 
 
 def _coeff_position(label, block, lag, row, col, n, m, kappa, lam, equation):
@@ -111,44 +110,43 @@ def _coeff_position(label, block, lag, row, col, n, m, kappa, lam, equation):
         raise ModelFileError(f"{label}: {exc}")
 
 
+class _CoeffPositions(dict):
+    """Reference name (B[-1][1][2]) -> coeff_vec_index position, decoded on
+    first use; any other name is unknown."""
+
+    def __init__(self, *dims):
+        super().__init__()
+        self.dims = dims  # n, m, kappa, lam, equation
+
+    def __missing__(self, name):
+        ref = _COEFF_REF.fullmatch(name)
+        if ref is None:
+            raise KeyError(name)
+        self[name] = _coeff_position(name, ref[1], *map(int, ref.groups()[1:]), *self.dims)
+        return self[name]
+
+
 def compile_nonlinear(exprs, n, m, kappa, lam, equation=None) -> RestrictionSet:
-    """Expression strings over named coefficients -> compiled residual map
-    with its exact Jacobian.
-
-    References look like B[-1][1][1] (block, lag, 1-based row, 1-based
-    column); in equation mode the row must match the restricted equation.
-    Each reference resolves to its coeff_vec_index position once, here.
-    """
-    refs = {}
-
-    def sub(match):
-        block, lag, row, col = (match.group(1), int(match.group(2)),
-                                int(match.group(3)), int(match.group(4)))
-        name = _ref_name(block, lag, row, col)
-        refs[name] = _coeff_position(match.group(0), block, lag, row, col,
-                                     n, m, kappa, lam, equation)
-        return name
-
-    trees = []
-    for text in exprs:
-        tree = parse_expression(_COEFF_REF.sub(sub, str(text)))
-        stray = expr_names(tree) - set(refs)
-        if stray:
-            raise ModelFileError(
-                f"unknown name(s) in nonlinear restriction: {', '.join(sorted(stray))}")
-        trees.append(tree)
-    program = CompiledExprs(trees, refs)
+    """Expression strings over coefficient references (B[-1][1][1]) ->
+    compiled residual map with its exact Jacobian.  Each reference resolves
+    to its coeff_vec_index position once, when the expressions compile."""
+    if not all(isinstance(text, str) for text in exprs):
+        raise ModelFileError("nonlinear restrictions must be strings")
+    trees = [parse_expression(text) for text in exprs]
+    try:
+        program = CompiledExprs(trees, _CoeffPositions(n, m, kappa, lam, equation))
+    except EvalError as exc:
+        raise ModelFileError(f"nonlinear restriction: {exc}") from exc
     return RestrictionSet.nonlinear(program.values, len(trees), equation=equation,
                                     jacobian=program.jacobian)
 
 
 def restrictions_from_dict(spec: dict, n: int, m: int, kappa: int, lam: int) -> RestrictionSet:
     """Decode a restriction file dict against the model's dimensions."""
-    if not isinstance(spec, dict):
-        raise ModelFileError("restriction file must hold a JSON object")
+    json_typed(spec, dict, "restriction file")
     equation = spec.get("equation")
     if equation is not None:
-        equation = int(equation)
+        equation = json_int(equation, "equation")
         if not 1 <= equation <= n:
             raise ModelFileError(f"equation index {equation} outside 1..{n}")
     kinds = [k for k in ("pins", "R", "nonlinear") if k in spec]
@@ -157,53 +155,37 @@ def restrictions_from_dict(spec: dict, n: int, m: int, kappa: int, lam: int) -> 
     kind = kinds[0]
 
     if kind == "nonlinear":
-        return compile_nonlinear(list(spec["nonlinear"]), n, m, kappa, lam, equation)
+        return compile_nonlinear(json_typed(spec["nonlinear"], list, "nonlinear"),
+                                 n, m, kappa, lam, equation)
 
     N = coeff_vec_length(n, m, kappa, lam, equation=equation is not None)
     if kind == "pins":
-        pins = list(spec["pins"])
+        pins = json_typed(spec["pins"], list, "pins")
         R = np.zeros((len(pins), N))
         u = np.zeros(len(pins))
         for k, pin in enumerate(pins):
             try:
-                block = pin["block"]
-                lag = int(pin["lag"])
-                row = int(pin["row"])
-                col = int(pin["col"])
+                block, lag, row, col = pin["block"], int(pin["lag"]), int(pin["row"]), int(pin["col"])
                 u[k] = float(pin["value"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ModelFileError(f"pin #{k + 1}: {exc}")
             R[k, _coeff_position(f"pin #{k + 1}", block, lag, row, col,
                                  n, m, kappa, lam, equation)] = 1.0
     else:
-        R = np.atleast_2d(np.asarray(spec["R"], dtype=float))
-        u = np.atleast_1d(np.asarray(spec.get("u", np.zeros(R.shape[0])), dtype=float))
-        if R.shape[1] != N:
-            raise ModelFileError(f"R has {R.shape[1]} columns, expected {N}")
-        if R.shape[0] != u.shape[0]:
+        R = _finite(np.atleast_2d(json_array(spec["R"], float, "R")), "R")
+        u = _finite(np.atleast_1d(json_array(spec.get("u", np.zeros(len(R))), float, "u")), "u")
+        if R.shape[1:] != (N,):
+            raise ModelFileError(f"R has shape {R.shape}, expected {N} columns")
+        if u.shape != R.shape[:1]:
             raise ModelFileError("R and u row counts differ")
 
-    rank, _, _ = numerical_rank(R)
-    warn = None
-    if rank < R.shape[0]:
-        warn = f"restriction rows are linearly dependent (row rank {rank} of {R.shape[0]})"
-    if equation is not None:
-        out = RestrictionSet.for_equation(equation, R, u)
-    else:
-        out = RestrictionSet.affine(R, u)
-    if warn:
-        import warnings
-
-        warnings.warn(warn)
+    out = RestrictionSet.affine(R, u) if equation is None else \
+        RestrictionSet.for_equation(equation, R, u)
+    rank = numerical_rank(R)[0]
+    if rank < len(R):
+        warnings.warn(f"restriction rows are linearly dependent (row rank {rank} of {len(R)})")
     return out
 
 
 def load_restriction_file(path: str, model) -> RestrictionSet:
-    n, m = model.n, model.m
-    kappa, lam = model.kappa, model.lam
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            spec = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelFileError(f"{path}: {exc}")
-    return restrictions_from_dict(spec, n, m, kappa, lam)
+    return restrictions_from_dict(_load_json(path), model.n, model.m, model.kappa, model.lam)

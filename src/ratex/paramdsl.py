@@ -41,6 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .identcore import (
+    InputError,
     RankReport,
     RestrictionSet,
     _kernel_rank_test,
@@ -71,7 +72,11 @@ DIV_FLOOR = 1e-300
 BORDERLINE_GAP = 0.1  # deficient samples within 10x of the rank cutoff
 
 
-class ParseError(ValueError):
+class ModelFileError(InputError):
+    """Malformed model or restriction file."""
+
+
+class ParseError(ModelFileError):
     """Syntax or validation error with source position."""
 
     def __init__(self, message, line=None, col=None):
@@ -113,18 +118,6 @@ class BinOp:
 class Pow:
     base: object
     exponent: int  # non-negative integer literal only
-
-
-def expr_names(expr) -> set:
-    if isinstance(expr, Var):
-        return {expr.name}
-    if isinstance(expr, Neg):
-        return expr_names(expr.operand)
-    if isinstance(expr, Pow):
-        return expr_names(expr.base)
-    if isinstance(expr, BinOp):
-        return expr_names(expr.left) | expr_names(expr.right)
-    return set()
 
 
 # -- compiled evaluation -----------------------------------------------------
@@ -273,11 +266,12 @@ def eval_expr(expr, env: dict) -> float:
 
 # -- lexer / recursive-descent parser --------------------------------------
 
-# one alternative per token kind; whitespace runs carry the line breaks
+# one alternative per token kind; whitespace runs carry the line breaks.  A
+# name may carry integer subscripts, so B[-1][1][2] is one name token.
 _TOKEN = re.compile(r"""
     (?P<space>\s+)
   | (?P<num>[\d.]+(?:[eE](?:[+-]|(?=\d))[\d.]*)?)
-  | (?P<ident>[^\W\d]\w*)
+  | (?P<ident>[^\W\d]\w*(?:\[-?\d+\])*)
   | (?P<op>[-+*/^()])
   | (?P<bad>.)
 """, re.VERBOSE)
@@ -455,74 +449,105 @@ class ParamMap:
         return CompiledExprs(trees, positions), np.array(slots, dtype=int), offset
 
 
-def _entry_grid(raw, rows, cols, label):
-    """Normalize a scalar / nested-list entry spec into an expression grid."""
-    if isinstance(raw, (str, int, float)):
-        if (rows, cols) != (1, 1):
-            raise ParseError(f"{label}: scalar entry given for a {rows}x{cols} block")
-        raw = [[raw]]
-    grid = np.empty((rows, cols), dtype=object)
-    if len(raw) != rows:
-        raise ParseError(f"{label}: expected {rows} rows, got {len(raw)}")
-    for i, row in enumerate(raw):
-        if len(row) != cols:
-            raise ParseError(f"{label}: row {i + 1} has {len(row)} entries, expected {cols}")
-        for j, cell in enumerate(row):
-            if isinstance(cell, (int, float)):
-                grid[i, j] = Lit(float(cell))
-            else:
-                try:
-                    grid[i, j] = parse_expression(str(cell))
-                except ParseError as exc:
-                    raise ParseError(f"{label}[{i + 1}][{j + 1}]: {exc}") from exc
+def json_typed(value, kind: type, label: str):
+    """``value`` if it is a JSON object (``kind`` dict) or array (list)."""
+    if not isinstance(value, kind):
+        raise ModelFileError(f"{label} must be a JSON {'object' if kind is dict else 'array'}")
+    return value
+
+
+def json_int(value, label: str) -> int:
+    """A JSON number with an integral value, as an int."""
+    if type(value) is int or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ModelFileError(f"{label} must be an integer, got {value!r}")
+
+
+def json_array(value, dtype, label: str) -> np.ndarray:
+    """Nested JSON arrays as one numpy array of ``dtype``."""
+    try:
+        return np.array(value, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise ModelFileError(f"{label}: {exc}") from exc
+
+
+HEADER_FIELDS = ("n", "m", "lambda", "kappa")
+
+
+def decode_lag_blocks(spec: dict, dtype, convert):
+    """The header and lag blocks of a model file, either form (grammar:
+    :mod:`ratex.modelio`).  Each block becomes one ``dtype`` array of its
+    shape, then ``convert(block, "B[lag]")``.  Returns ((n, m, lam, kappa),
+    B map, A map), each map lag -> converted block in file order."""
+    for key in HEADER_FIELDS:
+        if key not in spec:
+            raise ModelFileError(f"missing required field {key!r}")
+    n, m, lam, kappa = (json_int(spec[key], key) for key in HEADER_FIELDS)
+    if min(n, m) < 1 or min(lam, kappa) < 0:
+        raise ModelFileError("n and m must be at least 1, lambda and kappa at least 0")
+    maps = []
+    for key, cols, lo in (("B", n, -lam), ("A", m, 0)):
+        blocks = {}
+        for lag_key, raw in json_typed(spec.get(key, {}), dict, key).items():
+            try:
+                lag = int(lag_key)
+            except ValueError:
+                raise ModelFileError(f"{key} lag key {lag_key!r} is not an integer") from None
+            if not lo <= lag <= kappa:
+                raise ModelFileError(f"{key} lag {lag} outside {lo}..{kappa}")
+            label = f"{key}[{lag}]"
+            if (n, cols) == (1, 1) and isinstance(raw, (int, float, str)):
+                raw = [[raw]]  # the scalar shorthand of a 1 x 1 block
+            block = json_array(raw, dtype, label)
+            if block.shape != (n, cols):
+                raise ModelFileError(f"{label}: shape {block.shape} != ({n}, {cols})")
+            blocks[lag] = convert(block, label)
+        maps.append(blocks)
+    return (n, m, lam, kappa), maps[0], maps[1]
+
+
+def _parse_cells(block: np.ndarray, label: str) -> np.ndarray:
+    """Expression tree of each entry: a number's literal or a parsed string."""
+    grid = np.empty(block.shape, dtype=object)
+    for (i, j), cell in np.ndenumerate(block):
+        where = f"{label}[{i + 1}][{j + 1}]"
+        if isinstance(cell, str):
+            try:
+                grid[i, j] = parse_expression(cell)
+            except ParseError as exc:
+                raise ParseError(f"{where}: {exc}") from exc
+        elif isinstance(cell, (int, float)):
+            grid[i, j] = Lit(float(cell))
+        else:
+            raise ModelFileError(f"{where}: entry must be a number or a string, got {cell!r}")
     return grid
 
 
 def parse_model(spec) -> ParamMap:
-    """Build a ParamMap from JSON text or an already-decoded mapping.
-
-    Expected keys: n, m, lambda, kappa, params (list of names), domain
-    (list of [lo, hi] per parameter), B (map lag-string -> entries), A
-    (map lag-string -> entries).  Entries are expression strings, numbers,
-    or nested lists thereof.
-    """
+    """Build a ParamMap from JSON text or an already-decoded mapping: the
+    parametrized form of :mod:`ratex.modelio`, with the header inside.
+    Every name is resolved here, when the entries are compiled."""
     if isinstance(spec, (str, bytes)):
         spec = json.loads(spec)
-    try:
-        n, m = int(spec["n"]), int(spec["m"])
-        lam, kappa = int(spec["lambda"]), int(spec["kappa"])
-    except KeyError as exc:
-        raise ParseError(f"missing required field {exc}")
-    names = tuple(spec.get("params", ()))
+    (n, m, lam, kappa), b_entries, a_entries = decode_lag_blocks(spec, object, _parse_cells)
+    names = tuple(json_typed(spec.get("params", []), list, "params"))
+    if not all(isinstance(name, str) for name in names):
+        raise ParseError("parameter names must be strings")
     if len(set(names)) != len(names):
         raise ParseError("duplicate parameter names")
-    domain = np.asarray(spec.get("domain", [[-1.0, 1.0]] * len(names)), dtype=float)
-    domain = domain.reshape(-1, 2) if domain.size else np.zeros((0, 2))
-    if domain.shape[0] != len(names):
-        raise ParseError(f"domain has {domain.shape[0]} boxes for {len(names)} parameters")
-    if domain.size and (not np.all(np.isfinite(domain)) or np.any(domain[:, 0] > domain[:, 1])):
+    domain = json_array(spec.get("domain", [[-1.0, 1.0]] * len(names)), float, "domain")
+    if domain.size != 2 * len(names):
+        raise ParseError(f"domain has {domain.size} bounds for {len(names)} parameters, "
+                         "expected one [lo, hi] box each")
+    domain = domain.reshape(-1, 2)
+    if not np.all(np.isfinite(domain)) or np.any(domain[:, 0] > domain[:, 1]):
         raise ParseError("domain bounds must be finite with lo <= hi")
-
-    def load_block(key, rows, cols, lo):
-        out = {}
-        for lag_str, raw in dict(spec.get(key, {})).items():
-            lag = int(lag_str)
-            if not lo <= lag <= kappa:
-                raise ParseError(f"{key} lag {lag} outside {lo}..{kappa}")
-            out[lag] = _entry_grid(raw, rows, cols, f"{key}[{lag}]")
-        return out
-
     pm = ParamMap(param_names=names, domain=domain, n=n, m=m, lam=lam, kappa=kappa,
-                  b_entries=load_block("B", n, n, -lam),
-                  a_entries=load_block("A", n, m, 0))
-    declared = set(names)
-    used = set()
-    for grid in list(pm.b_entries.values()) + list(pm.a_entries.values()):
-        for cell in grid.flat:
-            used |= expr_names(cell)
-    unknown = used - declared
-    if unknown:
-        raise ParseError(f"undeclared identifier(s): {', '.join(sorted(unknown))}")
+                  b_entries=b_entries, a_entries=a_entries)
+    try:
+        pm._compiled
+    except EvalError as exc:
+        raise ParseError(str(exc)) from exc
     return pm
 
 
@@ -531,7 +556,7 @@ def eval_model(pm: ParamMap, theta) -> Model:
     Raises EvalError when an entry fails or is not finite."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if theta.shape != (pm.dim,):
-        raise ValueError(f"theta must have {pm.dim} entries")
+        raise InputError(f"theta must have {pm.dim} entries")
     if _outside(pm, theta[None])[0]:
         _warnings.warn(OUTSIDE_WARNING)
     values = pm._compiled[0].values(theta)
@@ -610,7 +635,7 @@ def generic_ident(pm: ParamMap, restrictions: RestrictionSet,
     lo, hi = (pm.domain[:, 0], pm.domain[:, 1]) if pm.dim else (np.zeros(0), np.zeros(0))
     probes = [np.atleast_1d(np.asarray(p, dtype=float)) for p in config.probe_points]
     if any(p.shape != (pm.dim,) for p in probes):
-        raise ValueError(f"theta must have {pm.dim} entries")
+        raise InputError(f"theta must have {pm.dim} entries")
     draws = lo + (hi - lo) * rng.random((config.num_samples, pm.dim))
     points = np.concatenate([np.reshape(probes, (len(probes), pm.dim)), draws])
 
@@ -811,7 +836,7 @@ def local_ident(model: Model, restrictions: RestrictionSet,
              else restrictions.residual_fn(x0))
     resid = np.max(np.abs(np.atleast_1d(np.asarray(resid, dtype=float))))
     if resid > 1e-8 * (1.0 + np.max(np.abs(x0))):
-        raise ValueError(f"restrictions do not hold at the point (residual {resid:.3e})")
+        raise InputError(f"restrictions do not hold at the point (residual {resid:.3e})")
 
     def jacobian_test(x):
         J = restrictions.jacobian(x)

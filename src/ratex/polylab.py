@@ -115,6 +115,15 @@ class LaurentMatrix:
             return np.array(self.coeffs[lag - self.min_lag])
         return np.zeros((self.rows, self.cols))
 
+    def window(self, lo: int, hi: int) -> np.ndarray:
+        """Coefficient matrices at lags lo..hi, (hi - lo + 1, rows, cols),
+        zero outside the stored range."""
+        out = np.zeros((hi - lo + 1, self.rows, self.cols))
+        first, last = max(lo, self.min_lag), min(hi, self.max_lag)
+        if first <= last:
+            out[first - lo:last - lo + 1] = self.coeffs[first - self.min_lag:last - self.min_lag + 1]
+        return out
+
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.coeffs)))
 
@@ -144,14 +153,6 @@ class LaurentMatrix:
             return LaurentMatrix.zero(self.rows, self.cols)
         return LaurentMatrix.from_coeffs(self.coeffs[-self.min_lag:], 0)
 
-    def minus_part(self) -> "LaurentMatrix":
-        """Lags <= -1."""
-        if self.max_lag < 0:
-            return self
-        if self.min_lag >= 0:
-            return LaurentMatrix.zero(self.rows, self.cols)
-        return LaurentMatrix.from_coeffs(self.coeffs[: -self.min_lag], self.min_lag)
-
     def trimmed(self) -> "LaurentMatrix":
         arr, lag = _trim(np.array(self.coeffs), self.min_lag)
         return LaurentMatrix(arr, lag)
@@ -162,10 +163,7 @@ class LaurentMatrix:
             return False
         lo = min(self.min_lag, other.min_lag)
         hi = max(self.max_lag, other.max_lag)
-        for lag in range(lo, hi + 1):
-            if not np.allclose(self.coefficient(lag), other.coefficient(lag), atol=atol, rtol=0.0):
-                return False
-        return True
+        return np.allclose(self.window(lo, hi), other.window(lo, hi), atol=atol, rtol=0.0)
 
     def __repr__(self):
         return (f"LaurentMatrix({self.rows}x{self.cols}, "
@@ -242,7 +240,7 @@ def companion_pencil(a: LaurentMatrix):
         raise ShapeMismatchError("determinant requires a square matrix")
     s = max(0, -a.min_lag)
     d = max(s + max(a.max_lag, 0), 1)
-    A, E = companion_stack(np.array([a.coefficient(j - s) for j in range(d + 1)])[None])
+    A, E = companion_stack(a.window(-s, d - s)[None])
     return _deflate_infinite(A[0], E[0])
 
 
@@ -310,8 +308,8 @@ def lp_series_divide(g: LaurentMatrix, rhs: LaurentMatrix, horizon: int) -> np.n
     """Coefficients 0..horizon of the power series g^-1 rhs (see
     :func:`series_divide`); g is a polynomial in z with invertible g_0.
     Returns (horizon + 1, rows, cols)."""
-    gs = np.array([g.coefficient(i) for i in range(max(g.max_lag, 0) + 1)])
-    rs = np.array([rhs.coefficient(j) for j in range(max(min(rhs.max_lag, horizon), 0) + 1)])
+    gs = g.window(0, max(g.max_lag, 0))
+    rs = rhs.window(0, max(min(rhs.max_lag, horizon), 0))
     return series_divide(gs[None], rs[None], horizon)[0]
 
 

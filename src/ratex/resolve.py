@@ -9,7 +9,7 @@ they produce the same transfer coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -113,18 +113,14 @@ def solve_model(model: Model, tol: ToleranceConfig | None = None,
         horizon = default_horizon(model.n, model.kappa, model.lam)
     L = max(model.A.max_lag, fac.b_plus.max_lag, 0) + 1
     ma, transfer, ranks = solve_stack(
-        fac.b_minus.coeffs[None], _lags(fac.b_plus, L)[None], _lags(model.A, L)[None], horizon)
+        fac.b_minus.coeffs[None], fac.b_plus.window(0, L - 1)[None],
+        model.A.window(0, L - 1)[None], horizon)
     ma = LaurentMatrix.from_coeffs(ma[0], 0)
     transfer = TransferSeries(transfer[0])
     c0 = transfer.coefficient(0)
     return SolutionBundle(
         model=model, factors=fac, ma_part=ma, a_plus=a_plus(fac.b_minus, ma),
         transfer=transfer, c0_canonical=is_canonical_staircase(c0), c0_rank=int(ranks[0]))
-
-
-def _lags(a: LaurentMatrix, L: int) -> np.ndarray:
-    """Coefficients at lags 0..L-1."""
-    return np.array([a.coefficient(k) for k in range(L)])
 
 
 # -- canonical quasi-lower triangular form --------------------------------
@@ -190,7 +186,7 @@ def _rank_drop_points(ma_part: LaurentMatrix, cutoff_scale: float):
     rank (see :func:`rank_drop_stack`).  Returns ``(inside, boundary)``:
     points in the open disk and within CF_BOUNDARY_MARGIN of the unit circle.
     """
-    M = np.array([ma_part.coefficient(k) for k in range(max(ma_part.max_lag, 0) + 1)])
+    M = ma_part.window(0, max(ma_part.max_lag, 0))
     z, hit = rank_drop_stack(M[None], cutoff_scale)
     zeros = z[0][hit[0]]
     inside = np.abs(zeros) < 1.0 - CF_BOUNDARY_MARGIN
@@ -259,22 +255,11 @@ def cf_check_and_normalize(bundle: SolutionBundle, tol_rank: float = DEFAULT_TOL
     v = canonical_rotation(c0, tol_rank)
     model = bundle.model
     if np.array_equal(v, np.eye(m)):
-        new_bundle = bundle if not warnings else SolutionBundle(
-            model=model, factors=bundle.factors, ma_part=bundle.ma_part,
-            a_plus=bundle.a_plus, transfer=bundle.transfer,
-            c0_canonical=True, c0_rank=bundle.c0_rank, warnings=warnings)
-        return np.eye(m), new_bundle
-    new_model = Model(model.B, model.A.right_multiplied(v), lam=model.lam, kappa=model.kappa)
-    new_bundle = SolutionBundle(
-        model=new_model,
-        factors=bundle.factors,
-        ma_part=bundle.ma_part.right_multiplied(v),
-        a_plus=bundle.a_plus.right_multiplied(v),
-        transfer=TransferSeries(bundle.transfer.coeffs @ v),
-        c0_canonical=True,
-        c0_rank=bundle.c0_rank,
-        warnings=warnings)
-    return v, new_bundle
+        return np.eye(m), replace(bundle, c0_canonical=True, warnings=warnings) if warnings else bundle
+    return v, replace(
+        bundle, model=Model(model.B, model.A.right_multiplied(v), lam=model.lam, kappa=model.kappa),
+        ma_part=bundle.ma_part.right_multiplied(v), a_plus=bundle.a_plus.right_multiplied(v),
+        transfer=TransferSeries(bundle.transfer.coeffs @ v), c0_canonical=True, warnings=warnings)
 
 
 # -- spectral density and simulation --------------------------------------

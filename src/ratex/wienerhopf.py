@@ -148,7 +148,7 @@ def wh_factorize(B: LaurentMatrix, tol: ToleranceConfig | None = None) -> WHFact
     b_minus, ok = _stable_monic_divisor(AA[None], EE[None], (V @ Z)[None], n, lam, tol)
     if not ok[0]:
         raise DivisorExtractionSingular(_SINGULAR_BLOCK, zeros)
-    Bc = np.array([B.coefficient(lag) for lag in range(-lam, max(B.max_lag, 0) + 1)])
+    Bc = B.window(-lam, max(B.max_lag, 0))
     b_plus, residual = _plus_factor(b_minus, Bc[None])
     if residual[0] > tol.reconstruction * scale:
         raise _reconstruction_error(residual[0], tol, zeros)
@@ -220,7 +220,7 @@ def wh_factorize_stack(Bc: np.ndarray, lam: int, tol: ToleranceConfig | None = N
             errors[s] = exc
             continue
         b_minus[s, lam + fac.b_minus.min_lag:] = fac.b_minus.coeffs
-        b_plus[s] = [fac.b_plus.coefficient(k) for k in range(kappa + 1)]
+        b_plus[s] = fac.b_plus.window(0, kappa)
     return b_minus, b_plus, errors
 
 
@@ -343,8 +343,8 @@ def plus_part_of_bminus_inv_a(b_minus: LaurentMatrix, A: LaurentMatrix) -> Laure
         return LaurentMatrix.zero(b_minus.rows, A.cols)
     if b_minus.trimmed().max_lag > 0:
         raise ValueError("B_minus must be a polynomial in 1/z")
-    bm = np.array([b_minus.coefficient(lag) for lag in range(min(b_minus.min_lag, 0), 1)])
-    a = np.array([A.coefficient(k) for k in range(A.max_lag + 1)])
+    bm = b_minus.window(min(b_minus.min_lag, 0), 0)
+    a = A.window(0, A.max_lag)
     return LaurentMatrix.from_coeffs(bminus_inv_plus(bm[None], a[None])[0], 0)
 
 

@@ -15,7 +15,7 @@ from ratex.modelio import (
     model_from_dict,
     restrictions_from_dict,
 )
-from ratex.paramdsl import ParamMap
+from ratex.paramdsl import ParamMap, ParseError, parse_expression
 from ratex.polylab import Model
 
 
@@ -128,6 +128,23 @@ class TestRestrictionFiles:
         with pytest.raises(ModelFileError):
             compile_nonlinear(["B[2][1][1] - 0.5"], n=2, m=1, kappa=1, lam=0, equation=1)
 
+    @pytest.mark.parametrize("text", ["B[-1][1][1] + * 2", "(A[0][1][1]\n  - B[1][1][1]) $",
+                                      "B[0][1][1] B[0][1][1]"])
+    def test_syntax_errors_point_into_the_text(self, text):
+        # a reference is one name token of the expression grammar, so an
+        # error gives the position and token of the restriction as written
+        with pytest.raises(ParseError) as want:
+            parse_expression(text)
+        with pytest.raises(ParseError) as got:
+            compile_nonlinear([text], n=1, m=1, kappa=1, lam=1)
+        assert (got.value.line, got.value.col) == (want.value.line, want.value.col)
+        assert str(got.value) == str(want.value)
+        assert isinstance(got.value, ModelFileError)
+
+    def test_only_references_and_no_other_names(self):
+        with pytest.raises(ModelFileError, match="unknown identifier '_B_0_1_1'"):
+            compile_nonlinear(["B[0][1][1] - _B_0_1_1"], n=1, m=1, kappa=0, lam=0)
+
     def test_dependent_rows_warn(self):
         with pytest.warns(UserWarning):
             restrictions_from_dict({"R": [[1, 0, 0, 0, 0], [2, 0, 0, 0, 0]],
@@ -216,6 +233,41 @@ class TestOriginZeros:
         assert "lag-0 coefficient of B_plus is singular" not in payload["reason"]
 
 
+class TestUsage:
+    """main returns an exit code for every argument list: argparse's usage
+    errors exit 1 with its message on standard error, --help exits 0."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["spectrum", "M", "--format", "text"], "unrecognized arguments: --format text"),
+        (["simulate", "M", "--T", "-1"], "argument --T: expected an integer >= 0, got -1"),
+        (["generic", "M", "R", "--seed", "-2"], "argument --seed: expected an integer >= 0"),
+        (["equiv", "M", "M", "--grid", "0"], "argument --grid: expected an integer >= 1"),
+        (["solve", "M", "--theta", "0.5,x"], "argument --theta: invalid float_list value"),
+        (["generic", "M", "R", "--probe", "x"], "argument --probe: invalid float_list value"),
+    ])
+    def test_usage_error_exit_1(self, tmp_path, capsys, argv, message):
+        path = write(tmp_path / "m.json", ds_model())
+        assert main([path if a in ("M", "R") else a for a in argv]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["factorize", "--help"]])
+    def test_help_exit_0(self, capsys, argv):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("usage:")
+
+    def test_program_fault_is_not_a_file_error(self, tmp_path, monkeypatch):
+        # a ValueError from a numerical layer propagates: only InputError,
+        # OSError and EvalError are reported as file or validation errors
+        from ratex import cli
+
+        def broken(*args, **kwargs):
+            raise ValueError("fault")
+
+        monkeypatch.setattr(cli, "solve_model", broken)
+        with pytest.raises(ValueError, match="fault"):
+            main(["solve", write(tmp_path / "m.json", ds_model())])
+
+
 class TestSolveCommand:
     def test_white_noise(self, tmp_path, capsys):
         path = write(tmp_path / "m.json", white_noise_model())
@@ -252,6 +304,14 @@ class TestEquivCommand:
         a = write(tmp_path / "a.json", white_noise_model())
         b = write(tmp_path / "b.json", mixed_lag_model())
         assert main(["equiv", a, b]) == 0
+
+    def test_spectral_oracle_needs_equal_n(self, tmp_path, capsys):
+        models = [write(tmp_path / f"m{n}.json", {"n": n, "m": 1, "lambda": 0, "kappa": 0,
+                                                   "B": {"0": np.eye(n).tolist()},
+                                                   "A": {"0": np.ones((n, 1)).tolist()}})
+                  for n in (2, 3)]
+        assert main(["equiv", *models, "--oracle", "spectral"]) == 1
+        assert "models must share the dimension n" in capsys.readouterr().err
 
     def test_not_equivalent_exit_3(self, tmp_path):
         a = write(tmp_path / "a.json", white_noise_model())
@@ -741,3 +801,86 @@ class TestFailedReordering:
         assert main(["generic", path, r, "--samples", "4", "--format", "json-report"]) == 4
         payload = json.loads(capsys.readouterr().out)
         assert payload["invalid_reasons"] == {"eu_failed: FactorizationError": 4}
+
+
+# -- malformed input ---------------------------------------------------------
+
+
+def param_model(**inner):
+    spec = {"n": 1, "m": 1, "lambda": 0, "kappa": 1,
+            "parametrized": {"params": ["a"], "domain": [[-0.5, 0.5]],
+                             "B": {"0": "1", "1": "a"}, "A": {"0": "1"}}}
+    spec["parametrized"].update(inner)
+    return spec
+
+
+class TestMalformedInput:
+    """Each command that reads a malformed file exits 1 with exactly one
+    ``error:`` line, which names the defect; no exception escapes main."""
+
+    MODELS = {
+        "string row": ({"n": 2, "m": 2, "lambda": 0, "kappa": 0,
+                        "parametrized": {"params": ["a", "b", "c", "d"],
+                                         "B": {"0": [[1, 0], [0, 1]]},
+                                         "A": {"0": ["ab", "cd"]}}},
+                       "A[0]: shape (2,) != (2, 2)"),
+        "null scalar": (param_model(B={"0": "1", "1": None}), "B[1]: shape () != (1, 1)"),
+        "null cell": (param_model(B={"0": [[None]]}),
+                      "B[0][1][1]: entry must be a number or a string"),
+        "lag key of a parametrized file": (param_model(B={"x": "1"}),
+                                           "B lag key 'x' is not an integer"),
+        "lag key of a numeric file": ({**ds_model(), "A": {"x": 1}},
+                                      "A lag key 'x' is not an integer"),
+        "non-integer n": ({**ds_model(), "n": "x"}, "n must be an integer, got 'x'"),
+        "fractional kappa": ({**ds_model(), "kappa": 1.5}, "kappa must be an integer"),
+        "negative lambda": ({**ds_model(), "lambda": -1}, "lambda and kappa at least 0"),
+        "B as a list": ({**ds_model(), "B": [[1.0]]}, "B must be a JSON object"),
+        "dict block": ({**ds_model(), "B": {"0": {"1": 1.0}}}, "B[0]: "),
+        "ragged block": ({"n": 2, "m": 1, "lambda": 0, "kappa": 0,
+                          "B": {"0": [[1, 0], [0]]}, "A": {"0": [[1], [1]]}}, "B[0]: "),
+        "ragged domain": (param_model(domain=[[0, 1], [2]]), "domain: "),
+        "params as a string": (param_model(params="a"), "params must be a JSON array"),
+    }
+
+    RESTRICTIONS = {
+        "ragged R": ({"R": [[1, 0, 0, 0], [1]], "u": [1, 1]}, "R: "),
+        "nonlinear as a string": ({"nonlinear": "1"}, "nonlinear must be a JSON array"),
+        "pins as an object": ({"pins": {"block": "B"}}, "pins must be a JSON array"),
+        "non-integer equation": ({"equation": "x", **pins(("B", 0, 1.0))},
+                                 "equation must be an integer"),
+        "reference out of range": ({"nonlinear": ["B[3][1][1] - 1"]},
+                                   "B[3][1][1]: B[3][0][0] outside the coefficient space"),
+        "reference twice": ({"nonlinear": ["B[0][1][1] B[0][1][1]"]},
+                            "unexpected 'B[0][1][1]' at line 1, column 12"),
+        "undeclared name": ({"nonlinear": ["B[0][1][1] - _B_0_1_1"]},
+                            "unknown identifier '_B_0_1_1'"),
+        "syntax error": ({"nonlinear": ["B[0][1][1] + * 2"]},
+                         "unexpected '*' at line 1, column 14"),
+    }
+
+    def assert_file_error(self, capsys, argv, fragment):
+        code = main(argv)
+        err = capsys.readouterr().err
+        lines = [line for line in err.splitlines() if line.startswith("error:")]
+        assert (code, len(lines)) == (1, 1), (argv[0], err)
+        assert fragment in lines[0], (argv[0], lines[0])
+
+    @pytest.mark.parametrize("case", MODELS)
+    def test_model_file(self, tmp_path, capsys, case):
+        spec, fragment = self.MODELS[case]
+        path = write(tmp_path / "m.json", spec)
+        good = write(tmp_path / "good.json", ds_model())
+        r = write(tmp_path / "r.json", pins(("B", 0, 1.0)))
+        for argv in (["factorize", path], ["solve", path], ["spectrum", path],
+                     ["simulate", path], ["equiv", path, good], ["ident", path, r],
+                     ["local", path, r], ["generic", path, r]):
+            self.assert_file_error(capsys, argv, fragment)
+
+    @pytest.mark.parametrize("case", RESTRICTIONS)
+    def test_restriction_file(self, tmp_path, capsys, case):
+        spec, fragment = self.RESTRICTIONS[case]
+        r = write(tmp_path / "r.json", spec)
+        model = write(tmp_path / "m.json", ds_model())
+        param = write(tmp_path / "p.json", param_model())
+        for argv in (["ident", model, r], ["local", model, r], ["generic", param, r]):
+            self.assert_file_error(capsys, argv, fragment)

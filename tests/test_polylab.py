@@ -151,6 +151,18 @@ class TestValue:
         assert np.allclose(scalar([2.0, 1.0]).value(np.array([0.0, 1.0]))[:, 0, 0], [2.0, 3.0])
 
 
+class TestWindow:
+    @pytest.mark.parametrize("lo, hi", [(-2, 3), (-1, 1), (0, 0), (2, 5), (-6, -3), (4, 7)])
+    def test_matches_per_lag_coefficients(self, rng, lo, hi):
+        # stored lags -1..2: windows inside, overlapping and outside that range
+        a = LaurentMatrix.from_coeffs(rng.standard_normal((4, 2, 3)), -1)
+        w = a.window(lo, hi)
+        assert w.shape == (hi - lo + 1, 2, 3)
+        assert np.array_equal(w, np.array([a.coefficient(k) for k in range(lo, hi + 1)]))
+        w[:] = 1.0  # a fresh array: the matrix itself is untouched
+        assert a.coefficient(0).tolist() != np.ones((2, 3)).tolist()
+
+
 class TestDetAndZeros:
     def test_scalar_linear_factor(self):
         b0, b_plus = 2.0, 0.4
