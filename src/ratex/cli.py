@@ -49,7 +49,7 @@ from .identcore import (
     spectral_equivalent,
 )
 from .modelio import ModelFileError, load_model_file, load_restriction_file
-from .numrank import env_tol_rank
+from .numrank import env_tol_rank, tolerance
 from .paramdsl import (
     EvalError,
     ParamMap,
@@ -68,7 +68,7 @@ from .resolve import (
     spectral_density,
     unit_circle_grid,
 )
-from .wienerhopf import FactorizationError, ToleranceConfig
+from .wienerhopf import FactorizationError, ToleranceConfig, wh_factorize
 
 EXIT_OK = 0
 EXIT_FILE = 1
@@ -118,7 +118,7 @@ def _load_numeric_model(args):
 
 def cmd_factorize(args) -> dict:
     model = _load_numeric_model(args)
-    fac = solve_model(model, tol=ToleranceConfig(boundary=args.tol_boundary)).factors
+    fac = wh_factorize(model.B, ToleranceConfig(boundary=args.tol_boundary))
     return {
         "verdict": "factorized", "exit_code": EXIT_OK,
         "b_minus": _laurent_payload(fac.b_minus),
@@ -398,7 +398,7 @@ def _add_common(p, restrictions=False, theta=True, report=True):
                        help="comma-separated parameter values for a parametrized model")
     if restrictions:
         p.add_argument("restrictions", help="restriction JSON file")
-        p.add_argument("--tol-rank", type=float, default=None,
+        p.add_argument("--tol-rank", type=tolerance, default=None,
                        help="relative rank threshold (env RATEX_TOL_RANK overrides the default)")
     if report:
         p.add_argument("--format", choices=["text", "json-report"], default="text")
@@ -414,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("factorize", help="Wiener-Hopf factorization of B")
     _add_common(p)
-    p.add_argument("--tol-boundary", type=float, default=1e-9)
+    p.add_argument("--tol-boundary", type=tolerance, default=1e-9)
     p.set_defaults(fn=cmd_factorize, render=_text_factorize)
 
     p = sub.add_parser("solve", help="solution operators and transfer coefficients")
@@ -427,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model_b")
     p.add_argument("--oracle", choices=["spectral", "kernel", "both"], default="both")
     p.add_argument("--grid", type=_int_from(1), default=64)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=tolerance, default=1e-8)
     p.add_argument("--format", choices=["text", "json-report"], default="text")
     p.set_defaults(fn=cmd_equiv, render=_text_equiv)
 
@@ -472,10 +472,10 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # --help (code 0) or a usage error (code 2)
         return EXIT_OK if not exc.code else EXIT_FILE
-    # read at every call: the parser is built once per process
-    if getattr(args, "tol_rank", 0.0) is None:
-        args.tol_rank = env_tol_rank()
     try:
+        # read at every call: the parser is built once per process
+        if getattr(args, "tol_rank", 0.0) is None:
+            args.tol_rank = env_tol_rank()
         try:
             payload = args.fn(args)
         except _SOLVE_ERRORS as exc:

@@ -15,18 +15,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .numrank import DEFAULT_TOL_RANK, count_above, stacked_rank
+from .numrank import DEFAULT_TOL_RANK, InputError, count_above, stacked_rank
 from .polylab import LaurentMatrix, Model
 from .resolve import (SolutionBundle, TransferSeries, solve_model, spectral_distance,
                       unit_circle_grid)
 
 # tolerance for "the restrictions hold at the supplied point"
 MEMBERSHIP_RTOL = 1e-8
-
-
-class InputError(ValueError):
-    """Input that fails validation: a malformed file, or restrictions or
-    parameter values the requested test cannot use."""
 
 
 class RestrictionDimensionError(InputError):

@@ -169,6 +169,8 @@ def restrictions_from_dict(spec: dict, n: int, m: int, kappa: int, lam: int) -> 
                 u[k] = float(pin["value"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ModelFileError(f"pin #{k + 1}: {exc}")
+            if not np.isfinite(u[k]):
+                raise ModelFileError(f"pin #{k + 1}: value must be finite")
             R[k, _coeff_position(f"pin #{k + 1}", block, lag, row, col,
                                  n, m, kappa, lam, equation)] = 1.0
     else:

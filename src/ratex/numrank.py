@@ -9,10 +9,29 @@ import numpy as np
 DEFAULT_TOL_RANK = 1e-10
 
 
+class InputError(ValueError):
+    """Input that fails validation: a malformed file, or restrictions,
+    parameter values or tolerances the requested test cannot use."""
+
+
+def tolerance(text: str) -> float:
+    """A tolerance read from text: a finite number >= 0, else ValueError."""
+    value = float(text)
+    if not (np.isfinite(value) and value >= 0.0):
+        raise ValueError(f"expected a finite number >= 0, got {text}")
+    return value
+
+
 def env_tol_rank() -> float:
     """Default rank tolerance, overridable through RATEX_TOL_RANK."""
     raw = os.environ.get("RATEX_TOL_RANK")
-    return float(raw) if raw else DEFAULT_TOL_RANK
+    if not raw:
+        return DEFAULT_TOL_RANK
+    try:
+        return tolerance(raw)
+    except ValueError:
+        raise InputError(
+            f"RATEX_TOL_RANK must be a finite number >= 0, got {raw!r}") from None
 
 
 def numerical_rank(mat: np.ndarray, tol_rank: float = DEFAULT_TOL_RANK,

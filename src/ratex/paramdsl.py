@@ -17,16 +17,26 @@ expressions; central differences (:func:`fd_jacobian`) are used only for
 an opaque residual callable.
 
 Generic identification stacks samples.  The draws go through the pipeline
-in draw-order chunks of 1, 2, 4, ... points: the same walk evaluates a
-whole chunk at once (one array of values per parameter), and every later
-stage takes coefficient stacks with a leading sample axis, dropping
-invalid samples as it goes.  The existence/uniqueness screen, the series
-divisions, the rank tests and the canonical-form check each run once per
-chunk; only the ordered QZ of a model with lam > 0, and samples the
-stacked zero screen cannot decide, run one sample at a time.  The scan
-stops at the first full-rank sample, and the counts are those of scanning
-the samples one by one; the scalar entry points (solve_model,
-build_ident_system, ident_test_*) run the same kernels at one sample.
+in draw-order chunks: the same walk evaluates a whole chunk at once (one
+array of values per parameter), and every later stage takes coefficient
+stacks with a leading sample axis, dropping invalid samples as it goes.
+The existence/uniqueness screen, the series divisions, the rank tests and
+the canonical-form check each run once per chunk; only the ordered QZ of a
+model with lam > 0, and samples the stacked zero screen cannot decide, run
+one sample at a time.  The scan stops at the first full-rank sample, and
+the counts are those of scanning the samples one by one; the scalar entry
+points (solve_model, build_ident_system, ident_test_*) run the same
+kernels at one sample.
+
+The chunk sizes follow from the generic-rank dichotomy.  On a connected
+domain the identification rank of an analytic map takes its maximum on an
+open dense set of full measure, so a scan almost surely either finds its
+witness at the first valid draw or sees rank-deficient draws everywhere.
+While no valid draw has been scanned the chunks double (1, 2, 4, ...),
+because invalid draws say nothing about the generic rank; once a valid
+draw is rank deficient, the next chunk holds every remaining point.  So a
+first-draw witness costs one sample, and a scan of deficient draws pays
+the per-chunk cost about twice.
 """
 
 from __future__ import annotations
@@ -626,9 +636,13 @@ def generic_ident(pm: ParamMap, restrictions: RestrictionSet,
     at the first full-rank sample.  Rank-deficient samples whose margin is
     within 10x of the cutoff count as borderline, not as evidence.
 
-    The points go through :func:`_scan_chunk` in draw order, in chunks of
-    1, 2, 4, ... samples, so a witness on the first draw costs one sample;
-    the counts stop at the witness, as if the samples ran one at a time.
+    The points go through :func:`_scan_chunk` in draw order.  Until a valid
+    sample has been scanned the chunks hold 1, 2, 4, ... points, so a
+    witness on the first draw costs one sample; after a valid rank-deficient
+    sample, the next chunk holds all the remaining points, since on a
+    connected domain deficiency at one valid draw almost surely means
+    deficiency at all (see the module docstring).  The counts stop at the
+    witness, as if the samples ran one at a time.
     """
     config = config or SamplerConfig()
     rng = np.random.default_rng(config.seed)
@@ -660,7 +674,9 @@ def generic_ident(pm: ParamMap, restrictions: RestrictionSet,
                 borderline += outcome == "borderline"
             else:
                 invalid[outcome] = invalid.get(outcome, 0) + 1
-        start, size = start + size, 2 * size
+        # a valid draw that is no witness puts the scan on the deficient
+        # side of the dichotomy, so the rest of the points go in one chunk
+        start, size = start + size, len(points) if valid else 2 * size
 
     notes = [ASSUMPTION_NOTE]
     if witness is not None:
@@ -697,6 +713,8 @@ def _scan_chunk(pm: ParamMap, restrictions: RestrictionSet, thetas: np.ndarray,
         """Record ``reason`` (one string, or one per sample) for the samples
         flagged ``bad``; the rest of ``lanes`` and ``stacks`` go on."""
         nonlocal lanes
+        if not bad.any():
+            return list(stacks)
         for k in np.flatnonzero(bad):
             outcomes[lanes[k]] = reason if isinstance(reason, str) else reason[k]
         lanes = lanes[~bad]

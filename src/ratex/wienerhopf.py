@@ -18,9 +18,10 @@ then falls out of the long division B_minus**-1 * B with exact degree cutoff.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
-from scipy.linalg import ordqz
+from scipy.linalg.lapack import dgges, dtgsen
 
 from .polylab import (
     PENCIL_INFINITE_RTOL,
@@ -91,9 +92,8 @@ class WHFactors:
 
 def _classify_zeros(zeros: np.ndarray, boundary: float):
     mods = np.abs(zeros)
-    on_band = np.abs(mods - 1.0) <= boundary
-    stable = mods < 1.0 - boundary
-    return int(np.sum(stable)), int(np.sum(on_band))
+    return (int(np.count_nonzero(mods < 1.0 - boundary)),
+            int(np.count_nonzero(np.abs(mods - 1.0) <= boundary)))
 
 
 def wh_factorize(B: LaurentMatrix, tol: ToleranceConfig | None = None) -> WHFactors:
@@ -295,27 +295,44 @@ def _check_counts(stable: int, on_band: int, n: int, lam: int, tol: ToleranceCon
 def _ordered_qz(A: np.ndarray, E: np.ndarray, n: int, lam: int, tol: ToleranceConfig):
     """Ordered QZ of the finite pencil (A, E), stable eigenvalues leading.
 
-    Returns (AA, EE, Z, zeros); raises ZerosOnUnitCircle or WrongStableCount
-    from the counts, before any reordering, and FactorizationError when the
-    counts pass but the pencil is too ill-conditioned to reorder."""
+    LAPACK's dgges and dtgsen, called with the arguments of
+    ``scipy.linalg.ordqz``.  Returns (AA, EE, Z, zeros); raises
+    ZerosOnUnitCircle or WrongStableCount from the counts of the unordered
+    QZ, before any reordering, and FactorizationError when the QZ iteration
+    fails or the counts pass but the pencil is too ill-conditioned to
+    reorder."""
     zeros = np.array([], dtype=complex)
-
-    def stable_first(alpha, beta):
-        # ordqz calls this once with the eigenvalues of the unordered QZ,
-        # before reordering, so a failed count never reaches the reorder
-        nonlocal zeros
-        zeros = alpha / beta
-        _check_counts(*_classify_zeros(zeros, tol.boundary), n, lam, tol, zeros)
-        return np.abs(zeros) < 1.0 - tol.boundary
-
     if not A.size:  # det(z^lam B) is constant
-        stable_first(zeros, np.ones(0))
+        _check_counts(0, 0, n, lam, tol, zeros)
         return None, None, None, zeros
-    try:
-        AA, EE, _, _, _, Z = ordqz(A, E, sort=stable_first, check_finite=False)
-    except ValueError as exc:   # LAPACK's reordering gave up
-        raise FactorizationError(f"ordered QZ failed: {exc}", zeros) from exc
+    N = len(A)
+    AA, EE, _, alphar, alphai, beta, Q, Z, _, info = dgges(
+        _no_select, A, E, lwork=_dgges_lwork(N), sort_t=0)
+    if info:
+        raise FactorizationError(f"QZ iteration failed (LAPACK dgges info {info})")
+    zeros = (alphar + alphai * 1j) / beta
+    _check_counts(*_classify_zeros(zeros, tol.boundary), n, lam, tol, zeros)
+    stable = np.abs(zeros) < 1.0 - tol.boundary
+    AA, EE, *_, Z, _, _, _, _, info = dtgsen(stable, AA, EE, Q, Z, ijob=0,
+                                            lwork=4 * N + 16, liwork=1)
+    if info:
+        raise FactorizationError(
+            "ordered QZ failed: Reordering of (A, B) failed because the transformed "
+            "matrix pair (A, B) would be too far from generalized Schur form; the "
+            "problem is very ill-conditioned. (A, B) may have been partially reordered.",
+            zeros)
     return AA, EE, Z, zeros
+
+
+def _no_select(alphar, alphai, beta):
+    """dgges' selection callback; never called, as sort_t=0 asks no sorting."""
+
+
+@cache
+def _dgges_lwork(N: int) -> int:
+    """dgges' optimal workspace for order N, from its workspace query."""
+    probe = np.zeros((N, N))
+    return int(dgges(_no_select, probe, probe, lwork=-1)[-2][0])
 
 
 def _reconstruction_error(residual, tol: ToleranceConfig, zeros):

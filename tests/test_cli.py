@@ -244,11 +244,34 @@ class TestUsage:
         (["equiv", "M", "M", "--grid", "0"], "argument --grid: expected an integer >= 1"),
         (["solve", "M", "--theta", "0.5,x"], "argument --theta: invalid float_list value"),
         (["generic", "M", "R", "--probe", "x"], "argument --probe: invalid float_list value"),
+        (["equiv", "M", "M", "--tol", "nan"], "argument --tol: invalid tolerance value: 'nan'"),
+        (["equiv", "M", "M", "--tol", "-1"], "argument --tol: invalid tolerance value: '-1'"),
+        (["ident", "M", "R", "--tol-rank", "nan"], "argument --tol-rank: invalid tolerance"),
+        (["ident", "M", "R", "--tol-rank", "-1"], "argument --tol-rank: invalid tolerance"),
+        (["local", "M", "R", "--tol-rank", "inf"], "argument --tol-rank: invalid tolerance"),
+        (["factorize", "M", "--tol-boundary", "nan"], "argument --tol-boundary: invalid tolerance"),
+        (["factorize", "M", "--tol-boundary", "x"], "argument --tol-boundary: invalid tolerance"),
     ])
     def test_usage_error_exit_1(self, tmp_path, capsys, argv, message):
         path = write(tmp_path / "m.json", ds_model())
         assert main([path if a in ("M", "R") else a for a in argv]) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", ["abc", "nan", "-1", "inf"])
+    def test_bad_env_rank_tolerance_exit_1(self, tmp_path, capsys, monkeypatch, raw):
+        monkeypatch.setenv("RATEX_TOL_RANK", raw)
+        path = write(tmp_path / "m.json", ds_model())
+        r = write(tmp_path / "r.json", pins(("B", 0, 1.0)))
+        assert main(["ident", path, r]) == 1
+        assert capsys.readouterr().err == \
+            f"error: RATEX_TOL_RANK must be a finite number >= 0, got {raw!r}\n"
+
+    def test_zero_tolerances_are_accepted(self, tmp_path):
+        path = write(tmp_path / "m.json", ds_model())
+        r = write(tmp_path / "r.json", pins(("B", 0, 1.0)))
+        assert main(["factorize", path, "--tol-boundary", "0"]) == 0
+        assert main(["ident", path, r, "--tol-rank", "0"]) == 0
+        assert main(["equiv", path, path, "--tol", "0"]) == 0
 
     @pytest.mark.parametrize("argv", [["--help"], ["factorize", "--help"]])
     def test_help_exit_0(self, capsys, argv):
@@ -856,6 +879,9 @@ class TestMalformedInput:
                             "unknown identifier '_B_0_1_1'"),
         "syntax error": ({"nonlinear": ["B[0][1][1] + * 2"]},
                          "unexpected '*' at line 1, column 14"),
+        "NaN pin value": (pins(("B", 0, float("nan"))), "pin #1: value must be finite"),
+        "infinite pin value": (pins(("B", 0, 1.0), ("B", 1, float("-inf"))),
+                               "pin #2: value must be finite"),
     }
 
     def assert_file_error(self, capsys, argv, fragment):

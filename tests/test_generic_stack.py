@@ -22,6 +22,7 @@ from ratex.identcore import (
     ident_test_affine,
     ident_test_equation,
 )
+from ratex import paramdsl
 from ratex.paramdsl import (
     ASSUMPTION_NOTE,
     BORDERLINE_GAP,
@@ -220,16 +221,12 @@ def test_point_kinds():
         assert arma_scan([NOT_INVERTIBLE]).invalid_reasons == {"not_invertible": 1}
 
 
-@pytest.mark.parametrize("index", [0, 2, 4, 6])
-def test_counts_stop_at_witness(index):
-    # chunks hold draws [0], [1, 2], [3 .. 6], [7 .. 14]: index 2 and 6 end
-    # a chunk, 4 sits inside one; invalid and deficient points follow it
-    before = [DEFICIENT, EU_FAIL, DEFICIENT, NOT_INVERTIBLE, DEFICIENT, DEFICIENT][:index]
+def assert_counts_stop_at_witness(before):
     after = [EU_FAIL, DEFICIENT, NOT_INVERTIBLE] * 4
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         report = arma_scan(before + [WITNESS] + after, num_samples=8)
-    assert report.samples_drawn == index + 1
+    assert report.samples_drawn == len(before) + 1
     assert report.witness[0].tolist() == list(WITNESS)
     assert report.samples_valid == before.count(DEFICIENT) + 1
     assert report.deficient_count == before.count(DEFICIENT)
@@ -249,6 +246,66 @@ def test_counts_stop_at_witness(index):
                                   SamplerConfig(num_samples=8, seed=0,
                                                 probe_points=tuple(before + [WITNESS] + after)))
     assert_same_report(report, want)
+
+
+@pytest.mark.parametrize("index", [0, 1, 2, 4, 6, 9])
+def test_counts_stop_at_witness(index):
+    # the first point is valid and deficient, so the chunks hold [0] and
+    # then every other point: index 0 is a first-draw witness, 1 opens the
+    # big chunk and the others sit inside it; invalid and deficient points
+    # follow the witness
+    before = [DEFICIENT, EU_FAIL, DEFICIENT, NOT_INVERTIBLE, DEFICIENT, DEFICIENT,
+              EU_FAIL, NOT_INVERTIBLE, DEFICIENT][:index]
+    assert_counts_stop_at_witness(before)
+
+
+@pytest.mark.parametrize("before", [
+    [EU_FAIL, EU_FAIL, DEFICIENT],                  # chunks [0], [1, 2], then the rest
+    [EU_FAIL, NOT_INVERTIBLE, EU_FAIL, DEFICIENT],  # witness inside chunk [3 .. 6]
+    [NOT_INVERTIBLE] * 7 + [DEFICIENT, EU_FAIL],    # witness inside chunk [7 .. 14]
+], ids=["after-chunk-2", "inside-chunk-4", "inside-chunk-8"])
+def test_counts_stop_at_witness_after_invalid_points(before):
+    # invalid points keep the chunks doubling until a valid one is scanned
+    assert_counts_stop_at_witness(before)
+
+
+def scan_chunk_sizes(monkeypatch, scan):
+    """The number of points in each _scan_chunk call while ``scan`` runs."""
+    sizes = []
+    inner = paramdsl._scan_chunk
+
+    def recording(pm, restrictions, thetas, tol_rank):
+        sizes.append(len(thetas))
+        return inner(pm, restrictions, thetas, tol_rank)
+
+    monkeypatch.setattr(paramdsl, "_scan_chunk", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        report = scan()
+    return sizes, report
+
+
+# the ARMA map with A's lag-1 coefficient tied to B's: deficient everywhere
+ARMA_DEFICIENT = {**ARMA, "A": {"0": "1", "1": "b"}}
+
+
+def test_chunk_schedule(monkeypatch):
+    sizes, report = scan_chunk_sizes(monkeypatch, lambda: arma_scan([WITNESS], num_samples=64))
+    assert (sizes, report.samples_drawn) == ([1], 1)
+    # invalid points keep the chunks doubling; the first valid deficient
+    # point (in the chunk of 4) sends every remaining point in one chunk
+    probes = [EU_FAIL, NOT_INVERTIBLE, EU_FAIL, EU_FAIL, DEFICIENT, DEFICIENT, DEFICIENT]
+    sizes, report = scan_chunk_sizes(monkeypatch, lambda: arma_scan(probes, num_samples=20))
+    assert sizes == [1, 2, 4, 20]
+    assert report.samples_drawn == len(probes) + 1 and report.full_rank_found
+    config = SamplerConfig(num_samples=64, seed=3)
+    restrictions = pins([("B", 0, 0, 0, 1.0)], 1, 1, 1, 0)
+    sizes, report = scan_chunk_sizes(monkeypatch, lambda: generic_ident(
+        parse_model(ARMA_DEFICIENT), restrictions, config))
+    assert sizes == [1, 63]
+    assert (report.deficient_count, report.verdict) == (64, "evidence_not_identified")
+    assert_same_report(report, sequential_generic(parse_model(ARMA_DEFICIENT),
+                                                  restrictions, config))
 
 
 def test_out_of_box_probe_warns_once_scanned():

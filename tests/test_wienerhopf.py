@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from ratex.polylab import (
     lp_det_and_zeros,
     lp_mul,
 )
+from ratex import wienerhopf
 from ratex.resolve import solve_model
 from ratex.wienerhopf import (
     FactorizationError,
@@ -25,6 +27,7 @@ from ratex.wienerhopf import (
     WrongStableCount,
     ZerosOnUnitCircle,
     _classify_zeros,
+    _ordered_qz,
     _screen_counts,
     wh_factorize,
     wh_factorize_stack,
@@ -310,3 +313,57 @@ def test_failed_reordering_is_a_factorization_error():
     assert _classify_zeros(info.value.zeros, ToleranceConfig().boundary) == (2, 0)
     error = wh_factorize_stack(Bc, 1)[2][0]
     assert type(error) is FactorizationError and "ordered QZ failed" in str(error)
+
+
+class TestOrderedQZ:
+    """_ordered_qz calls LAPACK directly; scipy.linalg.ordqz is the oracle."""
+
+    TOL = ToleranceConfig()
+
+    @staticmethod
+    def pencils(N, rng):
+        # real spectrum: A = X diag(d) Y, E = X Y, eigenvalues d on both
+        # sides of the unit circle; then a general pencil with complex pairs
+        X, Y = rng.standard_normal((2, N, N))
+        d = rng.choice([-1.0, 1.0], N) * rng.uniform(0.05, 3.0, N)
+        yield X @ np.diag(d) @ Y, X @ Y
+        yield rng.standard_normal((N, N)), rng.standard_normal((N, N))
+
+    @pytest.mark.parametrize("N", range(2, 25))
+    def test_equals_scipy_ordqz(self, N):
+        rng = np.random.default_rng(N)
+        complex_pairs = 0
+        for A, E in self.pencils(N, rng):
+            stable = np.abs(scipy.linalg.eigvals(A, E)) < 1.0 - self.TOL.boundary
+            AA, EE, Z, zeros = _ordered_qz(A, E, np.count_nonzero(stable), 1, self.TOL)
+            want = scipy.linalg.ordqz(
+                A, E, sort=lambda a, b: np.abs(a / b) < 1.0 - self.TOL.boundary,
+                check_finite=False)
+            assert np.array_equal(AA, want[0]) and np.array_equal(EE, want[1])
+            assert np.array_equal(Z, want[5])
+            assert match_zero_multisets(zeros, want[2] / want[3])
+            complex_pairs += np.count_nonzero(zeros.imag > 0)
+        assert N < 4 or complex_pairs
+
+    def test_failed_count_raises_before_reordering(self, monkeypatch):
+        def reorder(*args, **kwargs):
+            raise AssertionError("reordered a pencil whose counts failed")
+
+        monkeypatch.setattr(wienerhopf, "dtgsen", reorder)
+        A, E = np.diag([0.5, 2.0, 3.0]), np.eye(3)
+        with pytest.raises(WrongStableCount) as info:
+            _ordered_qz(A, E, 2, 1, self.TOL)
+        assert _classify_zeros(info.value.zeros, self.TOL.boundary) == (1, 0)
+        with pytest.raises(ZerosOnUnitCircle):
+            _ordered_qz(np.diag([0.5, 1.0, 3.0]), E, 1, 1, self.TOL)
+
+    def test_failed_qz_iteration_is_a_factorization_error(self, monkeypatch):
+        dgges = wienerhopf.dgges
+
+        def failing(*args, **kwargs):
+            return (*dgges(*args, **kwargs)[:-1], 4)   # info N + 1
+
+        monkeypatch.setattr(wienerhopf, "dgges", failing)
+        with pytest.raises(FactorizationError, match="QZ iteration failed") as info:
+            _ordered_qz(np.diag([0.5, 2.0, 3.0]), np.eye(3), 1, 1, self.TOL)
+        assert type(info.value) is FactorizationError
