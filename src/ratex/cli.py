@@ -419,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solution operators and transfer coefficients")
     _add_common(p)
-    p.add_argument("--horizon", type=int, default=8)
+    p.add_argument("--horizon", type=_int_from(0), default=8)
     p.set_defaults(fn=cmd_solve, render=_text_solve)
 
     p = sub.add_parser("equiv", help="observational equivalence of two models")
@@ -442,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, restrictions=True, theta=False)
     p.add_argument("--samples", type=_int_from(0), default=64)
     p.add_argument("--seed", type=_int_from(0), default=0)
-    p.add_argument("--min-valid", type=int, default=16)
+    p.add_argument("--min-valid", type=_int_from(1), default=16)
     p.add_argument("--probe", type=float_list, action="append", default=None,
                    help="comma-separated theta evaluated before sampling (repeatable)")
     p.set_defaults(fn=cmd_generic, render=_text_generic)

@@ -20,13 +20,13 @@ Generic identification stacks samples.  The draws go through the pipeline
 in draw-order chunks: the same walk evaluates a whole chunk at once (one
 array of values per parameter), and every later stage takes coefficient
 stacks with a leading sample axis, dropping invalid samples as it goes.
-The existence/uniqueness screen, the series divisions, the rank tests and
-the canonical-form check each run once per chunk; only the ordered QZ of a
-model with lam > 0, and samples the stacked zero screen cannot decide, run
-one sample at a time.  The scan stops at the first full-rank sample, and
-the counts are those of scanning the samples one by one; the scalar entry
-points (solve_model, build_ident_system, ident_test_*) run the same
-kernels at one sample.
+The factorization (:func:`~ratex.wienerhopf.wh_factorize_stack`), the
+series divisions, the rank tests and the canonical-form check each run once
+per chunk; only each sample's QZ of its companion pencil runs one sample at
+a time, and for lam = 0 a stacked zero screen replaces it on large chunks.
+The scan stops at the first full-rank sample, and the counts are those of
+scanning the samples one by one; the scalar entry points (solve_model,
+build_ident_system, ident_test_*) run the same kernels at one sample.
 
 The chunk sizes follow from the generic-rank dichotomy.  On a connected
 domain the identification rank of an analytic map takes its maximum on an
@@ -724,7 +724,7 @@ def _scan_chunk(pm: ParamMap, restrictions: RestrictionSet, thetas: np.ndarray,
     B, A = reject(~np.isfinite(values).all(axis=1), "eval_error", *_coeff_stacks(pm, values))
     B, A = trim_dust(B)[0], trim_dust(A)[0]
 
-    b_minus, b_plus, errors = wh_factorize_stack(B, lam)
+    b_minus, b_plus, errors = wh_factorize_stack(B, lam)[:3]
     B, A, b_minus, b_plus = reject(
         np.array([e is not None for e in errors], dtype=bool),
         [e and f"eu_failed: {type(e).__name__}" for e in errors], B, A, b_minus, b_plus)
@@ -791,19 +791,21 @@ def _lanewise(fn, *stacks):
 
 # -- local identification under nonlinear restrictions -----------------------
 
+# central-difference step relative to max(1, |x_j|): cbrt(machine epsilon)
+# balances truncation and rounding for the O(h^2) stencil
+FD_REL_STEP = float(np.cbrt(np.finfo(float).eps))
+# points x0 + LOCAL_PROBE_SCALE * max(1, max |x0|) * N(0, I) probed around a
+# rank-deficient x0, drawn from a generator seeded 0
+LOCAL_PROBES, LOCAL_PROBE_SCALE = 8, 1e-4
 
-def fd_jacobian(f, x, rel_step: float | None = None) -> np.ndarray:
-    """Central-difference Jacobian, step h_j = rel_step * max(1, |x_j|).
 
-    The default step cbrt(machine epsilon) balances truncation and
-    rounding for the O(h^2) central stencil.
-    """
+def fd_jacobian(f, x) -> np.ndarray:
+    """Central-difference Jacobian, step h_j = FD_REL_STEP * max(1, |x_j|)."""
     x = np.asarray(x, dtype=float)
-    step = rel_step if rel_step is not None else float(np.cbrt(np.finfo(float).eps))
     f0 = np.atleast_1d(np.asarray(f(x), dtype=float))
     J = np.zeros((f0.size, x.size))
     for j in range(x.size):
-        h = step * max(1.0, abs(x[j]))
+        h = FD_REL_STEP * max(1.0, abs(x[j]))
         xp, xm = x.copy(), x.copy()
         xp[j] += h
         xm[j] -= h
@@ -823,9 +825,7 @@ class LocalReport:
 
 
 def local_ident(model: Model, restrictions: RestrictionSet,
-                tol_rank: float = DEFAULT_TOL_RANK,
-                n_probes: int = 8, probe_scale: float = 1e-4,
-                seed: int = 0) -> LocalReport:
+                tol_rank: float = DEFAULT_TOL_RANK) -> LocalReport:
     """Rank test with the Jacobian of the restriction map on the kernel,
     R(x)·(N⊗Iₙ) (or R(x)·N for one equation).
 
@@ -834,10 +834,10 @@ def local_ident(model: Model, restrictions: RestrictionSet,
     (restriction files), and central differences only for an opaque
     residual callable.  Full column rank certifies local identification.
     A rank-deficient matrix only indicates non-identification when the
-    rank is locally constant (the regularity condition), so nearby points
-    are probed and the report says whether the rank looks constant;
-    without that, no non-identification claim is made.  An affine map's
-    rank is constant.
+    rank is locally constant (the regularity condition), so LOCAL_PROBES
+    nearby points are probed and the report says whether the rank looks
+    constant; without that, no non-identification claim is made.  An
+    affine map's rank is constant.
     """
     affine = restrictions.kind != "nonlinear"
     if not affine and restrictions.residual_fn is None:
@@ -868,10 +868,10 @@ def local_ident(model: Model, restrictions: RestrictionSet,
         return LocalReport(report, False, True, (), "rank deficient and constant "
                            "(affine restrictions): not locally identified")
 
-    rng = np.random.default_rng(seed)
-    scale = probe_scale * max(1.0, float(np.max(np.abs(x0))))
+    rng = np.random.default_rng(0)
+    scale = LOCAL_PROBE_SCALE * max(1.0, float(np.max(np.abs(x0))))
     probe_ranks = []
-    for _ in range(n_probes):
+    for _ in range(LOCAL_PROBES):
         x = x0 + scale * rng.standard_normal(x0.size)
         probe_ranks.append(jacobian_test(x).numerical_rank)
     constant = all(r == report.numerical_rank for r in probe_ranks)

@@ -18,6 +18,7 @@ from .polylab import (
     LaurentMatrix,
     Model,
     SingularMatrixError,
+    companion_stack,
     lp_mul,
     lp_series_divide,
     series_divide,
@@ -201,26 +202,23 @@ def rank_drop_stack(M: np.ndarray, cutoff_scale: float):
     with U the m leading left singular vectors of M(0), Q = U'M has an
     invertible lag-0 coefficient Q_0 = U'M_0, and every rank drop of M is a
     zero of det Q.  Those are the inverses of the nonzero eigenvalues of the
-    monic companion matrix of the reversed polynomial Q_0^-1 z**(L-1) Q(1/z);
-    zeros of det Q at infinity (a singular lead Q_{L-1}) become eigenvalues at
-    0 and drop out.  These are the zeros of det M when n = m; when n > m each
-    is confirmed by the SVD of M(z).
+    reversed polynomial z**(L-1) Q(1/z), read off its companion pencil
+    (:func:`~ratex.polylab.companion_stack`) as E^-1 A, since its lead Q_0
+    is invertible; zeros of det Q at infinity (a singular lead Q_{L-1})
+    become eigenvalues at 0 and drop out.  These are the zeros of det M
+    when n = m; when n > m each is confirmed by the SVD of M(z).
 
     Returns ``(z, hit)``, each (S, (L-1)*m): candidate points and the mask of
     rank drops within CF_BOUNDARY_MARGIN of the closed disk.  Raises
     np.linalg.LinAlgError when some Q_0 is singular.
     """
     S, L, n, m = M.shape
-    d = L - 1
-    if d == 0:
+    if L == 1:
         return np.zeros((S, 0), dtype=complex), np.zeros((S, 0), dtype=bool)
     u = np.linalg.svd(M[:, 0])[0][:, :, :m]
     Q = u.swapaxes(1, 2)[:, None] @ M
-    lower = np.linalg.solve(Q[:, 0], -Q[:, :0:-1].transpose(0, 2, 1, 3).reshape(S, m, d * m))
-    comp = np.zeros((S, d * m, d * m))
-    comp[:, :-m, m:] = np.eye((d - 1) * m)
-    comp[:, -m:] = lower
-    w = np.linalg.eigvals(comp).astype(complex)
+    A, E = companion_stack(Q[:, ::-1])
+    w = np.linalg.eigvals(np.linalg.solve(E, A)).astype(complex)
     finite = w != 0
     with np.errstate(over="ignore"):
         z = np.where(finite, 1.0 / np.where(finite, w, 1.0), 0.0)

@@ -251,6 +251,9 @@ class TestUsage:
         (["local", "M", "R", "--tol-rank", "inf"], "argument --tol-rank: invalid tolerance"),
         (["factorize", "M", "--tol-boundary", "nan"], "argument --tol-boundary: invalid tolerance"),
         (["factorize", "M", "--tol-boundary", "x"], "argument --tol-boundary: invalid tolerance"),
+        (["generic", "M", "R", "--min-valid", "0"],
+         "argument --min-valid: expected an integer >= 1, got 0"),
+        (["solve", "M", "--horizon", "-1"], "argument --horizon: expected an integer >= 0, got -1"),
     ])
     def test_usage_error_exit_1(self, tmp_path, capsys, argv, message):
         path = write(tmp_path / "m.json", ds_model())

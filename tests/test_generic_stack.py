@@ -3,8 +3,9 @@
 ``sequential_generic`` runs the scalar pipeline once per draw and stops
 at the first full-rank draw: eval_model -> solve_model -> rank(C_0) ->
 _rank_drop_points -> canonical check -> build_ident_system -> ident_test_*.
-Its EU verdicts come from the pencil path (wh_factorize) alone, so the
-stacked eigenvalue screen is checked against it too.
+Its EU verdicts come from wh_factorize, the factorization at one sample,
+where no eigenvalue screen runs, so the screen that the stacked pipeline
+runs on large lam = 0 chunks is checked against it too.
 """
 
 import warnings

@@ -12,15 +12,19 @@ from conftest import (
     random_b_plus,
 )
 from ratex.polylab import (
+    PENCIL_INFINITE_RTOL,
     LaurentMatrix,
     Model,
+    _deflate_infinite,
     companion_stack,
     lp_det_and_zeros,
     lp_mul,
+    trim_dust,
 )
 from ratex import wienerhopf
 from ratex.resolve import solve_model
 from ratex.wienerhopf import (
+    SCREEN_MIN_SAMPLES,
     FactorizationError,
     ToleranceConfig,
     WHFactors,
@@ -274,7 +278,8 @@ class TestCheckEU:
 
 
 class TestStackedScreen:
-    """The eigenvalue screen of wh_factorize_stack against the pencil path."""
+    """The eigenvalue screen of wh_factorize_stack against the pencil split
+    (deflation plus the QZ counts) run directly."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2 ** 20), lam=st.sampled_from([0, 1]),
@@ -284,21 +289,78 @@ class TestStackedScreen:
         Bc = near_band_stack(np.random.default_rng(seed), lam, lead_margin, kinds[:2 * (lam + 1)])
         tol = ToleranceConfig()
         A, E = companion_stack(Bc.swapaxes(2, 3))
-        stable, on_band, _, decided = _screen_counts(A, E, tol.boundary)
         try:
-            zeros, want = wh_factorize(LaurentMatrix(Bc[0], -lam)).zeros, None
+            zeros = _ordered_qz(*_deflate_infinite(A[0], E[0])[:2], 2, lam, tol)[3]
         except FactorizationError as exc:
-            zeros, want = exc.zeros, type(exc)
-        if decided[0]:
-            assert (stable[0], on_band[0]) == _classify_zeros(zeros, tol.boundary)
-        got = wh_factorize_stack(Bc, lam)[2][0]
-        assert type(got) is want if want else got is None
+            zeros = exc.zeros
+        s_E = np.linalg.svd(E)[1]
+        if s_E[0, -1] > PENCIL_INFINITE_RTOL:
+            stable, on_band, _, decided = _screen_counts(A, E, s_E, tol.boundary)
+            if decided[0]:
+                assert (stable[0], on_band[0]) == _classify_zeros(zeros, tol.boundary)
+        # at SCREEN_MIN_SAMPLES samples the stack screens lam = 0; one
+        # sample alone takes the pencil split
+        want = _outcome(LaurentMatrix(Bc[0], -lam))
+        for got in wh_factorize_stack(np.repeat(Bc, SCREEN_MIN_SAMPLES, axis=0), lam)[2]:
+            assert type(got) is want
 
     def test_well_conditioned_near_band_is_screened(self):
         rng = np.random.default_rng(3)
         for kinds in (["out", "in"], ["in", "in"], ["out", "far"]):
-            Bc = near_band_stack(rng, 0, 1e6, kinds)
-            assert _screen_counts(*companion_stack(Bc.swapaxes(2, 3)), 1e-9)[3][0]
+            A, E = companion_stack(near_band_stack(rng, 0, 1e6, kinds).swapaxes(2, 3))
+            assert _screen_counts(A, E, np.linalg.svd(E)[1], 1e-9)[3][0]
+
+
+def _outcome(B):
+    """Type of wh_factorize's error on B, NoneType where it factors."""
+    try:
+        wh_factorize(B)
+    except FactorizationError as exc:
+        return type(exc)
+    return type(None)
+
+
+class TestStackAgainstScalar:
+    """Each sample of wh_factorize_stack against wh_factorize on that sample
+    alone, including samples that do not fill the declared window."""
+
+    @staticmethod
+    def window_stack(rng, n, lam, kappa):
+        def model(lo, hi, last=LaurentMatrix.identity(n)):
+            B = lp_mul(random_b_minus(rng, n, lo), lp_mul(random_b_plus(rng, n, hi), last))
+            return B.window(-lam, kappa)
+
+        # enough valid samples for the stack to screen lam = 0
+        samples = [model(lam, kappa) for _ in range(SCREEN_MIN_SAMPLES)]
+        samples.append(model(lam, kappa) @ np.diag([0.0] + [1.0] * (n - 1)))   # det B = 0
+        if lam:
+            samples.append(model(lam - 1, kappa))                 # B_{-lam} = 0
+        if kappa:
+            samples.append(model(lam, kappa - 1))                 # B_kappa = 0
+            samples.append(model(lam, kappa - 1, LaurentMatrix.from_coeffs(
+                [np.eye(n), -np.diag([1.0] + [0.5] * (n - 1))])))  # a zero at z = 1
+            shifted = np.zeros_like(samples[0])                   # min lag 1
+            shifted[lam + 1:] = random_b_plus(rng, n, kappa - 1).coeffs
+            samples.append(shifted)
+        return trim_dust(np.array(samples))[0]
+
+    @pytest.mark.parametrize("n, lam, kappa", [
+        (2, 0, 0), (2, 0, 1), (3, 0, 2), (1, 1, 2), (2, 1, 1), (2, 2, 1), (3, 1, 0)])
+    def test_same_outcome_and_factors(self, rng, n, lam, kappa):
+        Bc = self.window_stack(rng, n, lam, kappa)
+        b_minus, b_plus, errors = wh_factorize_stack(Bc, lam)[:3]
+        outcomes = []
+        for s, B in enumerate(Bc):
+            outcomes.append(_outcome(LaurentMatrix(B, -lam)))
+            assert type(errors[s]) is outcomes[-1]
+            if errors[s] is None:
+                fac = wh_factorize(LaurentMatrix(B, -lam))
+                assert np.abs(b_minus[s] - fac.b_minus.window(-lam, 0)).max() <= 1e-12
+                assert np.abs(b_plus[s] - fac.b_plus.window(0, kappa)).max() <= 1e-12
+        assert outcomes[:SCREEN_MIN_SAMPLES] == [type(None)] * SCREEN_MIN_SAMPLES
+        assert outcomes[SCREEN_MIN_SAMPLES] is ZerosOnUnitCircle
+        if kappa:
+            assert outcomes[-2:] == [ZerosOnUnitCircle, WrongStableCount]
 
 
 def test_failed_reordering_is_a_factorization_error():
