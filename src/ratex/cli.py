@@ -65,6 +65,7 @@ from .resolve import (
     cf_check_and_normalize,
     simulate,
     solve_model,
+    solve_models,
     spectral_density,
     unit_circle_grid,
 )
@@ -151,8 +152,7 @@ def cmd_equiv(args) -> dict:
     model_b = load_model_file(args.model_b)
     if isinstance(model_a, ParamMap) or isinstance(model_b, ParamMap):
         raise ModelFileError("equiv needs numeric models on both sides")
-    bundle_a = solve_model(model_a)
-    bundle_b = solve_model(model_b)
+    bundle_a, bundle_b = solve_models([model_a, model_b])
     results = {}
     if args.oracle in ("kernel", "both"):
         eq, resid, scale = obs_equivalent(bundle_a, bundle_b, tol=args.tol)

@@ -223,10 +223,13 @@ def kernel_bases(T: np.ndarray, H: np.ndarray, m: int, lam: int, tol_rank: float
     a (T, H) stack, from one stacked SVD of H.
 
     N has n*q - rank columns, so the bases come grouped by Hankel rank:
-    ``{rank: (sample indices, N stack)}``.
+    ``{rank: (sample indices, N stack)}``.  The rank cutoff scales with the
+    larger of sigma_max(H) and the largest coefficient in T, so a Hankel
+    block of rounding noise next to C_0 has rank 0.
     """
     U, svals, _ = np.linalg.svd(H)
-    ranks, _ = count_above(svals, tol_rank, None, H.shape[1:])
+    scale = np.maximum(svals.max(axis=-1, initial=0.0), np.abs(T).max(axis=(1, 2)))
+    ranks, _ = count_above(svals, tol_rank, scale, H.shape[1:])
     groups = {}
     for rank in sorted(set(ranks.tolist())):
         lanes = np.flatnonzero(ranks == rank)

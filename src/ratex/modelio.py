@@ -163,6 +163,7 @@ def restrictions_from_dict(spec: dict, n: int, m: int, kappa: int, lam: int) -> 
         pins = json_typed(spec["pins"], list, "pins")
         R = np.zeros((len(pins), N))
         u = np.zeros(len(pins))
+        positions = set()
         for k, pin in enumerate(pins):
             try:
                 block, lag, row, col = pin["block"], int(pin["lag"]), int(pin["row"]), int(pin["col"])
@@ -171,8 +172,11 @@ def restrictions_from_dict(spec: dict, n: int, m: int, kappa: int, lam: int) -> 
                 raise ModelFileError(f"pin #{k + 1}: {exc}")
             if not np.isfinite(u[k]):
                 raise ModelFileError(f"pin #{k + 1}: value must be finite")
-            R[k, _coeff_position(f"pin #{k + 1}", block, lag, row, col,
-                                 n, m, kappa, lam, equation)] = 1.0
+            position = _coeff_position(f"pin #{k + 1}", block, lag, row, col,
+                                       n, m, kappa, lam, equation)
+            R[k, position] = 1.0
+            positions.add(position)
+        rank = len(positions)          # unit rows: one per distinct position
     else:
         R = _finite(np.atleast_2d(json_array(spec["R"], float, "R")), "R")
         u = _finite(np.atleast_1d(json_array(spec.get("u", np.zeros(len(R))), float, "u")), "u")
@@ -180,10 +184,10 @@ def restrictions_from_dict(spec: dict, n: int, m: int, kappa: int, lam: int) -> 
             raise ModelFileError(f"R has shape {R.shape}, expected {N} columns")
         if u.shape != R.shape[:1]:
             raise ModelFileError("R and u row counts differ")
+        rank = numerical_rank(R)[0]
 
     out = RestrictionSet.affine(R, u) if equation is None else \
         RestrictionSet.for_equation(equation, R, u)
-    rank = numerical_rank(R)[0]
     if rank < len(R):
         warnings.warn(f"restriction rows are linearly dependent (row rank {rank} of {len(R)})")
     return out

@@ -22,8 +22,7 @@ array of values per parameter), and every later stage takes coefficient
 stacks with a leading sample axis, dropping invalid samples as it goes.
 The factorization (:func:`~ratex.wienerhopf.wh_factorize_stack`), the
 series divisions, the rank tests and the canonical-form check each run once
-per chunk; only each sample's QZ of its companion pencil runs one sample at
-a time, and for lam = 0 a stacked zero screen replaces it on large chunks.
+per chunk, the split of the companion pencils at the unit circle included.
 The scan stops at the first full-rank sample, and the counts are those of
 scanning the samples one by one; the scalar entry points (solve_model,
 build_ident_system, ident_test_*) run the same kernels at one sample.

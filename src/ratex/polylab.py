@@ -12,11 +12,15 @@ rule of :func:`trim_dust`, the long division of :func:`series_divide` and
 the companion pencils of :func:`companion_stack`.  The LaurentMatrix
 functions call them at S = 1.
 
-Polynomial zeros have one source: the block-companion pencil of
-:func:`companion_pencil`, whose infinite eigenvalues are split off so that
-its remaining generalized eigenvalues are exactly the zeros of
-det(z**max(0, -min_lag) * a(z)).  The determinant coefficients themselves
-are never formed.
+Polynomial zeros have one source: the block-companion pencils of
+:func:`companion_stack`, whose generalized eigenvalues are the zeros of
+det(z**max(0, -min_lag) * a(z)) and infinity.  The factorization splits
+them at the unit circle with numpy alone
+(:func:`~ratex.wienerhopf.wh_factorize_stack`), and infinite eigenvalues
+are split off (:func:`_deflate_infinite`) only to list the finite zeros.
+:func:`lp_det_and_zeros`, which no command calls, is the oracle tests
+check that list against: scipy's QZ of :func:`companion_pencil`.  The
+determinant coefficients themselves are never formed.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eig
 
 # Relative threshold below which a coefficient matrix counts as zero when
 # trimming lag ranges.  The floor at 1 keeps all-tiny matrices intact.
@@ -68,7 +71,11 @@ class LaurentMatrix:
     @classmethod
     def from_coeffs(cls, coeffs, min_lag: int = 0, trim: bool = True) -> "LaurentMatrix":
         """Build from a sequence of equally shaped coefficient matrices."""
-        arr = np.array([np.atleast_2d(np.asarray(c, dtype=float)) for c in coeffs], dtype=float)
+        if isinstance(coeffs, np.ndarray) and coeffs.ndim == 3:
+            arr = np.array(coeffs, dtype=float)
+        else:
+            arr = np.array([np.atleast_2d(np.asarray(c, dtype=float)) for c in coeffs],
+                           dtype=float)
         if arr.ndim != 3:
             raise ValueError("coefficient matrices must all have the same shape")
         if not np.all(np.isfinite(arr)):
@@ -299,7 +306,12 @@ def lp_det_and_zeros(a: LaurentMatrix) -> np.ndarray:
     of the finite part of :func:`companion_pencil`; infinite eigenvalues
     are excluded.  Raises SingularMatrixError when the determinant is
     identically zero.
+
+    An oracle for tests: no command reaches it, so scipy, which it needs
+    for the QZ eigenvalues of the pencil, is imported here alone.
     """
+    from scipy.linalg import eig
+
     A, E, _ = companion_pencil(a)
     return eig(A, E, right=False, check_finite=False).astype(complex)
 
@@ -313,20 +325,27 @@ def lp_series_divide(g: LaurentMatrix, rhs: LaurentMatrix, horizon: int) -> np.n
     return series_divide(gs[None], rs[None], horizon)[0]
 
 
-def series_divide(g: np.ndarray, rhs: np.ndarray, horizon: int) -> np.ndarray:
+def series_divide(g: np.ndarray, rhs: np.ndarray, horizon: int,
+                  prefix: np.ndarray | None = None) -> np.ndarray:
     """The one long-division kernel, over a leading sample axis.
 
     g (S, Lg, n, n) and rhs (S, Lr, n, c) hold lags 0.. of polynomials in z;
     returns the (S, horizon + 1, n, c) coefficients of g^-1 rhs from
-    out_j = g_0^-1 (rhs_j - sum_{i>=1} g_i out_{j-i}).  Raises
-    SingularMatrixError when some g_0 is singular.
+    out_j = g_0^-1 (rhs_j - sum_{i>=1} g_i out_{j-i}).  A prefix (S, p, n,
+    c), the first p coefficients from an earlier call, is extended rather
+    than recomputed, with the same result.  Raises SingularMatrixError when
+    some g_0 is singular.
     """
     try:
         g0_inv = np.linalg.inv(g[:, 0])
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError("lag-0 coefficient of the divisor is singular") from exc
     out = np.zeros((g.shape[0], horizon + 1, g.shape[2], rhs.shape[3]))
-    for j in range(horizon + 1):
+    start = 0
+    if prefix is not None:
+        start = prefix.shape[1]
+        out[:, :start] = prefix
+    for j in range(start, horizon + 1):
         acc = rhs[:, j] if j < rhs.shape[1] else out[:, j]     # still zero
         for i in range(1, min(g.shape[1] - 1, j) + 1):
             acc = acc - g[:, i] @ out[:, j - i]

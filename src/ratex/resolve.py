@@ -24,7 +24,7 @@ from .polylab import (
     series_divide,
     trim_dust,
 )
-from .wienerhopf import ToleranceConfig, WHFactors, bminus_inv_plus, wh_factorize
+from .wienerhopf import ToleranceConfig, WHFactors, bminus_inv_plus, wh_factorize_all
 from .wienerhopf import plus_part_of_bminus_inv_a  # noqa: F401 (public here too)
 
 # zeros of the moving-average part this close to |z| = 1 are boundary cases
@@ -109,7 +109,23 @@ def solve_stack(b_minus: np.ndarray, b_plus: np.ndarray, A: np.ndarray, horizon:
 def solve_model(model: Model, tol: ToleranceConfig | None = None,
                 horizon: int | None = None) -> SolutionBundle:
     """Factorize and assemble the full solution bundle for a model."""
-    fac = wh_factorize(model.B, tol)
+    return solve_models([model], tol, horizon)[0]
+
+
+def solve_models(models, tol: ToleranceConfig | None = None,
+                 horizon: int | None = None) -> list:
+    """:func:`solve_model` for several models, their B factored together
+    (:func:`~ratex.wienerhopf.wh_factorize_all`).  Raises the error of the
+    first model that fails, as solving them in turn would."""
+    facs = wh_factorize_all([model.B for model in models], tol)
+    return [_assemble(model, fac, horizon) for model, fac in zip(models, facs)]
+
+
+def _assemble(model: Model, fac, horizon: int | None) -> SolutionBundle:
+    """The solution bundle of a model from its factorization (raised when
+    it is the error that rejected the model)."""
+    if isinstance(fac, Exception):
+        raise fac
     if horizon is None:
         horizon = default_horizon(model.n, model.kappa, model.lam)
     L = max(model.A.max_lag, fac.b_plus.max_lag, 0) + 1
@@ -304,18 +320,23 @@ def simulate(bundle: SolutionBundle, T: int, seed: int) -> np.ndarray:
     """Sample path of length T from the truncated moving-average representation.
 
     It is cut at the first C_h below SIM_DECAY_RTOL * max-abs(C_0) (or at
-    SIM_HORIZON_CAP), searched on series of 16, 32, 64, ... lags; the last
-    series built is the one convolved with the draws.  Deterministic given the seed; innovations are i.i.d. standard normal.
+    SIM_HORIZON_CAP), searched on series of 16, 32, 64, ... lags, each
+    extending the division of the one before; the last series built is the
+    one convolved with the draws.  Deterministic given the seed;
+    innovations are i.i.d. standard normal.
     """
     c0_scale = max(float(np.max(np.abs(bundle.transfer.coefficient(0)))), 1e-300)
-    h = max(bundle.transfer.horizon, 16)
+    b_plus, ma = bundle.factors.b_plus, bundle.ma_part
+    g, rhs = (x.window(0, max(x.max_lag, 0))[None] for x in (b_plus, ma))
+    h, coeffs = max(bundle.transfer.horizon, 16), None
     while True:
-        coeffs = lp_series_divide(bundle.factors.b_plus, bundle.ma_part,
-                                  min(h, SIM_HORIZON_CAP))
-        small = np.flatnonzero(np.max(np.abs(coeffs), axis=(1, 2)) < SIM_DECAY_RTOL * c0_scale)
+        coeffs = series_divide(g, rhs, min(h, SIM_HORIZON_CAP), prefix=coeffs)
+        small = np.flatnonzero(np.max(np.abs(coeffs[0]), axis=(1, 2))
+                               < SIM_DECAY_RTOL * c0_scale)
         if small.size or h >= SIM_HORIZON_CAP:
             break
         h *= 2
+    coeffs = coeffs[0]
     h = int(small[0]) if small.size else SIM_HORIZON_CAP
     rng = np.random.default_rng(seed)
     m, n = bundle.model.m, bundle.model.n

@@ -8,33 +8,44 @@ stationary solution, so failure modes are reported as typed errors that
 downstream diagnostics can turn into verdicts.
 
 Algorithm: form P(z) = z**lam * B(z), transpose so the sought monic
-degree-lam factor becomes a right divisor, linearize as a block companion
-pencil, split its spectrum at the unit circle with one ordered generalized
-Schur decomposition (whose eigenvalues are also the zeros counted for the
-verdict), and reconstruct the divisor from the deflating subspace.  B_plus
-then falls out of the long division B_minus**-1 * B with exact degree cutoff.
+degree-lam factor becomes a right divisor, scale its columns (which keeps
+its zeros and, up to a similarity, its divisors), linearize as a block
+companion pencil (A, E), and split its spectrum at the unit circle with
+the inverse-free spectral divide-and-conquer iteration (Malyshev 1989;
+Bai, Demmel and Gu, Numer. Math. 1997).  Each step is one QR of [E; -A]
+and squares the eigenvalues of the pencil, so those inside the circle go
+to 0 and all others, infinite ones included, to infinity.  The projector
+(A_p + E_p)^-1 E_p of the settled pencil maps onto the right deflating
+subspace of the zeros inside the circle, which is the null space of A_p:
+one SVD of A_p gives the stable count and an orthonormal basis, from which
+the divisor is read.  The zeros counted for the verdict are the
+eigenvalues of the two pencils restricted to that subspace and to its
+complement, where the infinite eigenvalues are split off; only that zero
+list needs a rank decision on a lead.  B_plus then falls out of the long
+division B_minus**-1 * B with exact degree cutoff, and the reconstruction
+B = B_minus B_plus is the certificate (a few Newton steps on it first,
+where the split's subspace alone does not meet it).
 
 One flow serves one model and a stack of them: :func:`wh_factorize` is
 :func:`wh_factorize_stack` at one sample.  The stack builds all pencils at
-once and decides from one stacked SVD of their leads which ones carry
-infinite eigenvalues to split off.  Each sample's zeros are then counted
-once, by the QZ of its own pencil, which for lam > 0 is reordered to yield
-B_minus.  Only for lam = 0, where the counts are all that is needed, and
-only on a stack large enough to repay its fixed cost (SCREEN_MIN_SAMPLES),
-does a stacked eigenvalue screen replace the QZs of the samples it can
-decide.  The divisors, B_plus and the reconstruction check run stacked.
+once and iterates them together, retiring each as it settles; the
+restricted pencils, the divisors, B_plus and the reconstruction check run
+stacked too.  For lam = 0 the counts are all that is needed, so a stacked
+eigenvalue screen decides every sample its error bound allows and only the
+others are split.  Everything here is numpy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import cache
 
 import numpy as np
-from scipy.linalg.lapack import dgges, dtgsen
+from numpy.linalg import _umath_linalg
 
 from .polylab import (
     PENCIL_INFINITE_RTOL,
+    PENCIL_SINGULAR_RTOL,
     LaurentMatrix,
     SingularMatrixError,
     _deflate_infinite,
@@ -82,12 +93,18 @@ DEFAULT_TOL = ToleranceConfig()
 RECONSTRUCTION_RTOL = 1e-8
 EXTRACTION_RCOND = 1e-10
 
-# Fewest lam = 0 pencils for which the stacked eigenvalue screen counts
-# zeros faster than one QZ each.  The screen costs about 130 us at one
-# pencil against 30-50 us for a QZ; timed against the QZs of the same
-# stack at pencil orders N = 2-8 it breaks even at 8-12 pencils and saves
-# 5-40% at 16 (at N = 12 it is level).
-SCREEN_MIN_SAMPLES = 16
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
+
+# Column scaling takes out a common right factor whose R has a diagonal
+# ratio below this: square root of the lead's rank threshold, well above the
+# nearly singular leads that make a pencil's split hard to settle.
+_SCALING_RCOND = np.sqrt(PENCIL_INFINITE_RTOL)
+
+# The split compares R from this step on.  Pencils with zeros in
+# 0.3 < |z| < 3 take 7-9 steps; one whose zeros all lie far from the circle
+# would settle sooner and runs a step or two more, which costs less at one
+# sample than the comparisons skipped on all the others.
+_SPLIT_MIN_STEPS = 6
 
 
 @dataclass(frozen=True)
@@ -124,37 +141,58 @@ def wh_factorize(B: LaurentMatrix, tol: ToleranceConfig | None = None) -> WHFact
     tol : ToleranceConfig, optional
         Boundary band around the unit circle.
 
-    The zeros counted are those of det(z**lam B(z)): the generalized
-    eigenvalues of the finite part of the companion pencil, infinite ones
-    split off.  Exactly n * lam of them must lie inside the unit circle.  A
-    positive min_lag leaves lam = 0 and contributes n * min_lag zeros at
-    the origin, which count as inside, so B = z**k B_plus with k > 0 raises
-    WrongStableCount.  B is trimmed, taken on its lags -lam..max(max_lag, 0)
-    and factored as the one sample of :func:`wh_factorize_stack`; at one
-    sample no screen runs, so one QZ both counts the zeros and, for
-    lam > 0, yields B_minus.  The zeros are returned on the factors or the
+    The zeros counted are those of det(z**lam B(z)): the finite generalized
+    eigenvalues of the companion pencil.  Exactly n * lam of them must lie
+    inside the unit circle.  A positive min_lag leaves lam = 0 and
+    contributes n * min_lag zeros at the origin, which count as inside, so
+    B = z**k B_plus with k > 0 raises WrongStableCount.  B is trimmed,
+    taken on its lags -lam..max(max_lag, 0) and factored as the one sample
+    of :func:`wh_factorize_stack`: for lam > 0 the split of the pencil at
+    the unit circle yields both the zeros and B_minus; for lam = 0 the
+    eigenvalue screen counts the zeros and the split runs only where the
+    screen cannot decide.  The zeros are returned on the factors or the
     error.
 
     Raises
     ------
     ZerosOnUnitCircle, WrongStableCount, DivisorExtractionSingular
-        The three ways the existence/uniqueness condition fails; an
-        identically zero det(B) is reported as ZerosOnUnitCircle.
-    FactorizationError
-        The counts pass but the pencil is too ill-conditioned for the
-        ordered QZ to split its zeros at the unit circle.
+        The three ways the existence/uniqueness condition fails.  An
+        identically zero det(B), and a split at a band edge that does not
+        settle (a zero on the edge, or a nearly singular det(B)), are
+        reported as ZerosOnUnitCircle; a divisor that does not reconstruct
+        B within RECONSTRUCTION_RTOL as DivisorExtractionSingular.
     """
-    if B.rows != B.cols:
-        raise ValueError("B must be square")
-    B = B.trimmed()
-    lam = max(0, -B.min_lag)
-    b_minus, b_plus, errors, residual, zeros = wh_factorize_stack(
-        B.window(-lam, max(B.max_lag, 0))[None], lam, tol)
-    if errors[0] is not None:
-        raise errors[0]
-    return WHFactors(LaurentMatrix(b_minus[0], -lam),
-                     LaurentMatrix.from_coeffs(b_plus[0], 0) if lam else B,
-                     residual=float(residual[0]), scale=max(B.max_abs(), 1.0), zeros=zeros[0])
+    fac = wh_factorize_all([B], tol)[0]
+    if isinstance(fac, FactorizationError):
+        raise fac
+    return fac
+
+
+def wh_factorize_all(Bs, tol: ToleranceConfig | None = None) -> list:
+    """:func:`wh_factorize` for several B at once.
+
+    Each B is trimmed and taken on its lags -lam..max(max_lag, 0); those
+    that share n and that window are factored as one stack of
+    :func:`wh_factorize_stack`.  Returns per B its WHFactors or the
+    FactorizationError that rejected it.
+    """
+    out, groups, trimmed = [None] * len(Bs), {}, []
+    for i, B in enumerate(Bs):
+        if B.rows != B.cols:
+            raise ValueError("B must be square")
+        trimmed.append(B.trimmed())
+        lam = max(0, -trimmed[i].min_lag)
+        groups.setdefault((B.rows, lam, max(trimmed[i].max_lag, 0)), []).append(i)
+    for (_, lam, hi), idx in groups.items():
+        b_minus, b_plus, errors, residual, zeros = wh_factorize_stack(
+            np.array([trimmed[i].window(-lam, hi) for i in idx]), lam, tol)
+        for s, i in enumerate(idx):
+            B = trimmed[i]
+            out[i] = errors[s] or WHFactors(
+                LaurentMatrix(b_minus[s], -lam),
+                LaurentMatrix.from_coeffs(b_plus[s], 0) if lam else B,
+                residual=float(residual[s]), scale=max(B.max_abs(), 1.0), zeros=zeros[s])
+    return out
 
 
 def wh_factorize_stack(Bc: np.ndarray, lam: int, tol: ToleranceConfig | None = None):
@@ -163,90 +201,346 @@ def wh_factorize_stack(Bc: np.ndarray, lam: int, tol: ToleranceConfig | None = N
 
     Every sample is factored on the declared window.  The companion pencils
     of the transposed (z^lam B)' are built at once (a one-lag window gets a
-    zero lag on top), and one stacked SVD of their leads decides which
-    samples need their infinite eigenvalues split off
-    (:func:`~ratex.polylab._deflate_infinite`), as a zero top lag does.  A
-    zero bottom lag adds n zeros at the origin to the count and to the
-    required n * lam alike, so the verdict is that of the trimmed B.
+    zero lag on top).  A zero top lag gives infinite eigenvalues, which the
+    split counts outside the circle; a zero bottom lag adds n zeros at the
+    origin to the count and to the required n * lam alike, so the verdict
+    is that of the trimmed B.
 
-    The zeros of each sample are counted once.  For lam = 0 and at least
-    SCREEN_MIN_SAMPLES samples with a nonsingular lead, the stacked
-    eigenvalue screen (:func:`_screen_counts`) counts those it can decide,
-    and their B_plus is B.  Every other sample gets one pencil split: the
-    deflation if its lead needs it, the QZ that counts its zeros and, for
-    lam > 0, the reordering that puts the stable ones first.  The screen
-    runs only there because for lam > 0 the reordered QZ is needed anyway,
-    and on fewer pencils the QZs are the cheaper count.  The divisors, B_plus
-    and the reconstruction check then run stacked on the leading n * lam
-    Schur vectors, so deflated and full pencils share one stack.
+    For lam = 0 the stacked eigenvalue screen (:func:`_screen_counts`)
+    decides every sample with a nonsingular lead whose error bound keeps
+    its zeros off the band edges, and B_plus is B.  All other samples are
+    split at the unit circle together (:func:`_unit_circle_split`).  A
+    split that settles within :func:`_certified_steps` has no zero near
+    the band, so its rank is the stable count; the zeros reported are the
+    eigenvalues of the pencils restricted to the inside subspace and to its
+    complement (:func:`_split_zeros`), and must count the same.  Any other
+    sample reports the zeros of its whole pencil (:func:`_pencil_zeros`)
+    and is counted by two more splits, at the band edges 1 -/+ boundary
+    (:func:`_band_counts`).  The divisors of the samples that pass
+    (:func:`_stable_monic_divisor`), B_plus and the reconstruction check
+    then run stacked on the inside subspaces; a sample whose residual
+    exceeds its bound gets a few Newton steps (:func:`_newton_divisor`)
+    before it is rejected.
 
     Returns B_minus (S, lam+1, n, n) at lags -lam..0, B_plus (S, kappa+1,
     n, n) at lags 0..kappa, per sample the FactorizationError that rejected
     it (None where it factored), the reconstruction residuals (S,) and per
-    sample the zeros it was decided on (None where the error holds them).
+    sample the zeros it was decided on.
     """
     tol = tol or DEFAULT_TOL
+    b = tol.boundary
     S, q, n = Bc.shape[:3]
     k, kappa = n * lam, q - 1 - lam
     P = Bc.swapaxes(2, 3)           # same determinant; B_minus' divides (z^lam B)'
     if q == 1:
         P = np.concatenate([P, np.zeros_like(P)], axis=1)
+    R = _column_scaling(P)
+    if R is not None:
+        Rinv = np.linalg.inv(R)
+        P = P @ Rinv[:, None]
     A, E = companion_stack(P)
-    s_E = np.linalg.svd(E)[1]       # the call _deflate_infinite decides on
-    regular = np.sum(s_E > PENCIL_INFINITE_RTOL, axis=1) == A.shape[1]
-    errors, zeros = [None] * S, [None] * S
-    split = np.ones(S, dtype=bool)
-    screen = np.flatnonzero(regular) if lam == 0 and S >= SCREEN_MIN_SAMPLES else ()
-    if len(screen) >= SCREEN_MIN_SAMPLES:
-        stable, on_band, w, decided = _screen_counts(A[screen], E[screen], s_E[screen],
-                                                     tol.boundary)
-        for i in np.flatnonzero(decided):
-            s = screen[i]
-            split[s], zeros[s] = False, w[i]
-            try:
-                _check_counts(stable[i], on_band[i], n, lam, tol, w[i])
-            except FactorizationError as exc:
-                errors[s] = exc
-    schur = []
-    for s in np.flatnonzero(split):
+    errors, zeros, divisors = [None] * S, [None] * S, []
+    counts = np.zeros((S, 2), dtype=int)        # (inside, on the band) per sample
+    rest = np.arange(S)
+    if not lam:
+        s_E = np.linalg.svd(E, compute_uv=False)
+        screen = np.flatnonzero(s_E[:, -1] > PENCIL_INFINITE_RTOL)
+        if screen.size:
+            stable, on_band, w, decided = _screen_counts(A[screen], E[screen], s_E[screen], b)
+            for i in np.flatnonzero(decided):
+                zeros[screen[i]] = w[i]
+            counts[screen[decided], 0] = stable[decided]
+            counts[screen[decided], 1] = on_band[decided]
+            rest = np.array([s for s in rest if zeros[s] is None], dtype=int)
+    if rest.size:
+        Ar, Er = (A, E) if rest.size == S else (A[rest], E[rest])
+        U, c, steps, hard = _unit_circle_split(Ar, Er, b)
+        hard |= steps > _certified_steps(b)
+        for cg in np.unique(c[~hard]):
+            g = np.flatnonzero((c == cg) & ~hard)
+            if g.size == rest.size:         # one group holds every sample
+                g = slice(None)
+            z, AA, EE, agree = _split_zeros(Ar[g], Er[g], U[g], cg, b)
+            lanes = rest[g][agree]
+            for s, zs, ok in zip(rest[g], z, agree):
+                if ok:
+                    zeros[s] = zs
+            counts[lanes] = cg, 0
+            hard[np.arange(rest.size)[g][~agree]] = True
+            if lam and cg == k and lanes.size:
+                divisors.append((lanes, AA[agree], EE[agree], U[g][agree, :, :k]))
+        rest = rest[hard]
+    for s in rest:
         try:
-            a, e, V = (A[s], E[s], None) if regular[s] else _deflate_infinite(A[s], E[s])
-            AA, EE, Z, zeros[s] = _ordered_qz(a, e, n, lam, tol)
+            zeros[s] = _pencil_zeros(A[s], E[s])
         except SingularMatrixError:
             errors[s] = ZerosOnUnitCircle(
                 "det(B) is identically zero; B(z) is nowhere invertible")
-            continue
-        except FactorizationError as exc:
-            errors[s] = exc
-            continue
-        if lam:
-            schur.append((s, AA[:k, :k], EE[:k, :k], (Z if V is None else V @ Z)[:, :k]))
+    rest = np.array([s for s in rest if errors[s] is None], dtype=int)
+    if rest.size:
+        stable, on_band, U, unsettled = _band_counts(A[rest], E[rest], b)
+        counts[rest, 0], counts[rest, 1] = stable, on_band
+        for s in rest[unsettled]:
+            errors[s] = ZerosOnUnitCircle(
+                f"the split of det(z^{lam} B(z)) at |z| = 1 -/+ {b:g} did not settle: "
+                "a zero lies on a band edge, or the determinant is nearly "
+                "identically zero", zeros[s])
+        g = np.flatnonzero((stable == k) & (on_band == 0) & ~unsettled)
+        if lam and g.size:
+            AA, EE = _restrict(A[rest[g]], E[rest[g]], U[g], k)[:2]
+            divisors.append((rest[g], AA, EE, U[g, :, :k]))
+    for s in np.flatnonzero((counts[:, 0] != k) | (counts[:, 1] != 0)):
+        if errors[s] is None:
+            try:
+                _check_counts(*counts[s], n, lam, tol, zeros[s])
+            except FactorizationError as exc:
+                errors[s] = exc
 
     b_minus = np.zeros((S, lam + 1, n, n))
     b_minus[:, lam] = np.eye(n)
     b_plus = np.zeros((S, kappa + 1, n, n))
     residual = np.zeros(S)
+    passed = np.array([e is None for e in errors], dtype=bool)
     if not lam:
-        passed = [s for s in range(S) if errors[s] is None]
         b_plus[passed] = Bc[passed]
-    elif schur:
-        lanes = np.array([t[0] for t in schur])
-        AA, EE, Z = (np.array([t[i] for t in schur]) for i in (1, 2, 3))
-        bm, ok = _stable_monic_divisor(AA, EE, Z, n, lam)
-        bp, res = _plus_factor(bm, Bc[lanes])
-        scale = np.maximum(np.abs(Bc[lanes]).max(axis=(1, 2, 3)), 1.0)
-        for i, s in enumerate(lanes):
-            if not ok[i]:
-                errors[s] = DivisorExtractionSingular(
-                    "deflating-subspace block is numerically singular; no monic "
-                    "stable divisor of the required degree exists", zeros[s])
-            elif res[i] > RECONSTRUCTION_RTOL * scale[i]:
-                errors[s] = DivisorExtractionSingular(
-                    f"reconstruction residual {res[i]:.3e} exceeds "
-                    f"{RECONSTRUCTION_RTOL:g} * scale", zeros[s])
-            else:
-                b_minus[s], b_plus[s], residual[s] = bm[i], bp[i], res[i]
+        return b_minus, b_plus, errors, residual, zeros
+    if not divisors:
+        return b_minus, b_plus, errors, residual, zeros
+    lanes, AA, EE, Z = (divisors[0] if len(divisors) == 1 else
+                        (np.concatenate(x) for x in zip(*divisors)))
+    keep = passed[lanes]
+    if not keep.all():
+        lanes, AA, EE, Z = lanes[keep], AA[keep], EE[keep], Z[keep]
+    bm, ok = _stable_monic_divisor(AA, EE, Z, n, lam)
+    if R is not None:               # the divisors of P R^-1 are R D R^-1
+        bm[:, :lam] = (R[lanes].swapaxes(1, 2)[:, None] @ bm[:, :lam]
+                       @ Rinv[lanes].swapaxes(1, 2)[:, None])
+    bp, res = _plus_factor(bm, Bc[lanes])
+    bound = RECONSTRUCTION_RTOL * np.maximum(np.abs(Bc[lanes]).max(axis=(1, 2, 3)), 1.0)
+    for i in np.flatnonzero(ok & (res > bound)):
+        bm[i], bp[i], res[i] = _newton_divisor(bm[i], bp[i], res[i], Bc[lanes[i]])
+    bad = ~ok | (res > bound)
+    for i in np.flatnonzero(bad):
+        s = lanes[i]
+        errors[s] = DivisorExtractionSingular(
+            "deflating-subspace block is numerically singular; no monic "
+            "stable divisor of the required degree exists" if not ok[i] else
+            f"reconstruction residual {res[i]:.3e} exceeds {RECONSTRUCTION_RTOL:g} * scale",
+            zeros[s])
+    good = lanes[~bad]
+    b_minus[good], b_plus[good], residual[good] = bm[~bad], bp[~bad], res[~bad]
     return b_minus, b_plus, errors, residual, zeros
+
+
+def _column_scaling(P: np.ndarray):
+    """R (S, n, n) for a stack of polynomials P (S, d + 1, n, n) whose
+    common right factor is nearly singular, None when none is.
+
+    R is from the QR of the block column [P_0; ..; P_d], so the columns of
+    P R^-1 are orthonormal.  P R^-1 has the zeros of P, and its monic right
+    divisors are R D R^-1 for those D of P, so the split may run on it
+    instead.  That takes out a nearly singular common right factor, which
+    leaves every pencil of P nearly singular, but adds rounding to all
+    others; so it is done only where R's diagonal spans more than
+    1 / _SCALING_RCOND, and R is the identity in the other samples and
+    where it is numerically singular itself (a common right null vector:
+    det P is identically zero).
+    """
+    S, d1, n = P.shape[:3]
+    X = P.reshape(S, d1 * n, n).copy()
+    _umath_linalg.qr_r_raw(X, signature="d->d")
+    diag = np.abs(np.diagonal(X, axis1=1, axis2=2))
+    ratio = diag.min(axis=1) / np.maximum(diag.max(axis=1), _TINY)
+    scale = (ratio < _SCALING_RCOND) & (ratio > PENCIL_SINGULAR_RTOL)
+    if not scale.any():
+        return None
+    R = np.triu(X[:, :n])
+    R[~scale] = np.eye(n)
+    return R
+
+
+def _split_cap(boundary: float) -> int:
+    """Iteration cap of :func:`_unit_circle_split`: four steps more than the
+    squarings that take rho = 1 - boundary down to eps, rho**(2**j) <= eps,
+    so a zero settles unless it lies within a few percent of boundary of
+    the radius split at (boundary is taken within [eps, 1])."""
+    return math.ceil(math.log2(-math.log(_EPS) / min(max(boundary, _EPS), 1.0))) + 4
+
+
+def _certified_steps(boundary: float) -> int:
+    """Steps within which a settled split leaves no zero within 16 *
+    boundary of the circle: after j <= log2(1 / boundary) - 4 squarings
+    such a zero still has modulus above e^-1 (or below e), so the pencil
+    could not have settled."""
+    return math.floor(math.log2(1.0 / max(boundary, _EPS))) - 4
+
+
+def _unit_circle_split(A: np.ndarray, E: np.ndarray, boundary: float):
+    """Split a stack of pencils det(z E - A) (S, N, N) at the unit circle.
+
+    Inverse-free spectral divide and conquer: each step takes the QR
+    [E; -A] = Q [R; 0] and replaces (A, E) by (Q12' A, Q22' E), which
+    squares the eigenvalues of the pencil.  A lane is retired once the
+    moduli of R's diagonal have settled: they changed by at most 10 N eps
+    of the largest, or by at most PENCIL_SINGULAR_RTOL and no less than at
+    the step before (rounding noise).  Lanes stop at the cap of
+    :func:`_split_cap` otherwise.  In the settled pencil (A_p, E_p) the
+    eigenvalues inside the circle went to 0 and all others to infinity, so
+    the right deflating subspace inside is the null space of A_p and the
+    one outside that of E_p.  Their dimensions, from the singular values
+    above PENCIL_SINGULAR_RTOL of the larger leading one, must add to N.
+
+    Returns (U (S, N, N), counts (S,), steps (S,), failed (S,)): U is
+    orthogonal with its leading counts columns spanning the subspace
+    inside, steps the step at which each lane settled, and failed marks
+    lanes that did not settle by the cap or whose subspaces do not add up
+    (a singular pencil, or an eigenvalue on the circle).
+    """
+    S, N = A.shape[:2]
+    cap = _split_cap(boundary)
+    retired = []                    # (lanes, A_p, E_p, step) settled together
+    live, a, e, r_prev, d_prev = np.arange(S), A, E, None, np.inf
+    for j in range(1, cap + 1):
+        Q, R = _qr_complete(np.concatenate([e, -a], axis=1))
+        Qt = Q[:, :, N:].swapaxes(1, 2)
+        a, e = Qt[:, :, :N] @ a, Qt[:, :, N:] @ e
+        if j < _SPLIT_MIN_STEPS - 1:
+            continue
+        r = np.abs(np.diagonal(R, axis1=1, axis2=2))
+        if r_prev is not None:
+            d = np.abs(r - r_prev).max(axis=1) / np.maximum(r_prev.max(axis=1), _TINY)
+            done = d <= 10 * N * _EPS
+            if done.all():
+                break
+            done |= (d <= PENCIL_SINGULAR_RTOL) & (d >= d_prev)
+            if done.all():
+                break
+            if done.any():
+                retired.append((live[done], a[done], e[done], j))
+                live, a, e, r, d = live[~done], a[~done], e[~done], r[~done], d[~done]
+            d_prev = d
+        r_prev = r
+    else:
+        j = cap + 1
+    retired.append((live, a, e, j))
+    if len(retired) == 1:
+        Ap, Ep, steps = a, e, np.full(S, j)
+    else:
+        order = np.argsort(np.concatenate([t[0] for t in retired]))
+        Ap, Ep = (np.concatenate([t[i] for t in retired])[order] for i in (1, 2))
+        steps = np.concatenate([np.full(len(t[0]), t[3]) for t in retired])[order]
+    s_E = np.linalg.svd(Ep, compute_uv=False)
+    _, s_A, Vt = np.linalg.svd(Ap)
+    above = np.concatenate([s_A, s_E], axis=1) > (
+        PENCIL_SINGULAR_RTOL * np.maximum(s_A[:, :1], s_E[:, :1]))
+    outside = np.count_nonzero(above[:, :N], axis=1)
+    failed = (steps > cap) | (np.count_nonzero(above, axis=1) != N)
+    return Vt[:, ::-1].swapaxes(1, 2), N - outside, steps, failed
+
+
+def _qr_complete(X: np.ndarray):
+    """Q (S, m, m) and R (S, m, n) of the QR of a stack X (S, m, n), m > n,
+    with R's strict lower part holding Householder vectors instead of zeros.
+
+    The two LAPACK kernels of ``np.linalg.qr(X, mode="complete")``, called
+    without its per-call checks, which cost it about 20 us of its 25 us on
+    the small pencils split here.  X is overwritten.
+    """
+    tau = _umath_linalg.qr_r_raw(X, signature="d->d")
+    return _umath_linalg.qr_complete(X, tau, signature="dd->d"), X
+
+
+def _band_counts(A: np.ndarray, E: np.ndarray, boundary: float):
+    """Zero counts of a stack of pencils from splits at the band edges.
+
+    The eigenvalues of (A, r E) are those of (A, E) divided by r, so the
+    split of (A, (1 -/+ boundary) E) at the unit circle counts the zeros
+    inside |z| = 1 -/+ boundary.  Returns (stable, on_band, U, unsettled):
+    the counts, the U of the split at 1 - boundary (its leading stable
+    columns span the stable subspace, of (A, E) as well) and the lanes
+    where either split failed or the counts contradict each other: a zero
+    on a band edge, or a nearly singular pencil.
+    """
+    S = A.shape[0]
+    U, hi, _, unsettled = _unit_circle_split(A, (1.0 + boundary) * E, boundary)
+    stable = np.zeros(S, dtype=int)
+    if boundary < 1.0:              # else the band covers the open disk
+        U, stable, _, lo_failed = _unit_circle_split(A, (1.0 - boundary) * E, boundary)
+        unsettled |= lo_failed
+    return stable, hi - stable, U, unsettled | (hi < stable)
+
+
+def _restrict(A: np.ndarray, E: np.ndarray, U: np.ndarray, c: int):
+    """Blocks of Y'(A, E)U for a stack of pencils (S, N, N) and orthogonal U
+    whose leading c columns span a right deflating subspace, Y from the QR
+    of E U_c: the c x c blocks (AA, EE) of the pencil restricted to that
+    subspace and the trailing blocks (A22, E22) of the rest."""
+    N = A.shape[1]
+    Y = _qr_complete(E @ U[:, :, :c])[0] if c else np.eye(N)
+    Yt = np.swapaxes(Y, -1, -2)
+    A2, E2 = Yt @ A @ U, Yt @ E @ U
+    return A2[:, :c, :c], E2[:, :c, :c], A2[:, c:, c:], E2[:, c:, c:]
+
+
+def _split_zeros(A: np.ndarray, E: np.ndarray, U: np.ndarray, c: int, boundary: float):
+    """Zeros of a stack of pencils (S, N, N) split by U (S, N, N), whose
+    leading c columns span the right deflating subspace inside the circle.
+
+    The restricted pencil (AA, EE) (:func:`_restrict`) holds the zeros
+    inside, the eigenvalues of EE^-1 AA.  The trailing one holds the zeros
+    outside and the infinite eigenvalues; its reversal has no eigenvalue
+    near 0 but the infinite ones, so the outside zeros are the inverses of
+    the eigenvalues of A22^-1 E22, after the infinite ones are split off
+    (:func:`~ratex.polylab._deflate_infinite`) where E22 has a singular
+    value at or below PENCIL_INFINITE_RTOL.  Returns the zeros per sample,
+    AA, EE and the mask of samples whose zeros inside and outside lie off
+    the band 1 -/+ boundary on their own sides.
+    """
+    AA, EE, A22, E22 = _restrict(A, E, U, c)
+    S, N = A.shape[:2]
+    inside = _eigvals(EE, AA) if c else np.zeros((S, 0), dtype=complex)
+    agree = (np.abs(inside) < 1.0 - boundary).all(axis=1)
+    if c == N:
+        return list(inside), AA, EE, agree
+    regular = np.linalg.svd(E22, compute_uv=False)[:, -1] > PENCIL_INFINITE_RTOL
+    if regular.all():
+        mu = _eigvals(A22, E22)
+        agree &= (np.abs(mu) * (1.0 + boundary) < 1.0).all(axis=1)
+        return list(np.concatenate([inside, 1.0 / mu], axis=1)), AA, EE, agree
+    mu = [None] * S
+    if regular.any():
+        for i, m in zip(np.flatnonzero(regular), _eigvals(A22[regular], E22[regular])):
+            mu[i] = m
+    for i in np.flatnonzero(~regular):
+        try:
+            a, e, _ = _deflate_infinite(A22[i], E22[i])
+        except SingularMatrixError:     # left to the whole pencil to report
+            a, e, agree[i] = np.zeros((0, 0)), None, False
+        mu[i] = np.linalg.eigvals(np.linalg.solve(a, e)) if a.size else np.zeros(0)
+    agree &= [bool((np.abs(m) * (1.0 + boundary) < 1.0).all()) for m in mu]
+    zeros = [np.concatenate([zi, 1.0 / m]) for zi, m in zip(inside, mu)]
+    return zeros, AA, EE, agree
+
+
+def _eigvals(E: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Complex eigenvalues (S, c) of E^-1 A for a stack of c x c pairs with
+    nonsingular E, by numpy's LAPACK kernels without the per-call checks
+    of ``np.linalg.eigvals(np.linalg.solve(E, A))`` (most of its 15 us at
+    one sample).  A singular E gives NaN, not an error."""
+    with np.errstate(all="ignore"):
+        return _umath_linalg.eigvals(_umath_linalg.solve(E, A, signature="dd->d"),
+                                     signature="d->D")
+
+
+def _pencil_zeros(A: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """Finite eigenvalues of one pencil (A, E), the infinite ones split off
+    first (:func:`~ratex.polylab._deflate_infinite`, which raises
+    SingularMatrixError for a singular pencil): the zeros reported for a
+    sample that its split could not decide."""
+    a, e, _ = _deflate_infinite(A, E)
+    if not a.size:
+        return np.array([], dtype=complex)
+    return np.linalg.eigvals(np.linalg.solve(e, a)).astype(complex)
 
 
 def _screen_counts(A: np.ndarray, E: np.ndarray, s_E: np.ndarray, boundary: float):
@@ -258,8 +552,8 @@ def _screen_counts(A: np.ndarray, E: np.ndarray, s_E: np.ndarray, boundary: floa
     bound of a band edge 1 -/+ boundary.  The bound is the first-order one:
     condition number kappa_i of the eigenvalue (from the eigenvectors)
     times N eps times the backward errors of the solve and the eigenvalue
-    routine on E^-1 A, plus that of the QZ on (A, E) that the pencil split
-    would use.  Returns (stable, on_band, zeros, decided).
+    routine on E^-1 A, plus that of a backward-stable method on (A, E)
+    itself.  Returns (stable, on_band, zeros, decided).
     """
     N = A.shape[1]
     M = np.linalg.solve(E, A)
@@ -268,11 +562,11 @@ def _screen_counts(A: np.ndarray, E: np.ndarray, s_E: np.ndarray, boundary: floa
         Y = np.linalg.inv(X)
     except np.linalg.LinAlgError:   # an exactly defective sample: decide none
         Y = np.full_like(X, np.nan)
-    cond_w = np.linalg.norm(X, axis=1) * np.linalg.norm(Y, axis=2)
     smax, smin = s_E[:, :1], s_E[:, -1:]
     mods = np.abs(w)
     with np.errstate(invalid="ignore", over="ignore"):
-        bound = N * np.finfo(float).eps * cond_w * (
+        cond_w = np.linalg.norm(X, axis=1) * np.linalg.norm(Y, axis=2)
+        bound = N * _EPS * cond_w * (
             (smax / smin + 1.0) * np.linalg.norm(M, axis=(1, 2))[:, None]
             + (np.linalg.norm(A, axis=(1, 2))[:, None] + mods * smax) / smin)
         near = ~(bound < np.minimum(np.abs(mods - (1.0 - boundary)),
@@ -293,50 +587,43 @@ def _check_counts(stable: int, on_band: int, n: int, lam: int, tol: ToleranceCon
             f"found {stable} zero(s) inside the unit circle, need exactly {n * lam}", zeros)
 
 
-def _ordered_qz(A: np.ndarray, E: np.ndarray, n: int, lam: int, tol: ToleranceConfig):
-    """QZ of the finite pencil (A, E) and the verdict on its zero counts;
-    for lam > 0 reordered with the stable eigenvalues leading.
+def _newton_divisor(bm: np.ndarray, bp: np.ndarray, res: float, Bc: np.ndarray, steps: int = 3):
+    """Newton steps on B = B_minus B_plus for one sample whose split gave a
+    divisor that does not reconstruct B within RECONSTRUCTION_RTOL.
 
-    LAPACK's dgges and dtgsen, called with the arguments of
-    ``scipy.linalg.ordqz``.  Returns (AA, EE, Z, zeros), unordered for
-    lam = 0 (None for an empty pencil); raises ZerosOnUnitCircle or
-    WrongStableCount from the counts of the unordered QZ, before any
-    reordering, and FactorizationError when the QZ iteration fails or the
-    counts pass but the pencil is too ill-conditioned to reorder."""
-    zeros = np.array([], dtype=complex)
-    if not A.size:  # det(z^lam B) is constant
-        _check_counts(0, 0, n, lam, tol, zeros)
-        return None, None, None, zeros
-    N = len(A)
-    AA, EE, _, alphar, alphai, beta, Q, Z, _, info = dgges(
-        _no_select, A, E, lwork=_dgges_lwork(N), sort_t=0)
-    if info:
-        raise FactorizationError(f"QZ iteration failed (LAPACK dgges info {info})")
-    zeros = (alphar + alphai * 1j) / beta
-    _check_counts(*_classify_zeros(zeros, tol.boundary), n, lam, tol, zeros)
-    if not lam:
-        return AA, EE, Z, zeros
-    stable = np.abs(zeros) < 1.0 - tol.boundary
-    AA, EE, *_, Z, _, _, _, _, info = dtgsen(stable, AA, EE, Q, Z, ijob=0,
-                                            lwork=4 * N + 16, liwork=1)
-    if info:
-        raise FactorizationError(
-            "ordered QZ failed: Reordering of (A, B) failed because the transformed "
-            "matrix pair (A, B) would be too far from generalized Schur form; the "
-            "problem is very ill-conditioned. (A, B) may have been partially reordered.",
-            zeros)
-    return AA, EE, Z, zeros
-
-
-def _no_select(alphar, alphai, beta):
-    """dgges' selection callback; never called, as sort_t=0 asks no sorting."""
-
-
-@cache
-def _dgges_lwork(N: int) -> int:
-    """dgges' optimal workspace for order N, from its workspace query."""
-    probe = np.zeros((N, N))
-    return int(dgges(_no_select, probe, probe, lwork=-1)[-2][0])
+    The split's subspace, accurate to its conditioning, need not make
+    B_minus an exact divisor of a nearby B as an ordered QZ would.  Each
+    step solves the linearization dB_minus B_plus + B_minus dB_plus = B -
+    B_minus B_plus for dB_minus at lags -lam..-1 and dB_plus at 0..kappa
+    (uniquely, as B_minus and B_plus share no zero) and recomputes B_plus
+    and the residual (:func:`_plus_factor`); the best of them is kept.
+    """
+    lam, n = bm.shape[0] - 1, bm.shape[1]
+    L, I = Bc.shape[0], np.eye(n)
+    best = bm, bp, res
+    for _ in range(steps):
+        kappa = bp.shape[0] - 1
+        M = np.zeros((L, n * n, L, n * n))
+        for i in range(lam):
+            for j in range(kappa + 1):
+                M[i + j, :, i] += np.kron(I, bp[j].T)
+        for i in range(lam + 1):
+            for j in range(kappa + 1):
+                M[i + j, :, lam + j] += np.kron(bm[i], I)
+        recon = np.zeros_like(Bc)
+        for i in range(lam + 1):
+            recon[i:i + kappa + 1] += bm[i] @ bp
+        M = M.reshape(L * n * n, -1)
+        try:
+            step = np.linalg.lstsq(M, (Bc - recon).ravel(), rcond=None)[0]
+        except np.linalg.LinAlgError:
+            break
+        bm = bm.copy()
+        bm[:lam] += step[:lam * n * n].reshape(lam, n, n)
+        bp, res = (x[0] for x in _plus_factor(bm[None], Bc[None]))
+        if res < best[2]:
+            best = bm, bp, res
+    return best
 
 
 def _plus_factor(b_minus: np.ndarray, Bc: np.ndarray):
@@ -385,17 +672,16 @@ def bminus_inv_plus(b_minus: np.ndarray, A: np.ndarray) -> np.ndarray:
 
 
 def _stable_monic_divisor(AA, EE, Z, n: int, lam: int):
-    """B_minus = I + sum F_i z^-i for a stack of ordered QZs.
+    """B_minus = I + sum F_i z^-i for a stack of unit-circle splits.
 
-    Takes the ordered QZ of the finite part of the companion pencil of the
-    transposed polynomial Q(z) = (z^lam B(z))', with the k = n*lam
-    generalized eigenvalues inside the unit circle leading: the leading
-    k x k blocks (AA, EE) and the k leading right Schur vectors Z mapped
-    back to the full pencil, (S, N, k).  The monic right divisor of Q of
-    degree lam carrying them is read off that deflating subspace.  Returns
-    the (S, lam+1, n, n) coefficients of B_minus at lags -lam..0 and the
-    mask of samples whose subspace block is nonsingular (the others hold no
-    divisor).
+    Takes the split of the companion pencil of the transposed polynomial
+    Q(z) = (z^lam B(z))' with k = n*lam generalized eigenvalues inside the
+    unit circle: an orthonormal basis Z (S, N, k) of their right deflating
+    subspace and the pencil restricted to it, (AA, EE) k x k.  The monic
+    right divisor of Q of degree lam carrying them is read off that
+    subspace.  Returns the (S, lam+1, n, n) coefficients of B_minus at lags
+    -lam..0 and the mask of samples whose subspace block is nonsingular
+    (the others hold no divisor).
     """
     S, N, k = Z.shape
     U = Z[:, :k]

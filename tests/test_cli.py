@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -149,6 +150,22 @@ class TestRestrictionFiles:
         with pytest.warns(UserWarning):
             restrictions_from_dict({"R": [[1, 0, 0, 0, 0], [2, 0, 0, 0, 0]],
                                     "u": [1.0, 2.0]}, n=1, m=1, kappa=1, lam=1)
+
+    def test_duplicate_pins_warn_without_an_svd(self, monkeypatch):
+        # pin rows are unit vectors: their rank is the number of distinct
+        # positions, counted without numerical_rank
+        from ratex import modelio
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("ranked a pin file by SVD")
+
+        monkeypatch.setattr(modelio, "numerical_rank", no_svd)
+        spec = pins(("B", -1, 1.0), ("A", 0, 1.0), ("B", -1, 0.5))
+        with pytest.warns(UserWarning, match=r"row rank 2 of 3"):
+            restrictions_from_dict(spec, n=1, m=1, kappa=1, lam=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            restrictions_from_dict(pins(("B", -1, 1.0), ("A", 0, 1.0)), n=1, m=1, kappa=1, lam=1)
 
     def test_wrong_width_rejected(self):
         with pytest.raises(ModelFileError):
@@ -794,8 +811,9 @@ class TestSolveFailureOrder:
 
 
 class TestFailedReordering:
-    """A pencil whose zero counts pass but which LAPACK cannot reorder (see
-    test_wienerhopf) is a solvability failure, not a file error."""
+    """A pencil whose zero counts pass but whose split at the unit circle
+    yields no divisor that reconstructs B (see test_wienerhopf) is a
+    solvability failure, not a file error."""
 
     def coefficients(self):
         from conftest import near_band_stack
@@ -812,7 +830,7 @@ class TestFailedReordering:
         assert main([command, path, "--format", "json-report"]) == 2
         payload = json.loads(capsys.readouterr().out)
         assert payload["verdict"] == verdict
-        assert payload["reason"].startswith("ordered QZ failed")
+        assert payload["reason"].startswith("reconstruction residual")
 
     def test_generic_counts_the_sample(self, tmp_path, capsys):
         # B does not depend on theta, so every draw fails the same way
@@ -826,7 +844,7 @@ class TestFailedReordering:
         r = write(tmp_path / "r.json", pins(("B", 1, 1.0)))
         assert main(["generic", path, r, "--samples", "4", "--format", "json-report"]) == 4
         payload = json.loads(capsys.readouterr().out)
-        assert payload["invalid_reasons"] == {"eu_failed: FactorizationError": 4}
+        assert payload["invalid_reasons"] == {"eu_failed: DivisorExtractionSingular": 4}
 
 
 # -- malformed input ---------------------------------------------------------

@@ -21,12 +21,13 @@ from ratex.resolve import (
     sample_autocovariances,
     simulate,
     solve_model,
+    solve_models,
     spectral_density,
     spectral_distance,
     transfer_series,
     unit_circle_grid,
 )
-from ratex.wienerhopf import wh_factorize
+from ratex.wienerhopf import ZerosOnUnitCircle, wh_factorize
 
 
 def scalar(coeffs, min_lag=0):
@@ -300,6 +301,28 @@ class TestSpectralDensity:
         a_plus_mat = scalar([1.0])
         with pytest.raises(SingularMatrixError, match=r"grid point z = -1\+0j"):
             spectral_density(model, a_plus_mat, np.array([1.0, 1j, -1.0, -1j]))
+
+
+class TestSolveModels:
+    """Several models factored in one stack per shape give each model's own
+    solve_model bundle, and the first model that fails raises."""
+
+    def test_same_bundles_as_one_by_one(self, rng):
+        models = [make_valid_model(rng, n=2, m=2, lam=1, kappa=1)[0] for _ in range(2)]
+        models.append(make_valid_model(rng, n=2, m=1, lam=0, kappa=2)[0])
+        for model, bundle in zip(models, solve_models(models)):
+            alone = solve_model(model)
+            assert bundle.factors.b_minus.allclose(alone.factors.b_minus, atol=1e-13)
+            assert bundle.factors.b_plus.allclose(alone.factors.b_plus, atol=1e-13)
+            assert np.allclose(bundle.transfer.coeffs, alone.transfer.coeffs, atol=1e-13)
+
+    def test_first_failure_raises(self, rng):
+        good = make_valid_model(rng, n=1, m=1, lam=1, kappa=1)[0]
+        unit_root = Model(scalar([1.0, -1.0]), scalar([1.0]))
+        with pytest.raises(ZerosOnUnitCircle):
+            solve_models([good, unit_root])
+        with pytest.raises(ZerosOnUnitCircle):
+            solve_models([unit_root, good])
 
 
 class TestSimulate:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -24,18 +26,22 @@ from ratex.polylab import (
 from ratex import wienerhopf
 from ratex.resolve import solve_model
 from ratex.wienerhopf import (
-    SCREEN_MIN_SAMPLES,
+    DivisorExtractionSingular,
     FactorizationError,
     ToleranceConfig,
     WHFactors,
     WrongStableCount,
     ZerosOnUnitCircle,
     _classify_zeros,
-    _ordered_qz,
     _screen_counts,
+    _split_zeros,
+    _unit_circle_split,
     wh_factorize,
     wh_factorize_stack,
 )
+
+# samples in the stacks below that are compared with one-sample calls
+STACK = 16
 
 
 def scalar(coeffs, min_lag=0):
@@ -277,9 +283,15 @@ class TestCheckEU:
         assert bundle.factors.b_plus.allclose(bp)
 
 
+def oracle_zeros(A, E):
+    """Finite eigenvalues of one pencil from scipy's QZ, infinite ones split
+    off first."""
+    return scipy.linalg.eigvals(*_deflate_infinite(A, E)[:2]).astype(complex)
+
+
 class TestStackedScreen:
-    """The eigenvalue screen of wh_factorize_stack against the pencil split
-    (deflation plus the QZ counts) run directly."""
+    """The eigenvalue screen of wh_factorize_stack against the QZ zeros of
+    the same pencil (scipy, after the infinite eigenvalues are split off)."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2 ** 20), lam=st.sampled_from([0, 1]),
@@ -289,19 +301,15 @@ class TestStackedScreen:
         Bc = near_band_stack(np.random.default_rng(seed), lam, lead_margin, kinds[:2 * (lam + 1)])
         tol = ToleranceConfig()
         A, E = companion_stack(Bc.swapaxes(2, 3))
-        try:
-            zeros = _ordered_qz(*_deflate_infinite(A[0], E[0])[:2], 2, lam, tol)[3]
-        except FactorizationError as exc:
-            zeros = exc.zeros
+        zeros = oracle_zeros(A[0], E[0])
         s_E = np.linalg.svd(E)[1]
         if s_E[0, -1] > PENCIL_INFINITE_RTOL:
             stable, on_band, _, decided = _screen_counts(A, E, s_E, tol.boundary)
             if decided[0]:
                 assert (stable[0], on_band[0]) == _classify_zeros(zeros, tol.boundary)
-        # at SCREEN_MIN_SAMPLES samples the stack screens lam = 0; one
-        # sample alone takes the pencil split
+        # a stack of copies decides each copy as the one sample alone
         want = _outcome(LaurentMatrix(Bc[0], -lam))
-        for got in wh_factorize_stack(np.repeat(Bc, SCREEN_MIN_SAMPLES, axis=0), lam)[2]:
+        for got in wh_factorize_stack(np.repeat(Bc, STACK, axis=0), lam)[2]:
             assert type(got) is want
 
     def test_well_conditioned_near_band_is_screened(self):
@@ -330,8 +338,7 @@ class TestStackAgainstScalar:
             B = lp_mul(random_b_minus(rng, n, lo), lp_mul(random_b_plus(rng, n, hi), last))
             return B.window(-lam, kappa)
 
-        # enough valid samples for the stack to screen lam = 0
-        samples = [model(lam, kappa) for _ in range(SCREEN_MIN_SAMPLES)]
+        samples = [model(lam, kappa) for _ in range(STACK)]
         samples.append(model(lam, kappa) @ np.diag([0.0] + [1.0] * (n - 1)))   # det B = 0
         if lam:
             samples.append(model(lam - 1, kappa))                 # B_{-lam} = 0
@@ -357,8 +364,8 @@ class TestStackAgainstScalar:
                 fac = wh_factorize(LaurentMatrix(B, -lam))
                 assert np.abs(b_minus[s] - fac.b_minus.window(-lam, 0)).max() <= 1e-12
                 assert np.abs(b_plus[s] - fac.b_plus.window(0, kappa)).max() <= 1e-12
-        assert outcomes[:SCREEN_MIN_SAMPLES] == [type(None)] * SCREEN_MIN_SAMPLES
-        assert outcomes[SCREEN_MIN_SAMPLES] is ZerosOnUnitCircle
+        assert outcomes[:STACK] == [type(None)] * STACK
+        assert outcomes[STACK] is ZerosOnUnitCircle
         if kappa:
             assert outcomes[-2:] == [ZerosOnUnitCircle, WrongStableCount]
 
@@ -366,66 +373,150 @@ class TestStackAgainstScalar:
 def test_failed_reordering_is_a_factorization_error():
     # the counts pass (two zeros just inside the band, two just outside,
     # n * lam = 2), but the pencil with its nearly singular lead is too
-    # ill-conditioned for LAPACK to reorder; both paths report it with the
-    # zeros instead of letting scipy's ValueError escape
+    # ill-conditioned to yield a divisor that reconstructs B; both paths
+    # report it with the zeros instead of a factorization
     Bc = near_band_stack(np.random.default_rng(0), 1, 1.01, ["in", "out", "out", "in"])
-    with pytest.raises(FactorizationError, match="ordered QZ failed") as info:
+    with pytest.raises(FactorizationError, match="reconstruction residual") as info:
         wh_factorize(LaurentMatrix(Bc[0], -1))
-    assert type(info.value) is FactorizationError
+    assert type(info.value) is DivisorExtractionSingular
     assert _classify_zeros(info.value.zeros, ToleranceConfig().boundary) == (2, 0)
     error = wh_factorize_stack(Bc, 1)[2][0]
-    assert type(error) is FactorizationError and "ordered QZ failed" in str(error)
+    assert type(error) is DivisorExtractionSingular and "reconstruction residual" in str(error)
 
 
 class TestOrderedQZ:
-    """_ordered_qz calls LAPACK directly; scipy.linalg.ordqz is the oracle."""
+    """The inverse-free split against scipy's ordered QZ: ordqz's ordered
+    Schur vectors and eigvals' zeros are the oracles."""
 
     TOL = ToleranceConfig()
 
     @staticmethod
     def pencils(N, rng):
-        # real spectrum: A = X diag(d) Y, E = X Y, eigenvalues d on both
-        # sides of the unit circle; then a general pencil with complex pairs
-        X, Y = rng.standard_normal((2, N, N))
-        d = rng.choice([-1.0, 1.0], N) * rng.uniform(0.05, 3.0, N)
-        yield X @ np.diag(d) @ Y, X @ Y
-        yield rng.standard_normal((N, N)), rng.standard_normal((N, N))
+        # A = X D Y, E = X Y with X, Y of condition <= 4: D diagonal with a
+        # real spectrum off 0.6 < |z| < 1.6, then 2 x 2 rotation blocks that
+        # give complex pairs, on both sides of the unit circle
+        def conditioned():
+            q1, q2 = (np.linalg.qr(rng.standard_normal((N, N)))[0] for _ in range(2))
+            return q1 @ np.diag(rng.uniform(0.5, 2.0, N)) @ q2
+
+        def modulus(size):
+            inside = rng.random(size) < 0.5
+            return np.where(inside, rng.uniform(0.05, 0.6, size), rng.uniform(1.6, 3.0, size))
+
+        d = rng.choice([-1.0, 1.0], N) * modulus(N)
+        D = np.diag(d)
+        for i in range(0, N - 1, 2):
+            r, t = modulus(1)[0], rng.uniform(0.3, 2.8)
+            D[i:i + 2, i:i + 2] = r * np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+        for block in (np.diag(d), D):
+            X, Y = conditioned(), conditioned()
+            yield X @ block @ Y, X @ Y
 
     @pytest.mark.parametrize("N", range(2, 25))
     def test_equals_scipy_ordqz(self, N):
+        # the split's count and deflating subspace equal ordqz's, up to
+        # principal angles of 1e-12, and its zeros eigvals' 
         rng = np.random.default_rng(N)
         complex_pairs = 0
         for A, E in self.pencils(N, rng):
-            stable = np.abs(scipy.linalg.eigvals(A, E)) < 1.0 - self.TOL.boundary
-            AA, EE, Z, zeros = _ordered_qz(A, E, np.count_nonzero(stable), 1, self.TOL)
-            want = scipy.linalg.ordqz(
-                A, E, sort=lambda a, b: np.abs(a / b) < 1.0 - self.TOL.boundary,
-                check_finite=False)
-            assert np.array_equal(AA, want[0]) and np.array_equal(EE, want[1])
-            assert np.array_equal(Z, want[5])
-            assert match_zero_multisets(zeros, want[2] / want[3])
-            complex_pairs += np.count_nonzero(zeros.imag > 0)
+            want = scipy.linalg.eigvals(A, E)
+            inside = np.count_nonzero(np.abs(want) < 1.0)
+            U, counts, _, failed = _unit_circle_split(A[None], E[None], self.TOL.boundary)
+            assert not failed[0] and counts[0] == inside
+            Z = scipy.linalg.ordqz(A, E, sort="iuc")[5]
+            if inside:
+                angles = scipy.linalg.subspace_angles(U[0, :, :inside], Z[:, :inside])
+                assert angles.max() <= 1e-12
+            zeros, *_, agree = _split_zeros(A[None], E[None], U, inside, self.TOL.boundary)
+            assert agree[0] and match_zero_multisets(zeros[0], want, tol=1e-10)
+            complex_pairs += np.count_nonzero(want.imag > 0)
         assert N < 4 or complex_pairs
 
     def test_failed_count_raises_before_reordering(self, monkeypatch):
-        def reorder(*args, **kwargs):
-            raise AssertionError("reordered a pencil whose counts failed")
+        # a count that fails raises with the zeros before any divisor is read
+        def divisor(*args, **kwargs):
+            raise AssertionError("read a divisor for a pencil whose counts failed")
 
-        monkeypatch.setattr(wienerhopf, "dtgsen", reorder)
-        A, E = np.diag([0.5, 2.0, 3.0]), np.eye(3)
+        monkeypatch.setattr(wienerhopf, "_stable_monic_divisor", divisor)
         with pytest.raises(WrongStableCount) as info:
-            _ordered_qz(A, E, 2, 1, self.TOL)
-        assert _classify_zeros(info.value.zeros, self.TOL.boundary) == (1, 0)
+            wh_factorize(scalar([0.02, -0.3, 1.0], -1))       # zeros 0.1 and 0.2
+        assert _classify_zeros(info.value.zeros, self.TOL.boundary) == (2, 0)
         with pytest.raises(ZerosOnUnitCircle):
-            _ordered_qz(np.diag([0.5, 1.0, 3.0]), E, 1, 1, self.TOL)
+            wh_factorize(scalar([-0.5, 1.5, -2.0, 1.0], -1))   # zeros 1, (1 -/+ i) / 2
 
-    def test_failed_qz_iteration_is_a_factorization_error(self, monkeypatch):
-        dgges = wienerhopf.dgges
+    def test_unsettled_split_is_a_factorization_error(self, monkeypatch):
+        # a split cut off before it settles cannot count: the sample is
+        # reported as failing, with the zeros of its whole pencil
+        monkeypatch.setattr(wienerhopf, "_split_cap", lambda boundary: 1)
+        with pytest.raises(ZerosOnUnitCircle, match="did not settle") as info:
+            wh_factorize(scalar([1 / 3, 1.0, 0.5], -1))
+        assert len(info.value.zeros) == 2
 
-        def failing(*args, **kwargs):
-            return (*dgges(*args, **kwargs)[:-1], 4)   # info N + 1
+    def test_infinite_eigenvalues_count_outside(self):
+        # E singular: one infinite eigenvalue besides 0.5 and 2
+        A, E = np.diag([0.5, 2.0, 1.0]), np.diag([1.0, 1.0, 0.0])
+        U, counts, _, failed = _unit_circle_split(A[None], E[None], self.TOL.boundary)
+        assert not failed[0] and counts[0] == 1
+        zeros = _split_zeros(A[None], E[None], U, 1, self.TOL.boundary)[0][0]
+        assert match_zero_multisets(zeros, [0.5, 2.0])
 
-        monkeypatch.setattr(wienerhopf, "dgges", failing)
-        with pytest.raises(FactorizationError, match="QZ iteration failed") as info:
-            _ordered_qz(np.diag([0.5, 2.0, 3.0]), np.eye(3), 1, 1, self.TOL)
-        assert type(info.value) is FactorizationError
+    def test_zero_on_the_circle_fails_the_split(self):
+        A, E = np.diag([0.5, 1.0, 3.0]), np.eye(3)
+        assert _unit_circle_split(A[None], E[None], self.TOL.boundary)[3][0]
+        with pytest.raises(ZerosOnUnitCircle):
+            wh_factorize(LaurentMatrix.from_coeffs([np.diag([-0.5, -1.0]), np.eye(2)], -1))
+
+    def test_identically_zero_determinant(self):
+        # rank-one B at every lag: det B(z) = 0 for all z
+        v = np.array([[1.0], [2.0]])
+        B = LaurentMatrix.from_coeffs([v @ [[0.3, 1.0]], v @ [[1.0, 0.2]], v @ [[0.5, -1.0]]], -1)
+        with pytest.raises(ZerosOnUnitCircle, match="identically zero"):
+            wh_factorize(B)
+
+
+class TestHardFamilies:
+    """Families that stress the split: long Jordan chains at infinity and
+    zeros 1e-8 from the unit circle."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_long_chains_at_infinity(self, seed):
+        # B_minus B_plus times five rotated factors I + z q e1 e6' q' (n = 6):
+        # each has determinant 1, and together they give the lead of B a
+        # Jordan chain at infinity nine levels long
+        rng = np.random.default_rng(seed)
+        n = 6
+        bm, bp = random_b_minus(rng, n, 1), random_b_plus(rng, n, 1)
+        B = lp_mul(bm, bp)
+        for _ in range(5):
+            q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            B = lp_mul(B, LaurentMatrix.from_coeffs(
+                [np.eye(n), q @ np.outer(np.eye(n)[0], np.eye(n)[-1]) @ q.T], 0))
+        fac = wh_factorize(B)
+        assert _classify_zeros(fac.zeros, ToleranceConfig().boundary)[0] == n
+        assert fac.b_minus.allclose(bm, atol=1e-6 * max(bm.max_abs(), 1.0))
+        assert fac.residual <= 1e-8 * fac.scale
+
+    def test_near_band_family_lam_0(self):
+        # zeros at 1 -/+ 1e-8, 0.5 and 2 behind leads down to 1.01 times
+        # PENCIL_INFINITE_RTOL: where scipy's QZ counts the same for B and
+        # for three copies perturbed by 1e-14 relative, the verdict is the
+        # one those counts give
+        tol = ToleranceConfig()
+        robust = 0
+        cases = itertools.product((1.01, 10.0, 1e6), range(3), itertools.product(
+            ["out", "in", "deep", "far"], repeat=2))
+        for margin, seed, kinds in cases:
+            rng = np.random.default_rng(seed)
+            Bc = near_band_stack(rng, 0, margin, list(kinds))
+            counts = set()
+            for t in range(4):
+                c = Bc[0] * (1 + (t > 0) * 1e-14 * rng.standard_normal(Bc[0].shape))
+                A, E = companion_stack(c.swapaxes(1, 2)[None])
+                counts.add(_classify_zeros(oracle_zeros(A[0], E[0]), tol.boundary))
+            if len(counts) > 1:
+                continue
+            robust += 1
+            stable, on_band = counts.pop()
+            want = ZerosOnUnitCircle if on_band else WrongStableCount if stable else type(None)
+            assert _outcome(LaurentMatrix(Bc[0], 0)) is want
+        assert robust > 100
