@@ -29,11 +29,9 @@ from .paramdsl import (
 from .polylab import (
     LaurentMatrix,
     Model,
-    lp_add,
     lp_det_and_zeros,
     lp_mul,
     lp_series_divide,
-    lp_truncated_inverse_series,
 )
 from .resolve import (
     SolutionBundle,
@@ -54,8 +52,8 @@ __all__ = [
     "ident_test_equation", "obs_equivalent", "spectral_equivalent",
     "GenericReport", "LocalReport", "ParamMap", "SamplerConfig", "eval_model",
     "fd_jacobian", "generic_ident", "local_ident", "parse_expression",
-    "parse_model", "LaurentMatrix", "Model", "lp_add", "lp_det_and_zeros",
-    "lp_mul", "lp_series_divide", "lp_truncated_inverse_series", "SolutionBundle",
+    "parse_model", "LaurentMatrix", "Model", "lp_det_and_zeros", "lp_mul",
+    "lp_series_divide", "SolutionBundle",
     "TransferSeries", "cf_check_and_normalize", "simulate", "solve_model",
     "spectral_density", "unit_circle_grid", "ToleranceConfig", "WHFactors",
     "wh_factorize",

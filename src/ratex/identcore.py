@@ -5,6 +5,22 @@ whose left kernel, with basis N, holds exactly the observationally equivalent
 parameters.  Restrictions R identify the model iff R (N (x) I_n), or R N for
 one equation, has full column rank; a structural-coefficient variant gives
 the independent cross-check for the pure-VARMA case.
+
+The equivalence class is x0 + (N (x) I_n) vec(W): equation i of an
+equivalent model moves by row i of W alone.  A restriction row whose
+nonzeros all lie in the equations of a set C therefore meets only the
+columns of R (N (x) I_n) that belong to C.  Grouping R's rows into
+connected components of the equations they touch (:class:`EquationBlocks`)
+makes R (N (x) I_n) block diagonal up to a permutation of rows and columns,
+one block R_C (N (x) I_|C|) per component, and the singular values of a
+block-diagonal matrix are the union of its blocks' singular values (the
+SVDs of the blocks assemble into one of the whole), padded with zeros up to
+min(rows, columns).  So the tests rank the blocks, one stacked SVD per
+block shape, instead of the n-times-wider lifted matrix: the classical
+equation-by-equation rank condition.  Blocks of one shape are padded with
+zero rows to a common height, so where the lifted SVD reported a
+rounding-level singular value of a zero direction, a padded block reports
+an exact 0.0.
 """
 
 from __future__ import annotations
@@ -15,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numrank import DEFAULT_TOL_RANK, InputError, count_above, stacked_rank
+from .numrank import DEFAULT_TOL_RANK, InputError, count_above
 from .polylab import LaurentMatrix, Model
 from .resolve import (SolutionBundle, TransferSeries, solve_model, spectral_distance,
                       unit_circle_grid)
@@ -57,6 +73,11 @@ class RankReport:
     singular values are that matrix's, ``required_rank`` is n * dim N (the
     equivalence-class dimension) or dim N, and the shortfall of
     ``numerical_rank`` is the rank deficiency of [P' (x) I_n; R] or [P'; R].
+    The singular values come from the matrix's equation blocks
+    (:class:`EquationBlocks`): they are the union of the blocks' singular
+    values, because the matrix is block diagonal up to a permutation, so a
+    zero direction that the lifted SVD resolved only to rounding level can
+    show here as an exact 0.0.
     """
 
     matrix_shape: tuple
@@ -89,6 +110,7 @@ class RestrictionSet:
     residual_fn: object = None
     r: int = 0
     jacobian_fn: object = None         # x -> d residual / dx (nonlinear only)
+    _blocks: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def affine(cls, R, u) -> "RestrictionSet":
@@ -118,6 +140,13 @@ class RestrictionSet:
         without one :meth:`jacobian` falls back to central differences."""
         return cls(kind="nonlinear", residual_fn=fn, r=r, equation=equation,
                    jacobian_fn=jacobian)
+
+    def blocks(self, n: int) -> "EquationBlocks":
+        """The equation blocks of R in an n-equation system (n = 1 for one
+        equation), partitioned once per n, so a scan of many draws pays once."""
+        if n not in self._blocks:
+            self._blocks[n] = EquationBlocks(self.R, n)
+        return self._blocks[n]
 
     def jacobian(self, x) -> np.ndarray:
         """Jacobian of the restriction map at x: R for affine restrictions,
@@ -291,61 +320,156 @@ def spectral_equivalent(bundle_a: SolutionBundle, bundle_b: SolutionBundle,
 # -- rank tests ------------------------------------------------------------
 
 
-def _rank_report(M: np.ndarray, required: int, tol_rank: float,
-                 scale: float | None = None, shape: tuple | None = None) -> RankReport:
-    ranks, svals, gaps = rank_stack(M[None], required, tol_rank,
-                                    None if scale is None else [scale], shape)
-    return lane_report(M.shape, ranks[0], svals[0], required, gaps[0])
+class EquationBlocks:
+    """The rows of a restriction matrix R on vec of an n-equation coefficient
+    matrix, grouped by the equations their nonzeros touch.
+
+    Position c * n + s of the vector holds equation s's coefficient c.  A
+    row that touches several equations merges them, so the components are
+    the connected components of the equations; an all-zero row joins the
+    first component (it adds only a zero singular value), and equations no
+    row touches are free.  Components of equal width w share one array
+    ``(P, K, r, w, c)``: component k's rows, padded with zero rows to the
+    group's largest count r, with coefficient c of its t-th equation at
+    [:, k, :, t, c].  R is one matrix (P = 1) or a stack (P, rows, cols),
+    such as Jacobians at P points, partitioned by the nonzeros of all P.
+    """
+
+    def __init__(self, R: np.ndarray, n: int):
+        self.R, self.n = R, n
+
+    @cached_property
+    def norm(self):
+        """|R|_F, one per matrix of a stack."""
+        return np.linalg.norm(self.R, axis=(-2, -1))
+
+    @cached_property
+    def partition(self) -> tuple:
+        """(one (take (K, r, w, c), padding (K, r) or None) per width w,
+        free equations): block [k, i, t, j] of R is entry take[k, i, t, j]
+        of R's flat storage, or 0 where row i of block k is padding; take is
+        None for one equation, whose one block is R."""
+        n, (rows, cols) = self.n, self.R.shape[-2:]
+        if n == 1:
+            return ((None, None),), np.zeros(0, dtype=int)
+        touched = np.zeros((rows, n), dtype=bool)
+        hits = np.flatnonzero(self.R != 0) % (rows * cols)   # far faster than on the floats
+        touched[hits // cols, hits % n] = True
+        # each equation is labelled by the first equation of its component
+        label = list(range(n))
+        for k in np.flatnonzero(touched.sum(axis=1) > 1).tolist():
+            joined = {label[e] for e in np.flatnonzero(touched[k]).tolist()}
+            label = [min(joined) if lab in joined else lab for lab in label]
+        comp_rows, comp_eqs = {}, {}
+        for i, e in enumerate(touched.argmax(axis=1).tolist()):   # an all-zero row: equation 0's
+            comp_rows.setdefault(label[e], []).append(i)
+        for e, lab in enumerate(label):
+            comp_eqs.setdefault(lab, []).append(e)
+        by_width = {}
+        for lab in sorted(comp_rows):
+            by_width.setdefault(len(comp_eqs[lab]), []).append(lab)
+        groups = []
+        for _, labels in sorted(by_width.items()):
+            heights = [len(comp_rows[lab]) for lab in labels]
+            r = max(heights)
+            idx = np.array([comp_rows[lab] + [0] * (r - h) for lab, h in zip(labels, heights)])
+            eqs = np.array([comp_eqs[lab] for lab in labels])
+            take = idx[:, :, None, None] * cols + eqs[:, None, :, None] + n * np.arange(cols // n)
+            pad = np.arange(r) >= np.array(heights)[:, None] if min(heights) < r else None
+            groups.append((take, pad))
+        free = [e for e, lab in enumerate(label) if lab not in comp_rows]
+        return tuple(groups), np.array(free, dtype=int)
+
+    @cached_property
+    def blocks(self) -> tuple:
+        """One (P, K, r, w, c) array per width, P = 1 for one matrix."""
+        rows, cols = self.R.shape[-2:]
+        flat = self.R.reshape(-1, rows * cols)
+        out = []
+        for take, pad in self.partition[0]:
+            block = flat.reshape(-1, 1, rows, 1, cols) if take is None else flat[:, take]
+            if pad is not None:
+                block[:, pad] = 0.0
+            out.append(block)
+        return tuple(out)
+
+    def singular_values(self, X: np.ndarray, tail: np.ndarray | None = None):
+        """Singular values of R (X (x) I_n), stacked over tail (x) I_n when
+        given, for each X of an (S, c, q) stack and each R of a stack of P,
+        one of S and P being 1 or both equal, from one stacked SVD per block
+        shape.  Returns (max(S, P), min(rows, cols)) values in descending
+        order and the shape (rows, cols) of that matrix."""
+        free = self.partition[1]
+        S, q = max(len(X), 1 if self.R.ndim == 2 else len(self.R)), X.shape[2]
+        d = 0 if tail is None else tail.shape[0]
+        parts = []
+        for block in self.blocks:
+            P, K, r, w, c = block.shape
+            M = (block.reshape(P, -1, c) @ X).reshape(S, K, r, w * q)
+            if d:
+                lanes = np.arange(w)
+                kron = np.zeros((w, d, w, q))
+                kron[lanes, :, lanes] = tail
+                M = np.concatenate([M, np.broadcast_to(
+                    kron.reshape(w * d, w * q), (S, K, w * d, w * q))], axis=2)
+            parts.append(np.linalg.svd(M, compute_uv=False).reshape(S, -1))
+        if d and free.size:
+            parts.append(np.tile(np.linalg.svd(tail, compute_uv=False), (S, free.size)))
+        shape = (self.R.shape[-2] + self.n * d, self.n * q)
+        k = min(shape)
+        merged = np.sort(np.concatenate([np.zeros((S, 0))] + parts, axis=1), axis=1)[:, ::-1]
+        if merged.shape[1] < k:
+            merged = np.concatenate([merged, np.zeros((S, k - merged.shape[1]))], axis=1)
+        return merged[:, :k], shape
 
 
-def rank_stack(M: np.ndarray, required: int, tol_rank: float, scale=None,
-               shape: tuple | None = None):
-    """Ranks, singular values and gap ratios (the margin of
-    sigma[required - 1] over the cutoff, 0 without one) of an (S, rows,
-    cols) stack."""
-    ranks, svals, cutoffs = stacked_rank(M, tol_rank, scale, shape)
+def rank_gaps(svals: np.ndarray, required: int, tol_rank: float, scale, shape: tuple):
+    """Ranks and gap ratios (the margin of sigma[required - 1] over the
+    cutoff, 0 without one) of (S, k) singular values, at the cutoff of
+    :func:`~ratex.numrank.count_above`."""
+    ranks, cutoffs = count_above(svals, tol_rank, scale, shape)
     if required > svals.shape[1]:
-        return ranks, svals, np.zeros(len(M))
-    gaps = np.divide(svals[:, required - 1], cutoffs, out=np.zeros(len(M)), where=cutoffs > 0)
-    return ranks, svals, gaps
+        return ranks, np.zeros(len(svals))
+    gaps = np.divide(svals[:, required - 1], cutoffs, out=np.zeros(len(svals)),
+                     where=cutoffs > 0)
+    return ranks, gaps
 
 
 def lane_report(shape: tuple, rank, svals: np.ndarray, required: int, gap) -> RankReport:
-    """The RankReport of one sample of :func:`rank_stack`."""
+    """The RankReport of one sample of a stacked rank test."""
     verdict = "identified" if rank == required else "not_identified"
     return RankReport(matrix_shape=tuple(shape), singular_values=svals,
                       numerical_rank=int(rank), required_rank=required,
                       verdict=verdict, gap_ratio=float(gap))
 
 
-def _kernel_rank_test(sys: IdentSystem, R: np.ndarray, equation: bool,
+def _kernel_rank_test(sys: IdentSystem, blocks: EquationBlocks,
                       tol_rank: float) -> RankReport:
     """:func:`kernel_rank_stack` for one system."""
-    R = np.atleast_2d(np.asarray(R, dtype=float))
     shape, ranks, svals, gaps = kernel_rank_stack(
-        sys.N[None], R, 1 if equation else sys.n,
-        np.array([sys.p_norm]), sys.P.shape, tol_rank)
+        sys.N[None], blocks, np.array([sys.p_norm]), sys.P.shape, tol_rank)
     return lane_report(shape, ranks[0], svals[0], shape[1], gaps[0])
 
 
-def kernel_rank_stack(N: np.ndarray, R: np.ndarray, n: int, pnorm: np.ndarray,
+def kernel_rank_stack(N: np.ndarray, blocks: EquationBlocks, pnorm: np.ndarray,
                       p_shape: tuple, tol_rank: float):
-    """Rank R (N (x) I_n), or R N for one equation (n = 1), for each basis of
-    an (S, rows, dim N) stack, at the cutoff of the stack [P' (x) I_n; R]
-    or [P'; R]; R N has no scale of its own, so max(|P|_F, |R|_F) stands in
-    for the stack's sigma_max.  Returns (shape of R (N (x) I_n), ranks,
-    singular values, gap ratios)."""
-    rows, cols = R.shape[0], n * N.shape[1]
-    if R.shape[1] != cols:
+    """Rank R (N (x) I_n), or R N for one equation (``blocks.n`` = 1), for
+    each basis of an (S, rows, dim N) stack (or each R of a stack of
+    blocks, with S = 1), at the cutoff of the stack
+    [P' (x) I_n; R] or [P'; R]; R N has no scale of its own, so
+    max(|P|_F, |R|_F) stands in for the stack's sigma_max.  The singular
+    values come from R's equation blocks.  Returns (shape of R (N (x) I_n),
+    ranks, singular values, gap ratios)."""
+    R, n = blocks.R, blocks.n
+    cols = n * N.shape[1]
+    if R.shape[-1] != cols:
         raise RestrictionDimensionError(
-            f"restriction matrix has {R.shape[1]} columns, expected {cols}")
-    # RN[z, k, (s, j)] = sum_c R[k, (c, s)] N[z, c, j], one matmul over the stack; the
-    # columns of R (N (x) I_n) in another order, which leaves the singular values alone
-    Rt = R.reshape(rows, N.shape[1], n).transpose(0, 2, 1).reshape(rows * n, N.shape[1])
-    RN = (Rt @ N).reshape(len(N), rows, -1)
-    stacked = (n * p_shape[1] + rows, n * p_shape[0])
-    scale = np.maximum(pnorm, np.linalg.norm(R))
-    return (RN.shape[1:],) + rank_stack(RN, RN.shape[2], tol_rank, scale, stacked)
+            f"restriction matrix has {R.shape[-1]} columns, expected {cols}")
+    svals, shape = blocks.singular_values(N)
+    stacked = (n * p_shape[1] + R.shape[-2], n * p_shape[0])
+    scale = np.maximum(pnorm, blocks.norm)
+    ranks, gaps = rank_gaps(svals, shape[1], tol_rank, scale, stacked)
+    return shape, ranks, svals, gaps
 
 
 def _membership_warning(R, u, vec, label):
@@ -386,7 +510,7 @@ def ident_test_affine(sys: IdentSystem, restrictions: RestrictionSet,
                       tol_rank: float = DEFAULT_TOL_RANK) -> RankReport:
     """Full-column-rank test for system-wide identification under R vec = u."""
     check_test_kind(restrictions, sys.n, equation=False)
-    report = _kernel_rank_test(sys, restrictions.R, False, tol_rank)
+    report = _kernel_rank_test(sys, restrictions.blocks(sys.n), tol_rank)
     if model is None:
         return report
     return replace(report, warnings=membership_warnings(
@@ -398,7 +522,7 @@ def ident_test_equation(sys: IdentSystem, restrictions: RestrictionSet,
                         tol_rank: float = DEFAULT_TOL_RANK) -> RankReport:
     """Full-column-rank test for identification of a single equation."""
     check_test_kind(restrictions, sys.n, equation=True)
-    report = _kernel_rank_test(sys, restrictions.R, True, tol_rank)
+    report = _kernel_rank_test(sys, restrictions.blocks(1), tol_rank)
     if model is None:
         return report
     return replace(report, warnings=membership_warnings(
@@ -434,19 +558,11 @@ def ds_criterion(model: Model, restrictions: RestrictionSet,
             D[i * n:(i + 1) * n, n * nb + j * m:n * nb + (j + 1) * m] = \
                 model.A.coefficient(j - i)
 
-    # selector E keeps the lag 0..kappa blocks of the lifted coefficient vector
-    keep = []
-    for j in range(kappa + 1):
-        for col in range(j * n, (j + 1) * n):
-            keep.extend(range(col * n, (col + 1) * n))
-    for j in range(kappa + 1):
-        for col in range(n * nb + j * m, n * nb + (j + 1) * m):
-            keep.extend(range(col * n, (col + 1) * n))
-    total = n * (n + m) * nb
-    drop = np.setdiff1d(np.arange(total), keep)
-
-    # [R E; E_perp] K, with the selectors E and E_perp applied as row picks
-    K = np.kron(D.T, np.eye(n))
-    M = np.vstack([restrictions.R @ K[keep], K[drop]])
+    # [R E; E_perp] (D' (x) I_n), E keeping the lag 0..kappa columns of each
+    # equation's lifted coefficients: R (D'_keep (x) I_n) over D'_drop (x) I_n
+    keep = np.zeros((n + m) * nb, dtype=bool)
+    keep[:n * (kappa + 1)] = keep[n * nb:n * nb + m * (kappa + 1)] = True
+    svals, shape = restrictions.blocks(n).singular_values(D.T[keep][None], D.T[~keep])
     required = n * n * nb
-    return _rank_report(M, required, tol_rank)
+    ranks, gaps = rank_gaps(svals, required, tol_rank, None, shape)
+    return lane_report(shape, ranks[0], svals[0], required, gaps[0])

@@ -27,6 +27,7 @@ column in the file's own text.
 from __future__ import annotations
 
 import json
+import math
 import re
 import warnings
 
@@ -161,22 +162,22 @@ def restrictions_from_dict(spec: dict, n: int, m: int, kappa: int, lam: int) -> 
     N = coeff_vec_length(n, m, kappa, lam, equation=equation is not None)
     if kind == "pins":
         pins = json_typed(spec["pins"], list, "pins")
-        R = np.zeros((len(pins), N))
-        u = np.zeros(len(pins))
-        positions = set()
+        positions, values = [], []
         for k, pin in enumerate(pins):
             try:
                 block, lag, row, col = pin["block"], int(pin["lag"]), int(pin["row"]), int(pin["col"])
-                u[k] = float(pin["value"])
+                value = float(pin["value"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ModelFileError(f"pin #{k + 1}: {exc}")
-            if not np.isfinite(u[k]):
+            if not math.isfinite(value):
                 raise ModelFileError(f"pin #{k + 1}: value must be finite")
-            position = _coeff_position(f"pin #{k + 1}", block, lag, row, col,
-                                       n, m, kappa, lam, equation)
-            R[k, position] = 1.0
-            positions.add(position)
-        rank = len(positions)          # unit rows: one per distinct position
+            positions.append(_coeff_position(f"pin #{k + 1}", block, lag, row, col,
+                                              n, m, kappa, lam, equation))
+            values.append(value)
+        R = np.zeros((len(pins), N))
+        R[np.arange(len(pins)), positions] = 1.0
+        u = np.array(values, dtype=float)
+        rank = len(set(positions))     # unit rows: one per distinct position
     else:
         R = _finite(np.atleast_2d(json_array(spec["R"], float, "R")), "R")
         u = _finite(np.atleast_1d(json_array(spec.get("u", np.zeros(len(R))), float, "u")), "u")

@@ -50,10 +50,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .identcore import (
+    EquationBlocks,
     InputError,
     RankReport,
     RestrictionSet,
-    _kernel_rank_test,
     build_ident_system,
     check_test_kind,
     coeff_vec,
@@ -267,12 +267,6 @@ class CompiledExprs:
         return J
 
 
-def eval_expr(expr, env: dict) -> float:
-    """One tree's value with names bound by ``env`` (values-only entry)."""
-    return float(CompiledExprs([expr], {name: k for k, name in enumerate(env)})
-                 .values(list(env.values()))[0])
-
-
 # -- lexer / recursive-descent parser --------------------------------------
 
 # one alternative per token kind; whitespace runs carry the line breaks.  A
@@ -390,36 +384,6 @@ class _Parser:
 def parse_expression(text: str):
     """Parse one expression; raises ParseError with line/column on failure."""
     return _Parser(text).parse()
-
-
-def pretty(expr) -> str:
-    """Render an expression so that parse(pretty(e)) rebuilds the same tree."""
-    if isinstance(expr, Lit):
-        return f"{expr.value:.17g}"
-    if isinstance(expr, Var):
-        return expr.name
-    if isinstance(expr, Neg):
-        inner = pretty(expr.operand)
-        if isinstance(expr.operand, BinOp):
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(expr, Pow):
-        base = pretty(expr.base)
-        if isinstance(expr.base, (BinOp, Neg, Pow)):
-            base = f"({base})"
-        return f"{base}^{expr.exponent}"
-    if isinstance(expr, BinOp):
-        left, right = pretty(expr.left), pretty(expr.right)
-        if expr.op in "+-":
-            if isinstance(expr.right, BinOp) and expr.right.op in "+-":
-                right = f"({right})"
-        else:
-            if isinstance(expr.left, BinOp) and expr.left.op in "+-":
-                left = f"({left})"
-            if isinstance(expr.right, (Neg, BinOp)):
-                right = f"({right})"
-        return f"{left}{expr.op}{right}"
-    raise TypeError(f"not an expression node: {expr!r}")
 
 
 # -- parametrized models -----------------------------------------------------
@@ -752,7 +716,7 @@ def _scan_chunk(pm: ParamMap, restrictions: RestrictionSet, thetas: np.ndarray,
     first = None
     for group, N in kernel_bases(T, H, m, lam, tol_rank)[2].values():
         shape, ranks, svals, gaps = kernel_rank_stack(
-            N, restrictions.R, 1 if equation else n, pnorm[group], p_shape, tol_rank)
+            N, restrictions.blocks(1 if equation else n), pnorm[group], p_shape, tol_rank)
         for k, s in enumerate(group):
             if ranks[k] == shape[1]:
                 if first is None or s < first[0]:
@@ -855,11 +819,18 @@ def local_ident(model: Model, restrictions: RestrictionSet,
     if resid > 1e-8 * (1.0 + np.max(np.abs(x0))):
         raise InputError(f"restrictions do not hold at the point (residual {resid:.3e})")
 
-    def jacobian_test(x):
-        J = restrictions.jacobian(x)
-        return _kernel_rank_test(sys, J, equation is not None, tol_rank)
+    n = 1 if equation is not None else model.n
 
-    report = jacobian_test(x0)
+    def jacobian_ranks(points):
+        """kernel_rank_stack at the Jacobians of the (P, size) points, one
+        partition of their joint nonzeros covering all P."""
+        blocks = restrictions.blocks(n) if affine else EquationBlocks(np.array(
+            [np.atleast_2d(restrictions.jacobian(x)) for x in points], dtype=float), n)
+        return kernel_rank_stack(sys.N[None], blocks, np.array([sys.p_norm]),
+                                 sys.P.shape, tol_rank)
+
+    shape, ranks, svals, gaps = jacobian_ranks(x0[None])
+    report = lane_report(shape, ranks[0], svals[0], shape[1], gaps[0])
     if report.identified:
         return LocalReport(report, True, None, (),
                            "full column rank: locally identified")
@@ -869,10 +840,8 @@ def local_ident(model: Model, restrictions: RestrictionSet,
 
     rng = np.random.default_rng(0)
     scale = LOCAL_PROBE_SCALE * max(1.0, float(np.max(np.abs(x0))))
-    probe_ranks = []
-    for _ in range(LOCAL_PROBES):
-        x = x0 + scale * rng.standard_normal(x0.size)
-        probe_ranks.append(jacobian_test(x).numerical_rank)
+    probes = x0 + scale * rng.standard_normal((LOCAL_PROBES, x0.size))
+    probe_ranks = jacobian_ranks(probes)[1].tolist()
     constant = all(r == report.numerical_rank for r in probe_ranks)
     if constant:
         note = ("rank deficient and locally constant: not locally identified "

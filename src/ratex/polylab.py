@@ -144,10 +144,6 @@ class LaurentMatrix:
         lags = np.arange(self.min_lag, self.max_lag + 1)
         return np.tensordot(z[..., None] ** lags, self.coeffs, axes=1)
 
-    def shifted(self, s: int) -> "LaurentMatrix":
-        """Multiply by z**s."""
-        return LaurentMatrix(self.coeffs, self.min_lag + s)
-
     def right_multiplied(self, v: np.ndarray) -> "LaurentMatrix":
         """Apply a constant matrix on the right (each coefficient @ v)."""
         return LaurentMatrix.from_coeffs(self.coeffs @ v, self.min_lag)
@@ -202,19 +198,6 @@ def _trim(arr: np.ndarray, min_lag: int):
 
 
 # -- arithmetic -----------------------------------------------------------
-
-
-def lp_add(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
-    """Coefficient-wise sum over the union of lag ranges."""
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        raise ShapeMismatchError(
-            f"cannot add {a.rows}x{a.cols} and {b.rows}x{b.cols} matrices")
-    lo = min(a.min_lag, b.min_lag)
-    hi = max(a.max_lag, b.max_lag)
-    out = np.zeros((hi - lo + 1, a.rows, a.cols))
-    out[a.min_lag - lo: a.max_lag - lo + 1] += a.coeffs
-    out[b.min_lag - lo: b.max_lag - lo + 1] += b.coeffs
-    return LaurentMatrix.from_coeffs(out, lo)
 
 
 def lp_mul(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
@@ -351,25 +334,6 @@ def series_divide(g: np.ndarray, rhs: np.ndarray, horizon: int,
             acc = acc - g[:, i] @ out[:, j - i]
         out[:, j] = g0_inv @ acc
     return out
-
-
-def lp_truncated_inverse_series(a: LaurentMatrix, horizon: int) -> list[np.ndarray]:
-    """First ``horizon + 1`` coefficients of the matrix power-series inverse.
-
-    For a polynomial in z (min_lag >= 0 after trimming) the expansion is in
-    powers of z; for a polynomial in 1/z (max_lag <= 0) it is in powers of
-    1/z, computed as the inverse of the reversed polynomial a(1/z).  Either
-    way ``G[0]`` must be invertible and the returned list starts at the
-    lag-0 coefficient of the inverse.
-    """
-    if a.rows != a.cols:
-        raise ShapeMismatchError("series inverse requires a square matrix")
-    t = a.trimmed()
-    if t.min_lag < 0 < t.max_lag:
-        raise ValueError("matrix mixes positive and negative lags; no one-sided expansion")
-    if t.min_lag < 0:
-        t = LaurentMatrix(t.coeffs[::-1], -t.max_lag)
-    return list(lp_series_divide(t, LaurentMatrix(np.eye(a.rows)[None], 0), horizon))
 
 
 # -- the model type -------------------------------------------------------

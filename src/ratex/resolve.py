@@ -82,11 +82,6 @@ def a_plus(b_minus: LaurentMatrix, ma_part: LaurentMatrix) -> LaurentMatrix:
     return lp_mul(b_minus, ma_part)
 
 
-def transfer_series(b_plus: LaurentMatrix, ma_part: LaurentMatrix, horizon: int) -> TransferSeries:
-    """C_0..C_horizon solving B_plus * C = ma_part by matrix long division."""
-    return TransferSeries(lp_series_divide(b_plus, ma_part, horizon))
-
-
 def default_horizon(n: int, kappa: int, lam: int) -> int:
     """Transfer coefficients a solution carries: enough for the identification system."""
     return max((n + 1) * kappa + lam, 2)

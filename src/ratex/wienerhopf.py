@@ -455,19 +455,23 @@ def _band_counts(A: np.ndarray, E: np.ndarray, boundary: float):
 
     The eigenvalues of (A, r E) are those of (A, E) divided by r, so the
     split of (A, (1 -/+ boundary) E) at the unit circle counts the zeros
-    inside |z| = 1 -/+ boundary.  Returns (stable, on_band, U, unsettled):
-    the counts, the U of the split at 1 - boundary (its leading stable
-    columns span the stable subspace, of (A, E) as well) and the lanes
-    where either split failed or the counts contradict each other: a zero
-    on a band edge, or a nearly singular pencil.
+    inside |z| = 1 -/+ boundary; both splits run as one stack.  Returns
+    (stable, on_band, U, unsettled): the counts, the U of the split at
+    1 - boundary (its leading stable columns span the stable subspace, of
+    (A, E) as well) and the lanes where either split failed or the counts
+    contradict each other: a zero on a band edge, or a nearly singular
+    pencil.
     """
     S = A.shape[0]
-    U, hi, _, unsettled = _unit_circle_split(A, (1.0 + boundary) * E, boundary)
-    stable = np.zeros(S, dtype=int)
-    if boundary < 1.0:              # else the band covers the open disk
-        U, stable, _, lo_failed = _unit_circle_split(A, (1.0 - boundary) * E, boundary)
-        unsettled |= lo_failed
-    return stable, hi - stable, U, unsettled | (hi < stable)
+    if boundary >= 1.0:             # the band covers the open disk
+        U, hi, _, unsettled = _unit_circle_split(A, (1.0 + boundary) * E, boundary)
+        return np.zeros(S, dtype=int), hi, U, unsettled
+    # both edges in one stack of 2S lanes; each lane settles on its own
+    U, counts, _, failed = _unit_circle_split(
+        np.concatenate([A, A]), np.concatenate([(1.0 + boundary) * E, (1.0 - boundary) * E]),
+        boundary)
+    hi, stable = counts[:S], counts[S:]
+    return stable, hi - stable, U[S:], failed[:S] | failed[S:] | (hi < stable)
 
 
 def _restrict(A: np.ndarray, E: np.ndarray, U: np.ndarray, c: int):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import eval_expr, pretty
 from ratex.identcore import (
     RestrictionSet,
     build_ident_system,
@@ -27,14 +28,12 @@ from ratex.paramdsl import (
     SamplerConfig,
     Var,
     affine_as_nonlinear,
-    eval_expr,
     eval_model,
     fd_jacobian,
     generic_ident,
     local_ident,
     parse_expression,
     parse_model,
-    pretty,
 )
 from ratex.polylab import LaurentMatrix, Model
 from ratex.resolve import solve_model

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import make_valid_model
+from oracles import lp_truncated_inverse_series, transfer_series
 from ratex.polylab import (
     LaurentMatrix,
     Model,
     SingularMatrixError,
     lp_mul,
-    lp_truncated_inverse_series,
 )
 from ratex.resolve import (
     NotInvertible,
@@ -24,7 +24,6 @@ from ratex.resolve import (
     solve_models,
     spectral_density,
     spectral_distance,
-    transfer_series,
     unit_circle_grid,
 )
 from ratex.wienerhopf import ZerosOnUnitCircle, wh_factorize

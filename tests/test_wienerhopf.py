@@ -13,6 +13,7 @@ from conftest import (
     random_b_minus,
     random_b_plus,
 )
+from oracles import shifted
 from ratex.polylab import (
     PENCIL_INFINITE_RTOL,
     LaurentMatrix,
@@ -32,6 +33,7 @@ from ratex.wienerhopf import (
     WHFactors,
     WrongStableCount,
     ZerosOnUnitCircle,
+    _band_counts,
     _classify_zeros,
     _screen_counts,
     _split_zeros,
@@ -136,7 +138,7 @@ class TestFailures:
     def test_positive_min_lag_counts_every_origin_zero(self, rng):
         # det(z^2 B_plus(z)) = z^4 det B_plus(z) for n = 2: four zeros at the
         # origin lie inside the circle, and B_plus contributes none
-        B = random_b_plus(rng, 2, 1).shifted(2)
+        B = shifted(random_b_plus(rng, 2, 1), 2)
         with pytest.raises(WrongStableCount, match=r"found 4 zero\(s\) inside"):
             wh_factorize(B)
 
@@ -472,6 +474,44 @@ class TestOrderedQZ:
         B = LaurentMatrix.from_coeffs([v @ [[0.3, 1.0]], v @ [[1.0, 0.2]], v @ [[0.5, -1.0]]], -1)
         with pytest.raises(ZerosOnUnitCircle, match="identically zero"):
             wh_factorize(B)
+
+
+class TestBandCounts:
+    """_band_counts splits at both band edges in one stack, with the counts
+    and U of one split per edge."""
+
+    @staticmethod
+    def one_split_per_edge(A, E, b):
+        U, hi, _, unsettled = _unit_circle_split(A, (1.0 + b) * E, b)
+        U, stable, _, lo_failed = _unit_circle_split(A, (1.0 - b) * E, b)
+        return stable, hi - stable, U, unsettled | lo_failed | (hi < stable)
+
+    def pencils(self):
+        yield np.diag([0.5, 1.0, 3.0])[None], np.eye(3)[None]    # a zero on the circle
+        for lam, seed in itertools.product((0, 1), range(4)):
+            rng = np.random.default_rng(seed)
+            stack = [near_band_stack(rng, lam, margin, list(kinds[:2 * (lam + 1)]))
+                     for margin in (1.01, 1e6)
+                     for kinds in (("out", "in", "deep", "far"), ("in", "in", "out", "out"))]
+            yield companion_stack(np.concatenate(stack).swapaxes(2, 3))
+
+    def test_one_split_with_the_counts_of_two(self, monkeypatch):
+        b = ToleranceConfig().boundary
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return _unit_circle_split(*args)
+
+        for A, E in self.pencils():
+            want = self.one_split_per_edge(A, E, b)
+            calls.clear()
+            monkeypatch.setattr(wienerhopf, "_unit_circle_split", counted)
+            got = _band_counts(A, E, b)
+            monkeypatch.undo()
+            assert calls == [2 * len(A)]
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
 
 
 class TestHardFamilies:
