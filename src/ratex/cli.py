@@ -3,10 +3,13 @@ local / spectrum / simulate over JSON model and restriction files.
 
 Report path.  Each ``cmd_*`` function returns one payload dict and prints
 nothing; :func:`main` renders it.  ``--format json-report`` prints the
-payload as sorted, indented JSON; ``--format text`` (the default) prints
-the command's text renderer, which reads only the payload, so a field
-added to a payload is there for both formats.  ``spectrum`` and
-``simulate`` render their payload's table as CSV instead.
+payload as compact JSON with sorted keys, on one line (json's C encoder;
+an indent would switch it to the pure-Python one, at over twice the
+cost); ``--format text`` (the default) prints the command's text
+renderer, which reads only the payload, so a field added to a payload is
+there for both formats.  ``spectrum`` and ``simulate`` render their
+payload's table as CSV instead.  ``--theta`` evaluates a parametrized
+model file; on a numeric one it is an input error.
 
 Failures.  ``main`` is the one place that catches solvability failures
 (existence/uniqueness, canonical form, a singular B(z)).  They become the
@@ -89,8 +92,7 @@ def _fmt(x: float) -> str:
 
 
 def _laurent_payload(lm):
-    return {str(lag): lm.coefficient(lag).tolist()
-            for lag in range(lm.min_lag, lm.max_lag + 1)}
+    return {str(lm.min_lag + k): c.tolist() for k, c in enumerate(lm.coeffs)}
 
 
 def _rank_payload(report):
@@ -105,12 +107,16 @@ def _rank_payload(report):
 
 
 def _load_numeric_model(args):
+    """The model of ``args.model``, a parametrized one evaluated at
+    ``--theta``, which only such a file takes."""
     loaded = load_model_file(args.model)
     if isinstance(loaded, ParamMap):
         if args.theta is None:
             raise ModelFileError(
                 f"{args.model} is parametrized; pass --theta to evaluate it")
         return eval_model(loaded, args.theta)
+    if args.theta is not None:
+        raise ModelFileError(f"{args.model} is numeric; --theta applies to parametrized models")
     return loaded
 
 
@@ -131,15 +137,14 @@ def cmd_factorize(args) -> dict:
 
 def cmd_solve(args) -> dict:
     model = _load_numeric_model(args)
-    bundle = solve_model(model, horizon=max(args.horizon,
-                                            (model.n + 1) * model.kappa + model.lam))
+    bundle = solve_model(model, horizon=args.horizon)
     was_canonical = bundle.c0_canonical
     v, bundle = cf_check_and_normalize(bundle)
     return {
         "verdict": "solved", "exit_code": EXIT_OK,
         "ma_part": _laurent_payload(bundle.ma_part),
         "a_plus": _laurent_payload(bundle.a_plus),
-        "transfer": [bundle.transfer.coefficient(j).tolist() for j in range(args.horizon + 1)],
+        "transfer": bundle.transfer.coeffs.tolist(),
         "cf_canonical_input": was_canonical,
         "rotation": v.tolist(),
         "c0_rank": bundle.c0_rank,
@@ -236,7 +241,7 @@ def cmd_local(args) -> dict:
 
 def cmd_spectrum(args) -> dict:
     model = _load_numeric_model(args)
-    bundle = solve_model(model)
+    bundle = solve_model(model, horizon=0)      # A_plus is all it reads
     density = spectral_density(model, bundle.a_plus, unit_circle_grid(args.grid))
     n = model.n
     header = ["omega"]
@@ -252,7 +257,8 @@ def cmd_spectrum(args) -> dict:
 
 def cmd_simulate(args) -> dict:
     model = _load_numeric_model(args)
-    path = simulate(solve_model(model), args.T, seed=args.seed)
+    # simulate extends the series it needs itself; the bundle's C_0 is enough
+    path = simulate(solve_model(model, horizon=0), args.T, seed=args.seed)
     # "%.12g" prints every t below 1e12 as the integer itself
     return {"exit_code": EXIT_OK, "out": args.out,
             "header": ["t"] + [f"y_{i + 1}" for i in range(model.n)],
@@ -364,7 +370,7 @@ def _write_csv(p):
 
 def _render(args, payload: dict):
     if args.format == "json-report":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     elif "reason" in payload:
         lead = "existence/uniqueness fails" if payload["verdict"] == "eu_failed" else "solve failed"
         # the CSV commands keep standard output for the table

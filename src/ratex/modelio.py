@@ -66,14 +66,22 @@ def model_from_dict(spec: dict):
     if has_param:
         header = {key: spec[key] for key in HEADER_FIELDS if key in spec}
         return parse_model({**json_typed(spec["parametrized"], dict, "parametrized"), **header})
-    (n, m, lam, kappa), b_blocks, a_blocks = decode_lag_blocks(spec, float, _finite)
+    (n, m, lam, kappa), b_blocks, a_blocks = decode_lag_blocks(spec, float, lambda b, _: b)
 
-    def laurent(blocks, cols, lo):
-        zero = np.zeros((n, cols))
-        return LaurentMatrix.from_coeffs([blocks.get(lag, zero) for lag in range(lo, kappa + 1)], lo)
+    def laurent(name, blocks, cols, lo):
+        """The blocks at lags lo..kappa in one array: one finiteness check
+        (naming the first bad block in file order), one trim."""
+        coeffs = np.zeros((kappa - lo + 1, n, cols))
+        for lag, block in blocks.items():
+            coeffs[lag - lo] = block
+        if not np.isfinite(coeffs).all():
+            for lag, block in blocks.items():
+                _finite(block, f"{name}[{lag}]")
+        return LaurentMatrix.trusted(coeffs, lo).trimmed()
 
     try:
-        return Model(laurent(b_blocks, n, -lam), laurent(a_blocks, m, 0), lam=lam, kappa=kappa)
+        return Model(laurent("B", b_blocks, n, -lam), laurent("A", a_blocks, m, 0),
+                     lam=lam, kappa=kappa)
     except ValueError as exc:
         raise ModelFileError(str(exc))
 

@@ -685,17 +685,17 @@ def _scan_chunk(pm: ParamMap, restrictions: RestrictionSet, thetas: np.ndarray,
 
     values = pm._compiled[0].values(thetas)
     B, A = reject(~np.isfinite(values).all(axis=1), "eval_error", *_coeff_stacks(pm, values))
-    B, A = trim_dust(B)[0], trim_dust(A)[0]
+    B, A = trim_dust(B), trim_dust(A)
 
-    b_minus, b_plus, errors = wh_factorize_stack(B, lam)[:3]
-    B, A, b_minus, b_plus = reject(
+    b_minus, b_plus, errors, _, _, inv = wh_factorize_stack(B, lam)
+    B, A, b_minus, b_plus, inv = reject(
         np.array([e is not None for e in errors], dtype=bool),
-        [e and f"eu_failed: {type(e).__name__}" for e in errors], B, A, b_minus, b_plus)
+        [e and f"eu_failed: {type(e).__name__}" for e in errors], B, A, b_minus, b_plus, inv)
     if not lanes.size:
         return outcomes
     horizon = default_horizon(n, kappa, lam)
     (ma, transfer, c0_ranks), singular = _lanewise(
-        lambda *s: solve_stack(*s, horizon), b_minus, b_plus, A)
+        lambda bm, bp, a, f: solve_stack(bm, bp, a, horizon, f), b_minus, b_plus, A, inv)
     B, A = reject(singular, "eu_failed: SingularMatrixError", B, A)
     B, A, ma, transfer = reject(c0_ranks < m, "c0_rank_deficient", B, A, ma, transfer)
     (z, hit), failed = _lanewise(lambda M: rank_drop_stack(M, tol_rank), ma)

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 # Relative threshold below which a coefficient matrix counts as zero when
 # trimming lag ranges.  The floor at 1 keeps all-tiny matrices intact.
@@ -64,9 +65,32 @@ class LaurentMatrix:
         c = self.coeffs
         if c.ndim != 3 or c.shape[0] < 1:
             raise ValueError("coeffs must be a (n_lags, rows, cols) array with n_lags >= 1")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ValueError("coefficients must be finite")
         c.flags.writeable = False
+
+    @classmethod
+    def trusted(cls, coeffs: np.ndarray, min_lag: int) -> "LaurentMatrix":
+        """Wrap a (n_lags, rows, cols) float array known to be finite, such as
+        one derived from checked coefficients by the dust rule, without
+        checking it again.  The array is made read-only, not copied."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "min_lag", min_lag)
+        coeffs.flags.writeable = False
+        return self
+
+    @classmethod
+    def from_trimmed(cls, coeffs: np.ndarray) -> "LaurentMatrix":
+        """Wrap coefficients (n_lags, rows, cols) at lags 0.. that already
+        passed the dust rule (:func:`trim_dust`'s output, finite by
+        construction) with their zero leading and trailing lags dropped, as
+        :meth:`from_coeffs` would give them, without checking or trimming
+        them again."""
+        lags = coeffs.any(axis=(1, 2)).nonzero()[0]
+        if not lags.size:
+            return cls.zero(*coeffs.shape[1:])
+        return cls.trusted(coeffs[lags[0]:lags[-1] + 1], int(lags[0]))
 
     @classmethod
     def from_coeffs(cls, coeffs, min_lag: int = 0, trim: bool = True) -> "LaurentMatrix":
@@ -78,12 +102,9 @@ class LaurentMatrix:
                            dtype=float)
         if arr.ndim != 3:
             raise ValueError("coefficient matrices must all have the same shape")
-        if not np.all(np.isfinite(arr)):
-            # checked before trimming: a non-finite scale would make every lag dust
-            raise ValueError("coefficients must be finite")
-        if trim:
-            arr, min_lag = _trim(arr, min_lag)
-        return cls(arr, int(min_lag))
+        # checked before trimming: a non-finite scale would make every lag dust
+        out = cls(arr, int(min_lag))
+        return out.trimmed() if trim else out
 
     @classmethod
     def constant(cls, mat) -> "LaurentMatrix":
@@ -141,8 +162,11 @@ class LaurentMatrix:
         z = np.asarray(z, dtype=complex)
         if self.min_lag < 0 and np.any(z == 0):
             raise ZeroDivisionError("negative lags cannot be evaluated at z=0")
-        lags = np.arange(self.min_lag, self.max_lag + 1)
-        return np.tensordot(z[..., None] ** lags, self.coeffs, axes=1)
+        L = self.coeffs.shape[0]
+        powers = z[..., None] ** np.arange(self.min_lag, self.max_lag + 1)
+        # np.tensordot(powers, coeffs, axes=1), without its axis bookkeeping
+        return np.dot(powers.reshape(-1, L), self.coeffs.reshape(L, -1)).reshape(
+            z.shape + self.coeffs.shape[1:])
 
     def right_multiplied(self, v: np.ndarray) -> "LaurentMatrix":
         """Apply a constant matrix on the right (each coefficient @ v)."""
@@ -157,8 +181,13 @@ class LaurentMatrix:
         return LaurentMatrix.from_coeffs(self.coeffs[-self.min_lag:], 0)
 
     def trimmed(self) -> "LaurentMatrix":
-        arr, lag = _trim(np.array(self.coeffs), self.min_lag)
-        return LaurentMatrix(arr, lag)
+        """Dust rule applied and all-dust end lags dropped; a result of this
+        (or of :meth:`from_coeffs`) is its own trimmed form."""
+        if self.__dict__.get("_is_trimmed"):
+            return self
+        out = LaurentMatrix.trusted(*_trim(self.coeffs, self.min_lag))
+        object.__setattr__(out, "_is_trimmed", True)
+        return out
 
     def allclose(self, other: "LaurentMatrix", atol: float = 1e-12) -> bool:
         """Coefficient-wise comparison over the union of lag ranges."""
@@ -173,28 +202,26 @@ class LaurentMatrix:
                 f"lags {self.min_lag}..{self.max_lag})")
 
 
-def trim_dust(arr: np.ndarray):
+def trim_dust(arr: np.ndarray) -> np.ndarray:
     """The dust rule on each sample of a (S, n_lags, rows, cols) stack.
 
     Entries at or below TRIM_RTOL * max(max |coefficient|, 1) of their own
-    sample are set to zero.  Returns the zeroed copy and the (S, n_lags)
-    mask of lags that keep a nonzero entry.
+    sample are set to zero (all of a sample with a non-finite entry).
+    Returns the zeroed copy.
     """
     mag = np.abs(arr)
-    thresh = TRIM_RTOL * np.maximum(mag.max(axis=(1, 2, 3), initial=0.0), 1.0)
-    keep = mag > thresh[:, None, None, None]
-    return np.where(keep, arr, 0.0), keep.any(axis=(2, 3))
+    thresh = TRIM_RTOL * mag.max(axis=(1, 2, 3), keepdims=True, initial=1.0)
+    return np.where(mag > thresh, arr, 0.0)
 
 
 def _trim(arr: np.ndarray, min_lag: int):
-    """Drop leading/trailing coefficient matrices that are numerical dust."""
-    out, keep = trim_dust(arr[None])
-    keep = keep[0]
-    if not np.any(keep):
+    """The dust rule on a (n_lags, rows, cols) array, and its leading and
+    trailing all-dust lags dropped: a new array and its min lag."""
+    out = trim_dust(arr[None])[0]
+    lags = out.any(axis=(1, 2)).nonzero()[0]
+    if not lags.size:
         return np.zeros((1,) + arr.shape[1:]), 0
-    first = int(np.argmax(keep))
-    last = int(len(keep) - 1 - np.argmax(keep[::-1]))
-    return out[0, first: last + 1], min_lag + first
+    return out[lags[0]: lags[-1] + 1], min_lag + int(lags[0])
 
 
 # -- arithmetic -----------------------------------------------------------
@@ -246,9 +273,9 @@ def companion_stack(P: np.ndarray):
     e = np.frexp(np.abs(P).max(axis=(1, 2, 3)))[1]
     P = np.ldexp(P, -e[:, None, None, None])
     N = n * d
-    A = np.zeros((S, N, N))
-    E = np.broadcast_to(np.eye(N), (S, N, N)).copy()
-    A[:, :N - n, n:] = np.eye(N - n)
+    A, E = np.zeros((S, N, N)), np.zeros((S, N, N))
+    A.reshape(S, N * N)[:, n:(N - n) * (N + 1):N + 1] = 1.0     # A[i, i + n] = 1
+    E.reshape(S, N * N)[:, ::N + 1] = 1.0                       # E[i, i] = 1
     A[:, N - n:, :] = -P[:, :d].transpose(0, 2, 1, 3).reshape(S, n, N)
     E[:, N - n:, N - n:] = P[:, d]
     return A, E
@@ -320,19 +347,22 @@ def series_divide(g: np.ndarray, rhs: np.ndarray, horizon: int,
     some g_0 is singular.
     """
     try:
-        g0_inv = np.linalg.inv(g[:, 0])
-    except np.linalg.LinAlgError as exc:
+        with np.errstate(invalid="raise"):   # numpy's LAPACK kernel, without inv's checks
+            g0_inv = _umath_linalg.inv(g[:, 0])
+    except FloatingPointError as exc:
         raise SingularMatrixError("lag-0 coefficient of the divisor is singular") from exc
     out = np.zeros((g.shape[0], horizon + 1, g.shape[2], rhs.shape[3]))
     start = 0
     if prefix is not None:
         start = prefix.shape[1]
         out[:, :start] = prefix
+    lags = list(out.swapaxes(0, 1))                         # out[:, j] views
+    gs = list(g.swapaxes(0, 1)[1:])                         # g[:, i], i >= 1
     for j in range(start, horizon + 1):
-        acc = rhs[:, j] if j < rhs.shape[1] else out[:, j]     # still zero
-        for i in range(1, min(g.shape[1] - 1, j) + 1):
-            acc = acc - g[:, i] @ out[:, j - i]
-        out[:, j] = g0_inv @ acc
+        acc = rhs[:, j] if j < rhs.shape[1] else lags[j]    # still zero
+        for i, gi in enumerate(gs[:j], 1):
+            acc = acc - gi @ lags[j - i]
+        np.matmul(g0_inv, acc, out=lags[j])
     return out
 
 

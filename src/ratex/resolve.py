@@ -87,15 +87,19 @@ def default_horizon(n: int, kappa: int, lam: int) -> int:
     return max((n + 1) * kappa + lam, 2)
 
 
-def solve_stack(b_minus: np.ndarray, b_plus: np.ndarray, A: np.ndarray, horizon: int):
+def solve_stack(b_minus: np.ndarray, b_plus: np.ndarray, A: np.ndarray, horizon: int,
+                inv_series: np.ndarray | None = None):
     """Moving-average parts, transfer series and rank(C_0) of a stack of factored models.
 
     b_minus (S, lam+1, n, n) holds lags -lam..0, b_plus (S, L, n, n) and
-    A (S, L, n, m) hold lags 0..L-1.  Returns M = [B_minus^-1 A]_+ (dust
-    trimmed, (S, L, n, m)), C_0..C_horizon ((S, horizon+1, n, m)) and the
-    ranks of C_0.  Raises SingularMatrixError when some B_plus(0) is singular.
+    A (S, L, n, m) hold lags 0..L-1; inv_series, when given, the leading
+    coefficients of B_minus^-1 that the factorization already computed
+    (:func:`~ratex.wienerhopf.bminus_inv_plus`).  Returns M = [B_minus^-1
+    A]_+ (dust trimmed, (S, L, n, m)), C_0..C_horizon ((S, horizon+1, n,
+    m)) and the ranks of C_0.  Raises SingularMatrixError when some
+    B_plus(0) is singular.
     """
-    ma = trim_dust(bminus_inv_plus(b_minus, A))[0]
+    ma = trim_dust(bminus_inv_plus(b_minus, A, inv_series))
     transfer = series_divide(b_plus, ma, horizon)
     ranks, _, _ = stacked_rank(transfer[:, 0])
     return ma, transfer, ranks
@@ -126,8 +130,9 @@ def _assemble(model: Model, fac, horizon: int | None) -> SolutionBundle:
     L = max(model.A.max_lag, fac.b_plus.max_lag, 0) + 1
     ma, transfer, ranks = solve_stack(
         fac.b_minus.coeffs[None], fac.b_plus.window(0, L - 1)[None],
-        model.A.window(0, L - 1)[None], horizon)
-    ma = LaurentMatrix.from_coeffs(ma[0], 0)
+        model.A.window(0, L - 1)[None], horizon,
+        None if fac.inv_series is None else fac.inv_series[None])
+    ma = LaurentMatrix.from_trimmed(ma[0])
     transfer = TransferSeries(transfer[0])
     c0 = transfer.coefficient(0)
     return SolutionBundle(

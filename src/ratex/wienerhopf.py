@@ -24,15 +24,20 @@ complement, where the infinite eigenvalues are split off; only that zero
 list needs a rank decision on a lead.  B_plus then falls out of the long
 division B_minus**-1 * B with exact degree cutoff, and the reconstruction
 B = B_minus B_plus is the certificate (a few Newton steps on it first,
-where the split's subspace alone does not meet it).
+where the split's subspace alone does not meet it).  The leading
+coefficients of the series B_minus**-1 stay on the factors, so the
+solution's [B_minus**-1 A]_+ extends them rather than dividing again.
 
 One flow serves one model and a stack of them: :func:`wh_factorize` is
 :func:`wh_factorize_stack` at one sample.  The stack builds all pencils at
 once and iterates them together, retiring each as it settles; the
 restricted pencils, the divisors, B_plus and the reconstruction check run
-stacked too.  For lam = 0 the counts are all that is needed, so a stacked
-eigenvalue screen decides every sample its error bound allows and only the
-others are split.  Everything here is numpy.
+stacked too.  Samples are indexed only where their outcomes part, so one
+sample, or a stack whose samples all settle with the same count, passes
+through the kernels whole; the kernels call numpy's LAPACK gufuncs
+without np.linalg's per-call checks.  For lam = 0 the counts are all that
+is needed, so a stacked eigenvalue screen decides every sample its error
+bound allows and only the others are split.  Everything here is numpy.
 """
 
 from __future__ import annotations
@@ -110,24 +115,25 @@ _SPLIT_MIN_STEPS = 6
 @dataclass(frozen=True)
 class WHFactors:
     """Factors of B = B_minus * B_plus, the reconstruction certificate and the
-    zeros of det(z**lam B(z)) the factorization was decided on."""
+    zeros of det(z**lam B(z)) the factorization was decided on.
+
+    ``inv_series`` holds the leading coefficients of B_minus^-1, a power
+    series in 1/z (lags 0, -1, ...), as B_plus was divided out with them;
+    :func:`bminus_inv_plus` extends rather than recomputes them."""
 
     b_minus: LaurentMatrix
     b_plus: LaurentMatrix
     residual: float
     scale: float = 1.0
     zeros: np.ndarray = field(default_factory=lambda: np.array([], dtype=complex))
+    inv_series: np.ndarray | None = None
 
     def __post_init__(self):
-        n = self.b_minus.rows
-        if not np.array_equal(self.b_minus.coefficient(0), np.eye(n)):
+        bm = self.b_minus
+        if bm.max_lag != 0 or not (bm.coeffs[-1] == np.eye(bm.rows)).all():
             raise ValueError("b_minus must equal the identity at lag 0")
-
-
-def _classify_zeros(zeros: np.ndarray, boundary: float):
-    mods = np.abs(zeros)
-    return (int(np.count_nonzero(mods < 1.0 - boundary)),
-            int(np.count_nonzero(np.abs(mods - 1.0) <= boundary)))
+        if self.inv_series is not None:
+            self.inv_series.flags.writeable = False
 
 
 def wh_factorize(B: LaurentMatrix, tol: ToleranceConfig | None = None) -> WHFactors:
@@ -176,25 +182,26 @@ def wh_factorize_all(Bs, tol: ToleranceConfig | None = None) -> list:
     :func:`wh_factorize_stack`.  Returns per B its WHFactors or the
     FactorizationError that rejected it.
     """
-    out, groups, trimmed = [None] * len(Bs), {}, []
+    out, groups = [None] * len(Bs), {}
     for i, B in enumerate(Bs):
         if B.rows != B.cols:
             raise ValueError("B must be square")
-        trimmed.append(B.trimmed())
-        lam = max(0, -trimmed[i].min_lag)
-        groups.setdefault((B.rows, lam, max(trimmed[i].max_lag, 0)), []).append(i)
-    for (_, lam, hi), idx in groups.items():
-        b_minus, b_plus, errors, residual, zeros = wh_factorize_stack(
-            np.array([trimmed[i].window(-lam, hi) for i in idx]), lam, tol)
-        for s, i in enumerate(idx):
-            B = trimmed[i]
+        t = B.trimmed()
+        lam = max(0, -t.min_lag)
+        groups.setdefault((B.rows, lam, max(t.max_lag, 0)), []).append((i, t))
+    for (_, lam, hi), members in groups.items():
+        b_minus, b_plus, errors, residual, zeros, inv = wh_factorize_stack(
+            np.array([t.window(-lam, hi) for _, t in members]), lam, tol)
+        for s, (i, t) in enumerate(members):
             out[i] = errors[s] or WHFactors(
                 LaurentMatrix(b_minus[s], -lam),
-                LaurentMatrix.from_coeffs(b_plus[s], 0) if lam else B,
-                residual=float(residual[s]), scale=max(B.max_abs(), 1.0), zeros=zeros[s])
+                LaurentMatrix.from_trimmed(b_plus[s]) if lam else t,
+                residual=float(residual[s]), scale=max(t.max_abs(), 1.0), zeros=zeros[s],
+                inv_series=inv[s])
     return out
 
 
+@np.errstate(all="ignore")
 def wh_factorize_stack(Bc: np.ndarray, lam: int, tol: ToleranceConfig | None = None):
     """:func:`wh_factorize` for a stack of B, (S, lam+kappa+1, n, n) at lags
     -lam..kappa, already dust trimmed (:func:`~ratex.polylab.trim_dust`).
@@ -213,22 +220,27 @@ def wh_factorize_stack(Bc: np.ndarray, lam: int, tol: ToleranceConfig | None = N
     split that settles within :func:`_certified_steps` has no zero near
     the band, so its rank is the stable count; the zeros reported are the
     eigenvalues of the pencils restricted to the inside subspace and to its
-    complement (:func:`_split_zeros`), and must count the same.  Any other
-    sample reports the zeros of its whole pencil (:func:`_pencil_zeros`)
-    and is counted by two more splits, at the band edges 1 -/+ boundary
-    (:func:`_band_counts`).  The divisors of the samples that pass
-    (:func:`_stable_monic_divisor`), B_plus and the reconstruction check
-    then run stacked on the inside subspaces; a sample whose residual
-    exceeds its bound gets a few Newton steps (:func:`_newton_divisor`)
-    before it is rejected.
+    complement (:func:`_split_zeros`), and must count the same.  Samples
+    that share a count share these kernels; when every sample shares one
+    outcome, the stack passes through them whole, without per-sample
+    indexing.  Any other sample reports the zeros of its whole pencil
+    (:func:`_pencil_zeros`) and is counted by two more splits, at the band
+    edges 1 -/+ boundary (:func:`_band_counts`).  The divisors of the
+    samples that pass (:func:`_stable_monic_divisor`), B_plus and the
+    reconstruction check then run stacked on the inside subspaces; a
+    sample whose residual exceeds its bound gets a few Newton steps
+    (:func:`_newton_divisor`) before it is rejected.  Floating-point
+    warnings are off throughout: a non-finite intermediate fails one of
+    these checks instead.
 
     Returns B_minus (S, lam+1, n, n) at lags -lam..0, B_plus (S, kappa+1,
     n, n) at lags 0..kappa, per sample the FactorizationError that rejected
-    it (None where it factored), the reconstruction residuals (S,) and per
-    sample the zeros it was decided on.
+    it (None where it factored), the reconstruction residuals (S,), per
+    sample the zeros it was decided on, and the coefficients (S, kappa+1,
+    n, n) of B_minus^-1 at lags 0..-kappa that B_plus was divided out with.
+    A rejected sample has B_minus = I, B_plus = 0 and residual 0.
     """
-    tol = tol or DEFAULT_TOL
-    b = tol.boundary
+    b = (tol or DEFAULT_TOL).boundary
     S, q, n = Bc.shape[:3]
     k, kappa = n * lam, q - 1 - lam
     P = Bc.swapaxes(2, 3)           # same determinant; B_minus' divides (z^lam B)'
@@ -236,100 +248,120 @@ def wh_factorize_stack(Bc: np.ndarray, lam: int, tol: ToleranceConfig | None = N
         P = np.concatenate([P, np.zeros_like(P)], axis=1)
     R = _column_scaling(P)
     if R is not None:
-        Rinv = np.linalg.inv(R)
+        Rinv = _umath_linalg.inv(R)
         P = P @ Rinv[:, None]
     A, E = companion_stack(P)
-    errors, zeros, divisors = [None] * S, [None] * S, []
-    counts = np.zeros((S, 2), dtype=int)        # (inside, on the band) per sample
-    rest = np.arange(S)
+    errors, zeros = [None] * S, [None] * S
+    divisors = []                   # (lanes, AA, EE, Z) of samples with n * lam inside
+    rest = np.arange(S)             # samples not counted yet
+
+    def check(lanes, stable, on_band):
+        """Reject the lanes whose zero counts fail (:func:`_check_counts`)."""
+        bad = (stable != k) | (on_band != 0)
+        if bad.any():
+            for s, c, o in zip(lanes[bad].tolist(), stable[bad].tolist(), on_band[bad].tolist()):
+                if errors[s] is None:
+                    try:
+                        _check_counts(c, o, n, lam, b, zeros[s])
+                    except FactorizationError as exc:
+                        errors[s] = exc
+
     if not lam:
-        s_E = np.linalg.svd(E, compute_uv=False)
-        screen = np.flatnonzero(s_E[:, -1] > PENCIL_INFINITE_RTOL)
-        if screen.size:
-            stable, on_band, w, decided = _screen_counts(A[screen], E[screen], s_E[screen], b)
-            for i in np.flatnonzero(decided):
-                zeros[screen[i]] = w[i]
-            counts[screen[decided], 0] = stable[decided]
-            counts[screen[decided], 1] = on_band[decided]
-            rest = np.array([s for s in rest if zeros[s] is None], dtype=int)
+        s_E = _umath_linalg.svd(E)
+        screen = s_E[:, -1] > PENCIL_INFINITE_RTOL
+        if screen.any():
+            lanes = rest[screen]
+            stable, on_band, w, decided = _screen_counts(A[lanes], E[lanes], s_E[lanes], b)
+            if not decided.all():
+                screen[lanes[~decided]] = False
+                lanes, stable, on_band, w = (x[decided] for x in (lanes, stable, on_band, w))
+            for s, ws in zip(lanes.tolist(), w):
+                zeros[s] = ws
+            check(lanes, stable, on_band)
+            rest = rest[~screen]
     if rest.size:
         Ar, Er = (A, E) if rest.size == S else (A[rest], E[rest])
         U, c, steps, hard = _unit_circle_split(Ar, Er, b)
         hard |= steps > _certified_steps(b)
-        for cg in np.unique(c[~hard]):
-            g = np.flatnonzero((c == cg) & ~hard)
-            if g.size == rest.size:         # one group holds every sample
-                g = slice(None)
+        if hard.any() or c.min() != c.max():
+            groups = [(int(cg), np.flatnonzero((c == cg) & ~hard)) for cg in np.unique(c[~hard])]
+        else:                       # one count, every sample settled
+            groups = [(int(c[0]), slice(None))]
+        for cg, g in groups:
             z, AA, EE, agree = _split_zeros(Ar[g], Er[g], U[g], cg, b)
-            lanes = rest[g][agree]
-            for s, zs, ok in zip(rest[g], z, agree):
-                if ok:
-                    zeros[s] = zs
-            counts[lanes] = cg, 0
-            hard[np.arange(rest.size)[g][~agree]] = True
-            if lam and cg == k and lanes.size:
-                divisors.append((lanes, AA[agree], EE[agree], U[g][agree, :, :k]))
+            lanes, Z = rest[g], U[g]
+            if not agree.all():
+                hard[np.arange(rest.size)[g][~agree]] = True
+                lanes, AA, EE, Z = lanes[agree], AA[agree], EE[agree], Z[agree]
+                z = [zs for zs, ok in zip(z, agree) if ok]
+            for s, zs in zip(lanes.tolist(), z):
+                zeros[s] = zs
+            if cg != k:
+                check(lanes, np.full(lanes.size, cg), np.zeros(lanes.size, dtype=int))
+            elif lam and lanes.size:
+                divisors.append((lanes, AA, EE, Z[:, :, :k]))
         rest = rest[hard]
-    for s in rest:
+    for s in rest.tolist():
         try:
             zeros[s] = _pencil_zeros(A[s], E[s])
         except SingularMatrixError:
             errors[s] = ZerosOnUnitCircle(
                 "det(B) is identically zero; B(z) is nowhere invertible")
-    rest = np.array([s for s in rest if errors[s] is None], dtype=int)
+    if rest.size:
+        rest = rest[[errors[s] is None for s in rest.tolist()]]
     if rest.size:
         stable, on_band, U, unsettled = _band_counts(A[rest], E[rest], b)
-        counts[rest, 0], counts[rest, 1] = stable, on_band
-        for s in rest[unsettled]:
+        for s in rest[unsettled].tolist():
             errors[s] = ZerosOnUnitCircle(
                 f"the split of det(z^{lam} B(z)) at |z| = 1 -/+ {b:g} did not settle: "
                 "a zero lies on a band edge, or the determinant is nearly "
                 "identically zero", zeros[s])
+        check(rest, stable, on_band)
         g = np.flatnonzero((stable == k) & (on_band == 0) & ~unsettled)
         if lam and g.size:
             AA, EE = _restrict(A[rest[g]], E[rest[g]], U[g], k)[:2]
             divisors.append((rest[g], AA, EE, U[g, :, :k]))
-    for s in np.flatnonzero((counts[:, 0] != k) | (counts[:, 1] != 0)):
-        if errors[s] is None:
-            try:
-                _check_counts(*counts[s], n, lam, tol, zeros[s])
-            except FactorizationError as exc:
-                errors[s] = exc
+
+    if lam and divisors:
+        whole = len(divisors) == 1 and divisors[0][0].size == S    # every sample, in order
+        lanes, AA, EE, Z = (divisors[0] if len(divisors) == 1 else
+                            (np.concatenate(x) for x in zip(*divisors)))
+        Bl = Bc if whole else Bc[lanes]
+        bm, ok = _stable_monic_divisor(AA, EE, Z, n, lam)
+        if R is not None:           # the divisors of P R^-1 are R D R^-1
+            bm[:, :lam] = (R[lanes].swapaxes(1, 2)[:, None] @ bm[:, :lam]
+                           @ Rinv[lanes].swapaxes(1, 2)[:, None])
+        bp, res, f = _plus_factor(bm, Bl)
+        bound = RECONSTRUCTION_RTOL * np.maximum(np.abs(Bl).max(axis=(1, 2, 3)), 1.0)
+        over = res > bound
+        if (ok & over).any():
+            for i in np.flatnonzero(ok & over).tolist():
+                bm[i], bp[i], res[i], f[i] = _newton_divisor(bm[i], bp[i], res[i], f[i], Bl[i])
+            over = res > bound
+        bad = ~ok | over
+        if whole and not bad.any():
+            return bm, bp, errors, res, zeros, f
+        for i in np.flatnonzero(bad).tolist():
+            errors[lanes[i]] = DivisorExtractionSingular(
+                "deflating-subspace block is numerically singular; no monic "
+                "stable divisor of the required degree exists" if not ok[i] else
+                f"reconstruction residual {res[i]:.3e} exceeds {RECONSTRUCTION_RTOL:g} * scale",
+                zeros[lanes[i]])
 
     b_minus = np.zeros((S, lam + 1, n, n))
-    b_minus[:, lam] = np.eye(n)
-    b_plus = np.zeros((S, kappa + 1, n, n))
-    residual = np.zeros(S)
-    passed = np.array([e is None for e in errors], dtype=bool)
-    if not lam:
-        b_plus[passed] = Bc[passed]
-        return b_minus, b_plus, errors, residual, zeros
-    if not divisors:
-        return b_minus, b_plus, errors, residual, zeros
-    lanes, AA, EE, Z = (divisors[0] if len(divisors) == 1 else
-                        (np.concatenate(x) for x in zip(*divisors)))
-    keep = passed[lanes]
-    if not keep.all():
-        lanes, AA, EE, Z = lanes[keep], AA[keep], EE[keep], Z[keep]
-    bm, ok = _stable_monic_divisor(AA, EE, Z, n, lam)
-    if R is not None:               # the divisors of P R^-1 are R D R^-1
-        bm[:, :lam] = (R[lanes].swapaxes(1, 2)[:, None] @ bm[:, :lam]
-                       @ Rinv[lanes].swapaxes(1, 2)[:, None])
-    bp, res = _plus_factor(bm, Bc[lanes])
-    bound = RECONSTRUCTION_RTOL * np.maximum(np.abs(Bc[lanes]).max(axis=(1, 2, 3)), 1.0)
-    for i in np.flatnonzero(ok & (res > bound)):
-        bm[i], bp[i], res[i] = _newton_divisor(bm[i], bp[i], res[i], Bc[lanes[i]])
-    bad = ~ok | (res > bound)
-    for i in np.flatnonzero(bad):
-        s = lanes[i]
-        errors[s] = DivisorExtractionSingular(
-            "deflating-subspace block is numerically singular; no monic "
-            "stable divisor of the required degree exists" if not ok[i] else
-            f"reconstruction residual {res[i]:.3e} exceeds {RECONSTRUCTION_RTOL:g} * scale",
-            zeros[s])
-    good = lanes[~bad]
-    b_minus[good], b_plus[good], residual[good] = bm[~bad], bp[~bad], res[~bad]
-    return b_minus, b_plus, errors, residual, zeros
+    inv = np.zeros((S, kappa + 1, n, n))
+    b_minus[:, lam] = inv[:, 0] = np.eye(n)
+    b_plus, residual = np.zeros((S, kappa + 1, n, n)), np.zeros(S)
+    if not lam:                     # B_plus = B where it passed
+        b_plus[:] = Bc
+        if any(errors):
+            b_plus[[e is not None for e in errors]] = 0.0
+    elif divisors:
+        good = ~bad
+        lanes = lanes[good]
+        b_minus[lanes], b_plus[lanes], residual[lanes], inv[lanes] = \
+            bm[good], bp[good], res[good], f[good]
+    return b_minus, b_plus, errors, residual, zeros, inv
 
 
 def _column_scaling(P: np.ndarray):
@@ -348,9 +380,9 @@ def _column_scaling(P: np.ndarray):
     """
     S, d1, n = P.shape[:3]
     X = P.reshape(S, d1 * n, n).copy()
-    _umath_linalg.qr_r_raw(X, signature="d->d")
-    diag = np.abs(np.diagonal(X, axis1=1, axis2=2))
-    ratio = diag.min(axis=1) / np.maximum(diag.max(axis=1), _TINY)
+    _umath_linalg.qr_r_raw(X)
+    diag = np.abs(X.diagonal(0, 1, 2))
+    ratio = diag.min(axis=1) / diag.max(axis=1, initial=_TINY)
     scale = (ratio < _SCALING_RCOND) & (ratio > PENCIL_SINGULAR_RTOL)
     if not scale.any():
         return None
@@ -397,7 +429,7 @@ def _unit_circle_split(A: np.ndarray, E: np.ndarray, boundary: float):
     (a singular pencil, or an eigenvalue on the circle).
     """
     S, N = A.shape[:2]
-    cap = _split_cap(boundary)
+    cap, settled = _split_cap(boundary), 10 * N * _EPS
     retired = []                    # (lanes, A_p, E_p, step) settled together
     live, a, e, r_prev, d_prev = np.arange(S), A, E, None, np.inf
     for j in range(1, cap + 1):
@@ -406,16 +438,15 @@ def _unit_circle_split(A: np.ndarray, E: np.ndarray, boundary: float):
         a, e = Qt[:, :, :N] @ a, Qt[:, :, N:] @ e
         if j < _SPLIT_MIN_STEPS - 1:
             continue
-        r = np.abs(np.diagonal(R, axis1=1, axis2=2))
+        r = np.abs(R.diagonal(0, 1, 2))
         if r_prev is not None:
-            d = np.abs(r - r_prev).max(axis=1) / np.maximum(r_prev.max(axis=1), _TINY)
-            done = d <= 10 * N * _EPS
-            if done.all():
+            d = np.abs(r - r_prev).max(axis=1) / r_prev.max(axis=1, initial=_TINY)
+            # settled, or stalled at rounding noise (no smaller than the step before)
+            done = d <= np.where(d >= d_prev, PENCIL_SINGULAR_RTOL, settled)
+            retire = np.count_nonzero(done)
+            if retire == done.size:
                 break
-            done |= (d <= PENCIL_SINGULAR_RTOL) & (d >= d_prev)
-            if done.all():
-                break
-            if done.any():
+            if retire:
                 retired.append((live[done], a[done], e[done], j))
                 live, a, e, r, d = live[~done], a[~done], e[~done], r[~done], d[~done]
             d_prev = d
@@ -429,12 +460,12 @@ def _unit_circle_split(A: np.ndarray, E: np.ndarray, boundary: float):
         order = np.argsort(np.concatenate([t[0] for t in retired]))
         Ap, Ep = (np.concatenate([t[i] for t in retired])[order] for i in (1, 2))
         steps = np.concatenate([np.full(len(t[0]), t[3]) for t in retired])[order]
-    s_E = np.linalg.svd(Ep, compute_uv=False)
-    _, s_A, Vt = np.linalg.svd(Ap)
+    s_E = _umath_linalg.svd(Ep)
+    _, s_A, Vt = _umath_linalg.svd_f(Ap)
     above = np.concatenate([s_A, s_E], axis=1) > (
         PENCIL_SINGULAR_RTOL * np.maximum(s_A[:, :1], s_E[:, :1]))
-    outside = np.count_nonzero(above[:, :N], axis=1)
-    failed = (steps > cap) | (np.count_nonzero(above, axis=1) != N)
+    outside = above[:, :N].sum(axis=1)
+    failed = (steps > cap) | (above.sum(axis=1) != N)
     return Vt[:, ::-1].swapaxes(1, 2), N - outside, steps, failed
 
 
@@ -446,8 +477,8 @@ def _qr_complete(X: np.ndarray):
     without its per-call checks, which cost it about 20 us of its 25 us on
     the small pencils split here.  X is overwritten.
     """
-    tau = _umath_linalg.qr_r_raw(X, signature="d->d")
-    return _umath_linalg.qr_complete(X, tau, signature="dd->d"), X
+    tau = _umath_linalg.qr_r_raw(X)
+    return _umath_linalg.qr_complete(X, tau), X
 
 
 def _band_counts(A: np.ndarray, E: np.ndarray, boundary: float):
@@ -481,7 +512,7 @@ def _restrict(A: np.ndarray, E: np.ndarray, U: np.ndarray, c: int):
     subspace and the trailing blocks (A22, E22) of the rest."""
     N = A.shape[1]
     Y = _qr_complete(E @ U[:, :, :c])[0] if c else np.eye(N)
-    Yt = np.swapaxes(Y, -1, -2)
+    Yt = Y.swapaxes(-1, -2)
     A2, E2 = Yt @ A @ U, Yt @ E @ U
     return A2[:, :c, :c], E2[:, :c, :c], A2[:, c:, c:], E2[:, c:, c:]
 
@@ -506,7 +537,7 @@ def _split_zeros(A: np.ndarray, E: np.ndarray, U: np.ndarray, c: int, boundary: 
     agree = (np.abs(inside) < 1.0 - boundary).all(axis=1)
     if c == N:
         return list(inside), AA, EE, agree
-    regular = np.linalg.svd(E22, compute_uv=False)[:, -1] > PENCIL_INFINITE_RTOL
+    regular = _umath_linalg.svd(E22)[:, -1] > PENCIL_INFINITE_RTOL
     if regular.all():
         mu = _eigvals(A22, E22)
         agree &= (np.abs(mu) * (1.0 + boundary) < 1.0).all(axis=1)
@@ -530,10 +561,9 @@ def _eigvals(E: np.ndarray, A: np.ndarray) -> np.ndarray:
     """Complex eigenvalues (S, c) of E^-1 A for a stack of c x c pairs with
     nonsingular E, by numpy's LAPACK kernels without the per-call checks
     of ``np.linalg.eigvals(np.linalg.solve(E, A))`` (most of its 15 us at
-    one sample).  A singular E gives NaN, not an error."""
-    with np.errstate(all="ignore"):
-        return _umath_linalg.eigvals(_umath_linalg.solve(E, A, signature="dd->d"),
-                                     signature="d->D")
+    one sample).  A singular E gives NaN, not an error (and a warning
+    unless the caller has turned them off, as the stack does)."""
+    return _umath_linalg.eigvals(_umath_linalg.solve(E, A))
 
 
 def _pencil_zeros(A: np.ndarray, E: np.ndarray) -> np.ndarray:
@@ -560,11 +590,16 @@ def _screen_counts(A: np.ndarray, E: np.ndarray, s_E: np.ndarray, boundary: floa
     itself.  Returns (stable, on_band, zeros, decided).
     """
     N = A.shape[1]
-    M = np.linalg.solve(E, A)
-    w, X = np.linalg.eig(M)
+    # np.linalg.solve, eig (real arrays for a real spectrum) and inv, by
+    # their LAPACK kernels without the per-call checks
+    M = _umath_linalg.solve(E, A)
+    w, X = _umath_linalg.eig(M)
+    if not w.imag.any():
+        w, X = w.real, X.real
     try:
-        Y = np.linalg.inv(X)
-    except np.linalg.LinAlgError:   # an exactly defective sample: decide none
+        with np.errstate(invalid="raise"):
+            Y = _umath_linalg.inv(X)
+    except FloatingPointError:      # an exactly defective sample: decide none
         Y = np.full_like(X, np.nan)
     smax, smin = s_E[:, :1], s_E[:, -1:]
     mods = np.abs(w)
@@ -580,18 +615,19 @@ def _screen_counts(A: np.ndarray, E: np.ndarray, s_E: np.ndarray, boundary: floa
     return stable, on_band, w.astype(complex), ~near.any(axis=1)
 
 
-def _check_counts(stable: int, on_band: int, n: int, lam: int, tol: ToleranceConfig, zeros):
+def _check_counts(stable: int, on_band: int, n: int, lam: int, boundary: float, zeros):
     """The existence/uniqueness verdict on the zero counts of det(z^lam B(z))."""
     if on_band:
         raise ZerosOnUnitCircle(
-            f"{on_band} zero(s) of det(z^{lam} B(z)) within {tol.boundary:g} "
+            f"{on_band} zero(s) of det(z^{lam} B(z)) within {boundary:g} "
             "of the unit circle", zeros)
     if stable != n * lam:
         raise WrongStableCount(
             f"found {stable} zero(s) inside the unit circle, need exactly {n * lam}", zeros)
 
 
-def _newton_divisor(bm: np.ndarray, bp: np.ndarray, res: float, Bc: np.ndarray, steps: int = 3):
+def _newton_divisor(bm: np.ndarray, bp: np.ndarray, res: float, f: np.ndarray,
+                    Bc: np.ndarray, steps: int = 3):
     """Newton steps on B = B_minus B_plus for one sample whose split gave a
     divisor that does not reconstruct B within RECONSTRUCTION_RTOL.
 
@@ -599,12 +635,13 @@ def _newton_divisor(bm: np.ndarray, bp: np.ndarray, res: float, Bc: np.ndarray, 
     B_minus an exact divisor of a nearby B as an ordered QZ would.  Each
     step solves the linearization dB_minus B_plus + B_minus dB_plus = B -
     B_minus B_plus for dB_minus at lags -lam..-1 and dB_plus at 0..kappa
-    (uniquely, as B_minus and B_plus share no zero) and recomputes B_plus
-    and the residual (:func:`_plus_factor`); the best of them is kept.
+    (uniquely, as B_minus and B_plus share no zero) and recomputes B_plus,
+    the residual and the inverse series f of B_minus (:func:`_plus_factor`);
+    the best of them is kept.
     """
     lam, n = bm.shape[0] - 1, bm.shape[1]
     L, I = Bc.shape[0], np.eye(n)
-    best = bm, bp, res
+    best = bm, bp, res, f
     for _ in range(steps):
         kappa = bp.shape[0] - 1
         M = np.zeros((L, n * n, L, n * n))
@@ -624,9 +661,9 @@ def _newton_divisor(bm: np.ndarray, bp: np.ndarray, res: float, Bc: np.ndarray, 
             break
         bm = bm.copy()
         bm[:lam] += step[:lam * n * n].reshape(lam, n, n)
-        bp, res = (x[0] for x in _plus_factor(bm[None], Bc[None]))
+        bp, res, f = (x[0] for x in _plus_factor(bm[None], Bc[None]))
         if res < best[2]:
-            best = bm, bp, res
+            best = bm, bp, res, f
     return best
 
 
@@ -634,14 +671,17 @@ def _plus_factor(b_minus: np.ndarray, Bc: np.ndarray):
     """B_plus = [B_minus^-1 B]_+ (exact) and the reconstruction residual
     max |B_minus B_plus - B| for a stack: b_minus (S, lam+1, n, n) at lags
     -lam..0, B (S, lam+kappa+1, n, n) at lags -lam..kappa.  B_plus and the
-    product are dust trimmed, as LaurentMatrix results are."""
+    product are dust trimmed, as LaurentMatrix results are.  Returns them
+    and the inverse series of B_minus they were computed with (S, kappa+1,
+    n, n) (:func:`bminus_inv_plus`)."""
     lam = b_minus.shape[1] - 1
-    b_plus = trim_dust(bminus_inv_plus(b_minus, Bc[:, lam:]))[0]
+    f = _inverse_series(b_minus, Bc.shape[1] - lam - 1)
+    b_plus = trim_dust(bminus_inv_plus(b_minus, Bc[:, lam:], f))
     recon = np.zeros(Bc.shape)
     for i in range(lam + 1):
         recon[:, i:i + b_plus.shape[1]] += b_minus[:, i, None] @ b_plus
-    recon = trim_dust(recon)[0]
-    return b_plus, np.abs(recon - Bc).max(axis=(1, 2, 3))
+    recon = trim_dust(recon)
+    return b_plus, np.abs(recon - Bc).max(axis=(1, 2, 3)), f
 
 
 def plus_part_of_bminus_inv_a(b_minus: LaurentMatrix, A: LaurentMatrix) -> LaurentMatrix:
@@ -655,23 +695,33 @@ def plus_part_of_bminus_inv_a(b_minus: LaurentMatrix, A: LaurentMatrix) -> Laure
     return LaurentMatrix.from_coeffs(bminus_inv_plus(bm[None], a[None])[0], 0)
 
 
-def bminus_inv_plus(b_minus: np.ndarray, A: np.ndarray) -> np.ndarray:
+def _inverse_series(b_minus: np.ndarray, horizon: int, prefix: np.ndarray | None = None):
+    """Coefficients 0..horizon of B_minus^-1 in powers of 1/z for a stack
+    b_minus (S, lam+1, n, n) at lags -lam..0, after the dust rule; a prefix
+    of them (S, p, n, n) is extended rather than recomputed."""
+    n = b_minus.shape[2]
+    return series_divide(trim_dust(b_minus)[:, ::-1], np.eye(n)[None, None], horizon, prefix)
+
+
+def bminus_inv_plus(b_minus: np.ndarray, A: np.ndarray, f: np.ndarray | None = None) -> np.ndarray:
     """Nonnegative-lag part of B_minus^-1 A for a stack: b_minus (S, lam+1,
     n, n) at lags -lam..0, A (S, L, n, c) at lags 0..L-1.
 
     The lag-k coefficient is a finite sum of inverse-series coefficients of
     B_minus (in powers of 1/z, after the dust rule) against A_{k..L-1}, so
-    no truncation is involved.  Returns (S, L, n, c), not trimmed.
+    no truncation is involved.  ``f`` holds leading coefficients of that
+    series already computed (:attr:`WHFactors.inv_series`); only those
+    beyond it are.  Returns (S, L, n, c), not trimmed.
     """
     L = A.shape[1]
-    n = b_minus.shape[2]
-    f = series_divide(trim_dust(b_minus)[0][:, ::-1], np.eye(n)[None, None], L - 1)
+    if f is None or f.shape[1] < L:
+        f = _inverse_series(b_minus, L - 1, f)
     out = np.empty(A.shape)
-    for k in range(L):
-        acc = f[:, 0] @ A[:, k]
+    fs, As = list(f.swapaxes(0, 1)[:L]), list(A.swapaxes(0, 1))     # per-lag views
+    for k, acc in enumerate(out.swapaxes(0, 1)):
+        np.matmul(fs[0], As[k], out=acc)
         for i in range(1, L - k):
-            acc = acc + f[:, i] @ A[:, k + i]
-        out[:, k] = acc
+            acc += fs[i] @ As[k + i]
     return out
 
 
@@ -689,17 +739,18 @@ def _stable_monic_divisor(AA, EE, Z, n: int, lam: int):
     """
     S, N, k = Z.shape
     U = Z[:, :k]
-    svals = np.linalg.svd(U, compute_uv=False)
+    svals = _umath_linalg.svd(U)
     ok = svals[:, -1] > EXTRACTION_RCOND * np.maximum(svals[:, 0], 1.0)
+    sel = slice(None) if ok.all() else ok
     out = np.zeros((S, lam + 1, n, n))
     out[:, lam] = np.eye(n)
     if N > k:
-        v_next = Z[ok, k:k + n]
+        v_next = Z[sel, k:k + n]
     else:
         # degree-lam polynomial: advance the last block one step via the
         # restricted pencil map W = S_E^-1 S_A
-        W = np.linalg.solve(EE[ok], AA[ok])
-        v_next = Z[ok, k - n:] @ W
-    L = -v_next @ np.linalg.inv(U[ok])  # [L_0 ... L_{lam-1}] of the monic divisor
-    out[ok, :lam] = L.reshape(-1, n, lam, n).transpose(0, 2, 3, 1)
+        W = _umath_linalg.solve(EE[sel], AA[sel])
+        v_next = Z[sel, k - n:] @ W
+    L = -v_next @ _umath_linalg.inv(U[sel])  # [L_0 ... L_{lam-1}]
+    out[sel, :lam] = L.reshape(-1, n, lam, n).transpose(0, 2, 3, 1)
     return out, ok

@@ -124,7 +124,7 @@ def near_band_stack(rng, lam, lead_margin, zero_kinds):
         lead = q1 @ np.diag([1.0, lead_margin * PENCIL_INFINITE_RTOL * 2.0 ** e]) @ q2
         Bc = np.array([lead @ c for c in poly])
         e = np.frexp(np.abs(Bc).max())[1]
-    return trim_dust(Bc[None])[0]
+    return trim_dust(Bc[None])
 
 
 @pytest.fixture

@@ -3,8 +3,9 @@
 Each is the plain, direct form of something the package computes another
 way (or no longer needs at run time), kept as an oracle: coefficient-wise
 sums and shifts of Laurent matrices, one-sided series inverses, transfer
-series by long division, one-tree expression evaluation and a printer
-whose output parses back to the same tree.
+series by long division, zero counts inside and on the unit circle's band,
+one-tree expression evaluation and a printer whose output parses back to
+the same tree.
 """
 
 import numpy as np
@@ -54,6 +55,14 @@ def lp_truncated_inverse_series(a: LaurentMatrix, horizon: int) -> list[np.ndarr
 def transfer_series(b_plus: LaurentMatrix, ma_part: LaurentMatrix, horizon: int) -> TransferSeries:
     """C_0..C_horizon solving B_plus * C = ma_part by matrix long division."""
     return TransferSeries(lp_series_divide(b_plus, ma_part, horizon))
+
+
+def classify_zeros(zeros: np.ndarray, boundary: float):
+    """(inside, on the band) counts of zeros: moduli below 1 - boundary, and
+    within boundary of 1."""
+    mods = np.abs(zeros)
+    return (int(np.count_nonzero(mods < 1.0 - boundary)),
+            int(np.count_nonzero(np.abs(mods - 1.0) <= boundary)))
 
 
 def eval_expr(expr, env: dict) -> float:

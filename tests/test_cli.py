@@ -620,6 +620,21 @@ class TestThetaOption:
         path = write(tmp_path / "p.json", employment_model())
         assert main(["factorize", path]) == 1
 
+    @pytest.mark.parametrize("command, extra", [
+        ("factorize", []), ("solve", []), ("ident", ["r.json"]), ("local", ["q.json"]),
+        ("spectrum", ["--out", "s.csv"]), ("simulate", ["--out", "y.csv"])])
+    def test_theta_on_numeric_model_is_error(self, tmp_path, capsys, command, extra):
+        # a numeric file has nothing to evaluate: --theta is refused, not ignored
+        path = write(tmp_path / "m.json", mixed_lag_model())
+        write(tmp_path / "r.json", pins(("B", -1, 1 / 3), ("A", 0, 1.0)))
+        write(tmp_path / "q.json", {"nonlinear": ["B[-1][1][1]^2 - 1/9", "A[0][1][1] - 1"]})
+        extra = [str(tmp_path / a) if "." in a else a for a in extra]
+        assert main([command, path, *extra, "--theta", "1,2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {path} is numeric; --theta applies to " \
+                                    "parametrized models\n"
+        assert not (tmp_path / "s.csv").exists() and not (tmp_path / "y.csv").exists()
+
 
 class TestMisc:
     def test_env_var_overrides_rank_tolerance(self, tmp_path, capsys, monkeypatch):
@@ -730,6 +745,21 @@ class TestReportSchema:
             assert set(block) == want, path
         assert (payload["command"], payload["verdict"], payload["exit_code"]) == (
             command, verdict, code)
+
+    def test_json_report_is_one_sorted_line(self, tmp_path, capsys):
+        path = write(tmp_path / "m.json", mixed_lag_model())
+        assert main(["solve", path, "--format", "json-report"]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("\n") and out.count("\n") == 1
+        payload = json.loads(out)
+
+        def keys_sorted(node):
+            if isinstance(node, dict):
+                return list(node) == sorted(node) and all(map(keys_sorted, node.values()))
+            return not isinstance(node, list) or all(map(keys_sorted, node))
+
+        assert keys_sorted(payload) and len(payload) > 1
+        assert json.dumps(payload, sort_keys=True, separators=(",", ":")) == out[:-1]
 
     @pytest.mark.parametrize("command, verdict, lead", [
         ("factorize", "eu_failed", "existence/uniqueness fails: "),

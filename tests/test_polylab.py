@@ -10,6 +10,7 @@ from ratex.polylab import (
     lp_det_and_zeros,
     lp_mul,
     lp_series_divide,
+    trim_dust,
 )
 from ratex.wienerhopf import ZerosOnUnitCircle, wh_factorize
 
@@ -160,6 +161,37 @@ class TestWindow:
         assert np.array_equal(w, np.array([a.coefficient(k) for k in range(lo, hi + 1)]))
         w[:] = 1.0  # a fresh array: the matrix itself is untouched
         assert a.coefficient(0).tolist() != np.ones((2, 3)).tolist()
+
+
+class TestTrimmedConstruction:
+    """The paths that skip a second check or trim build what from_coeffs builds."""
+
+    @staticmethod
+    def dusty(rng):
+        c = rng.standard_normal((5, 2, 3))
+        c[0], c[-1] = 1e-14, 0.0        # dust at the lowest lag, a zero top lag
+        c[2, 1, 1] = -3e-13             # dust inside
+        return c
+
+    def test_trimmed_is_its_own_trimmed_form(self, rng):
+        a = LaurentMatrix(self.dusty(rng), -2)
+        t = a.trimmed()
+        assert t.trimmed() is t and LaurentMatrix.from_coeffs(a.coeffs, -2).trimmed() is not t
+        assert (t.min_lag, t.max_lag) == (-1, 1) and t.coeffs[1, 1, 1] == 0.0
+        assert not t.coeffs.flags.writeable
+
+    def test_from_trimmed_matches_from_coeffs(self, rng):
+        for c in (self.dusty(rng), np.zeros((3, 2, 2)), 1e-13 * np.ones((2, 1, 1))):
+            dust_free = trim_dust(c[None])[0]
+            want = LaurentMatrix.from_coeffs(c)
+            got = LaurentMatrix.from_trimmed(dust_free)
+            assert (got.min_lag, got.coeffs.tolist()) == (want.min_lag, want.coeffs.tolist())
+
+    def test_from_coeffs_still_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            LaurentMatrix.from_coeffs([[[1.0]], [[np.nan]]])
+        with pytest.raises(ValueError, match="n_lags >= 1"):
+            LaurentMatrix.from_coeffs(np.zeros((0, 2, 2)))
 
 
 class TestDetAndZeros:

@@ -22,6 +22,7 @@ from ratex.resolve import (
     simulate,
     solve_model,
     solve_models,
+    solve_stack,
     spectral_density,
     spectral_distance,
     unit_circle_grid,
@@ -314,6 +315,18 @@ class TestSolveModels:
             assert bundle.factors.b_minus.allclose(alone.factors.b_minus, atol=1e-13)
             assert bundle.factors.b_plus.allclose(alone.factors.b_plus, atol=1e-13)
             assert np.allclose(bundle.transfer.coeffs, alone.transfer.coeffs, atol=1e-13)
+
+    def test_kept_inverse_series_gives_the_same_numbers(self, rng):
+        # an A reaching past B's top lag makes the solve extend the series
+        # the factorization kept; the numbers are those of a fresh division
+        model, *_ = make_valid_model(rng, n=2, m=2, lam=1, kappa=1)
+        A = lp_mul(model.A, LaurentMatrix.from_coeffs([np.eye(2), 0.4 * np.eye(2)]))
+        fac = wh_factorize(model.B)
+        assert fac.inv_series.shape == (2, 2, 2) and not fac.inv_series.flags.writeable
+        stacks = fac.b_minus.coeffs[None], fac.b_plus.window(0, 2)[None], A.window(0, 2)[None]
+        for kept, fresh in zip(solve_stack(*stacks, 8, fac.inv_series[None]),
+                               solve_stack(*stacks, 8)):
+            assert np.array_equal(kept, fresh)
 
     def test_first_failure_raises(self, rng):
         good = make_valid_model(rng, n=1, m=1, lam=1, kappa=1)[0]

@@ -13,7 +13,7 @@ from conftest import (
     random_b_minus,
     random_b_plus,
 )
-from oracles import shifted
+from oracles import classify_zeros, shifted
 from ratex.polylab import (
     PENCIL_INFINITE_RTOL,
     LaurentMatrix,
@@ -34,7 +34,6 @@ from ratex.wienerhopf import (
     WrongStableCount,
     ZerosOnUnitCircle,
     _band_counts,
-    _classify_zeros,
     _screen_counts,
     _split_zeros,
     _unit_circle_split,
@@ -216,23 +215,23 @@ class TestProperties:
 class TestCheckEU:
     """The existence/uniqueness verdict and its evidence: wh_factorize's
     zeros when it holds, the FactorizationError's zeros and message when
-    it fails, counted by _classify_zeros."""
+    it fails, counted by classify_zeros."""
 
     BOUNDARY = ToleranceConfig().boundary
 
     def test_trivial_scalar(self):
         fac = wh_factorize(scalar([1.0]))
-        assert _classify_zeros(fac.zeros, self.BOUNDARY) == (0, 0)
+        assert classify_zeros(fac.zeros, self.BOUNDARY) == (0, 0)
 
     def test_unit_circle_zero(self):
         with pytest.raises(ZerosOnUnitCircle, match="circle") as info:
             wh_factorize(scalar([1.0, -1.0]))
-        assert _classify_zeros(info.value.zeros, self.BOUNDARY) == (0, 1)
+        assert classify_zeros(info.value.zeros, self.BOUNDARY) == (0, 1)
 
     def test_hansen_sargent_point(self):
         # theta = (1, -2, -1): theta3/theta2 = 0.5, so B = 1/z - 2.5 + z
         fac = wh_factorize(scalar([1.0, -2.5, 1.0], -1))
-        stable, on_band = _classify_zeros(fac.zeros, self.BOUNDARY)
+        stable, on_band = classify_zeros(fac.zeros, self.BOUNDARY)
         assert stable == 1 * 1 and on_band == 0      # n * lam
         inside = [z for z in fac.zeros if abs(z) < 1]
         assert inside[0].real == pytest.approx(0.5, abs=1e-10)
@@ -241,7 +240,7 @@ class TestCheckEU:
         # lam = 0, so no zero may lie inside; det(z I) has two at the origin
         with pytest.raises(WrongStableCount, match="inside the unit circle") as info:
             wh_factorize(LaurentMatrix.from_coeffs([np.eye(2)], 1))
-        assert _classify_zeros(info.value.zeros, self.BOUNDARY) == (2, 0)
+        assert classify_zeros(info.value.zeros, self.BOUNDARY) == (2, 0)
         assert np.sum(info.value.zeros == 0) == 2
 
     @pytest.mark.parametrize("seed", range(6))
@@ -267,7 +266,7 @@ class TestCheckEU:
             B = lp_mul(B, LaurentMatrix.from_coeffs([np.eye(n), -sym(v)], 0))
         fac = wh_factorize(B)
         assert fac.residual <= 1e-8 * fac.scale
-        assert _classify_zeros(fac.zeros, self.BOUNDARY) == (n * lam, 0) == (40, 0)
+        assert classify_zeros(fac.zeros, self.BOUNDARY) == (n * lam, 0) == (40, 0)
         expected = np.concatenate([s[:lam].ravel(), 1.0 / s[lam:].ravel()])
         assert match_zero_multisets(fac.zeros, expected, tol=1e-4)
 
@@ -279,7 +278,7 @@ class TestCheckEU:
         padded = LaurentMatrix.from_coeffs(
             [np.zeros((2, 2))] + list(bp.coeffs), -1, trim=False)
         fac = wh_factorize(padded)
-        assert _classify_zeros(fac.zeros, self.BOUNDARY)[0] == 0
+        assert classify_zeros(fac.zeros, self.BOUNDARY)[0] == 0
         bundle = solve_model(Model(padded, LaurentMatrix.identity(2), lam=1, kappa=1))
         assert bundle.factors.b_minus.allclose(LaurentMatrix.identity(2))
         assert bundle.factors.b_plus.allclose(bp)
@@ -308,7 +307,7 @@ class TestStackedScreen:
         if s_E[0, -1] > PENCIL_INFINITE_RTOL:
             stable, on_band, _, decided = _screen_counts(A, E, s_E, tol.boundary)
             if decided[0]:
-                assert (stable[0], on_band[0]) == _classify_zeros(zeros, tol.boundary)
+                assert (stable[0], on_band[0]) == classify_zeros(zeros, tol.boundary)
         # a stack of copies decides each copy as the one sample alone
         want = _outcome(LaurentMatrix(Bc[0], -lam))
         for got in wh_factorize_stack(np.repeat(Bc, STACK, axis=0), lam)[2]:
@@ -351,10 +350,12 @@ class TestStackAgainstScalar:
             shifted = np.zeros_like(samples[0])                   # min lag 1
             shifted[lam + 1:] = random_b_plus(rng, n, kappa - 1).coeffs
             samples.append(shifted)
-        return trim_dust(np.array(samples))[0]
+        return trim_dust(np.array(samples))
 
+    # the last two are benchmark ladder shapes, (4, 2, 2, 2) and (8, 4, 1, 2)
     @pytest.mark.parametrize("n, lam, kappa", [
-        (2, 0, 0), (2, 0, 1), (3, 0, 2), (1, 1, 2), (2, 1, 1), (2, 2, 1), (3, 1, 0)])
+        (2, 0, 0), (2, 0, 1), (3, 0, 2), (1, 1, 2), (2, 1, 1), (2, 2, 1), (3, 1, 0),
+        (4, 2, 2), (8, 1, 2)])
     def test_same_outcome_and_factors(self, rng, n, lam, kappa):
         Bc = self.window_stack(rng, n, lam, kappa)
         b_minus, b_plus, errors = wh_factorize_stack(Bc, lam)[:3]
@@ -381,7 +382,7 @@ def test_failed_reordering_is_a_factorization_error():
     with pytest.raises(FactorizationError, match="reconstruction residual") as info:
         wh_factorize(LaurentMatrix(Bc[0], -1))
     assert type(info.value) is DivisorExtractionSingular
-    assert _classify_zeros(info.value.zeros, ToleranceConfig().boundary) == (2, 0)
+    assert classify_zeros(info.value.zeros, ToleranceConfig().boundary) == (2, 0)
     error = wh_factorize_stack(Bc, 1)[2][0]
     assert type(error) is DivisorExtractionSingular and "reconstruction residual" in str(error)
 
@@ -442,7 +443,7 @@ class TestOrderedQZ:
         monkeypatch.setattr(wienerhopf, "_stable_monic_divisor", divisor)
         with pytest.raises(WrongStableCount) as info:
             wh_factorize(scalar([0.02, -0.3, 1.0], -1))       # zeros 0.1 and 0.2
-        assert _classify_zeros(info.value.zeros, self.TOL.boundary) == (2, 0)
+        assert classify_zeros(info.value.zeros, self.TOL.boundary) == (2, 0)
         with pytest.raises(ZerosOnUnitCircle):
             wh_factorize(scalar([-0.5, 1.5, -2.0, 1.0], -1))   # zeros 1, (1 -/+ i) / 2
 
@@ -532,7 +533,7 @@ class TestHardFamilies:
             B = lp_mul(B, LaurentMatrix.from_coeffs(
                 [np.eye(n), q @ np.outer(np.eye(n)[0], np.eye(n)[-1]) @ q.T], 0))
         fac = wh_factorize(B)
-        assert _classify_zeros(fac.zeros, ToleranceConfig().boundary)[0] == n
+        assert classify_zeros(fac.zeros, ToleranceConfig().boundary)[0] == n
         assert fac.b_minus.allclose(bm, atol=1e-6 * max(bm.max_abs(), 1.0))
         assert fac.residual <= 1e-8 * fac.scale
 
@@ -552,7 +553,7 @@ class TestHardFamilies:
             for t in range(4):
                 c = Bc[0] * (1 + (t > 0) * 1e-14 * rng.standard_normal(Bc[0].shape))
                 A, E = companion_stack(c.swapaxes(1, 2)[None])
-                counts.add(_classify_zeros(oracle_zeros(A[0], E[0]), tol.boundary))
+                counts.add(classify_zeros(oracle_zeros(A[0], E[0]), tol.boundary))
             if len(counts) > 1:
                 continue
             robust += 1
