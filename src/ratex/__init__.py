@@ -2,6 +2,7 @@
 expectations models, with VARMA and static simultaneous-equations systems
 as the lag-degenerate special cases."""
 
+from .exprs import parse_expression
 from .identcore import (
     IdentSystem,
     RankReport,
@@ -23,7 +24,6 @@ from .paramdsl import (
     fd_jacobian,
     generic_ident,
     local_ident,
-    parse_expression,
     parse_model,
 )
 from .polylab import (

@@ -41,6 +41,7 @@ import sys
 
 import numpy as np
 
+from .exprs import EvalError, ModelFileError
 from .identcore import (
     InputError,
     build_ident_system,
@@ -51,10 +52,9 @@ from .identcore import (
     obs_equivalent,
     spectral_equivalent,
 )
-from .modelio import ModelFileError, load_model_file, load_restriction_file
+from .modelio import load_model_file, load_restriction_file
 from .numrank import env_tol_rank, tolerance
 from .paramdsl import (
-    EvalError,
     ParamMap,
     SamplerConfig,
     eval_model,

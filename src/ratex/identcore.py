@@ -46,7 +46,9 @@ class RestrictionDimensionError(InputError):
 
 @dataclass(frozen=True)
 class IdentSystem:
-    """T, H, P built from a transfer series at given dimensions and lag bounds."""
+    """T, H and the kernel basis N built from a transfer series at given
+    dimensions and lag bounds; P is assembled on first read, since the rank
+    tests need only its shape and norm."""
 
     n: int
     m: int
@@ -54,10 +56,19 @@ class IdentSystem:
     lam: int
     T: np.ndarray
     H: np.ndarray
-    P: np.ndarray
     hankel_rank: int
     hankel_singular_values: np.ndarray
     N: np.ndarray                     # null(P') on [B_-lam..B_kappa | A_0..A_kappa]
+
+    @property
+    def p_shape(self) -> tuple:
+        return (self.T.shape[0] + self.T.shape[1], self.T.shape[1] + self.H.shape[1])
+
+    @cached_property
+    def P(self) -> np.ndarray:
+        """P = [[-T, -H], [I, 0]]."""
+        mq = self.T.shape[1]
+        return np.block([[-self.T, -self.H], [np.eye(mq), np.zeros((mq, self.H.shape[1]))]])
 
     @cached_property
     def p_norm(self) -> float:
@@ -110,10 +121,13 @@ class RestrictionSet:
     residual_fn: object = None
     r: int = 0
     jacobian_fn: object = None         # x -> d residual / dx (nonlinear only)
+    pinned: np.ndarray | None = None   # for unit rows of R: the column of each 1
     _blocks: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
-    def affine(cls, R, u) -> "RestrictionSet":
+    def affine(cls, R, u, pinned=None) -> "RestrictionSet":
+        """R vec = u; ``pinned`` gives the columns when R's rows are unit
+        rows (pins), so that its equation blocks follow from them."""
         R = np.atleast_2d(np.asarray(R, dtype=float))
         u = np.atleast_1d(np.asarray(u, dtype=float))
         if R.shape[0] != u.shape[0]:
@@ -121,17 +135,17 @@ class RestrictionSet:
         if not np.any(u):
             _warnings.warn("u = 0 pins only the scale direction, which every "
                            "equivalence class contains; the system test will reject it")
-        return cls(kind="affine", R=R, u=u, r=R.shape[0])
+        return cls(kind="affine", R=R, u=u, r=R.shape[0], pinned=pinned)
 
     @classmethod
-    def for_equation(cls, i: int, R, u) -> "RestrictionSet":
+    def for_equation(cls, i: int, R, u, pinned=None) -> "RestrictionSet":
         R = np.atleast_2d(np.asarray(R, dtype=float))
         u = np.atleast_1d(np.asarray(u, dtype=float))
         if R.shape[0] != u.shape[0]:
             raise RestrictionDimensionError("R and u row counts differ")
         if i < 1:
             raise ValueError("equation index is 1-based")
-        return cls(kind="equation", R=R, u=u, equation=i, r=R.shape[0])
+        return cls(kind="equation", R=R, u=u, equation=i, r=R.shape[0], pinned=pinned)
 
     @classmethod
     def nonlinear(cls, fn, r: int, equation: int | None = None,
@@ -145,7 +159,7 @@ class RestrictionSet:
         """The equation blocks of R in an n-equation system (n = 1 for one
         equation), partitioned once per n, so a scan of many draws pays once."""
         if n not in self._blocks:
-            self._blocks[n] = EquationBlocks(self.R, n)
+            self._blocks[n] = EquationBlocks(self.R, n, self.pinned)
         return self._blocks[n]
 
     def jacobian(self, x) -> np.ndarray:
@@ -214,7 +228,7 @@ def kernel_vec(B: LaurentMatrix, a_plus_mat: LaurentMatrix,
 def build_ident_system(transfer: TransferSeries, n: int, m: int,
                        kappa: int, lam: int,
                        tol_rank: float = DEFAULT_TOL_RANK) -> IdentSystem:
-    """Assemble T (block Toeplitz), H (block Hankel), P = [[-T,-H],[I,0]], N.
+    """Assemble T (block Toeplitz), H (block Hankel) and N; P = [[-T,-H],[I,0]].
 
     H's bottom-left block is C_1 and its top-right block is
     C_{(n+1)kappa+lam}; the Hankel rank is the McMillan degree of the
@@ -226,11 +240,7 @@ def build_ident_system(transfer: TransferSeries, n: int, m: int,
         raise ValueError(f"transfer horizon {transfer.horizon} < required {need}")
     T, H = toeplitz_hankel(transfer.coeffs[None], n, m, kappa, lam)
     ranks, svals, groups = kernel_bases(T, H, m, lam, tol_rank)
-    T, H = T[0], H[0]
-    q = kappa + lam + 1
-    P = np.block([[-T, -H],
-                  [np.eye(m * q), np.zeros((m * q, n * m * kappa))]])
-    return IdentSystem(n=n, m=m, kappa=kappa, lam=lam, T=T, H=H, P=P,
+    return IdentSystem(n=n, m=m, kappa=kappa, lam=lam, T=T[0], H=H[0],
                        hankel_rank=int(ranks[0]),
                        hankel_singular_values=svals[0], N=groups[ranks[0]][1][0])
 
@@ -333,10 +343,14 @@ class EquationBlocks:
     group's largest count r, with coefficient c of its t-th equation at
     [:, k, :, t, c].  R is one matrix (P = 1) or a stack (P, rows, cols),
     such as Jacobians at P points, partitioned by the nonzeros of all P.
+    When R's rows are unit rows (pins), ``pinned`` holds the column of each
+    row's 1: each row then touches the one equation its column says, no
+    component joins two equations, and the partition comes from those
+    equations alone.
     """
 
-    def __init__(self, R: np.ndarray, n: int):
-        self.R, self.n = R, n
+    def __init__(self, R: np.ndarray, n: int, pinned: np.ndarray | None = None):
+        self.R, self.n, self.pinned = R, n, pinned
 
     @cached_property
     def norm(self):
@@ -352,6 +366,8 @@ class EquationBlocks:
         n, (rows, cols) = self.n, self.R.shape[-2:]
         if n == 1:
             return ((None, None),), np.zeros(0, dtype=int)
+        if self.pinned is not None:     # a unit row touches its pin's equation alone
+            return _components(self.pinned % n, list(range(n)), cols)
         touched = np.zeros((rows, n), dtype=bool)
         hits = np.flatnonzero(self.R != 0) % (rows * cols)   # far faster than on the floats
         touched[hits // cols, hits % n] = True
@@ -360,25 +376,8 @@ class EquationBlocks:
         for k in np.flatnonzero(touched.sum(axis=1) > 1).tolist():
             joined = {label[e] for e in np.flatnonzero(touched[k]).tolist()}
             label = [min(joined) if lab in joined else lab for lab in label]
-        comp_rows, comp_eqs = {}, {}
-        for i, e in enumerate(touched.argmax(axis=1).tolist()):   # an all-zero row: equation 0's
-            comp_rows.setdefault(label[e], []).append(i)
-        for e, lab in enumerate(label):
-            comp_eqs.setdefault(lab, []).append(e)
-        by_width = {}
-        for lab in sorted(comp_rows):
-            by_width.setdefault(len(comp_eqs[lab]), []).append(lab)
-        groups = []
-        for _, labels in sorted(by_width.items()):
-            heights = [len(comp_rows[lab]) for lab in labels]
-            r = max(heights)
-            idx = np.array([comp_rows[lab] + [0] * (r - h) for lab, h in zip(labels, heights)])
-            eqs = np.array([comp_eqs[lab] for lab in labels])
-            take = idx[:, :, None, None] * cols + eqs[:, None, :, None] + n * np.arange(cols // n)
-            pad = np.arange(r) >= np.array(heights)[:, None] if min(heights) < r else None
-            groups.append((take, pad))
-        free = [e for e, lab in enumerate(label) if lab not in comp_rows]
-        return tuple(groups), np.array(free, dtype=int)
+        row_label = np.array(label)[touched.argmax(axis=1)]   # a zero row: equation 0's
+        return _components(row_label, label, cols)
 
     @cached_property
     def blocks(self) -> tuple:
@@ -423,6 +422,36 @@ class EquationBlocks:
         return merged[:, :k], shape
 
 
+def _components(row_label: np.ndarray, eq_label: list, cols: int) -> tuple:
+    """:attr:`EquationBlocks.partition` from the component label of each
+    row and of each equation (the first equation of its component): the
+    components with rows, by width and then label, each holding its rows
+    and equations in order and padded with row 0."""
+    n = len(eq_label)
+    heights = np.bincount(row_label, minlength=n).tolist()
+    row_order = np.argsort(row_label, kind="stable")     # rows by component, in order
+    eqs_of, start, first = {}, {}, 0
+    for e, lab in enumerate(eq_label):
+        eqs_of.setdefault(lab, []).append(e)
+    by_width = {}
+    for lab in sorted(eqs_of):
+        if heights[lab]:
+            by_width.setdefault(len(eqs_of[lab]), []).append(lab)
+            start[lab], first = first, first + heights[lab]
+    groups = []
+    for _, labels in sorted(by_width.items()):
+        h = [heights[lab] for lab in labels]
+        real = np.arange(max(h)) < np.array(h)[:, None]
+        idx = np.zeros(real.shape, dtype=int)
+        idx[real] = np.concatenate([row_order[start[lab]:start[lab] + heights[lab]]
+                                    for lab in labels])
+        eqs = np.array([eqs_of[lab] for lab in labels])
+        take = (idx * cols)[:, :, None, None] + eqs[:, None, :, None] + n * np.arange(cols // n)
+        groups.append((take, None if real.all() else ~real))
+    free = [e for e, lab in enumerate(eq_label) if not heights[lab]]
+    return tuple(groups), np.array(free, dtype=int)
+
+
 def rank_gaps(svals: np.ndarray, required: int, tol_rank: float, scale, shape: tuple):
     """Ranks and gap ratios (the margin of sigma[required - 1] over the
     cutoff, 0 without one) of (S, k) singular values, at the cutoff of
@@ -447,7 +476,7 @@ def _kernel_rank_test(sys: IdentSystem, blocks: EquationBlocks,
                       tol_rank: float) -> RankReport:
     """:func:`kernel_rank_stack` for one system."""
     shape, ranks, svals, gaps = kernel_rank_stack(
-        sys.N[None], blocks, np.array([sys.p_norm]), sys.P.shape, tol_rank)
+        sys.N[None], blocks, np.array([sys.p_norm]), sys.p_shape, tol_rank)
     return lane_report(shape, ranks[0], svals[0], shape[1], gaps[0])
 
 

@@ -19,9 +19,17 @@ expressions a coefficient reference such as B[-1][1][2] (block, lag,
 1-based row and column) is one name token of the same grammar.  An
 optional integer "equation" restricts that row of [B | A] alone.
 
-Every malformed file raises :class:`~ratex.paramdsl.ModelFileError`; an
+Every malformed file raises :class:`~ratex.exprs.ModelFileError`; an
 expression syntax error raises its subclass ParseError, with the line and
-column in the file's own text.
+column in the file's own text.  Errors name pins and references in the
+file's terms: 1-based rows and columns, and a lag with its window.
+
+Decoding is one pass per file: pins in one loop over the list, giving the
+column of each pin's unit row, from which the equation blocks of R follow
+(:class:`~ratex.identcore.EquationBlocks`); the expressions of a
+"nonlinear" file in one parse into a flat program (:mod:`ratex.exprs`),
+its distinct references decoded together by one regex scan and array
+arithmetic.
 """
 
 from __future__ import annotations
@@ -33,18 +41,15 @@ import warnings
 
 import numpy as np
 
-from .identcore import RestrictionSet, coeff_vec_index, coeff_vec_length
+from .exprs import ExprParser, ModelFileError
+from .identcore import RestrictionSet, coeff_vec_length
 from .numrank import numerical_rank
 from .paramdsl import (
     HEADER_FIELDS,
-    CompiledExprs,
-    EvalError,
-    ModelFileError,
     decode_lag_blocks,
     json_array,
     json_int,
     json_typed,
-    parse_expression,
     parse_model,
 )
 from .polylab import LaurentMatrix, Model
@@ -100,54 +105,109 @@ def load_model_file(path: str):
 
 # -- restriction files -------------------------------------------------------
 
-_COEFF_REF = re.compile(r"([AB])\[(-?\d+)\]\[(\d+)\]\[(\d+)\]")
+# a coefficient reference among names joined and closed by the separator
+_REFERENCES = re.compile(r"\x00([AB])\[(-?\d+)\]\[(\d+)\]\[(\d+)\](?=\x00)")
 
 
-def _coeff_position(label, block, lag, row, col, n, m, kappa, lam, equation):
-    """coeff_vec_index of a coefficient reference with 1-based row and
-    column; every error names the reference by ``label``."""
+def _coeff_positions(is_b, lag, row, col, n, m, kappa, lam, equation):
+    """coeff_vec_index of each reference (block B where ``is_b``, else A;
+    1-based row and column), and the mask of references outside the
+    coefficient space or, with ``equation``, off its row."""
+    cols, lo = np.where(is_b, n, m), np.where(is_b, -lam, 0)
+    bad = (row < 1) | (row > n) | (col < 1) | (col > cols) | (lag < lo) | (lag > kappa)
+    if equation is not None:
+        bad |= row != equation
+    c = np.where(is_b, (lag + lam) * n, n * (kappa + lam + 1) + lag * m) + col - 1
+    return (c if equation is not None else c * n + row - 1), bad
+
+
+def _reference_error(label, block, lag, row, col, n, m, kappa, lam, equation):
+    """Why a reference (block, lag, 1-based row and column) has no position,
+    in the file's terms and named by ``label``; None when it has one."""
     cols = n if block == "B" else m
     if not (1 <= row <= n and 1 <= col <= cols):
-        raise ModelFileError(f"{label}: row/col outside 1-based bounds")
+        return f"{label}: row/col outside 1-based bounds"
     if equation is not None and row != equation:
-        raise ModelFileError(
-            f"{label}: equation-{equation} restrictions may only reference row {equation}")
-    try:
-        return coeff_vec_index(block, lag, row - 1, col - 1, n, m, kappa, lam,
-                               equation=equation is not None)
-    except (IndexError, ValueError) as exc:
-        raise ModelFileError(f"{label}: {exc}")
-
-
-class _CoeffPositions(dict):
-    """Reference name (B[-1][1][2]) -> coeff_vec_index position, decoded on
-    first use; any other name is unknown."""
-
-    def __init__(self, *dims):
-        super().__init__()
-        self.dims = dims  # n, m, kappa, lam, equation
-
-    def __missing__(self, name):
-        ref = _COEFF_REF.fullmatch(name)
-        if ref is None:
-            raise KeyError(name)
-        self[name] = _coeff_position(name, ref[1], *map(int, ref.groups()[1:]), *self.dims)
-        return self[name]
+        return f"{label}: equation-{equation} restrictions may only reference row {equation}"
+    if block not in ("B", "A"):
+        return f"{label}: block must be 'B' or 'A'"
+    lo = -lam if block == "B" else 0
+    if not lo <= lag <= kappa:
+        return f"{label}: {block} lag {lag} outside {lo}..{kappa}"
+    return None
 
 
 def compile_nonlinear(exprs, n, m, kappa, lam, equation=None) -> RestrictionSet:
     """Expression strings over coefficient references (B[-1][1][1]) ->
-    compiled residual map with its exact Jacobian.  Each reference resolves
-    to its coeff_vec_index position once, when the expressions compile."""
+    compiled residual map with its exact Jacobian.  The expressions parse
+    in one pass, and the distinct references decode to their
+    coeff_vec_index positions together, in one scan."""
     if not all(isinstance(text, str) for text in exprs):
         raise ModelFileError("nonlinear restrictions must be strings")
-    trees = [parse_expression(text) for text in exprs]
-    try:
-        program = CompiledExprs(trees, _CoeffPositions(n, m, kappa, lam, equation))
-    except EvalError as exc:
-        raise ModelFileError(f"nonlinear restriction: {exc}") from exc
-    return RestrictionSet.nonlinear(program.values, len(trees), equation=equation,
+    parser = ExprParser()
+    parser.parse(exprs)
+    names = list(parser.names)
+    fields = _REFERENCES.findall("\x00" + "\x00".join(names) + "\x00")
+    dims = (n, m, kappa, lam, equation)
+    positions, bad = np.zeros(0, dtype=int), np.zeros(0, dtype=bool)
+    if fields:
+        blocks, lags, rows, cols = zip(*fields)
+        lag, row, col = np.array(list(map(int, lags + rows + cols))).reshape(3, -1)
+        is_b = np.frombuffer("".join(blocks).encode(), dtype=np.uint8) == ord("B")
+        positions, bad = _coeff_positions(is_b, lag, row, col, *dims)
+    if len(fields) < len(names) or bad.any():
+        for name in names:
+            ref = _REFERENCES.match(f"\x00{name}\x00")
+            if ref is None:
+                raise ModelFileError(f"nonlinear restriction: unknown identifier '{name}'")
+            message = _reference_error(name, ref[1], *map(int, ref.groups()[1:]), *dims)
+            if message is not None:
+                raise ModelFileError(message)
+    program = parser.compile(positions)
+    return RestrictionSet.nonlinear(program.values, len(parser.roots), equation=equation,
                                     jacobian=program.jacobian)
+
+
+def _decode_pins(pins: list, n, m, kappa, lam, equation):
+    """Positions and values of the pins, in one pass over them.  A pin's
+    fields are checked in order: lag, row and col by :func:`json_int`, the
+    value a finite JSON number, then its position."""
+    positions, values = [], []
+    offset = n * (kappa + lam + 1)          # where A's columns start
+    for k, pin in enumerate(pins, 1):
+        try:
+            block, lag = pin["block"], pin["lag"]
+            if type(lag) is not int:
+                lag = json_int(lag, f"pin #{k}: lag")
+            row = pin["row"]
+            if type(row) is not int:
+                row = json_int(row, f"pin #{k}: row")
+            col = pin["col"]
+            if type(col) is not int:
+                col = json_int(col, f"pin #{k}: col")
+            value = pin["value"]
+        except (KeyError, TypeError) as exc:
+            raise ModelFileError(f"pin #{k}: {exc}") from None
+        if type(value) is not float and type(value) is not int:
+            raise ModelFileError(f"pin #{k}: value must be a number, got {value!r}")
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:           # an integer beyond the floats
+            finite = False
+        if not finite:
+            raise ModelFileError(f"pin #{k}: value must be finite")
+        if block == "B" and -lam <= lag <= kappa and 1 <= col <= n:
+            c = (lag + lam) * n + col - 1
+        elif block == "A" and 0 <= lag <= kappa and 1 <= col <= m:
+            c = offset + lag * m + col - 1
+        else:
+            c = None
+        if c is None or not 1 <= row <= n or equation is not None and row != equation:
+            raise ModelFileError(_reference_error(f"pin #{k}", block, lag, row, col,
+                                                  n, m, kappa, lam, equation))
+        positions.append(c if equation is not None else c * n + row - 1)
+        values.append(value)
+    return np.array(positions, dtype=int), np.array(values, dtype=float)
 
 
 def restrictions_from_dict(spec: dict, n: int, m: int, kappa: int, lam: int) -> RestrictionSet:
@@ -168,24 +228,13 @@ def restrictions_from_dict(spec: dict, n: int, m: int, kappa: int, lam: int) -> 
                                  n, m, kappa, lam, equation)
 
     N = coeff_vec_length(n, m, kappa, lam, equation=equation is not None)
+    pinned = None
     if kind == "pins":
         pins = json_typed(spec["pins"], list, "pins")
-        positions, values = [], []
-        for k, pin in enumerate(pins):
-            try:
-                block, lag, row, col = pin["block"], int(pin["lag"]), int(pin["row"]), int(pin["col"])
-                value = float(pin["value"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ModelFileError(f"pin #{k + 1}: {exc}")
-            if not math.isfinite(value):
-                raise ModelFileError(f"pin #{k + 1}: value must be finite")
-            positions.append(_coeff_position(f"pin #{k + 1}", block, lag, row, col,
-                                              n, m, kappa, lam, equation))
-            values.append(value)
+        pinned, u = _decode_pins(pins, n, m, kappa, lam, equation)
         R = np.zeros((len(pins), N))
-        R[np.arange(len(pins)), positions] = 1.0
-        u = np.array(values, dtype=float)
-        rank = len(set(positions))     # unit rows: one per distinct position
+        R[np.arange(len(pins)), pinned] = 1.0
+        rank = len(set(pinned.tolist()))     # unit rows: one per distinct position
     else:
         R = _finite(np.atleast_2d(json_array(spec["R"], float, "R")), "R")
         u = _finite(np.atleast_1d(json_array(spec.get("u", np.zeros(len(R))), float, "u")), "u")
@@ -195,8 +244,8 @@ def restrictions_from_dict(spec: dict, n: int, m: int, kappa: int, lam: int) -> 
             raise ModelFileError("R and u row counts differ")
         rank = numerical_rank(R)[0]
 
-    out = RestrictionSet.affine(R, u) if equation is None else \
-        RestrictionSet.for_equation(equation, R, u)
+    out = RestrictionSet.affine(R, u, pinned) if equation is None else \
+        RestrictionSet.for_equation(equation, R, u, pinned)
     if rank < len(R):
         warnings.warn(f"restriction rows are linearly dependent (row rank {rank} of {len(R)})")
     return out

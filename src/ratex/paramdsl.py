@@ -1,20 +1,19 @@
 """Deep-parameter model maps theta -> (B(theta), A(theta)) and the sampled
 generic / local identification drivers built on them.
 
-The expression language is deliberately rational: literals, parameter
-names, + - * /, unary minus, and integer powers.  Rational maps are
-analytic on their domain, which is what the generic-identification
-sampling logic needs; a single full-rank sample point certifies generic
-identification, while rank deficiency everywhere can only be evidenced,
-never proven, by sampling.  Report wording keeps that asymmetry explicit.
+The expression language (:mod:`ratex.exprs`) is deliberately rational:
+literals, parameter names, + - * /, unary minus, and integer powers.
+Rational maps are analytic on their domain, which is what the
+generic-identification sampling logic needs; a single full-rank sample
+point certifies generic identification, while rank deficiency everywhere
+can only be evidenced, never proven, by sampling.  Report wording keeps
+that asymmetry explicit.
 
-A list of expression trees is compiled once (:class:`CompiledExprs`): names
-resolve to positions in an argument vector (theta for a ParamMap, the
-coefficient vector for a restriction file), and one forward-mode walk
-returns the values and, on request, the exact sparse Jacobian.  So the
-local identification test ranks an exact Jacobian for compiled
-expressions; central differences (:func:`fd_jacobian`) are used only for
-an opaque residual callable.
+The entries compile into one flat program of :mod:`ratex.exprs`, with
+the exact Jacobian by reverse accumulation, so the local identification
+test ranks an exact Jacobian for compiled expressions; central
+differences (:func:`fd_jacobian`) are used only for an opaque residual
+callable.
 
 Generic identification stacks samples.  The draws go through the pipeline
 in draw-order chunks: the same walk evaluates a whole chunk at once (one
@@ -41,14 +40,13 @@ the per-chunk cost about twice.
 from __future__ import annotations
 
 import json
-import re
 import warnings as _warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
+from .exprs import EvalError, ExprParser, ExprProgram, ModelFileError, ParseError
 from .identcore import (
     EquationBlocks,
     InputError,
@@ -65,7 +63,7 @@ from .identcore import (
     p_norm,
     toeplitz_hankel,
 )
-from .numrank import DEFAULT_TOL_RANK
+from .numrank import DEFAULT_TOL_RANK, stacked_rank
 from .polylab import LaurentMatrix, Model, SingularMatrixError, trim_dust
 from .resolve import (
     CF_BOUNDARY_MARGIN,
@@ -77,313 +75,7 @@ from .resolve import (
 )
 from .wienerhopf import wh_factorize_stack
 
-DIV_FLOOR = 1e-300
 BORDERLINE_GAP = 0.1  # deficient samples within 10x of the rank cutoff
-
-
-class ModelFileError(InputError):
-    """Malformed model or restriction file."""
-
-
-class ParseError(ModelFileError):
-    """Syntax or validation error with source position."""
-
-    def __init__(self, message, line=None, col=None):
-        self.line, self.col = line, col
-        where = f" at line {line}, column {col}" if line is not None else ""
-        super().__init__(f"{message}{where}")
-
-
-class EvalError(ArithmeticError):
-    """Runtime evaluation failure (division blow-up, unknown name)."""
-
-
-# -- expression AST ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Lit:
-    value: float
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: object
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # '+', '-', '*', '/'
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int  # non-negative integer literal only
-
-
-# -- compiled evaluation -----------------------------------------------------
-
-_LIT, _VAR, _NEG, _POW, _ADD, _SUB, _MUL, _DIV = range(8)
-_BINOPS = {"+": _ADD, "-": _SUB, "*": _MUL, "/": _DIV}
-
-
-def _resolve(expr, positions: dict):
-    """Tree -> nested tuples (opcode, ...) with each name replaced by its
-    position in the argument vector."""
-    if isinstance(expr, Lit):
-        return (_LIT, expr.value)
-    if isinstance(expr, Var):
-        try:
-            return (_VAR, positions[expr.name])
-        except KeyError as exc:
-            raise EvalError(f"unknown identifier '{expr.name}'") from exc
-    if isinstance(expr, Neg):
-        return (_NEG, _resolve(expr.operand, positions))
-    if isinstance(expr, Pow):
-        return (_POW, _resolve(expr.base, positions), expr.exponent)
-    if isinstance(expr, BinOp):
-        return (_BINOPS[expr.op], _resolve(expr.left, positions),
-                _resolve(expr.right, positions))
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
-def _scale(c, g):
-    """c*g for a sparse gradient {position: partial}; None stays None."""
-    return None if g is None else {i: c * d for i, d in g.items()}
-
-
-def _lincomb(ca, a, cb, b):
-    """ca*a + cb*b for sparse gradients; None (values only) stays None."""
-    if a is None:
-        return None
-    out = {i: ca * d for i, d in a.items()}
-    for i, d in b.items():
-        out[i] = out[i] + cb * d if i in out else cb * d
-    return out
-
-
-def _forward(node, x, grad: bool, failed=None):
-    """Value of a compiled node at x and, with ``grad``, its exact sparse
-    gradient by forward mode (None without).
-
-    With ``failed`` (a boolean array over samples) x holds one array of
-    values per argument, and a division below DIV_FLOOR marks its samples
-    in ``failed`` instead of raising.
-    """
-    op = node[0]
-    if op == _VAR:
-        return x[node[1]], ({node[1]: 1.0} if grad else None)
-    if op == _LIT:
-        return node[1], ({} if grad else None)
-    if op == _NEG:
-        v, g = _forward(node[1], x, grad, failed)
-        return -v, _scale(-1.0, g)
-    if op == _POW:
-        v, g = _forward(node[1], x, grad, failed)
-        k = node[2]
-        if failed is not None:
-            out = _lane_power(v, k)
-        else:
-            try:
-                out = v ** k
-            except OverflowError as exc:
-                raise EvalError(f"overflow in {v!r}^{k}") from exc
-        if g is not None:
-            g = _scale(k * v ** (k - 1), g) if k else {}
-        return out, g
-    l, gl = _forward(node[1], x, grad, failed)
-    r, gr = _forward(node[2], x, grad, failed)
-    if op == _ADD:
-        return l + r, _lincomb(1.0, gl, 1.0, gr)
-    if op == _SUB:
-        return l - r, _lincomb(1.0, gl, -1.0, gr)
-    if op == _MUL:
-        return l * r, _lincomb(r, gl, l, gr)
-    small = abs(r) < DIV_FLOOR
-    if failed is not None:
-        failed |= small
-    elif small:
-        raise EvalError(f"division by {r!r}")
-    v = l / r
-    return v, _lincomb(1.0 / r, gl, -v / r, gr)
-
-
-def _lane_power(v, k: int):
-    """v**k for a stack of samples by Python's float power on each value,
-    so that every sample gets the bits of a one-point evaluation; an
-    overflowing sample gives inf."""
-    if isinstance(v, np.ndarray):
-        return np.array([_lane_power(t, k) for t in v.tolist()])
-    try:
-        return v ** k
-    except OverflowError:
-        return np.inf
-
-
-class CompiledExprs:
-    """A list of expression trees compiled once against ``positions``
-    (name -> index into the argument vector x).
-
-    ``values(x)`` evaluates every tree, at one point x or at each row of an
-    (S, d) array of points; ``jacobian(x)`` is the exact Jacobian of those
-    values at one point, d values[k] / d x[j], by forward mode.
-    """
-
-    def __init__(self, trees, positions: dict):
-        self.nodes = tuple(_resolve(t, positions) for t in trees)
-
-    def values(self, x) -> np.ndarray:
-        """(K,) values at a point, raising EvalError; or (S, K) values at
-        the rows of an (S, d) array, with the rows whose evaluation failed
-        (a division below DIV_FLOOR) set to NaN."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            xs = x.tolist()
-            return np.array([_forward(node, xs, False)[0] for node in self.nodes])
-        failed = np.zeros(len(x), dtype=bool)
-        out = np.empty((len(x), len(self.nodes)))
-        columns = list(x.T)
-        with np.errstate(all="ignore"):  # failed or overflowing samples only
-            for k, node in enumerate(self.nodes):
-                out[:, k] = _forward(node, columns, False, failed)[0]
-        out[failed] = np.nan
-        return out
-
-    def jacobian(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        J = np.zeros((len(self.nodes), x.size))
-        xs = x.tolist()
-        for k, node in enumerate(self.nodes):
-            for j, d in _forward(node, xs, True)[1].items():
-                J[k, j] = d
-        return J
-
-
-# -- lexer / recursive-descent parser --------------------------------------
-
-# one alternative per token kind; whitespace runs carry the line breaks.  A
-# name may carry integer subscripts, so B[-1][1][2] is one name token.
-_TOKEN = re.compile(r"""
-    (?P<space>\s+)
-  | (?P<num>[\d.]+(?:[eE](?:[+-]|(?=\d))[\d.]*)?)
-  | (?P<ident>[^\W\d]\w*(?:\[-?\d+\])*)
-  | (?P<op>[-+*/^()])
-  | (?P<bad>.)
-""", re.VERBOSE)
-
-
-class _Token(NamedTuple):
-    kind: str   # 'num' | 'ident' | an operator character | 'end'
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str):
-    tokens = []
-    line, line_start = 1, 0
-    for match in _TOKEN.finditer(text):
-        kind, tok = match.lastgroup, match.group()
-        col = match.start() - line_start + 1
-        if kind == "space":
-            breaks = tok.count("\n")
-            if breaks:
-                line += breaks
-                line_start = match.start() + tok.rindex("\n") + 1
-            continue
-        if kind == "bad" or (kind == "ident" and not (tok[0].isalpha() or tok[0] == "_")):
-            raise ParseError(f"unexpected character {tok[0]!r}", line, col)
-        tokens.append(_Token(tok if kind == "op" else kind, tok, line, col))
-    tokens.append(_Token("end", "", line, len(text) - line_start + 1))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def take(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                             tok.line, tok.col)
-        return self.take()
-
-    def parse(self):
-        e = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.col)
-        return e
-
-    def expr(self):
-        node = self.term()
-        while self.peek().kind in "+-":
-            op = self.take().kind
-            node = BinOp(op, node, self.term())
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek().kind in "*/":
-            op = self.take().kind
-            node = BinOp(op, node, self.factor())
-        return node
-
-    def factor(self):
-        node = self.atom()
-        if self.peek().kind == "^":
-            self.take()
-            tok = self.expect("num")
-            if not tok.text.isdigit():
-                raise ParseError("exponent must be a non-negative integer literal",
-                                 tok.line, tok.col)
-            node = Pow(node, int(tok.text))
-        return node
-
-    def atom(self):
-        tok = self.peek()
-        if tok.kind == "num":
-            self.take()
-            try:
-                return Lit(float(tok.text))
-            except ValueError:
-                raise ParseError(f"bad number literal {tok.text!r}", tok.line, tok.col)
-        if tok.kind == "ident":
-            self.take()
-            return Var(tok.text)
-        if tok.kind == "-":
-            self.take()
-            # '^' binds tighter than unary minus: -x^2 means -(x^2)
-            return Neg(self.factor())
-        if tok.kind == "(":
-            self.take()
-            node = self.expr()
-            self.expect(")")
-            return node
-        raise ParseError(f"unexpected {tok.text or 'end of input'!r}", tok.line, tok.col)
-
-
-def parse_expression(text: str):
-    """Parse one expression; raises ParseError with line/column on failure."""
-    return _Parser(text).parse()
 
 
 # -- parametrized models -----------------------------------------------------
@@ -391,7 +83,12 @@ def parse_expression(text: str):
 
 @dataclass(frozen=True)
 class ParamMap:
-    """Parsed map theta -> (B(theta), A(theta)) with a sampling box."""
+    """Parsed map theta -> (B(theta), A(theta)) with a sampling box.
+
+    ``program`` evaluates every entry of the file's B and A blocks, in file
+    order, against theta positions; ``slots`` holds each entry's index in
+    the flattened coefficient stacks [B | A] (:func:`_coeff_stacks`).
+    """
 
     param_names: tuple
     domain: np.ndarray            # (d, 2) finite bounds
@@ -399,27 +96,35 @@ class ParamMap:
     m: int
     lam: int
     kappa: int
-    b_entries: dict               # lag -> (n, n) object array of expressions
-    a_entries: dict               # lag -> (n, m) object array of expressions
+    program: ExprProgram
+    slots: np.ndarray
 
     @property
     def dim(self) -> int:
         return len(self.param_names)
 
+    @property
+    def b_entries(self) -> dict:
+        """lag -> (n, n) object array of expression trees, for the lags in the file."""
+        return self._entries[0]
+
+    @property
+    def a_entries(self) -> dict:
+        """lag -> (n, m) object array of expression trees, for the lags in the file."""
+        return self._entries[1]
+
     @cached_property
-    def _compiled(self):
-        """Every B and A entry compiled once against theta positions, and
-        each entry's index in the flattened coefficient stacks [B | A]."""
-        trees, slots, offset = [], [], 0
-        for entries, rows, cols, lo in ((self.b_entries, self.n, self.n, -self.lam),
-                                        (self.a_entries, self.n, self.m, 0)):
-            for lag, grid in entries.items():
-                start = offset + (lag - lo) * rows * cols
-                trees += list(grid.flat)
-                slots += range(start, start + rows * cols)
-            offset += (self.kappa - lo + 1) * rows * cols
-        positions = {name: k for k, name in enumerate(self.param_names)}
-        return CompiledExprs(trees, positions), np.array(slots, dtype=int), offset
+    def _entries(self) -> tuple:
+        """The B and A entry trees by lag, in file order: a view of the program."""
+        nb = (self.kappa + self.lam + 1) * self.n * self.n
+        maps = ({}, {})
+        for tree, slot in zip(self.program.trees(), self.slots.tolist()):
+            is_a = slot >= nb
+            cols, lo = (self.m, 0) if is_a else (self.n, -self.lam)
+            lag, cell = divmod(slot - nb * is_a, self.n * cols)
+            grid = maps[is_a].setdefault(lo + lag, np.empty((self.n, cols), dtype=object))
+            grid[divmod(cell, cols)] = tree
+        return maps
 
 
 def json_typed(value, kind: type, label: str):
@@ -479,30 +184,36 @@ def decode_lag_blocks(spec: dict, dtype, convert):
     return (n, m, lam, kappa), maps[0], maps[1]
 
 
-def _parse_cells(block: np.ndarray, label: str) -> np.ndarray:
-    """Expression tree of each entry: a number's literal or a parsed string."""
-    grid = np.empty(block.shape, dtype=object)
-    for (i, j), cell in np.ndenumerate(block):
-        where = f"{label}[{i + 1}][{j + 1}]"
-        if isinstance(cell, str):
-            try:
-                grid[i, j] = parse_expression(cell)
-            except ParseError as exc:
-                raise ParseError(f"{where}: {exc}") from exc
-        elif isinstance(cell, (int, float)):
-            grid[i, j] = Lit(float(cell))
-        else:
-            raise ModelFileError(f"{where}: entry must be a number or a string, got {cell!r}")
-    return grid
-
-
 def parse_model(spec) -> ParamMap:
     """Build a ParamMap from JSON text or an already-decoded mapping: the
     parametrized form of :mod:`ratex.modelio`, with the header inside.
-    Every name is resolved here, when the entries are compiled."""
+    The entries of all blocks parse in one pass; every name is resolved
+    once the parameter names are known."""
     if isinstance(spec, (str, bytes)):
         spec = json.loads(spec)
-    (n, m, lam, kappa), b_entries, a_entries = decode_lag_blocks(spec, object, _parse_cells)
+    sources, labels = [], []
+
+    def cells(block: np.ndarray, label: str) -> int:
+        """Each entry of a block, in row-major order, as the next source to
+        parse: a number (its literal) or a string.  Returns the number of
+        the block's first expression."""
+        first = len(sources)
+        for i, row in enumerate(block.tolist(), 1):
+            for j, cell in enumerate(row, 1):
+                if not isinstance(cell, (str, int, float)):
+                    raise ModelFileError(f"{label}[{i}][{j}]: entry must be a number or a "
+                                         f"string, got {cell!r}")
+                sources.append(cell)
+                labels.append(f"{label}[{i}][{j}]")
+        return first
+
+    parser = ExprParser()
+    try:
+        (n, m, lam, kappa), b_exprs, a_exprs = decode_lag_blocks(spec, object, cells)
+    except ModelFileError:
+        parser.parse(sources, labels)   # a syntax error in an earlier entry comes first
+        raise
+    parser.parse(sources, labels)
     names = tuple(json_typed(spec.get("params", []), list, "params"))
     if not all(isinstance(name, str) for name in names):
         raise ParseError("parameter names must be strings")
@@ -515,13 +226,20 @@ def parse_model(spec) -> ParamMap:
     domain = domain.reshape(-1, 2)
     if not np.all(np.isfinite(domain)) or np.any(domain[:, 0] > domain[:, 1]):
         raise ParseError("domain bounds must be finite with lo <= hi")
-    pm = ParamMap(param_names=names, domain=domain, n=n, m=m, lam=lam, kappa=kappa,
-                  b_entries=b_entries, a_entries=a_entries)
-    try:
-        pm._compiled
-    except EvalError as exc:
-        raise ParseError(str(exc)) from exc
-    return pm
+    positions = {name: k for k, name in enumerate(names)}
+    for name in parser.names:
+        if name not in positions:
+            raise ParseError(f"unknown identifier '{name}'")
+    # a block's entries are consecutive expressions and consecutive slots
+    slots, offset = [0] * len(sources), 0
+    for firsts, cols, lo in ((b_exprs, n, -lam), (a_exprs, m, 0)):
+        for lag, first in firsts.items():
+            start = offset + (lag - lo) * n * cols
+            slots[first:first + n * cols] = range(start, start + n * cols)
+        offset += (kappa - lo + 1) * n * cols
+    return ParamMap(param_names=names, domain=domain, n=n, m=m, lam=lam, kappa=kappa,
+                    program=parser.compile([positions[name] for name in parser.names]),
+                    slots=np.array(slots, dtype=int))
 
 
 def eval_model(pm: ParamMap, theta) -> Model:
@@ -532,7 +250,7 @@ def eval_model(pm: ParamMap, theta) -> Model:
         raise InputError(f"theta must have {pm.dim} entries")
     if _outside(pm, theta[None])[0]:
         _warnings.warn(OUTSIDE_WARNING)
-    values = pm._compiled[0].values(theta)
+    values = pm.program.values(theta)
     if not np.all(np.isfinite(values)):
         raise EvalError("non-finite coefficient value")
     B, A = _coeff_stacks(pm, values[None])
@@ -551,10 +269,9 @@ def _outside(pm: ParamMap, thetas: np.ndarray) -> np.ndarray:
 def _coeff_stacks(pm: ParamMap, values: np.ndarray):
     """Entry values (S, K) -> raw coefficient stacks of B (S, lam+kappa+1, n, n)
     at lags -lam..kappa and A (S, kappa+1, n, m) at lags 0..kappa."""
-    _, slots, size = pm._compiled
-    flat = np.zeros((len(values), size))
-    flat[:, slots] = values
     nb = (pm.kappa + pm.lam + 1) * pm.n * pm.n
+    flat = np.zeros((len(values), nb + (pm.kappa + 1) * pm.n * pm.m))
+    flat[:, pm.slots] = values
     return (flat[:, :nb].reshape(len(values), -1, pm.n, pm.n),
             flat[:, nb:].reshape(len(values), -1, pm.n, pm.m))
 
@@ -683,7 +400,7 @@ def _scan_chunk(pm: ParamMap, restrictions: RestrictionSet, thetas: np.ndarray,
         lanes = lanes[~bad]
         return [a[~bad] for a in stacks]
 
-    values = pm._compiled[0].values(thetas)
+    values = pm.program.values(thetas)
     B, A = reject(~np.isfinite(values).all(axis=1), "eval_error", *_coeff_stacks(pm, values))
     B, A = trim_dust(B), trim_dust(A)
 
@@ -694,9 +411,10 @@ def _scan_chunk(pm: ParamMap, restrictions: RestrictionSet, thetas: np.ndarray,
     if not lanes.size:
         return outcomes
     horizon = default_horizon(n, kappa, lam)
-    (ma, transfer, c0_ranks), singular = _lanewise(
+    (ma, transfer), singular = _lanewise(
         lambda bm, bp, a, f: solve_stack(bm, bp, a, horizon, f), b_minus, b_plus, A, inv)
     B, A = reject(singular, "eu_failed: SingularMatrixError", B, A)
+    c0_ranks = stacked_rank(transfer[:, 0])[0]
     B, A, ma, transfer = reject(c0_ranks < m, "c0_rank_deficient", B, A, ma, transfer)
     (z, hit), failed = _lanewise(lambda M: rank_drop_stack(M, tol_rank), ma)
     B, A, transfer, z, hit = reject(failed, "not_invertible", B, A, transfer, z, hit)
@@ -827,7 +545,7 @@ def local_ident(model: Model, restrictions: RestrictionSet,
         blocks = restrictions.blocks(n) if affine else EquationBlocks(np.array(
             [np.atleast_2d(restrictions.jacobian(x)) for x in points], dtype=float), n)
         return kernel_rank_stack(sys.N[None], blocks, np.array([sys.p_norm]),
-                                 sys.P.shape, tol_rank)
+                                 sys.p_shape, tol_rank)
 
     shape, ranks, svals, gaps = jacobian_ranks(x0[None])
     report = lane_report(shape, ranks[0], svals[0], shape[1], gaps[0])

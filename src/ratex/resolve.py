@@ -10,6 +10,7 @@ they produce the same transfer coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -65,16 +66,38 @@ class TransferSeries:
 
 @dataclass(frozen=True)
 class SolutionBundle:
-    """Everything the solution determines at a parameter point."""
+    """Everything the solution determines at a parameter point.
+
+    The extended shock loading ``a_plus``, ``c0_rank`` and ``c0_canonical``
+    are computed on first read, since the identification tests read only
+    the transfer series; ``given`` holds the ones a bundle is built with.
+    """
 
     model: Model
     factors: WHFactors
     ma_part: LaurentMatrix    # [B_minus^-1 A]_+, lags 0..kappa
-    a_plus: LaurentMatrix     # B_minus [B_minus^-1 A]_+, lags -lam..kappa
     transfer: TransferSeries
-    c0_canonical: bool
-    c0_rank: int
     warnings: tuple = field(default_factory=tuple)
+    given: dict = field(default_factory=dict, compare=False, repr=False)
+
+    @cached_property
+    def a_plus(self) -> LaurentMatrix:
+        """B_minus [B_minus^-1 A]_+, lags -lam..kappa."""
+        if "a_plus" in self.given:
+            return self.given["a_plus"]
+        return a_plus(self.factors.b_minus, self.ma_part)
+
+    @cached_property
+    def c0_rank(self) -> int:
+        if "c0_rank" in self.given:
+            return self.given["c0_rank"]
+        return int(stacked_rank(self.transfer.coeffs[None, 0])[0][0])
+
+    @cached_property
+    def c0_canonical(self) -> bool:
+        if "c0_canonical" in self.given:
+            return self.given["c0_canonical"]
+        return is_canonical_staircase(self.transfer.coefficient(0))
 
 
 def a_plus(b_minus: LaurentMatrix, ma_part: LaurentMatrix) -> LaurentMatrix:
@@ -95,14 +118,11 @@ def solve_stack(b_minus: np.ndarray, b_plus: np.ndarray, A: np.ndarray, horizon:
     A (S, L, n, m) hold lags 0..L-1; inv_series, when given, the leading
     coefficients of B_minus^-1 that the factorization already computed
     (:func:`~ratex.wienerhopf.bminus_inv_plus`).  Returns M = [B_minus^-1
-    A]_+ (dust trimmed, (S, L, n, m)), C_0..C_horizon ((S, horizon+1, n,
-    m)) and the ranks of C_0.  Raises SingularMatrixError when some
-    B_plus(0) is singular.
+    A]_+ (dust trimmed, (S, L, n, m)) and C_0..C_horizon ((S, horizon+1,
+    n, m)).  Raises SingularMatrixError when some B_plus(0) is singular.
     """
     ma = trim_dust(bminus_inv_plus(b_minus, A, inv_series))
-    transfer = series_divide(b_plus, ma, horizon)
-    ranks, _, _ = stacked_rank(transfer[:, 0])
-    return ma, transfer, ranks
+    return ma, series_divide(b_plus, ma, horizon)
 
 
 def solve_model(model: Model, tol: ToleranceConfig | None = None,
@@ -128,16 +148,12 @@ def _assemble(model: Model, fac, horizon: int | None) -> SolutionBundle:
     if horizon is None:
         horizon = default_horizon(model.n, model.kappa, model.lam)
     L = max(model.A.max_lag, fac.b_plus.max_lag, 0) + 1
-    ma, transfer, ranks = solve_stack(
+    ma, transfer = solve_stack(
         fac.b_minus.coeffs[None], fac.b_plus.window(0, L - 1)[None],
         model.A.window(0, L - 1)[None], horizon,
         None if fac.inv_series is None else fac.inv_series[None])
-    ma = LaurentMatrix.from_trimmed(ma[0])
-    transfer = TransferSeries(transfer[0])
-    c0 = transfer.coefficient(0)
-    return SolutionBundle(
-        model=model, factors=fac, ma_part=ma, a_plus=a_plus(fac.b_minus, ma),
-        transfer=transfer, c0_canonical=is_canonical_staircase(c0), c0_rank=int(ranks[0]))
+    return SolutionBundle(model=model, factors=fac, ma_part=LaurentMatrix.from_trimmed(ma[0]),
+                          transfer=TransferSeries(transfer[0]))
 
 
 # -- canonical quasi-lower triangular form --------------------------------
@@ -269,11 +285,16 @@ def cf_check_and_normalize(bundle: SolutionBundle, tol_rank: float = DEFAULT_TOL
     v = canonical_rotation(c0, tol_rank)
     model = bundle.model
     if np.array_equal(v, np.eye(m)):
-        return np.eye(m), replace(bundle, c0_canonical=True, warnings=warnings) if warnings else bundle
+        if not warnings:
+            return np.eye(m), bundle
+        return np.eye(m), replace(bundle, warnings=warnings, given={
+            **bundle.given, "c0_rank": bundle.c0_rank, "c0_canonical": True})
     return v, replace(
         bundle, model=Model(model.B, model.A.right_multiplied(v), lam=model.lam, kappa=model.kappa),
-        ma_part=bundle.ma_part.right_multiplied(v), a_plus=bundle.a_plus.right_multiplied(v),
-        transfer=TransferSeries(bundle.transfer.coeffs @ v), c0_canonical=True, warnings=warnings)
+        ma_part=bundle.ma_part.right_multiplied(v),
+        transfer=TransferSeries(bundle.transfer.coeffs @ v), warnings=warnings,
+        given={"a_plus": bundle.a_plus.right_multiplied(v), "c0_rank": bundle.c0_rank,
+               "c0_canonical": True})
 
 
 # -- spectral density and simulation --------------------------------------

@@ -10,7 +10,7 @@ the same tree.
 
 import numpy as np
 
-from ratex.paramdsl import BinOp, CompiledExprs, Lit, Neg, Pow, Var
+from ratex.exprs import BinOp, Lit, Neg, Pow, Var, compile_exprs
 from ratex.polylab import LaurentMatrix, ShapeMismatchError, lp_series_divide
 from ratex.resolve import TransferSeries
 
@@ -67,7 +67,7 @@ def classify_zeros(zeros: np.ndarray, boundary: float):
 
 def eval_expr(expr, env: dict) -> float:
     """One tree's value with names bound by ``env`` (values-only entry)."""
-    return float(CompiledExprs([expr], {name: k for k, name in enumerate(env)})
+    return float(compile_exprs([pretty(expr)], {name: k for k, name in enumerate(env)})
                  .values(list(env.values()))[0])
 
 

@@ -16,7 +16,8 @@ from ratex.modelio import (
     model_from_dict,
     restrictions_from_dict,
 )
-from ratex.paramdsl import ParamMap, ParseError, parse_expression
+from ratex.exprs import ParseError, parse_expression
+from ratex.paramdsl import ParamMap
 from ratex.polylab import Model
 
 
@@ -175,7 +176,7 @@ class TestRestrictionFiles:
         ("B", 0, 3, 1, None, "row/col outside 1-based bounds"),
         ("A", 0, 1, 2, None, "row/col outside 1-based bounds"),
         ("B", 0, 1, 1, 2, "equation-2 restrictions may only reference row 2"),
-        ("B", 2, 1, 1, None, "outside the coefficient space"),
+        ("B", 2, 1, 1, None, "outside 0..1"),
     ])
     def test_pin_and_reference_errors_name_their_source(self, block, lag, row, col,
                                                         equation, message):
@@ -692,6 +693,12 @@ def pins(*entries):
                      for b, lag, v in entries]}
 
 
+def one_pin(**fields):
+    """A file of one B pin with ``fields`` replaced; a None field is left out."""
+    pin = {"block": "B", "lag": 0, "row": 1, "col": 1, "value": 1.0, **fields}
+    return {"pins": [{key: v for key, v in pin.items() if v is not None}]}
+
+
 class TestReportSchema:
     """One golden json-report payload per command: its key set (nested
     blocks included), verdict and exit code."""
@@ -923,7 +930,9 @@ class TestMalformedInput:
         "non-integer equation": ({"equation": "x", **pins(("B", 0, 1.0))},
                                  "equation must be an integer"),
         "reference out of range": ({"nonlinear": ["B[3][1][1] - 1"]},
-                                   "B[3][1][1]: B[3][0][0] outside the coefficient space"),
+                                   "B[3][1][1]: B lag 3 outside 0..1"),
+        "pin lag out of range": (pins(("B", 0, 1.0), ("A", 2, 1.0)),
+                                 "pin #2: A lag 2 outside 0..1"),
         "reference twice": ({"nonlinear": ["B[0][1][1] B[0][1][1]"]},
                             "unexpected 'B[0][1][1]' at line 1, column 12"),
         "undeclared name": ({"nonlinear": ["B[0][1][1] - _B_0_1_1"]},
@@ -933,6 +942,14 @@ class TestMalformedInput:
         "NaN pin value": (pins(("B", 0, float("nan"))), "pin #1: value must be finite"),
         "infinite pin value": (pins(("B", 0, 1.0), ("B", 1, float("-inf"))),
                                "pin #2: value must be finite"),
+        "fractional pin lag": (pins(("B", 1.5, 1.0)), "pin #1: lag must be an integer, got 1.5"),
+        "fractional pin row": (one_pin(row=1.9), "pin #1: row must be an integer, got 1.9"),
+        "string pin row": (one_pin(row="1"), "pin #1: row must be an integer, got '1'"),
+        "boolean pin col": (one_pin(col=True), "pin #1: col must be an integer, got True"),
+        "boolean pin value": (pins(("B", 0, 1.0), ("B", 1, True)),
+                              "pin #2: value must be a number, got True"),
+        "string pin value": (pins(("B", 0, "1")), "pin #1: value must be a number, got '1'"),
+        "pin without a value": (one_pin(value=None), "pin #1: 'value'"),
     }
 
     def assert_file_error(self, capsys, argv, fragment):

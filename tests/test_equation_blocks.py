@@ -9,6 +9,8 @@ shape and number of singular values, and singular values within 1e-12 of
 the largest.
 """
 
+import warnings
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +24,7 @@ from ratex.identcore import (
     kernel_rank_stack,
     rank_gaps,
 )
-from ratex.modelio import compile_nonlinear
+from ratex.modelio import compile_nonlinear, restrictions_from_dict
 from ratex.numrank import DEFAULT_TOL_RANK
 
 
@@ -195,3 +197,45 @@ def test_restriction_set_partitions_once():
     res = RestrictionSet.affine(R, np.ones(4))
     assert res.blocks(2) is res.blocks(2)
     assert res.blocks(2) is not res.blocks(1)
+
+
+def assert_same_partition(got, want):
+    (got_groups, got_free), (want_groups, want_free) = got, want
+    assert np.array_equal(got_free, want_free)
+    assert len(got_groups) == len(want_groups)
+    for (take, pad), (want_take, want_pad) in zip(got_groups, want_groups):
+        assert np.array_equal(take, want_take)
+        assert (pad is None) == (want_pad is None)
+        if pad is not None:
+            assert np.array_equal(pad, want_pad)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(n=st.integers(1, 5), lam=st.integers(0, 1), kappa=st.integers(0, 2),
+       equation=st.one_of(st.none(), st.integers(1, 5)),
+       spread=st.sampled_from(["any", "A only", "one equation"]),
+       rows=st.integers(0, 30), seed=st.integers(0, 2 ** 32 - 1))
+def test_pin_blocks_match_nonzero_blocks(n, lam, kappa, equation, spread, rows, seed):
+    """The blocks of a pin file, built from the pin positions, are the
+    blocks EquationBlocks builds from R's nonzeros: in system and equation
+    mode, with duplicate pins, pins on A alone and pins on one equation."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 3))
+    equation = None if equation is None else min(equation, n)
+    eq_row = int(rng.integers(1, n + 1)) if spread == "one equation" else None
+    pins = []
+    for _ in range(rows):
+        block = "A" if spread == "A only" or rng.random() < 0.3 else "B"
+        lag = int(rng.integers(0 if block == "A" else -lam, kappa + 1))
+        row = equation or eq_row or int(rng.integers(1, n + 1))
+        col = int(rng.integers(1, (m if block == "A" else n) + 1))
+        pins.append({"block": block, "lag": lag, "row": row, "col": col, "value": 1.0})
+    if pins and rng.random() < 0.5:                       # a duplicate pin
+        pins.append(dict(pins[int(rng.integers(len(pins)))]))
+    spec = {"pins": pins} if equation is None else {"equation": equation, "pins": pins}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")                   # u = 0, dependent rows
+        res = restrictions_from_dict(spec, n, m, kappa, lam)
+    assert res.pinned is not None
+    width = n if equation is None else 1      # the tests rank an equation's R alone
+    assert_same_partition(res.blocks(width).partition, EquationBlocks(res.R, width).partition)

@@ -14,25 +14,27 @@ from ratex.identcore import (
     coeff_vec_length,
     ident_test_affine,
 )
-from ratex.paramdsl import (
+from ratex.exprs import (
     DIV_FLOOR,
     BinOp,
-    CompiledExprs,
     EvalError,
-    GenericReport,
     Lit,
-    LocalReport,
     Neg,
     ParseError,
     Pow,
-    SamplerConfig,
     Var,
+    compile_exprs,
+    parse_expression,
+)
+from ratex.paramdsl import (
+    GenericReport,
+    LocalReport,
+    SamplerConfig,
     affine_as_nonlinear,
     eval_model,
     fd_jacobian,
     generic_ident,
     local_ident,
-    parse_expression,
     parse_model,
 )
 from ratex.polylab import LaurentMatrix, Model
@@ -441,7 +443,9 @@ class TestCompiledExprs:
         except (ZeroDivisionError, OverflowError):
             want = None
         assume(want is not None and all(d >= 1e-3 for d in divisors))
-        program = CompiledExprs(exprs, {name: k for k, name in enumerate(NAMES)})
+        program = compile_exprs([pretty(e) for e in exprs],
+                                {name: k for k, name in enumerate(NAMES)})
+        assert program.trees() == exprs
         got = program.values(np.array(x))
         # the same arithmetic in the same order: bitwise equal values
         assert got.tolist() == want
@@ -451,9 +455,52 @@ class TestCompiledExprs:
         scale = 1.0 + np.abs(J)
         assert np.all(np.abs(J - F) <= 1e-6 * scale)
 
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(exprs=st.lists(trees, min_size=1, max_size=6),
+           x=st.lists(st.floats(0.5, 2.0) | st.floats(-2.0, -0.5), min_size=3, max_size=3),
+           plant=st.tuples(st.integers(0, 5), st.integers(0, 200),
+                           st.sampled_from(["$", ")", "((", "^x", "\n  * ", "1e+", " 2 "])))
+    def test_one_file_matches_each_expression_alone(self, exprs, x, plant):
+        """K expressions compiled as one file: the values of each compiled
+        alone and of the tree walk, bitwise; the Jacobian of each alone; and
+        a syntax error planted in expression k at its position alone."""
+        names = {name: k for k, name in enumerate(NAMES)}
+        texts = [pretty(e) for e in exprs]
+        env = dict(zip(NAMES, x))
+        divisors = []
+        try:
+            want = [walk(e, env, divisors) for e in exprs]
+        except (ZeroDivisionError, OverflowError):
+            want = None
+        if want is not None and all(d >= 1e-3 for d in divisors):
+            program = compile_exprs(texts, names)
+            alone = [compile_exprs([t], names) for t in texts]
+            got = program.values(np.array(x))
+            assert got.tolist() == want
+            assert got.tolist() == [p.values(np.array(x))[0] for p in alone]
+            stack = program.values(np.array([x, x]))
+            assert stack.tolist() == [want, want]
+            J = program.jacobian(np.array(x))
+            for row, p in zip(J, alone):
+                assert np.array_equal(row, p.jacobian(np.array(x))[0])
+
+        k, at, junk = plant
+        k %= len(texts)
+        at %= len(texts[k]) + 1
+        planted = texts[:k] + [texts[k][:at] + junk + texts[k][at:]] + texts[k + 1:]
+        try:
+            parse_expression(planted[k])
+        except ParseError as exc:
+            alone_error = exc
+        else:
+            assume(False)
+        with pytest.raises(ParseError) as err:
+            compile_exprs(planted + ["$ also bad"], names)
+        assert str(err.value) == str(alone_error)
+        assert (err.value.line, err.value.col) == (alone_error.line, alone_error.col)
+
     def test_division_below_floor_raises_on_both_paths(self):
-        program = CompiledExprs([parse_expression("1 + a / (b * 1e-301)")],
-                                {"a": 0, "b": 1})
+        program = compile_exprs(["1 + a / (b * 1e-301)"], {"a": 0, "b": 1})
         assert 1e-301 < DIV_FLOOR
         for evaluate in (program.values, program.jacobian):
             with pytest.raises(EvalError, match="division"):
@@ -462,8 +509,7 @@ class TestCompiledExprs:
             eval_expr(parse_expression("a / (a - a)"), {"a": 3.0})
 
     def test_sparse_exact_jacobian(self):
-        program = CompiledExprs([parse_expression("a^3 - 2*c"), parse_expression("-(b/a)")],
-                                {"a": 0, "b": 2, "c": 4})
+        program = compile_exprs(["a^3 - 2*c", "-(b/a)"], {"a": 0, "b": 2, "c": 4})
         x = np.array([2.0, 9.0, 3.0, 9.0, 5.0])
         assert program.values(x).tolist() == [-2.0, -1.5]
         J = program.jacobian(x)
@@ -474,7 +520,7 @@ class TestCompiledExprs:
 
     def test_unknown_name_rejected(self):
         with pytest.raises(EvalError, match="unknown identifier 'z'"):
-            CompiledExprs([parse_expression("a + z")], {"a": 0})
+            compile_exprs(["a + z"], {"a": 0})
         with pytest.raises(EvalError, match="unknown identifier 'z'"):
             eval_expr(parse_expression("z"), {"a": 1.0})
 
