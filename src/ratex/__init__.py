@@ -42,7 +42,7 @@ from .resolve import (
     spectral_density,
     unit_circle_grid,
 )
-from .wienerhopf import ToleranceConfig, WHFactors, wh_factorize
+from .wienerhopf import WHFactors, wh_factorize
 
 __version__ = "0.1.0"
 
@@ -55,6 +55,5 @@ __all__ = [
     "parse_model", "LaurentMatrix", "Model", "lp_det_and_zeros", "lp_mul",
     "lp_series_divide", "SolutionBundle",
     "TransferSeries", "cf_check_and_normalize", "simulate", "solve_model",
-    "spectral_density", "unit_circle_grid", "ToleranceConfig", "WHFactors",
-    "wh_factorize",
+    "spectral_density", "unit_circle_grid", "WHFactors", "wh_factorize",
 ]

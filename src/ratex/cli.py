@@ -30,6 +30,26 @@ Caveat: the ``local`` payload's ``verdict`` is the rank test's verdict
 (``identified`` / ``not_identified``); the local verdict itself follows
 from ``exit_code`` (0 locally identified, 3 not locally identified, 4
 inconclusive regularity), and that is what its text ``verdict:`` line shows.
+
+Settings.  An option that a library routine also takes reads its default
+from the library.  Each with its default, constant and the decision it makes:
+
+- ``factorize --tol-boundary``: 1e-9, ``wienerhopf.BOUNDARY_TOL``, the band
+  around |z| = 1 whose zeros of det(z^lam B) fail existence/uniqueness.
+- ``equiv --tol`` and ``--grid``: 1e-8 and 64, ``identcore.EQUIV_RTOL`` and
+  ``EQUIV_GRID``, the relative residual under which an oracle finds the
+  models equivalent and the unit-circle points of the spectral oracle.
+- ``ident``, ``generic`` and ``local --tol-rank``: 1e-10,
+  ``numrank.DEFAULT_TOL_RANK`` (``RATEX_TOL_RANK`` overrides it), the rank
+  cutoff of the Hankel rank and the identification rank tests, nothing else.
+- ``generic --samples``, ``--seed`` and ``--min-valid``: 64, 0 and 16, the
+  ``paramdsl.SamplerConfig`` fields ``num_samples``, ``seed`` and
+  ``min_valid``: the draws, their seed, and the valid draws that evidence
+  of non-identification needs.
+
+The canonical-form checks (rank C_0, rank drops of the moving-average
+part) take no option: ``solve`` and ``generic`` alike decide them at
+``DEFAULT_TOL_RANK``.
 """
 
 from __future__ import annotations
@@ -43,6 +63,8 @@ import numpy as np
 
 from .exprs import EvalError, ModelFileError
 from .identcore import (
+    EQUIV_GRID,
+    EQUIV_RTOL,
     InputError,
     build_ident_system,
     ds_criterion,
@@ -72,7 +94,7 @@ from .resolve import (
     spectral_density,
     unit_circle_grid,
 )
-from .wienerhopf import FactorizationError, ToleranceConfig, wh_factorize
+from .wienerhopf import BOUNDARY_TOL, FactorizationError, wh_factorize
 
 EXIT_OK = 0
 EXIT_FILE = 1
@@ -125,7 +147,7 @@ def _load_numeric_model(args):
 
 def cmd_factorize(args) -> dict:
     model = _load_numeric_model(args)
-    fac = wh_factorize(model.B, ToleranceConfig(boundary=args.tol_boundary))
+    fac = wh_factorize(model.B, args.tol_boundary)
     return {
         "verdict": "factorized", "exit_code": EXIT_OK,
         "b_minus": _laurent_payload(fac.b_minus),
@@ -268,9 +290,9 @@ def cmd_simulate(args) -> dict:
 # -- renderers: each reads only the payload ----------------------------------
 
 
-def _print_matrix(mat, indent="  "):
+def _print_matrix(mat):
     for row in np.atleast_2d(mat):
-        print(indent + "[ " + "  ".join(_fmt(v) for v in row) + " ]")
+        print("  [ " + "  ".join(_fmt(v) for v in row) + " ]")
 
 
 def _print_laurent(name: str, coeffs: dict):
@@ -420,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("factorize", help="Wiener-Hopf factorization of B")
     _add_common(p)
-    p.add_argument("--tol-boundary", type=tolerance, default=1e-9)
+    p.add_argument("--tol-boundary", type=tolerance, default=BOUNDARY_TOL)
     p.set_defaults(fn=cmd_factorize, render=_text_factorize)
 
     p = sub.add_parser("solve", help="solution operators and transfer coefficients")
@@ -432,8 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model_a")
     p.add_argument("model_b")
     p.add_argument("--oracle", choices=["spectral", "kernel", "both"], default="both")
-    p.add_argument("--grid", type=_int_from(1), default=64)
-    p.add_argument("--tol", type=tolerance, default=1e-8)
+    p.add_argument("--grid", type=_int_from(1), default=EQUIV_GRID)
+    p.add_argument("--tol", type=tolerance, default=EQUIV_RTOL)
     p.add_argument("--format", choices=["text", "json-report"], default="text")
     p.set_defaults(fn=cmd_equiv, render=_text_equiv)
 
@@ -446,9 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generic", help="sampled generic identification of a "
                                        "parametrized model")
     _add_common(p, restrictions=True, theta=False)
-    p.add_argument("--samples", type=_int_from(0), default=64)
-    p.add_argument("--seed", type=_int_from(0), default=0)
-    p.add_argument("--min-valid", type=_int_from(1), default=16)
+    p.add_argument("--samples", type=_int_from(0), default=SamplerConfig.num_samples)
+    p.add_argument("--seed", type=_int_from(0), default=SamplerConfig.seed)
+    p.add_argument("--min-valid", type=_int_from(1), default=SamplerConfig.min_valid)
     p.add_argument("--probe", type=float_list, action="append", default=None,
                    help="comma-separated theta evaluated before sampling (repeatable)")
     p.set_defaults(fn=cmd_generic, render=_text_generic)

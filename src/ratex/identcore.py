@@ -39,6 +39,10 @@ from .resolve import (SolutionBundle, TransferSeries, solve_model, spectral_dist
 # tolerance for "the restrictions hold at the supplied point"
 MEMBERSHIP_RTOL = 1e-8
 
+# relative residual of observational equivalence, and the spectral oracle's grid
+EQUIV_RTOL = 1e-8
+EQUIV_GRID = 64
+
 
 class RestrictionDimensionError(InputError):
     """Restriction matrix columns do not match the coefficient space."""
@@ -295,7 +299,7 @@ def equivalence_class_dim(sys: IdentSystem) -> int:
 
 
 def obs_equivalent(bundle_a: SolutionBundle, bundle_b: SolutionBundle,
-                   tol: float = 1e-8):
+                   tol: float = EQUIV_RTOL):
     """Kernel-membership test for observational equivalence.
 
     Returns ``(equivalent, residual, scale)``.  The kernel criterion lives
@@ -319,7 +323,7 @@ def obs_equivalent(bundle_a: SolutionBundle, bundle_b: SolutionBundle,
 
 
 def spectral_equivalent(bundle_a: SolutionBundle, bundle_b: SolutionBundle,
-                        grid_size: int = 64, tol: float = 1e-8):
+                        grid_size: int = EQUIV_GRID, tol: float = EQUIV_RTOL):
     """Spectral-density oracle for observational equivalence."""
     if bundle_a.model.n != bundle_b.model.n:
         raise RestrictionDimensionError("models must share the dimension n")

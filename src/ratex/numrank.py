@@ -6,6 +6,8 @@ import os
 
 import numpy as np
 
+# relative rank cutoff of numerical_rank (the canonical-form checks), and the
+# default of the tolerance that the Hankel and identification rank tests take
 DEFAULT_TOL_RANK = 1e-10
 
 
@@ -34,30 +36,20 @@ def env_tol_rank() -> float:
             f"RATEX_TOL_RANK must be a finite number >= 0, got {raw!r}") from None
 
 
-def numerical_rank(mat: np.ndarray, tol_rank: float = DEFAULT_TOL_RANK,
-                   scale: float | None = None, shape: tuple | None = None):
-    """Rank = number of singular values above tol_rank * scale * max(shape).
-
-    ``scale`` and ``shape`` default to sigma_max and the matrix's own shape;
-    a matrix that decides the rank of a larger one passes that one's.
-
-    Returns ``(rank, singular_values, cutoff)``.
-    """
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    ranks, svals, cutoffs = stacked_rank(mat[None], tol_rank,
-                                        None if scale is None else [scale], shape)
+def numerical_rank(mat: np.ndarray):
+    """Rank = number of singular values above DEFAULT_TOL_RANK * sigma_max *
+    max(shape).  Returns ``(rank, singular_values, cutoff)``."""
+    ranks, svals, cutoffs = stacked_rank(np.atleast_2d(np.asarray(mat, dtype=float))[None])
     return int(ranks[0]), svals[0], float(cutoffs[0])
 
 
-def stacked_rank(mats: np.ndarray, tol_rank: float = DEFAULT_TOL_RANK,
-                 scale=None, shape: tuple | None = None):
+def stacked_rank(mats: np.ndarray):
     """:func:`numerical_rank` of each matrix of an (S, rows, cols) stack, from
-    one stacked SVD; ``scale`` is a number or one per matrix.
-
-    Returns ``(ranks, singular_values, cutoffs)`` with a leading axis S.
+    one stacked SVD.  Returns ``(ranks, singular_values, cutoffs)`` with a
+    leading axis S.
     """
     svals = np.linalg.svd(mats, compute_uv=False)
-    ranks, cutoffs = count_above(svals, tol_rank, scale, shape or mats.shape[1:])
+    ranks, cutoffs = count_above(svals, DEFAULT_TOL_RANK, None, mats.shape[1:])
     return ranks, svals, cutoffs
 
 

@@ -48,6 +48,7 @@ import numpy as np
 
 from .exprs import EvalError, ExprParser, ExprProgram, ModelFileError, ParseError
 from .identcore import (
+    MEMBERSHIP_RTOL,
     EquationBlocks,
     InputError,
     RankReport,
@@ -165,7 +166,7 @@ def decode_lag_blocks(spec: dict, dtype, convert):
         raise ModelFileError("n and m must be at least 1, lambda and kappa at least 0")
     maps = []
     for key, cols, lo in (("B", n, -lam), ("A", m, 0)):
-        blocks = {}
+        blocks, keys = {}, {}
         for lag_key, raw in json_typed(spec.get(key, {}), dict, key).items():
             try:
                 lag = int(lag_key)
@@ -173,6 +174,9 @@ def decode_lag_blocks(spec: dict, dtype, convert):
                 raise ModelFileError(f"{key} lag key {lag_key!r} is not an integer") from None
             if not lo <= lag <= kappa:
                 raise ModelFileError(f"{key} lag {lag} outside {lo}..{kappa}")
+            if keys.setdefault(lag, lag_key) != lag_key:
+                raise ModelFileError(f"{key} lag {lag} given twice "
+                                     f"(keys {keys[lag]!r} and {lag_key!r})")
             label = f"{key}[{lag}]"
             if (n, cols) == (1, 1) and isinstance(raw, (int, float, str)):
                 raw = [[raw]]  # the scalar shorthand of a 1 x 1 block
@@ -416,8 +420,8 @@ def _scan_chunk(pm: ParamMap, restrictions: RestrictionSet, thetas: np.ndarray,
     B, A = reject(singular, "eu_failed: SingularMatrixError", B, A)
     c0_ranks = stacked_rank(transfer[:, 0])[0]
     B, A, ma, transfer = reject(c0_ranks < m, "c0_rank_deficient", B, A, ma, transfer)
-    (z, hit), failed = _lanewise(lambda M: rank_drop_stack(M, tol_rank), ma)
-    B, A, transfer, z, hit = reject(failed, "not_invertible", B, A, transfer, z, hit)
+    (z, hit), failed = _lanewise(rank_drop_stack, ma)
+    B, A, transfer = reject(failed, "not_invertible", B, A, transfer)   # z, hit hold the rest
     inside = (hit & (np.abs(z) < 1.0 - CF_BOUNDARY_MARGIN)).any(axis=1)
     B, A, transfer = reject(inside, "not_invertible", B, A, transfer)
     B, A, transfer = reject(~canonical_staircase_mask(transfer[:, 0]), "c0_not_canonical",
@@ -534,7 +538,7 @@ def local_ident(model: Model, restrictions: RestrictionSet,
     resid = (restrictions.R @ x0 - restrictions.u if affine
              else restrictions.residual_fn(x0))
     resid = np.max(np.abs(np.atleast_1d(np.asarray(resid, dtype=float))))
-    if resid > 1e-8 * (1.0 + np.max(np.abs(x0))):
+    if resid > MEMBERSHIP_RTOL * (1.0 + np.max(np.abs(x0))):
         raise InputError(f"restrictions do not hold at the point (residual {resid:.3e})")
 
     n = 1 if equation is not None else model.n

@@ -21,20 +21,22 @@ from .polylab import (
     SingularMatrixError,
     companion_stack,
     lp_mul,
-    lp_series_divide,
     series_divide,
     trim_dust,
 )
-from .wienerhopf import ToleranceConfig, WHFactors, bminus_inv_plus, wh_factorize_all
+from .wienerhopf import WHFactors, bminus_inv_plus, wh_factorize_all
 from .wienerhopf import plus_part_of_bminus_inv_a  # noqa: F401 (public here too)
 
 # zeros of the moving-average part this close to |z| = 1 are boundary cases
 # (reported, not fatal); strictly smaller moduli violate invertibility
 CF_BOUNDARY_MARGIN = 1e-9
+# C_0 entries above CF_ZERO_RTOL * max(1, max |C_0|) count as nonzero in the CF check
+CF_ZERO_RTOL = 1e-9
 
-# truncation rule of simulate (see there)
+# truncation rule of simulate (see there); grid of autocovariances_from_spectrum
 SIM_DECAY_RTOL = 1e-12
 SIM_HORIZON_CAP = 10_000
+AUTOCOV_GRID = 512
 
 
 class RankDeficientC0(Exception):
@@ -125,18 +127,16 @@ def solve_stack(b_minus: np.ndarray, b_plus: np.ndarray, A: np.ndarray, horizon:
     return ma, series_divide(b_plus, ma, horizon)
 
 
-def solve_model(model: Model, tol: ToleranceConfig | None = None,
-                horizon: int | None = None) -> SolutionBundle:
+def solve_model(model: Model, horizon: int | None = None) -> SolutionBundle:
     """Factorize and assemble the full solution bundle for a model."""
-    return solve_models([model], tol, horizon)[0]
+    return solve_models([model], horizon)[0]
 
 
-def solve_models(models, tol: ToleranceConfig | None = None,
-                 horizon: int | None = None) -> list:
+def solve_models(models, horizon: int | None = None) -> list:
     """:func:`solve_model` for several models, their B factored together
     (:func:`~ratex.wienerhopf.wh_factorize_all`).  Raises the error of the
     first model that fails, as solving them in turn would."""
-    facs = wh_factorize_all([model.B for model in models], tol)
+    facs = wh_factorize_all([model.B for model in models])
     return [_assemble(model, fac, horizon) for model, fac in zip(models, facs)]
 
 
@@ -159,26 +159,25 @@ def _assemble(model: Model, fac, horizon: int | None) -> SolutionBundle:
 # -- canonical quasi-lower triangular form --------------------------------
 
 
-def is_canonical_staircase(c0: np.ndarray, tol: float | None = None) -> bool:
+def is_canonical_staircase(c0: np.ndarray) -> bool:
     """First nonzero of column j positive in row i_j with i_1 < ... < i_m."""
-    return bool(canonical_staircase_mask(np.atleast_2d(np.asarray(c0, dtype=float))[None], tol)[0])
+    return bool(canonical_staircase_mask(np.atleast_2d(np.asarray(c0, dtype=float))[None])[0])
 
 
-def canonical_staircase_mask(c0: np.ndarray, tol: float | None = None) -> np.ndarray:
+def canonical_staircase_mask(c0: np.ndarray) -> np.ndarray:
     """:func:`is_canonical_staircase` for each matrix of an (S, n, m) stack;
-    an entry counts as nonzero above ``tol``, by default 1e-9 * max(1, max |C_0|)
-    of its own matrix."""
+    an entry counts as nonzero above CF_ZERO_RTOL * max(1, max |C_0|) of its
+    own matrix."""
     mag = np.abs(c0)
-    if tol is None:
-        tol = 1e-9 * np.maximum(mag.max(axis=(1, 2), initial=0.0), 1.0)
-    nonzero = mag > np.reshape(tol, (-1, 1, 1))
+    scale = np.maximum(mag.max(axis=(1, 2), keepdims=True, initial=0.0), 1.0)
+    nonzero = mag > CF_ZERO_RTOL * scale
     rows = nonzero.argmax(axis=1)                       # first nonzero row per column
     pivot = (np.arange(len(c0))[:, None], rows, np.arange(c0.shape[2]))
     return ((nonzero[pivot] & (c0[pivot] > 0)).all(axis=1)
             & (rows[:, 1:] > rows[:, :-1]).all(axis=1))
 
 
-def canonical_rotation(c0: np.ndarray, tol_rank: float = DEFAULT_TOL_RANK) -> np.ndarray:
+def canonical_rotation(c0: np.ndarray) -> np.ndarray:
     """Orthogonal V such that c0 @ V is canonical quasi-lower triangular.
 
     Householder sweep on c0', keeping pivot columns in strictly increasing
@@ -188,7 +187,7 @@ def canonical_rotation(c0: np.ndarray, tol_rank: float = DEFAULT_TOL_RANK) -> np
     n, m = c0.shape
     if is_canonical_staircase(c0):
         return np.eye(m)
-    _, _, cutoff = numerical_rank(c0, tol_rank)
+    _, _, cutoff = numerical_rank(c0)
     M = c0.T.copy()
     Q = np.eye(m)
     r = 0
@@ -214,19 +213,19 @@ def canonical_rotation(c0: np.ndarray, tol_rank: float = DEFAULT_TOL_RANK) -> np
     return Q.T
 
 
-def _rank_drop_points(ma_part: LaurentMatrix, cutoff_scale: float):
+def _rank_drop_points(ma_part: LaurentMatrix):
     """Closed-disk points where the n x m moving-average part M loses column
     rank (see :func:`rank_drop_stack`).  Returns ``(inside, boundary)``:
     points in the open disk and within CF_BOUNDARY_MARGIN of the unit circle.
     """
     M = ma_part.window(0, max(ma_part.max_lag, 0))
-    z, hit = rank_drop_stack(M[None], cutoff_scale)
+    z, hit = rank_drop_stack(M[None])
     zeros = z[0][hit[0]]
     inside = np.abs(zeros) < 1.0 - CF_BOUNDARY_MARGIN
     return list(zeros[inside]), list(zeros[~inside])
 
 
-def rank_drop_stack(M: np.ndarray, cutoff_scale: float):
+def rank_drop_stack(M: np.ndarray):
     """Rank drops in the closed disk of each moving-average part of an
     (S, L, n, m) stack (lags 0..L-1).
 
@@ -238,7 +237,8 @@ def rank_drop_stack(M: np.ndarray, cutoff_scale: float):
     (:func:`~ratex.polylab.companion_stack`) as E^-1 A, since its lead Q_0
     is invertible; zeros of det Q at infinity (a singular lead Q_{L-1})
     become eigenvalues at 0 and drop out.  These are the zeros of det M
-    when n = m; when n > m each is confirmed by the SVD of M(z).
+    when n = m; when n > m each is confirmed by the SVD of M(z): a rank drop
+    has sigma_min(M(z)) at most DEFAULT_TOL_RANK * max(1, max |M_j|).
 
     Returns ``(z, hit)``, each (S, (L-1)*m): candidate points and the mask of
     rank drops within CF_BOUNDARY_MARGIN of the closed disk.  Raises
@@ -259,30 +259,31 @@ def rank_drop_stack(M: np.ndarray, cutoff_scale: float):
         Mz = np.einsum("skl,slij->skij", np.where(hit, z, 0.0)[..., None] ** np.arange(L), M)
         smin = np.linalg.svd(Mz, compute_uv=False)[..., -1]
         scale = np.maximum(np.abs(M).max(axis=(1, 2, 3)), 1.0)
-        hit &= smin <= cutoff_scale * scale[:, None]
+        hit &= smin <= DEFAULT_TOL_RANK * scale[:, None]
     return z, hit
 
 
-def cf_check_and_normalize(bundle: SolutionBundle, tol_rank: float = DEFAULT_TOL_RANK):
+def cf_check_and_normalize(bundle: SolutionBundle):
     """Check the canonical-form conditions and rotate the bundle into them.
 
     Returns ``(V, normalized_bundle)`` with V orthogonal; raises
     RankDeficientC0 or NotInvertible when no rotation can satisfy them.
     Zeros of the moving-average part within the boundary band of the unit
     circle are reported as warnings on the returned bundle, not errors.
+    Its rank decisions (C_0, rank drops) follow DEFAULT_TOL_RANK alone.
     """
     c0 = bundle.transfer.coefficient(0)
     m = bundle.model.m
     if bundle.c0_rank < m:
         raise RankDeficientC0(f"rank(C0) = {bundle.c0_rank} < m = {m}")
-    inside, boundary = _rank_drop_points(bundle.ma_part, tol_rank)
+    inside, boundary = _rank_drop_points(bundle.ma_part)
     if inside:
         worst = min(inside, key=abs)
         raise NotInvertible(
             f"transfer function loses rank at |z| = {abs(worst):.6f} inside the unit disk")
     warnings = tuple(f"moving-average rank drop on the unit circle near z = {z:.6g}"
                      for z in boundary)
-    v = canonical_rotation(c0, tol_rank)
+    v = canonical_rotation(c0)
     model = bundle.model
     if np.array_equal(v, np.eye(m)):
         if not warnings:
@@ -329,12 +330,13 @@ def spectral_distance(bundle_a: SolutionBundle, bundle_b: SolutionBundle, z_grid
     return float(np.max(np.abs(fa - fb))), max(float(np.max(np.abs(fa))), 1e-12)
 
 
-def autocovariances_from_spectrum(bundle: SolutionBundle, lags: int, grid_size: int = 512):
-    """Autocovariances gamma(0..lags) via the inverse transform of the spectrum."""
-    grid = unit_circle_grid(grid_size)
+def autocovariances_from_spectrum(bundle: SolutionBundle, lags: int):
+    """Autocovariances gamma(0..lags) via the inverse transform of the
+    spectrum on AUTOCOV_GRID points."""
+    grid = unit_circle_grid(AUTOCOV_GRID)
     f = spectral_density(bundle.model, bundle.a_plus, grid)
     weights = grid ** -np.arange(lags + 1)[:, None]
-    return np.real(np.tensordot(weights, f, axes=1) / grid_size)
+    return np.real(np.tensordot(weights, f, axes=1) / AUTOCOV_GRID)
 
 
 def simulate(bundle: SolutionBundle, T: int, seed: int) -> np.ndarray:

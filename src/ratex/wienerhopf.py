@@ -84,19 +84,15 @@ class DivisorExtractionSingular(FactorizationError):
     """The deflating-subspace block is numerically singular (nonzero partial indices)."""
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Numerical tolerance of the existence/uniqueness verdict."""
-
-    boundary: float = 1e-9          # relative band around |z| = 1 treated as on-circle
-
-
-DEFAULT_TOL = ToleranceConfig()
+# relative band around |z| = 1 whose zeros count as on the circle
+BOUNDARY_TOL = 1e-9
 
 # relative bound on max-abs(B - B_minus B_plus), and the condition floor of
 # the deflating-subspace block the divisor is read from
 RECONSTRUCTION_RTOL = 1e-8
 EXTRACTION_RCOND = 1e-10
+# Newton steps on a divisor that misses RECONSTRUCTION_RTOL (_newton_divisor)
+NEWTON_STEPS = 3
 
 _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
@@ -136,7 +132,7 @@ class WHFactors:
             self.inv_series.flags.writeable = False
 
 
-def wh_factorize(B: LaurentMatrix, tol: ToleranceConfig | None = None) -> WHFactors:
+def wh_factorize(B: LaurentMatrix, boundary: float = BOUNDARY_TOL) -> WHFactors:
     """Factor B = B_minus * B_plus or raise a typed FactorizationError.
 
     Parameters
@@ -144,8 +140,8 @@ def wh_factorize(B: LaurentMatrix, tol: ToleranceConfig | None = None) -> WHFact
     B : LaurentMatrix
         Square n x n Laurent polynomial matrix; lam is read off as
         max(0, -min_lag) after trimming.
-    tol : ToleranceConfig, optional
-        Boundary band around the unit circle.
+    boundary : float, optional
+        Band around the unit circle whose zeros count as on it.
 
     The zeros counted are those of det(z**lam B(z)): the finite generalized
     eigenvalues of the companion pencil.  Exactly n * lam of them must lie
@@ -168,13 +164,13 @@ def wh_factorize(B: LaurentMatrix, tol: ToleranceConfig | None = None) -> WHFact
         reported as ZerosOnUnitCircle; a divisor that does not reconstruct
         B within RECONSTRUCTION_RTOL as DivisorExtractionSingular.
     """
-    fac = wh_factorize_all([B], tol)[0]
+    fac = wh_factorize_all([B], boundary)[0]
     if isinstance(fac, FactorizationError):
         raise fac
     return fac
 
 
-def wh_factorize_all(Bs, tol: ToleranceConfig | None = None) -> list:
+def wh_factorize_all(Bs, boundary: float = BOUNDARY_TOL) -> list:
     """:func:`wh_factorize` for several B at once.
 
     Each B is trimmed and taken on its lags -lam..max(max_lag, 0); those
@@ -191,7 +187,7 @@ def wh_factorize_all(Bs, tol: ToleranceConfig | None = None) -> list:
         groups.setdefault((B.rows, lam, max(t.max_lag, 0)), []).append((i, t))
     for (_, lam, hi), members in groups.items():
         b_minus, b_plus, errors, residual, zeros, inv = wh_factorize_stack(
-            np.array([t.window(-lam, hi) for _, t in members]), lam, tol)
+            np.array([t.window(-lam, hi) for _, t in members]), lam, boundary)
         for s, (i, t) in enumerate(members):
             out[i] = errors[s] or WHFactors(
                 LaurentMatrix(b_minus[s], -lam),
@@ -202,7 +198,7 @@ def wh_factorize_all(Bs, tol: ToleranceConfig | None = None) -> list:
 
 
 @np.errstate(all="ignore")
-def wh_factorize_stack(Bc: np.ndarray, lam: int, tol: ToleranceConfig | None = None):
+def wh_factorize_stack(Bc: np.ndarray, lam: int, boundary: float = BOUNDARY_TOL):
     """:func:`wh_factorize` for a stack of B, (S, lam+kappa+1, n, n) at lags
     -lam..kappa, already dust trimmed (:func:`~ratex.polylab.trim_dust`).
 
@@ -240,7 +236,6 @@ def wh_factorize_stack(Bc: np.ndarray, lam: int, tol: ToleranceConfig | None = N
     n, n) of B_minus^-1 at lags 0..-kappa that B_plus was divided out with.
     A rejected sample has B_minus = I, B_plus = 0 and residual 0.
     """
-    b = (tol or DEFAULT_TOL).boundary
     S, q, n = Bc.shape[:3]
     k, kappa = n * lam, q - 1 - lam
     P = Bc.swapaxes(2, 3)           # same determinant; B_minus' divides (z^lam B)'
@@ -262,7 +257,7 @@ def wh_factorize_stack(Bc: np.ndarray, lam: int, tol: ToleranceConfig | None = N
             for s, c, o in zip(lanes[bad].tolist(), stable[bad].tolist(), on_band[bad].tolist()):
                 if errors[s] is None:
                     try:
-                        _check_counts(c, o, n, lam, b, zeros[s])
+                        _check_counts(c, o, n, lam, boundary, zeros[s])
                     except FactorizationError as exc:
                         errors[s] = exc
 
@@ -271,7 +266,7 @@ def wh_factorize_stack(Bc: np.ndarray, lam: int, tol: ToleranceConfig | None = N
         screen = s_E[:, -1] > PENCIL_INFINITE_RTOL
         if screen.any():
             lanes = rest[screen]
-            stable, on_band, w, decided = _screen_counts(A[lanes], E[lanes], s_E[lanes], b)
+            stable, on_band, w, decided = _screen_counts(A[lanes], E[lanes], s_E[lanes], boundary)
             if not decided.all():
                 screen[lanes[~decided]] = False
                 lanes, stable, on_band, w = (x[decided] for x in (lanes, stable, on_band, w))
@@ -281,14 +276,14 @@ def wh_factorize_stack(Bc: np.ndarray, lam: int, tol: ToleranceConfig | None = N
             rest = rest[~screen]
     if rest.size:
         Ar, Er = (A, E) if rest.size == S else (A[rest], E[rest])
-        U, c, steps, hard = _unit_circle_split(Ar, Er, b)
-        hard |= steps > _certified_steps(b)
+        U, c, steps, hard = _unit_circle_split(Ar, Er, boundary)
+        hard |= steps > _certified_steps(boundary)
         if hard.any() or c.min() != c.max():
             groups = [(int(cg), np.flatnonzero((c == cg) & ~hard)) for cg in np.unique(c[~hard])]
         else:                       # one count, every sample settled
             groups = [(int(c[0]), slice(None))]
         for cg, g in groups:
-            z, AA, EE, agree = _split_zeros(Ar[g], Er[g], U[g], cg, b)
+            z, AA, EE, agree = _split_zeros(Ar[g], Er[g], U[g], cg, boundary)
             lanes, Z = rest[g], U[g]
             if not agree.all():
                 hard[np.arange(rest.size)[g][~agree]] = True
@@ -310,10 +305,10 @@ def wh_factorize_stack(Bc: np.ndarray, lam: int, tol: ToleranceConfig | None = N
     if rest.size:
         rest = rest[[errors[s] is None for s in rest.tolist()]]
     if rest.size:
-        stable, on_band, U, unsettled = _band_counts(A[rest], E[rest], b)
+        stable, on_band, U, unsettled = _band_counts(A[rest], E[rest], boundary)
         for s in rest[unsettled].tolist():
             errors[s] = ZerosOnUnitCircle(
-                f"the split of det(z^{lam} B(z)) at |z| = 1 -/+ {b:g} did not settle: "
+                f"the split of det(z^{lam} B(z)) at |z| = 1 -/+ {boundary:g} did not settle: "
                 "a zero lies on a band edge, or the determinant is nearly "
                 "identically zero", zeros[s])
         check(rest, stable, on_band)
@@ -627,9 +622,9 @@ def _check_counts(stable: int, on_band: int, n: int, lam: int, boundary: float, 
 
 
 def _newton_divisor(bm: np.ndarray, bp: np.ndarray, res: float, f: np.ndarray,
-                    Bc: np.ndarray, steps: int = 3):
-    """Newton steps on B = B_minus B_plus for one sample whose split gave a
-    divisor that does not reconstruct B within RECONSTRUCTION_RTOL.
+                    Bc: np.ndarray):
+    """NEWTON_STEPS Newton steps on B = B_minus B_plus for one sample whose
+    split gave a divisor that does not reconstruct B within RECONSTRUCTION_RTOL.
 
     The split's subspace, accurate to its conditioning, need not make
     B_minus an exact divisor of a nearby B as an ordered QZ would.  Each
@@ -642,7 +637,7 @@ def _newton_divisor(bm: np.ndarray, bp: np.ndarray, res: float, f: np.ndarray,
     lam, n = bm.shape[0] - 1, bm.shape[1]
     L, I = Bc.shape[0], np.eye(n)
     best = bm, bp, res, f
-    for _ in range(steps):
+    for _ in range(NEWTON_STEPS):
         kappa = bp.shape[0] - 1
         M = np.zeros((L, n * n, L, n * n))
         for i in range(lam):

@@ -12,7 +12,7 @@ import pytest
 
 from ratex.polylab import PENCIL_INFINITE_RTOL, LaurentMatrix, Model, lp_mul, trim_dust
 from ratex.resolve import canonical_rotation, solve_model
-from ratex.wienerhopf import ToleranceConfig
+from ratex.wienerhopf import BOUNDARY_TOL
 
 
 def spectral_scale(rng, n, radius):
@@ -108,8 +108,7 @@ def near_band_stack(rng, lam, lead_margin, zero_kinds):
     det(z^lam B) picked by ``zero_kinds`` and a lead B_1 whose sigma_min,
     after the companion pencil's power-of-two scaling, is ``lead_margin``
     times PENCIL_INFINITE_RTOL."""
-    boundary = ToleranceConfig().boundary
-    moduli = {"out": 1 + 10 * boundary, "in": 1 - 10 * boundary, "deep": 0.5, "far": 2.0}
+    moduli = {"out": 1 + 10 * BOUNDARY_TOL, "in": 1 - 10 * BOUNDARY_TOL, "deep": 0.5, "far": 2.0}
     poly = [np.eye(2)]                               # ascending coefficients
     for pair in np.reshape(zero_kinds, (-1, 2)):
         s = rng.standard_normal((2, 2)) + 2 * np.eye(2)

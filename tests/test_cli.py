@@ -439,6 +439,32 @@ class TestGenericCommand:
         assert code == 0
         assert "witness at theta = (-2, -1)" in out
 
+    def test_tol_rank_leaves_the_canonical_form_check_alone(self, tmp_path, capsys):
+        # n = 2 > m = 1 with M(z) = A(z) = [1 + 2z; 1 + (2 + d) z]: at d = 0 it
+        # loses rank at z = -1/2, and at d = 1e-5 sigma_min(M(z)) near there
+        # is about 2e-6 of its scale, a rank drop at a cutoff of 1e-4 but not
+        # at the fixed DEFAULT_TOL_RANK that solve uses
+        path = write(tmp_path / "p.json", {"n": 2, "m": 1, "lambda": 0, "kappa": 1,
+                                            "parametrized": {
+                                                "params": ["d"], "domain": [[-1.0, 1.0]],
+                                                "B": {"0": [[1, 0], [0, 1]],
+                                                      "1": [[-0.5, 0], [0, -0.3]]},
+                                                "A": {"0": [[1], [1]], "1": [[2], ["2 + d"]]}}})
+        r = write(tmp_path / "r.json", {"pins": [
+            {"block": "B", "lag": 0, "row": i, "col": j, "value": float(i == j)}
+            for i in (1, 2) for j in (1, 2)]})
+        assert main(["solve", path, "--theta", "0"]) == 2
+        assert main(["solve", path, "--theta", "1e-5"]) == 0
+        capsys.readouterr()
+        reports = []
+        for tol in ([], ["--tol-rank", "1e-4"]):
+            main(["generic", path, r, "--probe", "0", "--probe", "1e-5", "--samples", "0",
+                  "--format", "json-report", *tol])
+            reports.append(json.loads(capsys.readouterr().out))
+        for report in reports:
+            assert report["samples_drawn"] == 2 and report["samples_valid"] == 1
+            assert report["invalid_reasons"] == {"not_invertible": 1}
+
     def test_numeric_model_rejected(self, tmp_path):
         path = write(tmp_path / "m.json", white_noise_model())
         r = write(tmp_path / "r.json", {"pins": [
@@ -912,6 +938,13 @@ class TestMalformedInput:
                                            "B lag key 'x' is not an integer"),
         "lag key of a numeric file": ({**ds_model(), "A": {"x": 1}},
                                       "A lag key 'x' is not an integer"),
+        "lag twice in a numeric file": ({**ds_model(), "B": {"0": [[1.0]], "1": [[-0.5]],
+                                                             "01": [[0.25]]}},
+                                        "B lag 1 given twice (keys '1' and '01')"),
+        "lag twice in a parametrized file": (param_model(B={"0": "1", "1": "a", "01": "0.25"}),
+                                             "B lag 1 given twice (keys '1' and '01')"),
+        "signed lag key twice": ({**ds_model(), "A": {"0": [[1.0]], "+0": [[2.0]]}},
+                                 "A lag 0 given twice (keys '0' and '+0')"),
         "non-integer n": ({**ds_model(), "n": "x"}, "n must be an integer, got 'x'"),
         "fractional kappa": ({**ds_model(), "kappa": 1.5}, "kappa must be an integer"),
         "negative lambda": ({**ds_model(), "lambda": -1}, "lambda and kappa at least 0"),

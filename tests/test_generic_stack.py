@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ratex.identcore import (
+    RankReport,
     RestrictionSet,
     build_ident_system,
     coeff_vec_index,
@@ -24,6 +25,7 @@ from ratex.identcore import (
     ident_test_equation,
 )
 from ratex import paramdsl
+from ratex.numrank import DEFAULT_TOL_RANK
 from ratex.paramdsl import (
     ASSUMPTION_NOTE,
     BORDERLINE_GAP,
@@ -58,7 +60,7 @@ def sequential_generic(pm, restrictions, config) -> GenericReport:
         except EvalError:
             invalid["eval_error"] = invalid.get("eval_error", 0) + 1
             continue
-        bundle, reason = _validate_point(model, config.tol_rank)
+        bundle, reason = _validate_point(model)
         if bundle is None:
             invalid[reason] = invalid.get(reason, 0) + 1
             continue
@@ -87,7 +89,7 @@ def sequential_generic(pm, restrictions, config) -> GenericReport:
                          verdict=verdict, invalid_reasons=invalid, notes=tuple(notes))
 
 
-def _validate_point(model, tol_rank):
+def _validate_point(model):
     try:
         bundle = solve_model(model)
     except (FactorizationError, SingularMatrixError) as exc:
@@ -95,7 +97,7 @@ def _validate_point(model, tol_rank):
     if bundle.c0_rank < model.m:
         return None, "c0_rank_deficient"
     try:
-        inside, _ = _rank_drop_points(bundle.ma_part, tol_rank)
+        inside, _ = _rank_drop_points(bundle.ma_part)
     except Exception:
         return None, "not_invertible"
     if inside:
@@ -335,3 +337,51 @@ def test_from_coeffs_rejects_non_finite():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
             LaurentMatrix.from_coeffs([[[1.0]], [[bad]]], 0)
+
+
+# -- a stage that fails on one sample ------------------------------------------
+
+# ARMA points: valid deficient, EU failure, valid deficient, not invertible,
+# valid deficient, the witness, and a full-rank point after it
+LANE_POINTS = [(0.3, 0.3), EU_FAIL, (-0.2, -0.2), NOT_INVERTIBLE, (0.6, 0.6), WITNESS,
+               (0.1, 0.5)]
+
+
+def same_outcome(got, want):
+    if not isinstance(want, RankReport):
+        return got == want
+    fields = ("numerical_rank", "required_rank", "verdict", "matrix_shape", "warnings")
+    return (isinstance(got, RankReport)
+            and all(getattr(got, f) == getattr(want, f) for f in fields)
+            and np.allclose(got.singular_values, want.singular_values, rtol=0.0, atol=1e-12))
+
+
+@pytest.mark.parametrize("chosen", [0, 2, 4, 6])
+@pytest.mark.parametrize("stage, error, reason", [
+    ("solve_stack", SingularMatrixError, "eu_failed: SingularMatrixError"),
+    ("rank_drop_stack", np.linalg.LinAlgError, "not_invertible")])
+def test_a_stage_failing_on_one_draw_rejects_that_draw_alone(monkeypatch, chosen, stage,
+                                                             error, reason):
+    # the stage raises on every stack that holds the chosen draw, which it
+    # knows by the lag-1 coefficient of B_plus = B (solve_stack) or of
+    # M = A (rank_drop_stack); _lanewise then runs it one draw at a time
+    pm, restrictions = parse_model(ARMA), pins([("B", 0, 0, 0, 1.0)], 1, 1, 1, 0)
+    thetas = np.array(LANE_POINTS)
+    want = paramdsl._scan_chunk(pm, restrictions, thetas, DEFAULT_TOL_RANK)
+    a, b = LANE_POINTS[chosen]
+    inner, sizes = getattr(paramdsl, stage), []
+
+    def failing(*stacks):
+        lag1 = stacks[1][:, 1, 0, 0] if stage == "solve_stack" else stacks[0][:, 1, 0, 0]
+        sizes.append(len(lag1))
+        if np.any(lag1 == (b if stage == "solve_stack" else a)):
+            raise error("planted failure")
+        return inner(*stacks)
+
+    monkeypatch.setattr(paramdsl, stage, failing)
+    got = paramdsl._scan_chunk(pm, restrictions, thetas, DEFAULT_TOL_RANK)
+    assert sizes[0] > 1 and set(sizes[1:]) == {1} and len(sizes) == 1 + sizes[0]
+    assert got[chosen] == reason
+    for k, (g, w) in enumerate(zip(got, want)):
+        if k != chosen:
+            assert same_outcome(g, w), (k, g, w)

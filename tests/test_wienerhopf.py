@@ -27,9 +27,9 @@ from ratex.polylab import (
 from ratex import wienerhopf
 from ratex.resolve import solve_model
 from ratex.wienerhopf import (
+    BOUNDARY_TOL,
     DivisorExtractionSingular,
     FactorizationError,
-    ToleranceConfig,
     WHFactors,
     WrongStableCount,
     ZerosOnUnitCircle,
@@ -104,9 +104,8 @@ class TestFailures:
             wh_factorize(scalar([1.0, -2.0]))  # zero at 0.5, lam = 0
 
     def test_near_circle_band_is_error(self):
-        tol = ToleranceConfig(boundary=1e-6)
         with pytest.raises(ZerosOnUnitCircle):
-            wh_factorize(scalar([1.0, -(1.0 + 1e-8)]), tol)
+            wh_factorize(scalar([1.0, -(1.0 + 1e-8)]), boundary=1e-6)
 
     def test_nonzero_partial_indices(self):
         # diag(z, 1/z): the stable zero count looks right (both at 0) but no
@@ -217,21 +216,19 @@ class TestCheckEU:
     zeros when it holds, the FactorizationError's zeros and message when
     it fails, counted by classify_zeros."""
 
-    BOUNDARY = ToleranceConfig().boundary
-
     def test_trivial_scalar(self):
         fac = wh_factorize(scalar([1.0]))
-        assert classify_zeros(fac.zeros, self.BOUNDARY) == (0, 0)
+        assert classify_zeros(fac.zeros, BOUNDARY_TOL) == (0, 0)
 
     def test_unit_circle_zero(self):
         with pytest.raises(ZerosOnUnitCircle, match="circle") as info:
             wh_factorize(scalar([1.0, -1.0]))
-        assert classify_zeros(info.value.zeros, self.BOUNDARY) == (0, 1)
+        assert classify_zeros(info.value.zeros, BOUNDARY_TOL) == (0, 1)
 
     def test_hansen_sargent_point(self):
         # theta = (1, -2, -1): theta3/theta2 = 0.5, so B = 1/z - 2.5 + z
         fac = wh_factorize(scalar([1.0, -2.5, 1.0], -1))
-        stable, on_band = classify_zeros(fac.zeros, self.BOUNDARY)
+        stable, on_band = classify_zeros(fac.zeros, BOUNDARY_TOL)
         assert stable == 1 * 1 and on_band == 0      # n * lam
         inside = [z for z in fac.zeros if abs(z) < 1]
         assert inside[0].real == pytest.approx(0.5, abs=1e-10)
@@ -240,7 +237,7 @@ class TestCheckEU:
         # lam = 0, so no zero may lie inside; det(z I) has two at the origin
         with pytest.raises(WrongStableCount, match="inside the unit circle") as info:
             wh_factorize(LaurentMatrix.from_coeffs([np.eye(2)], 1))
-        assert classify_zeros(info.value.zeros, self.BOUNDARY) == (2, 0)
+        assert classify_zeros(info.value.zeros, BOUNDARY_TOL) == (2, 0)
         assert np.sum(info.value.zeros == 0) == 2
 
     @pytest.mark.parametrize("seed", range(6))
@@ -266,7 +263,7 @@ class TestCheckEU:
             B = lp_mul(B, LaurentMatrix.from_coeffs([np.eye(n), -sym(v)], 0))
         fac = wh_factorize(B)
         assert fac.residual <= 1e-8 * fac.scale
-        assert classify_zeros(fac.zeros, self.BOUNDARY) == (n * lam, 0) == (40, 0)
+        assert classify_zeros(fac.zeros, BOUNDARY_TOL) == (n * lam, 0) == (40, 0)
         expected = np.concatenate([s[:lam].ravel(), 1.0 / s[lam:].ravel()])
         assert match_zero_multisets(fac.zeros, expected, tol=1e-4)
 
@@ -278,7 +275,7 @@ class TestCheckEU:
         padded = LaurentMatrix.from_coeffs(
             [np.zeros((2, 2))] + list(bp.coeffs), -1, trim=False)
         fac = wh_factorize(padded)
-        assert classify_zeros(fac.zeros, self.BOUNDARY)[0] == 0
+        assert classify_zeros(fac.zeros, BOUNDARY_TOL)[0] == 0
         bundle = solve_model(Model(padded, LaurentMatrix.identity(2), lam=1, kappa=1))
         assert bundle.factors.b_minus.allclose(LaurentMatrix.identity(2))
         assert bundle.factors.b_plus.allclose(bp)
@@ -300,14 +297,13 @@ class TestStackedScreen:
            kinds=st.lists(st.sampled_from(["out", "in", "deep", "far"]), min_size=4, max_size=4))
     def test_near_band_counts_match_pencil(self, seed, lam, lead_margin, kinds):
         Bc = near_band_stack(np.random.default_rng(seed), lam, lead_margin, kinds[:2 * (lam + 1)])
-        tol = ToleranceConfig()
         A, E = companion_stack(Bc.swapaxes(2, 3))
         zeros = oracle_zeros(A[0], E[0])
         s_E = np.linalg.svd(E)[1]
         if s_E[0, -1] > PENCIL_INFINITE_RTOL:
-            stable, on_band, _, decided = _screen_counts(A, E, s_E, tol.boundary)
+            stable, on_band, _, decided = _screen_counts(A, E, s_E, BOUNDARY_TOL)
             if decided[0]:
-                assert (stable[0], on_band[0]) == classify_zeros(zeros, tol.boundary)
+                assert (stable[0], on_band[0]) == classify_zeros(zeros, BOUNDARY_TOL)
         # a stack of copies decides each copy as the one sample alone
         want = _outcome(LaurentMatrix(Bc[0], -lam))
         for got in wh_factorize_stack(np.repeat(Bc, STACK, axis=0), lam)[2]:
@@ -372,6 +368,35 @@ class TestStackAgainstScalar:
         if kappa:
             assert outcomes[-2:] == [ZerosOnUnitCircle, WrongStableCount]
 
+    def test_divisors_of_the_split_and_the_band_edges_in_one_stack(self, monkeypatch):
+        # z^-1 (z - 0.5)(z - c), lam = 1: with c = 3 the split settles at
+        # once; with c = 1 + 1e-7 it takes more than _certified_steps, so that
+        # sample is counted at the band edges, and the divisors of both paths
+        # are read in one stack
+        def scalar_model(c):
+            return scalar([0.5 * c, -(0.5 + c), 1.0], -1)
+
+        splits = []
+
+        def recording(A, E, boundary):
+            out = _unit_circle_split(A, E, boundary)
+            splits.append(out[2].tolist())
+            return out
+
+        models = [scalar_model(3.0), scalar_model(1.0 + 1e-7)]
+        monkeypatch.setattr(wienerhopf, "_unit_circle_split", recording)
+        together = wienerhopf.wh_factorize_all(models)
+        monkeypatch.undo()
+        steps = splits[0]
+        cap = wienerhopf._certified_steps(BOUNDARY_TOL)
+        assert steps[0] <= cap < steps[1] and len(splits) == 2      # then the band edges
+        for model, got in zip(models, together):
+            want = wh_factorize(model)
+            for name in ("b_minus", "b_plus"):
+                assert np.array_equal(getattr(got, name).coeffs, getattr(want, name).coeffs)
+                assert getattr(got, name).min_lag == getattr(want, name).min_lag
+            assert np.array_equal(got.zeros, want.zeros)
+
 
 def test_failed_reordering_is_a_factorization_error():
     # the counts pass (two zeros just inside the band, two just outside,
@@ -382,7 +407,7 @@ def test_failed_reordering_is_a_factorization_error():
     with pytest.raises(FactorizationError, match="reconstruction residual") as info:
         wh_factorize(LaurentMatrix(Bc[0], -1))
     assert type(info.value) is DivisorExtractionSingular
-    assert classify_zeros(info.value.zeros, ToleranceConfig().boundary) == (2, 0)
+    assert classify_zeros(info.value.zeros, BOUNDARY_TOL) == (2, 0)
     error = wh_factorize_stack(Bc, 1)[2][0]
     assert type(error) is DivisorExtractionSingular and "reconstruction residual" in str(error)
 
@@ -390,8 +415,6 @@ def test_failed_reordering_is_a_factorization_error():
 class TestOrderedQZ:
     """The inverse-free split against scipy's ordered QZ: ordqz's ordered
     Schur vectors and eigvals' zeros are the oracles."""
-
-    TOL = ToleranceConfig()
 
     @staticmethod
     def pencils(N, rng):
@@ -424,13 +447,13 @@ class TestOrderedQZ:
         for A, E in self.pencils(N, rng):
             want = scipy.linalg.eigvals(A, E)
             inside = np.count_nonzero(np.abs(want) < 1.0)
-            U, counts, _, failed = _unit_circle_split(A[None], E[None], self.TOL.boundary)
+            U, counts, _, failed = _unit_circle_split(A[None], E[None], BOUNDARY_TOL)
             assert not failed[0] and counts[0] == inside
             Z = scipy.linalg.ordqz(A, E, sort="iuc")[5]
             if inside:
                 angles = scipy.linalg.subspace_angles(U[0, :, :inside], Z[:, :inside])
                 assert angles.max() <= 1e-12
-            zeros, *_, agree = _split_zeros(A[None], E[None], U, inside, self.TOL.boundary)
+            zeros, *_, agree = _split_zeros(A[None], E[None], U, inside, BOUNDARY_TOL)
             assert agree[0] and match_zero_multisets(zeros[0], want, tol=1e-10)
             complex_pairs += np.count_nonzero(want.imag > 0)
         assert N < 4 or complex_pairs
@@ -443,7 +466,7 @@ class TestOrderedQZ:
         monkeypatch.setattr(wienerhopf, "_stable_monic_divisor", divisor)
         with pytest.raises(WrongStableCount) as info:
             wh_factorize(scalar([0.02, -0.3, 1.0], -1))       # zeros 0.1 and 0.2
-        assert classify_zeros(info.value.zeros, self.TOL.boundary) == (2, 0)
+        assert classify_zeros(info.value.zeros, BOUNDARY_TOL) == (2, 0)
         with pytest.raises(ZerosOnUnitCircle):
             wh_factorize(scalar([-0.5, 1.5, -2.0, 1.0], -1))   # zeros 1, (1 -/+ i) / 2
 
@@ -458,14 +481,14 @@ class TestOrderedQZ:
     def test_infinite_eigenvalues_count_outside(self):
         # E singular: one infinite eigenvalue besides 0.5 and 2
         A, E = np.diag([0.5, 2.0, 1.0]), np.diag([1.0, 1.0, 0.0])
-        U, counts, _, failed = _unit_circle_split(A[None], E[None], self.TOL.boundary)
+        U, counts, _, failed = _unit_circle_split(A[None], E[None], BOUNDARY_TOL)
         assert not failed[0] and counts[0] == 1
-        zeros = _split_zeros(A[None], E[None], U, 1, self.TOL.boundary)[0][0]
+        zeros = _split_zeros(A[None], E[None], U, 1, BOUNDARY_TOL)[0][0]
         assert match_zero_multisets(zeros, [0.5, 2.0])
 
     def test_zero_on_the_circle_fails_the_split(self):
         A, E = np.diag([0.5, 1.0, 3.0]), np.eye(3)
-        assert _unit_circle_split(A[None], E[None], self.TOL.boundary)[3][0]
+        assert _unit_circle_split(A[None], E[None], BOUNDARY_TOL)[3][0]
         with pytest.raises(ZerosOnUnitCircle):
             wh_factorize(LaurentMatrix.from_coeffs([np.diag([-0.5, -1.0]), np.eye(2)], -1))
 
@@ -497,7 +520,7 @@ class TestBandCounts:
             yield companion_stack(np.concatenate(stack).swapaxes(2, 3))
 
     def test_one_split_with_the_counts_of_two(self, monkeypatch):
-        b = ToleranceConfig().boundary
+        b = BOUNDARY_TOL
         calls = []
 
         def counted(*args):
@@ -533,7 +556,7 @@ class TestHardFamilies:
             B = lp_mul(B, LaurentMatrix.from_coeffs(
                 [np.eye(n), q @ np.outer(np.eye(n)[0], np.eye(n)[-1]) @ q.T], 0))
         fac = wh_factorize(B)
-        assert classify_zeros(fac.zeros, ToleranceConfig().boundary)[0] == n
+        assert classify_zeros(fac.zeros, BOUNDARY_TOL)[0] == n
         assert fac.b_minus.allclose(bm, atol=1e-6 * max(bm.max_abs(), 1.0))
         assert fac.residual <= 1e-8 * fac.scale
 
@@ -542,7 +565,6 @@ class TestHardFamilies:
         # PENCIL_INFINITE_RTOL: where scipy's QZ counts the same for B and
         # for three copies perturbed by 1e-14 relative, the verdict is the
         # one those counts give
-        tol = ToleranceConfig()
         robust = 0
         cases = itertools.product((1.01, 10.0, 1e6), range(3), itertools.product(
             ["out", "in", "deep", "far"], repeat=2))
@@ -553,7 +575,7 @@ class TestHardFamilies:
             for t in range(4):
                 c = Bc[0] * (1 + (t > 0) * 1e-14 * rng.standard_normal(Bc[0].shape))
                 A, E = companion_stack(c.swapaxes(1, 2)[None])
-                counts.add(classify_zeros(oracle_zeros(A[0], E[0]), tol.boundary))
+                counts.add(classify_zeros(oracle_zeros(A[0], E[0]), BOUNDARY_TOL))
             if len(counts) > 1:
                 continue
             robust += 1
