@@ -31,6 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import lapack
 from .numrank import DEFAULT_TOL_RANK, InputError, count_above
 from .polylab import LaurentMatrix, Model
 from .resolve import (SolutionBundle, TransferSeries, solve_model, spectral_distance,
@@ -70,9 +71,7 @@ class IdentSystem:
 
     @cached_property
     def P(self) -> np.ndarray:
-        """P = [[-T, -H], [I, 0]]."""
-        mq = self.T.shape[1]
-        return np.block([[-self.T, -self.H], [np.eye(mq), np.zeros((mq, self.H.shape[1]))]])
+        return p_matrix(self.T, self.H)
 
     @cached_property
     def p_norm(self) -> float:
@@ -249,6 +248,12 @@ def build_ident_system(transfer: TransferSeries, n: int, m: int,
                        hankel_singular_values=svals[0], N=groups[ranks[0]][1][0])
 
 
+def p_matrix(T: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """P = [[-T, -H], [I, 0]] of one system."""
+    mq = T.shape[1]
+    return np.block([[-T, -H], [np.eye(mq), np.zeros((mq, H.shape[1]))]])
+
+
 def toeplitz_hankel(C: np.ndarray, n: int, m: int, kappa: int, lam: int):
     """T and H of :func:`build_ident_system` for each transfer series of an
     (S, horizon + 1, n, m) stack, by one gather each."""
@@ -266,19 +271,21 @@ def kernel_bases(T: np.ndarray, H: np.ndarray, m: int, lam: int, tol_rank: float
     a (T, H) stack, from one stacked SVD of H.
 
     N has n*q - rank columns, so the bases come grouped by Hankel rank:
-    ``{rank: (sample indices, N stack)}``.  The rank cutoff scales with the
-    larger of sigma_max(H) and the largest coefficient in T, so a Hankel
-    block of rounding noise next to C_0 has rank 0.
+    ``{rank: (sample indices, N stack)}``, a stack whose samples share one
+    rank (one sample, say) taken whole rather than indexed.  The rank cutoff
+    scales with the larger of sigma_max(H) and the largest coefficient in
+    T, so a Hankel block of rounding noise next to C_0 has rank 0.
     """
-    U, svals, _ = np.linalg.svd(H)
+    U, svals, _ = lapack.svd(H)
     scale = np.maximum(svals.max(axis=-1, initial=0.0), np.abs(T).max(axis=(1, 2)))
     ranks, _ = count_above(svals, tol_rank, scale, H.shape[1:])
     groups = {}
     for rank in sorted(set(ranks.tolist())):
         lanes = np.flatnonzero(ranks == rank)
-        Ur = U[lanes][:, :, rank:]
+        sel = slice(None) if lanes.size == len(ranks) else lanes
+        Ur = U[sel][:, :, rank:]
         groups[rank] = (lanes, np.concatenate(
-            [Ur, T[lanes][:, :, m * lam:].swapaxes(1, 2) @ Ur], axis=1))
+            [Ur, T[sel][:, :, m * lam:].swapaxes(1, 2) @ Ur], axis=1))
     return ranks, svals, groups
 
 
@@ -314,11 +321,12 @@ def obs_equivalent(bundle_a: SolutionBundle, bundle_b: SolutionBundle,
     need = (ma.n + 1) * kappa + lam
     if bundle_a.transfer.horizon < need:
         bundle_a = solve_model(ma, horizon=need)
-    sys = build_ident_system(bundle_a.transfer, ma.n, ma.m, kappa, lam)
+    T, H = toeplitz_hankel(bundle_a.transfer.coeffs[None], ma.n, ma.m, kappa, lam)
+    P = p_matrix(T[0], H[0])
     xi = kernel_vec(mb.B, bundle_b.a_plus, ma.n, ma.m, kappa, lam)
     X = xi.reshape(ma.n, -1, order="F")
-    resid = float(np.max(np.abs(X @ sys.P)))
-    scale = max(float(np.max(np.abs(xi))), 1.0) * max(float(np.max(np.abs(sys.P))), 1.0)
+    resid = float(np.max(np.abs(X @ P)))
+    scale = max(float(np.max(np.abs(xi))), 1.0) * max(float(np.max(np.abs(P))), 1.0)
     return resid <= tol * scale, resid, scale
 
 
@@ -358,8 +366,11 @@ class EquationBlocks:
 
     @cached_property
     def norm(self):
-        """|R|_F, one per matrix of a stack."""
-        return np.linalg.norm(self.R, axis=(-2, -1))
+        """|R|_F, one per matrix of a stack; for pins, whose rows are unit
+        rows, the square root of their count."""
+        if self.pinned is not None:
+            return np.sqrt(float(len(self.pinned)))
+        return lapack.norm(self.R, axis=(-2, -1))
 
     @cached_property
     def partition(self) -> tuple:
@@ -415,12 +426,16 @@ class EquationBlocks:
                 kron[lanes, :, lanes] = tail
                 M = np.concatenate([M, np.broadcast_to(
                     kron.reshape(w * d, w * q), (S, K, w * d, w * q))], axis=2)
-            parts.append(np.linalg.svd(M, compute_uv=False).reshape(S, -1))
+            parts.append(lapack.svdvals(M).reshape(S, -1))
         if d and free.size:
-            parts.append(np.tile(np.linalg.svd(tail, compute_uv=False), (S, free.size)))
+            parts.append(np.tile(lapack.svdvals(tail), (S, free.size)))
         shape = (self.R.shape[-2] + self.n * d, self.n * q)
         k = min(shape)
-        merged = np.sort(np.concatenate([np.zeros((S, 0))] + parts, axis=1), axis=1)[:, ::-1]
+        if len(parts) == 1 and self.blocks[0].shape[1] == 1:
+            merged = parts[0]           # one block: LAPACK's order is descending
+        else:
+            merged = np.sort(np.concatenate([np.zeros((S, 0))] + parts, axis=1),
+                             axis=1)[:, ::-1]
         if merged.shape[1] < k:
             merged = np.concatenate([merged, np.zeros((S, k - merged.shape[1]))], axis=1)
         return merged[:, :k], shape

@@ -49,6 +49,7 @@ from .paramdsl import (
     decode_lag_blocks,
     json_array,
     json_int,
+    json_object,
     json_typed,
     parse_model,
 )
@@ -91,16 +92,19 @@ def model_from_dict(spec: dict):
         raise ModelFileError(str(exc))
 
 
-def _load_json(path: str):
+def _load_json(path: str, object_pairs_hook=None):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=object_pairs_hook)
         except ValueError as exc:  # malformed JSON or text that is not UTF-8
             raise ModelFileError(f"{path}: {exc}")
 
 
 def load_model_file(path: str):
-    return model_from_dict(_load_json(path))
+    """A model file's Model or ParamMap; a lag key given twice literally is
+    an error, as any other lag given twice (restriction files, up to
+    hundreds of pin objects each, are read without the hook)."""
+    return model_from_dict(_load_json(path, json_object))
 
 
 # -- restriction files -------------------------------------------------------

@@ -150,6 +150,26 @@ def json_array(value, dtype, label: str) -> np.ndarray:
         raise ModelFileError(f"{label}: {exc}") from exc
 
 
+class _RepeatedKeys(dict):
+    """A JSON object that gives a key more than once: the last value of
+    each key, as json keeps it, but every pair, in file order, from
+    ``items()``."""
+
+    def __init__(self, pairs: list):
+        super().__init__(pairs)
+        self.pairs = pairs
+
+    def items(self):
+        return self.pairs
+
+
+def json_object(pairs: list) -> dict:
+    """``object_pairs_hook`` of model files, so that :func:`decode_lag_blocks`
+    sees a lag key given twice literally, which a plain dict would drop."""
+    obj = dict(pairs)
+    return obj if len(obj) == len(pairs) else _RepeatedKeys(pairs)
+
+
 HEADER_FIELDS = ("n", "m", "lambda", "kappa")
 
 
@@ -174,9 +194,10 @@ def decode_lag_blocks(spec: dict, dtype, convert):
                 raise ModelFileError(f"{key} lag key {lag_key!r} is not an integer") from None
             if not lo <= lag <= kappa:
                 raise ModelFileError(f"{key} lag {lag} outside {lo}..{kappa}")
-            if keys.setdefault(lag, lag_key) != lag_key:
+            if lag in keys:
                 raise ModelFileError(f"{key} lag {lag} given twice "
                                      f"(keys {keys[lag]!r} and {lag_key!r})")
+            keys[lag] = lag_key
             label = f"{key}[{lag}]"
             if (n, cols) == (1, 1) and isinstance(raw, (int, float, str)):
                 raw = [[raw]]  # the scalar shorthand of a 1 x 1 block
@@ -194,7 +215,7 @@ def parse_model(spec) -> ParamMap:
     The entries of all blocks parse in one pass; every name is resolved
     once the parameter names are known."""
     if isinstance(spec, (str, bytes)):
-        spec = json.loads(spec)
+        spec = json.loads(spec, object_pairs_hook=json_object)
     sources, labels = [], []
 
     def cells(block: np.ndarray, label: str) -> int:
@@ -387,7 +408,8 @@ def _scan_chunk(pm: ParamMap, restrictions: RestrictionSet, thetas: np.ndarray,
     checks run in the order of one point's: evaluate, solve the model
     (:func:`~ratex.resolve.solve_model`), rank(C_0), rank drops of the
     moving-average part in the closed disk, canonical form of C_0, then the
-    identification rank test.
+    identification rank test.  A chunk stops at the check that rejects its
+    last sample; a one-sample chunk passes each check whole, unindexed.
     """
     n, m, lam, kappa = pm.n, pm.m, pm.lam, pm.kappa
     outcomes = [None] * len(thetas)
@@ -395,38 +417,47 @@ def _scan_chunk(pm: ParamMap, restrictions: RestrictionSet, thetas: np.ndarray,
 
     def reject(bad, reason, *stacks):
         """Record ``reason`` (one string, or one per sample) for the samples
-        flagged ``bad``; the rest of ``lanes`` and ``stacks`` go on."""
+        flagged ``bad``; the rest of ``lanes`` and ``stacks`` go on, and
+        _NoneLeft is raised once no sample does."""
         nonlocal lanes
+        if len(bad) == 1:               # one sample: it goes on whole or not at all
+            if not bad[0]:
+                return stacks
+            outcomes[lanes[0]] = reason if isinstance(reason, str) else reason[0]
+            raise _NoneLeft
         if not bad.any():
-            return list(stacks)
-        for k in np.flatnonzero(bad):
+            return stacks
+        for k in np.flatnonzero(bad).tolist():
             outcomes[lanes[k]] = reason if isinstance(reason, str) else reason[k]
         lanes = lanes[~bad]
+        if not lanes.size:
+            raise _NoneLeft
         return [a[~bad] for a in stacks]
 
-    values = pm.program.values(thetas)
-    B, A = reject(~np.isfinite(values).all(axis=1), "eval_error", *_coeff_stacks(pm, values))
-    B, A = trim_dust(B), trim_dust(A)
+    try:
+        values = pm.program.values(thetas)
+        B, A = reject(~np.isfinite(values).all(axis=1), "eval_error",
+                      *_coeff_stacks(pm, values))
+        B, A = trim_dust(B), trim_dust(A)
 
-    b_minus, b_plus, errors, _, _, inv = wh_factorize_stack(B, lam)
-    B, A, b_minus, b_plus, inv = reject(
-        np.array([e is not None for e in errors], dtype=bool),
-        [e and f"eu_failed: {type(e).__name__}" for e in errors], B, A, b_minus, b_plus, inv)
-    if not lanes.size:
-        return outcomes
-    horizon = default_horizon(n, kappa, lam)
-    (ma, transfer), singular = _lanewise(
-        lambda bm, bp, a, f: solve_stack(bm, bp, a, horizon, f), b_minus, b_plus, A, inv)
-    B, A = reject(singular, "eu_failed: SingularMatrixError", B, A)
-    c0_ranks = stacked_rank(transfer[:, 0])[0]
-    B, A, ma, transfer = reject(c0_ranks < m, "c0_rank_deficient", B, A, ma, transfer)
-    (z, hit), failed = _lanewise(rank_drop_stack, ma)
-    B, A, transfer = reject(failed, "not_invertible", B, A, transfer)   # z, hit hold the rest
-    inside = (hit & (np.abs(z) < 1.0 - CF_BOUNDARY_MARGIN)).any(axis=1)
-    B, A, transfer = reject(inside, "not_invertible", B, A, transfer)
-    B, A, transfer = reject(~canonical_staircase_mask(transfer[:, 0]), "c0_not_canonical",
-                            B, A, transfer)
-    if not lanes.size:
+        b_minus, b_plus, errors, _, _, inv = wh_factorize_stack(B, lam)
+        B, A, b_minus, b_plus, inv = reject(
+            np.array([e is not None for e in errors], dtype=bool),
+            [e and f"eu_failed: {type(e).__name__}" for e in errors],
+            B, A, b_minus, b_plus, inv)
+        horizon = default_horizon(n, kappa, lam)
+        (ma, transfer), singular = _lanewise(
+            lambda bm, bp, a, f: solve_stack(bm, bp, a, horizon, f), b_minus, b_plus, A, inv)
+        B, A = reject(singular, "eu_failed: SingularMatrixError", B, A)
+        c0_ranks = stacked_rank(transfer[:, 0])[0]
+        B, A, ma, transfer = reject(c0_ranks < m, "c0_rank_deficient", B, A, ma, transfer)
+        (z, hit), failed = _lanewise(rank_drop_stack, ma)
+        B, A, transfer = reject(failed, "not_invertible", B, A, transfer)  # z, hit: the rest
+        inside = (hit & (np.abs(z) < 1.0 - CF_BOUNDARY_MARGIN)).any(axis=1)
+        B, A, transfer = reject(inside, "not_invertible", B, A, transfer)
+        B, A, transfer = reject(~canonical_staircase_mask(transfer[:, 0]), "c0_not_canonical",
+                                B, A, transfer)
+    except _NoneLeft:
         return outcomes
 
     equation = restrictions.kind == "equation"
@@ -439,7 +470,7 @@ def _scan_chunk(pm: ParamMap, restrictions: RestrictionSet, thetas: np.ndarray,
     for group, N in kernel_bases(T, H, m, lam, tol_rank)[2].values():
         shape, ranks, svals, gaps = kernel_rank_stack(
             N, restrictions.blocks(1 if equation else n), pnorm[group], p_shape, tol_rank)
-        for k, s in enumerate(group):
+        for k, s in enumerate(group.tolist()):
             if ranks[k] == shape[1]:
                 if first is None or s < first[0]:
                     first = (s, lane_report(shape, ranks[k], svals[k], shape[1], gaps[k]))
@@ -450,6 +481,10 @@ def _scan_chunk(pm: ParamMap, restrictions: RestrictionSet, thetas: np.ndarray,
         outcomes[lanes[s]] = replace(report, warnings=membership_warnings(
             restrictions, coeff_vec(B[s], A[s]), n))
     return outcomes
+
+
+class _NoneLeft(Exception):
+    """Every sample of a chunk has been rejected (:func:`_scan_chunk`)."""
 
 
 def _lanewise(fn, *stacks):

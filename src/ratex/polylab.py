@@ -28,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.linalg import _umath_linalg
+
+from . import lapack
 
 # Relative threshold below which a coefficient matrix counts as zero when
 # trimming lag ranges.  The floor at 1 keeps all-tiny matrices intact.
@@ -294,11 +295,11 @@ def _deflate_infinite(A: np.ndarray, E: np.ndarray):
     """
     V = np.eye(A.shape[0])
     while A.size:
-        u, s, _ = np.linalg.svd(E)
+        u, s, _ = lapack.svd(E)
         r = int(np.sum(s > PENCIL_INFINITE_RTOL))
         if r == A.shape[0]:
             break
-        _, t, h = np.linalg.svd(u[:, r:].T @ A)
+        _, t, h = lapack.svd(u[:, r:].T @ A)
         if t[-1] <= PENCIL_SINGULAR_RTOL:
             raise SingularMatrixError("determinant is identically zero")
         u1, v1 = u[:, :r], h[A.shape[0] - r:].T
@@ -347,9 +348,8 @@ def series_divide(g: np.ndarray, rhs: np.ndarray, horizon: int,
     some g_0 is singular.
     """
     try:
-        with np.errstate(invalid="raise"):   # numpy's LAPACK kernel, without inv's checks
-            g0_inv = _umath_linalg.inv(g[:, 0])
-    except FloatingPointError as exc:
+        g0_inv = lapack.inv(g[:, 0])
+    except np.linalg.LinAlgError as exc:
         raise SingularMatrixError("lag-0 coefficient of the divisor is singular") from exc
     out = np.zeros((g.shape[0], horizon + 1, g.shape[2], rhs.shape[3]))
     start = 0

@@ -14,7 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .numrank import DEFAULT_TOL_RANK, numerical_rank, stacked_rank
+from . import lapack
+from .numrank import DEFAULT_TOL_RANK, numerical_rank
 from .polylab import (
     LaurentMatrix,
     Model,
@@ -93,7 +94,7 @@ class SolutionBundle:
     def c0_rank(self) -> int:
         if "c0_rank" in self.given:
             return self.given["c0_rank"]
-        return int(stacked_rank(self.transfer.coeffs[None, 0])[0][0])
+        return numerical_rank(self.transfer.coeffs[0])[0]
 
     @cached_property
     def c0_canonical(self) -> bool:
@@ -160,14 +161,20 @@ def _assemble(model: Model, fac, horizon: int | None) -> SolutionBundle:
 
 
 def is_canonical_staircase(c0: np.ndarray) -> bool:
-    """First nonzero of column j positive in row i_j with i_1 < ... < i_m."""
-    return bool(canonical_staircase_mask(np.atleast_2d(np.asarray(c0, dtype=float))[None])[0])
+    """First nonzero of column j positive in row i_j with i_1 < ... < i_m;
+    an entry counts as nonzero above CF_ZERO_RTOL * max(1, max |C_0|)."""
+    c0 = np.atleast_2d(np.asarray(c0, dtype=float))
+    mag = np.abs(c0)
+    nonzero = mag > CF_ZERO_RTOL * max(mag.max(initial=0.0), 1.0)
+    rows = nonzero.argmax(axis=0)                       # first nonzero row per column
+    pivot = (rows, np.arange(c0.shape[1]))
+    return bool((nonzero[pivot] & (c0[pivot] > 0)).all() and (rows[1:] > rows[:-1]).all())
 
 
 def canonical_staircase_mask(c0: np.ndarray) -> np.ndarray:
-    """:func:`is_canonical_staircase` for each matrix of an (S, n, m) stack;
-    an entry counts as nonzero above CF_ZERO_RTOL * max(1, max |C_0|) of its
-    own matrix."""
+    """:func:`is_canonical_staircase` for each matrix of an (S, n, m) stack."""
+    if len(c0) == 1:
+        return np.array([is_canonical_staircase(c0[0])])
     mag = np.abs(c0)
     scale = np.maximum(mag.max(axis=(1, 2), keepdims=True, initial=0.0), 1.0)
     nonzero = mag > CF_ZERO_RTOL * scale
@@ -195,12 +202,12 @@ def canonical_rotation(c0: np.ndarray) -> np.ndarray:
         if r == m:
             break
         x = M[r:, j]
-        nx = float(np.linalg.norm(x))
+        nx = float(lapack.norm(x))
         if nx <= cutoff:
             continue
         v = x.copy()
         v[0] += np.copysign(nx, x[0]) if x[0] != 0 else nx
-        v /= np.linalg.norm(v)
+        v /= lapack.norm(v)
         M[r:, :] -= 2.0 * np.outer(v, v @ M[r:, :])
         Q[r:, :] -= 2.0 * np.outer(v, v @ Q[r:, :])
         if M[r, j] < 0:
@@ -247,17 +254,18 @@ def rank_drop_stack(M: np.ndarray):
     S, L, n, m = M.shape
     if L == 1:
         return np.zeros((S, 0), dtype=complex), np.zeros((S, 0), dtype=bool)
-    u = np.linalg.svd(M[:, 0])[0][:, :, :m]
+    u = lapack.svd(M[:, 0])[0][:, :, :m]
     Q = u.swapaxes(1, 2)[:, None] @ M
     A, E = companion_stack(Q[:, ::-1])
-    w = np.linalg.eigvals(np.linalg.solve(E, A)).astype(complex)
+    w = lapack.eigvals(lapack.solve(E, A)).astype(complex)
     finite = w != 0
+    z = np.zeros_like(w)
     with np.errstate(over="ignore"):
-        z = np.where(finite, 1.0 / np.where(finite, w, 1.0), 0.0)
+        np.divide(1.0, w, out=z, where=finite)
     hit = finite & (np.abs(z) <= 1.0 + CF_BOUNDARY_MARGIN)
     if n > m and hit.any():
         Mz = np.einsum("skl,slij->skij", np.where(hit, z, 0.0)[..., None] ** np.arange(L), M)
-        smin = np.linalg.svd(Mz, compute_uv=False)[..., -1]
+        smin = lapack.svdvals(Mz)[..., -1]
         scale = np.maximum(np.abs(M).max(axis=(1, 2, 3)), 1.0)
         hit &= smin <= DEFAULT_TOL_RANK * scale[:, None]
     return z, hit
@@ -316,7 +324,7 @@ def spectral_density(model: Model, a_plus_mat: LaurentMatrix, z_grid) -> np.ndar
     z = np.asarray(z_grid)
     bz = model.B.value(z)
     try:
-        g = np.linalg.solve(bz, a_plus_mat.value(z))
+        g = lapack.solve(bz, a_plus_mat.value(z))
     except np.linalg.LinAlgError as exc:
         worst = z[np.argmin(np.abs(np.linalg.det(bz)))]
         raise SingularMatrixError(f"B(z) singular at grid point z = {worst:.6g}") from exc

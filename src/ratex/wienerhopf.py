@@ -34,10 +34,10 @@ once and iterates them together, retiring each as it settles; the
 restricted pencils, the divisors, B_plus and the reconstruction check run
 stacked too.  Samples are indexed only where their outcomes part, so one
 sample, or a stack whose samples all settle with the same count, passes
-through the kernels whole; the kernels call numpy's LAPACK gufuncs
-without np.linalg's per-call checks.  For lam = 0 the counts are all that
-is needed, so a stacked eigenvalue screen decides every sample its error
-bound allows and only the others are split.  Everything here is numpy.
+through the kernels whole; their QRs, SVDs, solves and eigenvalues are
+:mod:`ratex.lapack`'s.  For lam = 0 the counts are all that is needed, so
+a stacked eigenvalue screen decides every sample its error bound allows
+and only the others are split.  Everything here is numpy.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
+from . import lapack
 from .polylab import (
     PENCIL_INFINITE_RTOL,
     PENCIL_SINGULAR_RTOL,
@@ -243,7 +243,7 @@ def wh_factorize_stack(Bc: np.ndarray, lam: int, boundary: float = BOUNDARY_TOL)
         P = np.concatenate([P, np.zeros_like(P)], axis=1)
     R = _column_scaling(P)
     if R is not None:
-        Rinv = _umath_linalg.inv(R)
+        Rinv = lapack.inv(R)
         P = P @ Rinv[:, None]
     A, E = companion_stack(P)
     errors, zeros = [None] * S, [None] * S
@@ -262,7 +262,7 @@ def wh_factorize_stack(Bc: np.ndarray, lam: int, boundary: float = BOUNDARY_TOL)
                         errors[s] = exc
 
     if not lam:
-        s_E = _umath_linalg.svd(E)
+        s_E = lapack.svdvals(E)
         screen = s_E[:, -1] > PENCIL_INFINITE_RTOL
         if screen.any():
             lanes = rest[screen]
@@ -375,7 +375,7 @@ def _column_scaling(P: np.ndarray):
     """
     S, d1, n = P.shape[:3]
     X = P.reshape(S, d1 * n, n).copy()
-    _umath_linalg.qr_r_raw(X)
+    lapack.qr_raw(X)
     diag = np.abs(X.diagonal(0, 1, 2))
     ratio = diag.min(axis=1) / diag.max(axis=1, initial=_TINY)
     scale = (ratio < _SCALING_RCOND) & (ratio > PENCIL_SINGULAR_RTOL)
@@ -428,7 +428,7 @@ def _unit_circle_split(A: np.ndarray, E: np.ndarray, boundary: float):
     retired = []                    # (lanes, A_p, E_p, step) settled together
     live, a, e, r_prev, d_prev = np.arange(S), A, E, None, np.inf
     for j in range(1, cap + 1):
-        Q, R = _qr_complete(np.concatenate([e, -a], axis=1))
+        Q, R = lapack.qr_complete(np.concatenate([e, -a], axis=1))
         Qt = Q[:, :, N:].swapaxes(1, 2)
         a, e = Qt[:, :, :N] @ a, Qt[:, :, N:] @ e
         if j < _SPLIT_MIN_STEPS - 1:
@@ -455,25 +455,13 @@ def _unit_circle_split(A: np.ndarray, E: np.ndarray, boundary: float):
         order = np.argsort(np.concatenate([t[0] for t in retired]))
         Ap, Ep = (np.concatenate([t[i] for t in retired])[order] for i in (1, 2))
         steps = np.concatenate([np.full(len(t[0]), t[3]) for t in retired])[order]
-    s_E = _umath_linalg.svd(Ep)
-    _, s_A, Vt = _umath_linalg.svd_f(Ap)
+    s_E = lapack.svdvals(Ep)
+    _, s_A, Vt = lapack.svd(Ap)
     above = np.concatenate([s_A, s_E], axis=1) > (
         PENCIL_SINGULAR_RTOL * np.maximum(s_A[:, :1], s_E[:, :1]))
     outside = above[:, :N].sum(axis=1)
     failed = (steps > cap) | (above.sum(axis=1) != N)
     return Vt[:, ::-1].swapaxes(1, 2), N - outside, steps, failed
-
-
-def _qr_complete(X: np.ndarray):
-    """Q (S, m, m) and R (S, m, n) of the QR of a stack X (S, m, n), m > n,
-    with R's strict lower part holding Householder vectors instead of zeros.
-
-    The two LAPACK kernels of ``np.linalg.qr(X, mode="complete")``, called
-    without its per-call checks, which cost it about 20 us of its 25 us on
-    the small pencils split here.  X is overwritten.
-    """
-    tau = _umath_linalg.qr_r_raw(X)
-    return _umath_linalg.qr_complete(X, tau), X
 
 
 def _band_counts(A: np.ndarray, E: np.ndarray, boundary: float):
@@ -506,7 +494,7 @@ def _restrict(A: np.ndarray, E: np.ndarray, U: np.ndarray, c: int):
     of E U_c: the c x c blocks (AA, EE) of the pencil restricted to that
     subspace and the trailing blocks (A22, E22) of the rest."""
     N = A.shape[1]
-    Y = _qr_complete(E @ U[:, :, :c])[0] if c else np.eye(N)
+    Y = lapack.qr_complete(E @ U[:, :, :c])[0] if c else np.eye(N)
     Yt = Y.swapaxes(-1, -2)
     A2, E2 = Yt @ A @ U, Yt @ E @ U
     return A2[:, :c, :c], E2[:, :c, :c], A2[:, c:, c:], E2[:, c:, c:]
@@ -528,37 +516,29 @@ def _split_zeros(A: np.ndarray, E: np.ndarray, U: np.ndarray, c: int, boundary: 
     """
     AA, EE, A22, E22 = _restrict(A, E, U, c)
     S, N = A.shape[:2]
-    inside = _eigvals(EE, AA) if c else np.zeros((S, 0), dtype=complex)
+    inside = lapack.pencil_eigvals(EE, AA) if c else np.zeros((S, 0), dtype=complex)
     agree = (np.abs(inside) < 1.0 - boundary).all(axis=1)
     if c == N:
         return list(inside), AA, EE, agree
-    regular = _umath_linalg.svd(E22)[:, -1] > PENCIL_INFINITE_RTOL
+    regular = lapack.svdvals(E22)[:, -1] > PENCIL_INFINITE_RTOL
     if regular.all():
-        mu = _eigvals(A22, E22)
+        mu = lapack.pencil_eigvals(A22, E22)
         agree &= (np.abs(mu) * (1.0 + boundary) < 1.0).all(axis=1)
         return list(np.concatenate([inside, 1.0 / mu], axis=1)), AA, EE, agree
     mu = [None] * S
     if regular.any():
-        for i, m in zip(np.flatnonzero(regular), _eigvals(A22[regular], E22[regular])):
+        for i, m in zip(np.flatnonzero(regular),
+                        lapack.pencil_eigvals(A22[regular], E22[regular])):
             mu[i] = m
     for i in np.flatnonzero(~regular):
         try:
             a, e, _ = _deflate_infinite(A22[i], E22[i])
         except SingularMatrixError:     # left to the whole pencil to report
             a, e, agree[i] = np.zeros((0, 0)), None, False
-        mu[i] = np.linalg.eigvals(np.linalg.solve(a, e)) if a.size else np.zeros(0)
+        mu[i] = lapack.eigvals(lapack.solve(a, e)) if a.size else np.zeros(0)
     agree &= [bool((np.abs(m) * (1.0 + boundary) < 1.0).all()) for m in mu]
     zeros = [np.concatenate([zi, 1.0 / m]) for zi, m in zip(inside, mu)]
     return zeros, AA, EE, agree
-
-
-def _eigvals(E: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """Complex eigenvalues (S, c) of E^-1 A for a stack of c x c pairs with
-    nonsingular E, by numpy's LAPACK kernels without the per-call checks
-    of ``np.linalg.eigvals(np.linalg.solve(E, A))`` (most of its 15 us at
-    one sample).  A singular E gives NaN, not an error (and a warning
-    unless the caller has turned them off, as the stack does)."""
-    return _umath_linalg.eigvals(_umath_linalg.solve(E, A))
 
 
 def _pencil_zeros(A: np.ndarray, E: np.ndarray) -> np.ndarray:
@@ -569,7 +549,7 @@ def _pencil_zeros(A: np.ndarray, E: np.ndarray) -> np.ndarray:
     a, e, _ = _deflate_infinite(A, E)
     if not a.size:
         return np.array([], dtype=complex)
-    return np.linalg.eigvals(np.linalg.solve(e, a)).astype(complex)
+    return lapack.eigvals(lapack.solve(e, a)).astype(complex)
 
 
 def _screen_counts(A: np.ndarray, E: np.ndarray, s_E: np.ndarray, boundary: float):
@@ -585,24 +565,19 @@ def _screen_counts(A: np.ndarray, E: np.ndarray, s_E: np.ndarray, boundary: floa
     itself.  Returns (stable, on_band, zeros, decided).
     """
     N = A.shape[1]
-    # np.linalg.solve, eig (real arrays for a real spectrum) and inv, by
-    # their LAPACK kernels without the per-call checks
-    M = _umath_linalg.solve(E, A)
-    w, X = _umath_linalg.eig(M)
-    if not w.imag.any():
-        w, X = w.real, X.real
+    M = lapack.solve(E, A)
+    w, X = lapack.eig(M)
     try:
-        with np.errstate(invalid="raise"):
-            Y = _umath_linalg.inv(X)
-    except FloatingPointError:      # an exactly defective sample: decide none
+        Y = lapack.inv(X)
+    except np.linalg.LinAlgError:   # an exactly defective sample: decide none
         Y = np.full_like(X, np.nan)
     smax, smin = s_E[:, :1], s_E[:, -1:]
     mods = np.abs(w)
     with np.errstate(invalid="ignore", over="ignore"):
-        cond_w = np.linalg.norm(X, axis=1) * np.linalg.norm(Y, axis=2)
+        cond_w = lapack.norm(X, axis=1) * lapack.norm(Y, axis=2)
         bound = N * _EPS * cond_w * (
-            (smax / smin + 1.0) * np.linalg.norm(M, axis=(1, 2))[:, None]
-            + (np.linalg.norm(A, axis=(1, 2))[:, None] + mods * smax) / smin)
+            (smax / smin + 1.0) * lapack.norm(M, axis=(1, 2))[:, None]
+            + (lapack.norm(A, axis=(1, 2))[:, None] + mods * smax) / smin)
         near = ~(bound < np.minimum(np.abs(mods - (1.0 - boundary)),
                                     np.abs(mods - (1.0 + boundary))))
     stable = np.sum(mods < 1.0 - boundary, axis=1)
@@ -734,7 +709,7 @@ def _stable_monic_divisor(AA, EE, Z, n: int, lam: int):
     """
     S, N, k = Z.shape
     U = Z[:, :k]
-    svals = _umath_linalg.svd(U)
+    svals = lapack.svdvals(U)
     ok = svals[:, -1] > EXTRACTION_RCOND * np.maximum(svals[:, 0], 1.0)
     sel = slice(None) if ok.all() else ok
     out = np.zeros((S, lam + 1, n, n))
@@ -744,8 +719,8 @@ def _stable_monic_divisor(AA, EE, Z, n: int, lam: int):
     else:
         # degree-lam polynomial: advance the last block one step via the
         # restricted pencil map W = S_E^-1 S_A
-        W = _umath_linalg.solve(EE[sel], AA[sel])
+        W = lapack.solve(EE[sel], AA[sel])
         v_next = Z[sel, k - n:] @ W
-    L = -v_next @ _umath_linalg.inv(U[sel])  # [L_0 ... L_{lam-1}]
+    L = -v_next @ lapack.inv(U[sel])        # [L_0 ... L_{lam-1}]
     out[sel, :lam] = L.reshape(-1, n, lam, n).transpose(0, 2, 3, 1)
     return out, ok

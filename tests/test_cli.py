@@ -22,7 +22,8 @@ from ratex.polylab import Model
 
 
 def write(path, obj):
-    path.write_text(json.dumps(obj))
+    """obj as JSON, or a string as the file's text."""
+    path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
     return str(path)
 
 
@@ -943,6 +944,14 @@ class TestMalformedInput:
                                         "B lag 1 given twice (keys '1' and '01')"),
         "lag twice in a parametrized file": (param_model(B={"0": "1", "1": "a", "01": "0.25"}),
                                              "B lag 1 given twice (keys '1' and '01')"),
+        "lag key repeated in a numeric file": (
+            '{"n": 1, "m": 1, "lambda": 0, "kappa": 1, "A": {"0": [[1.0]]},'
+            ' "B": {"0": [[1.0]], "1": [[-0.5]], "1": [[0.7]]}}',
+            "B lag 1 given twice (keys '1' and '1')"),
+        "lag key repeated in a parametrized file": (
+            '{"n": 1, "m": 1, "lambda": 0, "kappa": 1, "parametrized": {"params": ["a"],'
+            ' "B": {"0": "1", "1": "a", "1": "0.25"}, "A": {"0": "1"}}}',
+            "B lag 1 given twice (keys '1' and '1')"),
         "signed lag key twice": ({**ds_model(), "A": {"0": [[1.0]], "+0": [[2.0]]}},
                                  "A lag 0 given twice (keys '0' and '+0')"),
         "non-integer n": ({**ds_model(), "n": "x"}, "n must be an integer, got 'x'"),

@@ -19,6 +19,7 @@ from ratex.exprs import (
     BinOp,
     EvalError,
     Lit,
+    ModelFileError,
     Neg,
     ParseError,
     Pow,
@@ -137,6 +138,12 @@ class TestParser:
     def test_json_text_accepted(self):
         pm = parse_model(json.dumps(employment_model_spec()))
         assert pm.dim == 3
+
+    def test_json_text_with_a_lag_key_repeated(self):
+        text = ('{"n": 1, "m": 1, "lambda": 0, "kappa": 1,'
+                ' "B": {"0": "1", "1": "0.5", "1": "0.7"}, "A": {"0": "1"}}')
+        with pytest.raises(ModelFileError, match=r"B lag 1 given twice \(keys '1' and '1'\)"):
+            parse_model(text)
 
     def test_roundtrip_corpus(self, rng):
         names = ["theta1", "theta2", "x_3"]
