@@ -2,7 +2,6 @@
 expectations models, with VARMA and static simultaneous-equations systems
 as the lag-degenerate special cases."""
 
-from .exprs import parse_expression
 from .identcore import (
     IdentSystem,
     RankReport,
@@ -31,7 +30,6 @@ from .polylab import (
     Model,
     lp_det_and_zeros,
     lp_mul,
-    lp_series_divide,
 )
 from .resolve import (
     SolutionBundle,
@@ -51,9 +49,8 @@ __all__ = [
     "ds_criterion", "equivalence_class_dim", "ident_test_affine",
     "ident_test_equation", "obs_equivalent", "spectral_equivalent",
     "GenericReport", "LocalReport", "ParamMap", "SamplerConfig", "eval_model",
-    "fd_jacobian", "generic_ident", "local_ident", "parse_expression",
-    "parse_model", "LaurentMatrix", "Model", "lp_det_and_zeros", "lp_mul",
-    "lp_series_divide", "SolutionBundle",
+    "fd_jacobian", "generic_ident", "local_ident", "parse_model",
+    "LaurentMatrix", "Model", "lp_det_and_zeros", "lp_mul", "SolutionBundle",
     "TransferSeries", "cf_check_and_normalize", "simulate", "solve_model",
     "spectral_density", "unit_circle_grid", "WHFactors", "wh_factorize",
 ]

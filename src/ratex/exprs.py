@@ -13,15 +13,13 @@ program, one numpy operation per operator kind and tree height, at one
 point or at a stack of samples, and gets the exact Jacobian by reverse
 accumulation: one sweep of adjoints down the heights and one scatter into
 J.  A syntax error scans the failing expression again for its line and
-column; the trees that :func:`parse_expression` returns are a view of the
-program.
+column.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -48,42 +46,10 @@ class EvalError(ArithmeticError):
     """Runtime evaluation failure (division blow-up, unknown name)."""
 
 
-# -- expression trees --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Lit:
-    value: float
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: object
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # '+', '-', '*', '/'
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int  # non-negative integer literal only
-
-
 # -- one-pass parser ---------------------------------------------------------
 
 _LIT, _VAR, _NEG, _POW, _ADD, _SUB, _MUL, _DIV = range(8)
 _BINARY = {"+": _ADD, "-": _SUB, "*": _MUL, "/": _DIV}
-_SYMBOL = {code: op for op, code in _BINARY.items()}
 _PRECEDENCE = {_NEG: 3, _MUL: 2, _DIV: 2, _ADD: 1, _SUB: 1}
 _OPEN = -1  # '(' on the operator stack
 
@@ -267,24 +233,6 @@ class ExprParser:
             roots.append(operands.pop())
             i += 1
 
-    def trees(self) -> list:
-        """The expression trees, one per root: a view of the nodes."""
-        names = list(self.names)
-        built = []
-        for k, (op, x) in enumerate(zip(self.key, self.arg)):
-            op &= 7
-            if op == _LIT:
-                built.append(Lit(x))
-            elif op == _VAR:
-                built.append(Var(names[x]))
-            elif op == _NEG:
-                built.append(Neg(built[k - 1]))
-            elif op == _POW:
-                built.append(Pow(built[k - 1], x))
-            else:
-                built.append(BinOp(_SYMBOL[op], built[x], built[k - 1]))
-        return [built[r] for r in self.roots]
-
     def compile(self, positions) -> "ExprProgram":
         """The program with each name slot at ``positions[slot]`` of the
         argument vector."""
@@ -316,25 +264,6 @@ def _text(tok: str) -> str:
 def _line_col(text: str, start: int):
     """1-based line and column of offset ``start``."""
     return text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
-
-
-def parse_expression(text: str):
-    """Parse one expression; raises ParseError with line/column on failure."""
-    parser = ExprParser()
-    parser.parse([text])
-    return parser.trees()[0]
-
-
-def compile_exprs(sources, names: dict) -> "ExprProgram":
-    """Expression strings (or numbers) compiled against ``names`` (name ->
-    index into the argument vector); an unknown name raises EvalError."""
-    parser = ExprParser()
-    parser.parse(sources)
-    try:
-        positions = [names[name] for name in parser.names]
-    except KeyError as exc:
-        raise EvalError(f"unknown identifier '{exc.args[0]}'") from None
-    return parser.compile(positions)
 
 
 # -- flat program ------------------------------------------------------------
@@ -468,9 +397,6 @@ class ExprProgram:
         in parse order."""
         leaves = self.postfix[self.n_lit:self.n_lit + self.n_var]
         return np.searchsorted(self.parser.roots, leaves)
-
-    def trees(self) -> list:
-        return self.parser.trees()
 
 
 def _power(t: float, k: int) -> float:

@@ -187,28 +187,6 @@ def coeff_vec_length(n: int, m: int, kappa: int, lam: int, equation: bool = Fals
     return n * n * (kappa + lam + 1) + n * m * (kappa + 1)
 
 
-def coeff_vec_index(block: str, lag: int, row: int, col: int,
-                    n: int, m: int, kappa: int, lam: int, equation: bool = False) -> int:
-    """Position of a coefficient entry in vec([B_-lam..B_kappa | A_0..A_kappa]).
-
-    ``row``/``col`` are 0-based here; vec stacks the columns of the
-    horizontal concatenation.  With ``equation`` the vector is the single
-    row ``row`` of that concatenation (see :func:`coeff_vec_length`), so the
-    position is the column index alone.
-    """
-    if block == "B":
-        if not (-lam <= lag <= kappa) or not (0 <= row < n and 0 <= col < n):
-            raise IndexError(f"B[{lag}][{row}][{col}] outside the coefficient space")
-        c = (lag + lam) * n + col
-    elif block == "A":
-        if not (0 <= lag <= kappa) or not (0 <= row < n and 0 <= col < m):
-            raise IndexError(f"A[{lag}][{row}][{col}] outside the coefficient space")
-        c = n * (kappa + lam + 1) + lag * m + col
-    else:
-        raise ValueError("block must be 'B' or 'A'")
-    return c if equation else c * n + row
-
-
 def model_coeff_vec(model: Model) -> np.ndarray:
     """vec([B_-lam .. B_kappa | A_0 .. A_kappa]) at the model's declared bounds."""
     return coeff_vec(model.B.window(-model.lam, model.kappa), model.A.window(0, model.kappa))

@@ -96,10 +96,18 @@ def pencil_eigvals(e: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Complex eigenvalues of e^-1 a for a stack of square pairs, from the
     kernels of ``np.linalg.eigvals(np.linalg.solve(e, a))`` but without
     either's errors: a sample with a singular e gets NaN, the others their
-    eigenvalues."""
+    eigenvalues.  A sample whose solve is not finite never reaches the
+    eigenvalue kernel, where LAPACK's error handler would print to file
+    descriptor 1."""
     token = _extobj_contextvar.set(_QUIET)
     try:
-        return _umath_linalg.eigvals(_umath_linalg.solve(e, a))
+        x = _umath_linalg.solve(e, a)
+        finite = np.isfinite(x).all(axis=(-2, -1))
+        if finite.all():
+            return _umath_linalg.eigvals(x)
+        w = np.full(x.shape[:-1], np.nan, dtype=complex)
+        w[finite] = _umath_linalg.eigvals(x[finite])
+        return w
     finally:
         _extobj_contextvar.reset(token)
 

@@ -13,7 +13,7 @@ go through one decoder, :func:`~ratex.paramdsl.decode_lag_blocks`.
 Restriction files: a JSON object with exactly one of "pins" (a list of
 {block, lag, row, col, value}, 1-based row and column), "R" and "u"
 (default 0), a dense R vec = u in the vec ordering of
-:func:`~ratex.identcore.coeff_vec_index`, or "nonlinear" (expression
+:func:`~ratex.identcore.coeff_vec`, or "nonlinear" (expression
 strings, residuals that vanish at admissible coefficients).  In those
 expressions a coefficient reference such as B[-1][1][2] (block, lag,
 1-based row and column) is one name token of the same grammar.  An
@@ -24,12 +24,13 @@ expression syntax error raises its subclass ParseError, with the line and
 column in the file's own text.  Errors name pins and references in the
 file's terms: 1-based rows and columns, and a lag with its window.
 
-Decoding is one pass per file: pins in one loop over the list, giving the
-column of each pin's unit row, from which the equation blocks of R follow
-(:class:`~ratex.identcore.EquationBlocks`); the expressions of a
-"nonlinear" file in one parse into a flat program (:mod:`ratex.exprs`),
-its distinct references decoded together by one regex scan and array
-arithmetic.
+Decoding is one pass per file: pins in one loop over the list, then placed
+together, giving the column of each pin's unit row, from which the
+equation blocks of R follow (:class:`~ratex.identcore.EquationBlocks`);
+the expressions of a "nonlinear" file in one parse into a flat program
+(:mod:`ratex.exprs`), its distinct references decoded together by one
+regex scan.  Pins and references share one position map,
+:func:`_coeff_positions`.
 """
 
 from __future__ import annotations
@@ -114,9 +115,11 @@ _REFERENCES = re.compile(r"\x00([AB])\[(-?\d+)\]\[(\d+)\]\[(\d+)\](?=\x00)")
 
 
 def _coeff_positions(is_b, lag, row, col, n, m, kappa, lam, equation):
-    """coeff_vec_index of each reference (block B where ``is_b``, else A;
-    1-based row and column), and the mask of references outside the
-    coefficient space or, with ``equation``, off its row."""
+    """Position of each reference (block B where ``is_b``, else A; 1-based
+    row and column) in vec([B_-lam..B_kappa | A_0..A_kappa]), which stacks
+    the columns of the concatenation (with ``equation``, its one row, so
+    the column alone), and the mask of references outside the coefficient
+    space or, with ``equation``, off its row."""
     cols, lo = np.where(is_b, n, m), np.where(is_b, -lam, 0)
     bad = (row < 1) | (row > n) | (col < 1) | (col > cols) | (lag < lo) | (lag > kappa)
     if equation is not None:
@@ -144,8 +147,8 @@ def _reference_error(label, block, lag, row, col, n, m, kappa, lam, equation):
 def compile_nonlinear(exprs, n, m, kappa, lam, equation=None) -> RestrictionSet:
     """Expression strings over coefficient references (B[-1][1][1]) ->
     compiled residual map with its exact Jacobian.  The expressions parse
-    in one pass, and the distinct references decode to their
-    coeff_vec_index positions together, in one scan."""
+    in one pass, and the distinct references decode to their positions
+    (:func:`_coeff_positions`) together, in one scan."""
     if not all(isinstance(text, str) for text in exprs):
         raise ModelFileError("nonlinear restrictions must be strings")
     parser = ExprParser()
@@ -172,46 +175,59 @@ def compile_nonlinear(exprs, n, m, kappa, lam, equation=None) -> RestrictionSet:
                                     jacobian=program.jacobian)
 
 
+def _pin(pin, k: int):
+    """A pin's block, lag, row, col and value, its fields checked in order:
+    lag, row and col by :func:`json_int`, the value a finite JSON number."""
+    try:
+        block, lag = pin["block"], pin["lag"]
+        if type(lag) is not int:
+            lag = json_int(lag, f"pin #{k}: lag")
+        row = pin["row"]
+        if type(row) is not int:
+            row = json_int(row, f"pin #{k}: row")
+        col = pin["col"]
+        if type(col) is not int:
+            col = json_int(col, f"pin #{k}: col")
+        value = pin["value"]
+    except (KeyError, TypeError) as exc:
+        raise ModelFileError(f"pin #{k}: {exc}") from None
+    if type(value) is not float and type(value) is not int:
+        raise ModelFileError(f"pin #{k}: value must be a number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:           # an integer beyond the floats
+        finite = False
+    if not finite:
+        raise ModelFileError(f"pin #{k}: value must be finite")
+    return block, lag, row, col, value
+
+
 def _decode_pins(pins: list, n, m, kappa, lam, equation):
-    """Positions and values of the pins, in one pass over them.  A pin's
-    fields are checked in order: lag, row and col by :func:`json_int`, the
-    value a finite JSON number, then its position."""
-    positions, values = [], []
-    offset = n * (kappa + lam + 1)          # where A's columns start
+    """Positions and values of the pins.  Each pin's fields are checked
+    (:func:`_pin`) up to the first pin that fails; the positions of the
+    pins before it come from :func:`_coeff_positions` together, and the
+    first of them without one is reported ahead of that failure."""
+    fields, error = [], None
     for k, pin in enumerate(pins, 1):
         try:
-            block, lag = pin["block"], pin["lag"]
-            if type(lag) is not int:
-                lag = json_int(lag, f"pin #{k}: lag")
-            row = pin["row"]
-            if type(row) is not int:
-                row = json_int(row, f"pin #{k}: row")
-            col = pin["col"]
-            if type(col) is not int:
-                col = json_int(col, f"pin #{k}: col")
-            value = pin["value"]
-        except (KeyError, TypeError) as exc:
-            raise ModelFileError(f"pin #{k}: {exc}") from None
-        if type(value) is not float and type(value) is not int:
-            raise ModelFileError(f"pin #{k}: value must be a number, got {value!r}")
-        try:
-            finite = math.isfinite(value)
-        except OverflowError:           # an integer beyond the floats
-            finite = False
-        if not finite:
-            raise ModelFileError(f"pin #{k}: value must be finite")
-        if block == "B" and -lam <= lag <= kappa and 1 <= col <= n:
-            c = (lag + lam) * n + col - 1
-        elif block == "A" and 0 <= lag <= kappa and 1 <= col <= m:
-            c = offset + lag * m + col - 1
-        else:
-            c = None
-        if c is None or not 1 <= row <= n or equation is not None and row != equation:
-            raise ModelFileError(_reference_error(f"pin #{k}", block, lag, row, col,
-                                                  n, m, kappa, lam, equation))
-        positions.append(c if equation is not None else c * n + row - 1)
-        values.append(value)
-    return np.array(positions, dtype=int), np.array(values, dtype=float)
+            fields.append(_pin(pin, k))
+        except ModelFileError as exc:
+            error = exc
+            break
+    blocks, *indices, values = zip(*fields) if fields else ((),) * 5
+    # no dtype is forced: a JSON integer beyond int64 makes an object (or
+    # float) array, whose entries the mask compares exactly, not an overflow
+    lag, row, col = np.array(indices)
+    is_b, is_a = (np.array([block == name for block in blocks], dtype=bool) for name in "BA")
+    positions, bad = _coeff_positions(is_b, lag, row, col, n, m, kappa, lam, equation)
+    bad |= ~(is_b | is_a)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ModelFileError(_reference_error(f"pin #{k + 1}", *fields[k][:4],
+                                              n, m, kappa, lam, equation))
+    if error is not None:
+        raise error
+    return positions.astype(int), np.array(values, dtype=float)
 
 
 def restrictions_from_dict(spec: dict, n: int, m: int, kappa: int, lam: int) -> RestrictionSet:

@@ -42,7 +42,6 @@ from __future__ import annotations
 import json
 import warnings as _warnings
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -89,6 +88,8 @@ class ParamMap:
     ``program`` evaluates every entry of the file's B and A blocks, in file
     order, against theta positions; ``slots`` holds each entry's index in
     the flattened coefficient stacks [B | A] (:func:`_coeff_stacks`).
+    The program is the entries' one representation: no expression trees
+    are kept.
     """
 
     param_names: tuple
@@ -103,29 +104,6 @@ class ParamMap:
     @property
     def dim(self) -> int:
         return len(self.param_names)
-
-    @property
-    def b_entries(self) -> dict:
-        """lag -> (n, n) object array of expression trees, for the lags in the file."""
-        return self._entries[0]
-
-    @property
-    def a_entries(self) -> dict:
-        """lag -> (n, m) object array of expression trees, for the lags in the file."""
-        return self._entries[1]
-
-    @cached_property
-    def _entries(self) -> tuple:
-        """The B and A entry trees by lag, in file order: a view of the program."""
-        nb = (self.kappa + self.lam + 1) * self.n * self.n
-        maps = ({}, {})
-        for tree, slot in zip(self.program.trees(), self.slots.tolist()):
-            is_a = slot >= nb
-            cols, lo = (self.m, 0) if is_a else (self.n, -self.lam)
-            lag, cell = divmod(slot - nb * is_a, self.n * cols)
-            grid = maps[is_a].setdefault(lo + lag, np.empty((self.n, cols), dtype=object))
-            grid[divmod(cell, cols)] = tree
-        return maps
 
 
 def json_typed(value, kind: type, label: str):
@@ -607,14 +585,3 @@ def local_ident(model: Model, restrictions: RestrictionSet,
         note = ("rank deficient but NOT locally constant: the rank test is "
                 "inconclusive (regularity fails); the point may still be identified")
     return LocalReport(report, False, constant, tuple(probe_ranks), note)
-
-
-def affine_as_nonlinear(R, u, equation: int | None = None) -> RestrictionSet:
-    """Wrap affine restrictions as a residual map, for cross-checking paths."""
-    R = np.atleast_2d(np.asarray(R, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-
-    def fn(x):
-        return R @ x - u
-
-    return RestrictionSet.nonlinear(fn, R.shape[0], equation=equation)

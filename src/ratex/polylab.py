@@ -10,7 +10,7 @@ points).  The kernels below the class take coefficient stacks with a
 leading sample axis S, so one call serves S polynomials at once: the dust
 rule of :func:`trim_dust`, the long division of :func:`series_divide` and
 the companion pencils of :func:`companion_stack`.  The LaurentMatrix
-functions call them at S = 1.
+functions here call the first and the last at S = 1.
 
 Polynomial zeros have one source: the block-companion pencils of
 :func:`companion_stack`, whose generalized eigenvalues are the zeros of
@@ -108,15 +108,6 @@ class LaurentMatrix:
         return out.trimmed() if trim else out
 
     @classmethod
-    def constant(cls, mat) -> "LaurentMatrix":
-        """Lag-zero matrix."""
-        return cls.from_coeffs([mat], 0, trim=False)
-
-    @classmethod
-    def identity(cls, n: int) -> "LaurentMatrix":
-        return cls.constant(np.eye(n))
-
-    @classmethod
     def zero(cls, rows: int, cols: int) -> "LaurentMatrix":
         return cls(np.zeros((1, rows, cols)), 0)
 
@@ -173,14 +164,6 @@ class LaurentMatrix:
         """Apply a constant matrix on the right (each coefficient @ v)."""
         return LaurentMatrix.from_coeffs(self.coeffs @ v, self.min_lag)
 
-    def plus_part(self) -> "LaurentMatrix":
-        """Lags >= 0."""
-        if self.min_lag >= 0:
-            return self
-        if self.max_lag < 0:
-            return LaurentMatrix.zero(self.rows, self.cols)
-        return LaurentMatrix.from_coeffs(self.coeffs[-self.min_lag:], 0)
-
     def trimmed(self) -> "LaurentMatrix":
         """Dust rule applied and all-dust end lags dropped; a result of this
         (or of :meth:`from_coeffs`) is its own trimmed form."""
@@ -189,14 +172,6 @@ class LaurentMatrix:
         out = LaurentMatrix.trusted(*_trim(self.coeffs, self.min_lag))
         object.__setattr__(out, "_is_trimmed", True)
         return out
-
-    def allclose(self, other: "LaurentMatrix", atol: float = 1e-12) -> bool:
-        """Coefficient-wise comparison over the union of lag ranges."""
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            return False
-        lo = min(self.min_lag, other.min_lag)
-        hi = max(self.max_lag, other.max_lag)
-        return np.allclose(self.window(lo, hi), other.window(lo, hi), atol=atol, rtol=0.0)
 
     def __repr__(self):
         return (f"LaurentMatrix({self.rows}x{self.cols}, "
@@ -319,21 +294,14 @@ def lp_det_and_zeros(a: LaurentMatrix) -> np.ndarray:
     identically zero.
 
     An oracle for tests: no command reaches it, so scipy, which it needs
-    for the QZ eigenvalues of the pencil, is imported here alone.
+    for the QZ eigenvalues of the pencil, is imported here alone.  It
+    stays in the package because the benchmark's span tracer
+    (bench/spans.py) wraps it by name.
     """
     from scipy.linalg import eig
 
     A, E, _ = companion_pencil(a)
     return eig(A, E, right=False, check_finite=False).astype(complex)
-
-
-def lp_series_divide(g: LaurentMatrix, rhs: LaurentMatrix, horizon: int) -> np.ndarray:
-    """Coefficients 0..horizon of the power series g^-1 rhs (see
-    :func:`series_divide`); g is a polynomial in z with invertible g_0.
-    Returns (horizon + 1, rows, cols)."""
-    gs = g.window(0, max(g.max_lag, 0))
-    rs = rhs.window(0, max(min(rhs.max_lag, horizon), 0))
-    return series_divide(gs[None], rs[None], horizon)[0]
 
 
 def series_divide(g: np.ndarray, rhs: np.ndarray, horizon: int,

@@ -26,7 +26,6 @@ from .polylab import (
     trim_dust,
 )
 from .wienerhopf import WHFactors, bminus_inv_plus, wh_factorize_all
-from .wienerhopf import plus_part_of_bminus_inv_a  # noqa: F401 (public here too)
 
 # zeros of the moving-average part this close to |z| = 1 are boundary cases
 # (reported, not fatal); strictly smaller moduli violate invertibility
@@ -34,10 +33,9 @@ CF_BOUNDARY_MARGIN = 1e-9
 # C_0 entries above CF_ZERO_RTOL * max(1, max |C_0|) count as nonzero in the CF check
 CF_ZERO_RTOL = 1e-9
 
-# truncation rule of simulate (see there); grid of autocovariances_from_spectrum
+# truncation rule of simulate (see there)
 SIM_DECAY_RTOL = 1e-12
 SIM_HORIZON_CAP = 10_000
-AUTOCOV_GRID = 512
 
 
 class RankDeficientC0(Exception):
@@ -338,15 +336,6 @@ def spectral_distance(bundle_a: SolutionBundle, bundle_b: SolutionBundle, z_grid
     return float(np.max(np.abs(fa - fb))), max(float(np.max(np.abs(fa))), 1e-12)
 
 
-def autocovariances_from_spectrum(bundle: SolutionBundle, lags: int):
-    """Autocovariances gamma(0..lags) via the inverse transform of the
-    spectrum on AUTOCOV_GRID points."""
-    grid = unit_circle_grid(AUTOCOV_GRID)
-    f = spectral_density(bundle.model, bundle.a_plus, grid)
-    weights = grid ** -np.arange(lags + 1)[:, None]
-    return np.real(np.tensordot(weights, f, axes=1) / AUTOCOV_GRID)
-
-
 def simulate(bundle: SolutionBundle, T: int, seed: int) -> np.ndarray:
     """Sample path of length T from the truncated moving-average representation.
 
@@ -376,14 +365,3 @@ def simulate(bundle: SolutionBundle, T: int, seed: int) -> np.ndarray:
     for j in range(h + 1):
         y += eps[h - j: h - j + T] @ coeffs[j].T
     return y
-
-
-def sample_autocovariances(y: np.ndarray, lags: int):
-    """Biased (1/T) sample autocovariances gamma_hat(0..lags), mean removed."""
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    T = y.shape[0]
-    yc = y - y.mean(axis=0)
-    out = []
-    for h in range(lags + 1):
-        out.append(yc[h:].T @ yc[: T - h] / T)
-    return np.array(out)

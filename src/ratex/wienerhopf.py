@@ -654,17 +654,6 @@ def _plus_factor(b_minus: np.ndarray, Bc: np.ndarray):
     return b_plus, np.abs(recon - Bc).max(axis=(1, 2, 3)), f
 
 
-def plus_part_of_bminus_inv_a(b_minus: LaurentMatrix, A: LaurentMatrix) -> LaurentMatrix:
-    """Nonnegative-lag part of B_minus^-1 A (see :func:`bminus_inv_plus`)."""
-    if A.is_zero:
-        return LaurentMatrix.zero(b_minus.rows, A.cols)
-    if b_minus.trimmed().max_lag > 0:
-        raise ValueError("B_minus must be a polynomial in 1/z")
-    bm = b_minus.window(min(b_minus.min_lag, 0), 0)
-    a = A.window(0, A.max_lag)
-    return LaurentMatrix.from_coeffs(bminus_inv_plus(bm[None], a[None])[0], 0)
-
-
 def _inverse_series(b_minus: np.ndarray, horizon: int, prefix: np.ndarray | None = None):
     """Coefficients 0..horizon of B_minus^-1 in powers of 1/z for a stack
     b_minus (S, lam+1, n, n) at lags -lam..0, after the dust rule; a prefix

@@ -10,6 +10,7 @@ construction, with the true factors available as oracles.
 import numpy as np
 import pytest
 
+from oracles import constant, identity, plus_part
 from ratex.polylab import PENCIL_INFINITE_RTOL, LaurentMatrix, Model, lp_mul, trim_dust
 from ratex.resolve import canonical_rotation, solve_model
 from ratex.wienerhopf import BOUNDARY_TOL
@@ -30,7 +31,7 @@ def invertible_stable(rng, n, lo=0.2, hi=0.75):
 
 
 def random_b_minus(rng, n, lam):
-    out = LaurentMatrix.identity(n)
+    out = identity(n)
     for _ in range(lam):
         out = lp_mul(out, LaurentMatrix.from_coeffs(
             [-spectral_scale(rng, n, 0.8), np.eye(n)], -1, trim=False))
@@ -41,7 +42,7 @@ def random_b_plus(rng, n, kappa, nonsingular_lead=False):
     g0 = rng.standard_normal((n, n))
     while abs(np.linalg.det(g0)) < 0.1:
         g0 = rng.standard_normal((n, n))
-    out = LaurentMatrix.constant(g0)
+    out = constant(g0)
     for _ in range(kappa):
         u = invertible_stable(rng, n) if nonsingular_lead else spectral_scale(rng, n, 0.75)
         out = lp_mul(out, LaurentMatrix.from_coeffs([np.eye(n), -u], 0, trim=False))
@@ -50,18 +51,18 @@ def random_b_plus(rng, n, kappa, nonsingular_lead=False):
 
 def random_ma_part(rng, n, m, kappa):
     """n x m polynomial with rank m on the closed unit disk."""
-    core = LaurentMatrix.constant(np.eye(m))
+    core = constant(np.eye(m))
     for _ in range(kappa):
         core = lp_mul(core, LaurentMatrix.from_coeffs(
             [np.eye(m), -spectral_scale(rng, m, 0.75)], 0, trim=False))
     n0 = rng.standard_normal((m, m))
     while abs(np.linalg.det(n0)) < 0.1:
         n0 = rng.standard_normal((m, m))
-    core = lp_mul(LaurentMatrix.constant(n0), core)
+    core = lp_mul(constant(n0), core)
     if n == m:
         return core
     lift, _ = np.linalg.qr(rng.standard_normal((n, m)))
-    return lp_mul(LaurentMatrix.constant(lift), core)
+    return lp_mul(constant(lift), core)
 
 
 def make_valid_model(rng, n=1, m=1, lam=1, kappa=1, canonical=True):
@@ -77,7 +78,7 @@ def make_valid_model(rng, n=1, m=1, lam=1, kappa=1, canonical=True):
         c0 = np.linalg.solve(b_plus.coefficient(0), ma.coefficient(0))
         v = canonical_rotation(c0)
         ma = ma.right_multiplied(v)
-    A = lp_mul(b_minus, ma).plus_part()
+    A = plus_part(lp_mul(b_minus, ma))
     B = lp_mul(b_minus, b_plus)
     model = Model(B, A, lam=lam, kappa=kappa)
     return model, b_minus, b_plus, ma

@@ -6,17 +6,21 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import coeff_vec_index, parse_expression
 from ratex.cli import build_parser, main
 from ratex.identcore import RestrictionSet
 from ratex.modelio import (
     ModelFileError,
+    _coeff_positions,
     compile_nonlinear,
     load_model_file,
     model_from_dict,
     restrictions_from_dict,
 )
-from ratex.exprs import ParseError, parse_expression
+from ratex.exprs import ParseError
 from ratex.paramdsl import ParamMap
 from ratex.polylab import Model
 
@@ -193,6 +197,34 @@ class TestRestrictionFiles:
         with pytest.raises(ModelFileError, match=f"^{re.escape(ref)}: .*{message}"):
             restrictions_from_dict({**spec, "nonlinear": [f"({ref} - 1)^2"]},
                                    n=2, m=1, kappa=1, lam=0)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(dims=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2),
+                          st.integers(0, 2)),
+           refs=st.lists(st.tuples(st.sampled_from("AB"), st.integers(-4, 4),
+                                   st.integers(-1, 4), st.integers(-1, 4)),
+                         min_size=1, max_size=12),
+           equation=st.none() | st.integers(1, 3))
+    def test_position_map_matches_the_scalar_oracle(self, dims, refs, equation):
+        """The position map that pins and references share: each reference
+        (1-based row and column) at coeff_vec_index's position, and in the
+        mask exactly when that has none or, with an equation, when the row
+        is another."""
+        n, m, kappa, lam = dims
+        blocks, lags, rows, cols = (np.array(field) for field in zip(*refs))
+        positions, bad = _coeff_positions(blocks == "B", lags, rows, cols,
+                                          n, m, kappa, lam, equation)
+        for k, (block, lag, row, col) in enumerate(refs):
+            try:
+                want = coeff_vec_index(block, lag, row - 1, col - 1, n, m, kappa, lam,
+                                       equation is not None)
+            except IndexError:
+                want = None
+            if equation is not None and row != equation:
+                want = None
+            assert bool(bad[k]) == (want is None)
+            if want is not None:
+                assert positions[k] == want
 
 
 class TestFactorizeCommand:
@@ -992,6 +1024,11 @@ class TestMalformedInput:
                               "pin #2: value must be a number, got True"),
         "string pin value": (pins(("B", 0, "1")), "pin #1: value must be a number, got '1'"),
         "pin without a value": (one_pin(value=None), "pin #1: 'value'"),
+        "first of two faulty pins": (pins(("B", 2, 1.0), ("B", 0.5, 1.0)),
+                                     "pin #1: B lag 2 outside 0..1"),
+        "pin block C": (one_pin(block="C"), "pin #1: block must be 'B' or 'A'"),
+        "pin lag beyond int64": (pins(("B", 10**30, 1.0)),
+                                 f"pin #1: B lag {10**30} outside 0..1"),
     }
 
     def assert_file_error(self, capsys, argv, fragment):

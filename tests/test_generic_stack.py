@@ -15,11 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import coeff_vec_index
 from ratex.identcore import (
     RankReport,
     RestrictionSet,
     build_ident_system,
-    coeff_vec_index,
     coeff_vec_length,
     ident_test_affine,
     ident_test_equation,

@@ -4,11 +4,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_valid_model
+from oracles import coeff_vec_index, identity, plus_part
 from ratex.identcore import (
     IdentSystem,
     RestrictionSet,
     build_ident_system,
-    coeff_vec_index,
     coeff_vec_length,
     ds_criterion,
     equivalence_class_dim,
@@ -229,7 +229,7 @@ class TestObsEquivalent:
             Ap = LaurentMatrix.from_coeffs(
                 [X[:, nb + k * n:nb + (k + 1) * n] for k in range(kappa + lam + 1)], -lam)
             try:
-                other = Model(Bt, Ap.plus_part(), lam=lam, kappa=kappa)
+                other = Model(Bt, plus_part(Ap), lam=lam, kappa=kappa)
                 eq, resid, scale = obs_equivalent(bundle, solve_model(other))
             except Exception:
                 continue  # perturbation left the parameter space
@@ -497,11 +497,11 @@ class TestHankelRankLemma:
         cases.append((Model(scalar(list(b2)), scalar([1.0, -0.5]), lam=0, kappa=2), 1))
         # diagonal bivariate, independent poles
         B = LaurentMatrix.from_coeffs([np.eye(2), -np.diag([0.5, 0.3])], 0)
-        cases.append((Model(B, LaurentMatrix.identity(2), lam=0, kappa=1), 2))
+        cases.append((Model(B, identity(2), lam=0, kappa=1), 2))
         # nilpotent MA memory: single Hankel direction
         N = np.array([[0.0, 1.0], [0.0, 0.0]])
         A = LaurentMatrix.from_coeffs([np.eye(2), N], 0)
-        cases.append((Model(LaurentMatrix.identity(2), A, lam=0, kappa=1), 1))
+        cases.append((Model(identity(2), A, lam=0, kappa=1), 1))
         for model, delta in cases:
             bundle = solve_model(model)
             sys = build_ident_system(bundle.transfer, model.n, model.m, model.kappa, 0)

@@ -1,11 +1,16 @@
 """ratex.lapack against np.linalg: bitwise the same results on float64 and
 complex128 stacks of the shapes ratex uses, and the same errors."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ratex
 from ratex import lapack
 
 
@@ -100,3 +105,22 @@ def test_pencil_eigvals_give_nan_for_a_singular_lead_and_no_error():
     w = lapack.pencil_eigvals(e, a)         # RuntimeWarnings are errors in the tests
     assert np.isnan(w[1]).all() and np.isfinite(w[[0, 2]]).all()
     assert np.array_equal(w[[0, 2]], np.linalg.eigvals(a[[0, 2]]).astype(complex))
+
+
+SINGULAR_LANE = """
+import numpy as np
+from ratex import lapack
+e, a = np.stack([np.zeros((2, 2)), np.eye(2)]), np.ones((2, 2, 2))
+w = lapack.pencil_eigvals(e, a)
+print(np.isnan(w[0]).all(), np.allclose(np.sort_complex(w[1]), [0, 2]))
+"""
+
+
+def test_pencil_eigvals_leave_file_descriptor_1_to_the_caller():
+    """A singular lead's NaN lane never reaches LAPACK's eigenvalue driver,
+    whose error handler (OpenBLAS's xerbla) prints to file descriptor 1,
+    outside sys.stdout, where a command's JSON report goes."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ratex.__file__))}
+    done = subprocess.run([sys.executable, "-c", SINGULAR_LANE], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout == "True True\n"

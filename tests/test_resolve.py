@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 from conftest import make_valid_model
-from oracles import lp_truncated_inverse_series, transfer_series
+from oracles import (
+    allclose,
+    autocovariances_from_spectrum,
+    identity,
+    lp_truncated_inverse_series,
+    plus_part,
+    plus_part_of_bminus_inv_a,
+    sample_autocovariances,
+    transfer_series,
+)
 from ratex.polylab import (
     LaurentMatrix,
     Model,
@@ -13,12 +22,9 @@ from ratex.resolve import (
     NotInvertible,
     RankDeficientC0,
     a_plus,
-    autocovariances_from_spectrum,
     canonical_rotation,
     cf_check_and_normalize,
     is_canonical_staircase,
-    plus_part_of_bminus_inv_a,
-    sample_autocovariances,
     simulate,
     solve_model,
     solve_models,
@@ -59,8 +65,8 @@ class TestMaPart:
 
     def test_identity_b_minus(self, rng):
         A = LaurentMatrix.from_coeffs(rng.standard_normal((3, 2, 2)), 0)
-        ma = plus_part_of_bminus_inv_a(LaurentMatrix.identity(2), A)
-        assert ma.allclose(A)
+        ma = plus_part_of_bminus_inv_a(identity(2), A)
+        assert allclose(ma, A)
 
     def test_against_long_series_truncation(self, rng):
         # high-horizon Laurent expansion of B_minus^-1 A, keep lags >= 0
@@ -75,7 +81,7 @@ class TestMaPart:
             full = [sum(f[i] @ A.coefficient(k + i) for i in range(h - k + 1))
                     for k in range(A.max_lag + 1)]
             expect = LaurentMatrix.from_coeffs(full, 0)
-            assert ma.allclose(expect, atol=1e-10)
+            assert allclose(ma, expect, atol=1e-10)
 
 
 class TestAPlus:
@@ -92,15 +98,15 @@ class TestAPlus:
 
     def test_varma_case_equals_A(self, rng):
         A = LaurentMatrix.from_coeffs(rng.standard_normal((2, 2, 2)), 0)
-        bm = LaurentMatrix.identity(2)
+        bm = identity(2)
         ap = a_plus(bm, plus_part_of_bminus_inv_a(bm, A))
-        assert ap.allclose(A)
+        assert allclose(ap, A)
 
     def test_positive_part_recovers_A(self, rng):
         for _ in range(10):
             model, bm, bp, ma = make_valid_model(rng, n=2, m=2, lam=2, kappa=1)
             ap = a_plus(bm, ma)
-            assert ap.plus_part().allclose(model.A, atol=1e-10)
+            assert allclose(plus_part(ap), model.A, atol=1e-10)
 
 
 class TestTransferSeries:
@@ -163,7 +169,7 @@ class TestLemma31Suite:
             assert ma.max_lag == model.A.trimmed().max_lag
             assert ap.min_lag >= B.min_lag
             assert ap.max_lag == model.A.trimmed().max_lag
-            assert ap.plus_part().allclose(model.A, atol=1e-9 * max(1.0, ap.max_abs()))
+            assert allclose(plus_part(ap), model.A, atol=1e-9 * max(1.0, ap.max_abs()))
 
 
 class TestCanonicalForm:
@@ -237,7 +243,7 @@ class TestCanonicalForm:
         # (1 + z) [1, 0.5, 0.25]' drops rank only at z = -1: one warning,
         # however many maximal minors vanish there
         col = np.array([[1.0], [0.5], [0.25]])
-        model = Model(LaurentMatrix.identity(3), LaurentMatrix.from_coeffs([col, col], 0),
+        model = Model(identity(3), LaurentMatrix.from_coeffs([col, col], 0),
                       lam=0, kappa=1)
         _, checked = cf_check_and_normalize(solve_model(model))
         assert len(checked.warnings) == 1
@@ -249,7 +255,7 @@ class TestCanonicalForm:
         n1 = 0.2 * rng.standard_normal((3, 2))
         ma = lp_mul(LaurentMatrix.from_coeffs([n0, n1], 0),
                     LaurentMatrix.from_coeffs([np.eye(2), np.diag([0.0, -2.5])], 0))
-        bundle = solve_model(Model(LaurentMatrix.identity(3), ma, lam=0, kappa=2))
+        bundle = solve_model(Model(identity(3), ma, lam=0, kappa=2))
         with pytest.raises(NotInvertible, match="0.400000"):
             cf_check_and_normalize(bundle)
 
@@ -312,8 +318,8 @@ class TestSolveModels:
         models.append(make_valid_model(rng, n=2, m=1, lam=0, kappa=2)[0])
         for model, bundle in zip(models, solve_models(models)):
             alone = solve_model(model)
-            assert bundle.factors.b_minus.allclose(alone.factors.b_minus, atol=1e-13)
-            assert bundle.factors.b_plus.allclose(alone.factors.b_plus, atol=1e-13)
+            assert allclose(bundle.factors.b_minus, alone.factors.b_minus, atol=1e-13)
+            assert allclose(bundle.factors.b_plus, alone.factors.b_plus, atol=1e-13)
             assert np.allclose(bundle.transfer.coeffs, alone.transfer.coeffs, atol=1e-13)
 
     def test_kept_inverse_series_gives_the_same_numbers(self, rng):

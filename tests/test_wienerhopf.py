@@ -13,7 +13,7 @@ from conftest import (
     random_b_minus,
     random_b_plus,
 )
-from oracles import classify_zeros, shifted
+from oracles import allclose, classify_zeros, constant, identity, shifted
 from ratex.polylab import (
     PENCIL_INFINITE_RTOL,
     LaurentMatrix,
@@ -77,7 +77,7 @@ class TestScalarExamples:
         fac = wh_factorize(B)
         assert fac.b_minus.coefficient(0) == pytest.approx(np.eye(1))
         assert fac.b_minus.min_lag == 0 and fac.b_minus.max_lag == 0
-        assert fac.b_plus.allclose(B)
+        assert allclose(fac.b_plus, B)
         assert fac.residual == 0.0
 
     def test_quadratic_root_oracle(self):
@@ -126,7 +126,7 @@ class TestFailures:
         fac = wh_factorize(B)
         assert fac.residual <= 1e-12
         assert np.allclose(fac.b_minus.coefficient(-1), [[0.0, 0.0], [1.0, 0.0]], atol=1e-10)
-        assert lp_mul(fac.b_minus, fac.b_plus).allclose(B, atol=1e-12)
+        assert allclose(lp_mul(fac.b_minus, fac.b_plus), B, atol=1e-12)
 
     def test_positive_min_lag_fails(self):
         # B = z I has its zeros at the origin with lam = 0 declared
@@ -149,8 +149,8 @@ class TestProperties:
                 bp = random_b_plus(rng, n, kappa)
                 fac = wh_factorize(lp_mul(bm, bp))
                 scale = max(bm.max_abs(), bp.max_abs())
-                assert fac.b_minus.allclose(bm, atol=1e-6 * scale)
-                assert fac.b_plus.allclose(bp, atol=1e-6 * scale)
+                assert allclose(fac.b_minus, bm, atol=1e-6 * scale)
+                assert allclose(fac.b_plus, bp, atol=1e-6 * scale)
 
     def test_reconstruction_residual(self, rng):
         for _ in range(15):
@@ -160,7 +160,7 @@ class TestProperties:
             model, *_ = make_valid_model(rng, n=n, m=n, lam=lam, kappa=kappa)
             fac = wh_factorize(model.B)
             recon = lp_mul(fac.b_minus, fac.b_plus)
-            assert recon.allclose(model.B, atol=1e-8 * fac.scale)
+            assert allclose(recon, model.B, atol=1e-8 * fac.scale)
 
     def test_zero_split(self, rng):
         for _ in range(10):
@@ -187,7 +187,7 @@ class TestProperties:
             q = np.linalg.qr(rng.standard_normal((n, n)))[0]
             u = LaurentMatrix.from_coeffs([np.eye(n), q @ np.eye(n, k=1) @ q.T], 0)
             fac = wh_factorize(lp_mul(bm, lp_mul(bp, u)))
-            assert fac.b_minus.allclose(bm, atol=1e-6 * max(bm.max_abs(), 1.0))
+            assert allclose(fac.b_minus, bm, atol=1e-6 * max(bm.max_abs(), 1.0))
             expected = np.concatenate([lp_det_and_zeros(bm), lp_det_and_zeros(bp)])
             assert match_zero_multisets(fac.zeros, expected, tol=1e-6)
 
@@ -200,8 +200,8 @@ class TestProperties:
 
     def test_normalization_enforced(self):
         with pytest.raises(ValueError):
-            WHFactors(b_minus=LaurentMatrix.constant([[2.0]]),
-                      b_plus=LaurentMatrix.constant([[1.0]]), residual=0.0)
+            WHFactors(b_minus=constant([[2.0]]),
+                      b_plus=constant([[1.0]]), residual=0.0)
 
     def test_deterministic(self):
         B = scalar([1 / 3, 1.0, 0.5], -1)
@@ -256,7 +256,7 @@ class TestCheckEU:
             q, _ = np.linalg.qr(rng.standard_normal((n, n)))
             return q @ np.diag(v) @ q.T
 
-        B = LaurentMatrix.identity(n)
+        B = identity(n)
         for v in s[:lam]:
             B = lp_mul(B, LaurentMatrix.from_coeffs([-sym(v), np.eye(n)], -1))
         for v in s[lam:]:
@@ -276,9 +276,9 @@ class TestCheckEU:
             [np.zeros((2, 2))] + list(bp.coeffs), -1, trim=False)
         fac = wh_factorize(padded)
         assert classify_zeros(fac.zeros, BOUNDARY_TOL)[0] == 0
-        bundle = solve_model(Model(padded, LaurentMatrix.identity(2), lam=1, kappa=1))
-        assert bundle.factors.b_minus.allclose(LaurentMatrix.identity(2))
-        assert bundle.factors.b_plus.allclose(bp)
+        bundle = solve_model(Model(padded, identity(2), lam=1, kappa=1))
+        assert allclose(bundle.factors.b_minus, identity(2))
+        assert allclose(bundle.factors.b_plus, bp)
 
 
 def oracle_zeros(A, E):
@@ -331,7 +331,7 @@ class TestStackAgainstScalar:
 
     @staticmethod
     def window_stack(rng, n, lam, kappa):
-        def model(lo, hi, last=LaurentMatrix.identity(n)):
+        def model(lo, hi, last=identity(n)):
             B = lp_mul(random_b_minus(rng, n, lo), lp_mul(random_b_plus(rng, n, hi), last))
             return B.window(-lam, kappa)
 
@@ -557,7 +557,7 @@ class TestHardFamilies:
                 [np.eye(n), q @ np.outer(np.eye(n)[0], np.eye(n)[-1]) @ q.T], 0))
         fac = wh_factorize(B)
         assert classify_zeros(fac.zeros, BOUNDARY_TOL)[0] == n
-        assert fac.b_minus.allclose(bm, atol=1e-6 * max(bm.max_abs(), 1.0))
+        assert allclose(fac.b_minus, bm, atol=1e-6 * max(bm.max_abs(), 1.0))
         assert fac.residual <= 1e-8 * fac.scale
 
     def test_near_band_family_lam_0(self):
