@@ -17,7 +17,10 @@ failure payload ``{command, verdict, reason, exit_code}``, with verdict
 ``eu_failed`` for ``factorize`` and ``solve_failed`` elsewhere; the CSV
 commands print its reason to standard error.  File and validation errors
 (InputError, OSError, EvalError) print ``error: ...`` to standard error;
-any other exception is a program fault and propagates.
+any other exception is a program fault and propagates.  An empty
+restriction file, or one the command's rank test cannot use, is a file
+error before any numerical work.  Each distinct library UserWarning
+prints once, as ``warning: ...`` on standard error.
 
 Exit codes (``main`` returns them, never raising SystemExit): 0 success
 (identified / equivalent / witness found) or ``--help``, 1 usage errors
@@ -58,6 +61,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -67,6 +71,7 @@ from .identcore import (
     EQUIV_RTOL,
     InputError,
     build_ident_system,
+    check_test_kind,
     ds_criterion,
     equivalence_class_dim,
     ident_test_affine,
@@ -203,7 +208,9 @@ def cmd_ident(args) -> dict:
     restrictions = load_restriction_file(args.restrictions, model)
     if restrictions.kind == "nonlinear":
         raise ModelFileError("nonlinear restrictions belong to the 'local' command")
-    # needs no solution, and rejects lam > 0 and non-affine restrictions first
+    # checked before any numerical work (the rank test repeats it for library callers)
+    check_test_kind(restrictions, model.n, restrictions.kind == "equation")
+    # needs no solution, and rejects lam > 0 and non-affine restrictions
     ds_report = ds_criterion(model, restrictions, args.tol_rank) if args.ds else None
     bundle = solve_model(model, horizon=(model.n + 1) * model.kappa + model.lam)
     sys_ = build_ident_system(bundle.transfer, model.n, model.m,
@@ -500,21 +507,34 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # --help (code 0) or a usage error (code 2)
         return EXIT_OK if not exc.code else EXIT_FILE
-    try:
-        # read at every call: the parser is built once per process
-        if getattr(args, "tol_rank", 0.0) is None:
-            args.tol_rank = env_tol_rank()
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", UserWarning)    # _show_warning keeps the first
+        warnings.showwarning = functools.partial(_show_warning, set(), warnings.showwarning)
         try:
-            payload = args.fn(args)
-        except _SOLVE_ERRORS as exc:
-            payload = {"verdict": "eu_failed" if args.command == "factorize" else "solve_failed",
-                       "reason": str(exc), "exit_code": EXIT_SOLVE}
-        payload["command"] = args.command
-        _render(args, payload)
-    except _FILE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FILE
+            # read at every call: the parser is built once per process
+            if getattr(args, "tol_rank", 0.0) is None:
+                args.tol_rank = env_tol_rank()
+            try:
+                payload = args.fn(args)
+            except _SOLVE_ERRORS as exc:
+                payload = {"verdict": "eu_failed" if args.command == "factorize"
+                           else "solve_failed", "reason": str(exc), "exit_code": EXIT_SOLVE}
+            payload["command"] = args.command
+            _render(args, payload)
+        except _FILE_ERRORS as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_FILE
     return payload["exit_code"]
+
+
+def _show_warning(seen: set, show, message, category, *where, **kwargs):
+    """``warnings.showwarning`` inside :func:`main`: one ``warning: ...``
+    line per distinct UserWarning message; other warnings go to ``show``."""
+    if not issubclass(category, UserWarning):
+        show(message, category, *where, **kwargs)
+    elif str(message) not in seen:
+        seen.add(str(message))
+        print(f"warning: {message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

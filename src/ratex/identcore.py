@@ -115,6 +115,8 @@ class RestrictionSet:
     column-stacking order; equation mode restricts row i (1-based) only.
     Nonlinear restrictions supply a residual callable of that same vector
     and, when they come from compiled expressions, its exact Jacobian.
+    Building an empty set raises InputError.  :meth:`residual` is the one
+    residual of every kind, which the membership checks read.
     """
 
     kind: str                          # "affine" | "equation" | "nonlinear"
@@ -127,28 +129,33 @@ class RestrictionSet:
     pinned: np.ndarray | None = None   # for unit rows of R: the column of each 1
     _blocks: dict = field(default_factory=dict, compare=False, repr=False)
 
+    def __post_init__(self):
+        if self.r < 1:
+            raise InputError("the restriction set is empty")
+
     @classmethod
     def affine(cls, R, u, pinned=None) -> "RestrictionSet":
         """R vec = u; ``pinned`` gives the columns when R's rows are unit
         rows (pins), so that its equation blocks follow from them."""
-        R = np.atleast_2d(np.asarray(R, dtype=float))
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        if R.shape[0] != u.shape[0]:
-            raise RestrictionDimensionError("R and u row counts differ")
-        if not np.any(u):
+        out = cls._rows("affine", R, u, None, pinned)
+        if not np.any(out.u):
             _warnings.warn("u = 0 pins only the scale direction, which every "
                            "equivalence class contains; the system test will reject it")
-        return cls(kind="affine", R=R, u=u, r=R.shape[0], pinned=pinned)
+        return out
 
     @classmethod
     def for_equation(cls, i: int, R, u, pinned=None) -> "RestrictionSet":
-        R = np.atleast_2d(np.asarray(R, dtype=float))
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        if R.shape[0] != u.shape[0]:
-            raise RestrictionDimensionError("R and u row counts differ")
         if i < 1:
             raise ValueError("equation index is 1-based")
-        return cls(kind="equation", R=R, u=u, equation=i, r=R.shape[0], pinned=pinned)
+        return cls._rows("equation", R, u, i, pinned)
+
+    @classmethod
+    def _rows(cls, kind: str, R, u, equation, pinned) -> "RestrictionSet":
+        R = np.atleast_2d(np.asarray(R, dtype=float))
+        u = np.atleast_1d(np.asarray(u, dtype=float))
+        if u.shape != R.shape[:1]:
+            raise RestrictionDimensionError("R and u row counts differ")
+        return cls(kind=kind, R=R, u=u, equation=equation, r=R.shape[0], pinned=pinned)
 
     @classmethod
     def nonlinear(cls, fn, r: int, equation: int | None = None,
@@ -157,6 +164,12 @@ class RestrictionSet:
         without one :meth:`jacobian` falls back to central differences."""
         return cls(kind="nonlinear", residual_fn=fn, r=r, equation=equation,
                    jacobian_fn=jacobian)
+
+    def residual(self, x) -> np.ndarray:
+        """R x - u, or the residual map at x (x: an equation's row in equation mode)."""
+        if self.kind == "nonlinear":
+            return np.atleast_1d(np.asarray(self.residual_fn(x), dtype=float))
+        return self.R @ x - self.u
 
     def blocks(self, n: int) -> "EquationBlocks":
         """The equation blocks of R in an n-equation system (n = 1 for one
@@ -469,14 +482,6 @@ def lane_report(shape: tuple, rank, svals: np.ndarray, required: int, gap) -> Ra
                       verdict=verdict, gap_ratio=float(gap))
 
 
-def _kernel_rank_test(sys: IdentSystem, blocks: EquationBlocks,
-                      tol_rank: float) -> RankReport:
-    """:func:`kernel_rank_stack` for one system."""
-    shape, ranks, svals, gaps = kernel_rank_stack(
-        sys.N[None], blocks, np.array([sys.p_norm]), sys.p_shape, tol_rank)
-    return lane_report(shape, ranks[0], svals[0], shape[1], gaps[0])
-
-
 def kernel_rank_stack(N: np.ndarray, blocks: EquationBlocks, pnorm: np.ndarray,
                       p_shape: tuple, tol_rank: float):
     """Rank R (N (x) I_n), or R N for one equation (``blocks.n`` = 1), for
@@ -498,14 +503,6 @@ def kernel_rank_stack(N: np.ndarray, blocks: EquationBlocks, pnorm: np.ndarray,
     return shape, ranks, svals, gaps
 
 
-def _membership_warning(R, u, vec, label):
-    resid = float(np.max(np.abs(R @ vec - np.asarray(u))))
-    if resid > MEMBERSHIP_RTOL * (1.0 + float(np.max(np.abs(u)))):
-        return (f"{label} restrictions not satisfied at the point "
-                f"(residual {resid:.3e}); the verdict presupposes membership",)
-    return ()
-
-
 def check_test_kind(restrictions: RestrictionSet, n: int, equation: bool):
     """Raise InputError when the restrictions cannot drive the system-wide
     test (``equation`` false) or the equation test of an n-equation model."""
@@ -523,36 +520,45 @@ def check_test_kind(restrictions: RestrictionSet, n: int, equation: bool):
 
 def membership_warnings(restrictions: RestrictionSet, vec: np.ndarray, n: int) -> tuple:
     """Warning when affine or equation restrictions miss the point whose
-    coefficient vector (:func:`coeff_vec`) is ``vec``."""
-    if restrictions.kind == "equation":
-        i = restrictions.equation
-        return _membership_warning(restrictions.R, restrictions.u,
-                                   vec.reshape(n, -1, order="F")[i - 1], f"equation-{i}")
-    return _membership_warning(restrictions.R, restrictions.u, vec, "affine")
+    coefficient vector (:func:`coeff_vec`) is ``vec``: max |R x - u| above
+    MEMBERSHIP_RTOL * (1 + max |u|)."""
+    i = restrictions.equation
+    x = vec if i is None else vec.reshape(n, -1, order="F")[i - 1]
+    resid = float(np.max(np.abs(restrictions.residual(x))))
+    if resid > MEMBERSHIP_RTOL * (1.0 + float(np.max(np.abs(restrictions.u)))):
+        label = "affine" if i is None else f"equation-{i}"
+        return (f"{label} restrictions not satisfied at the point "
+                f"(residual {resid:.3e}); the verdict presupposes membership",)
+    return ()
+
+
+def _ident_test(sys: IdentSystem, restrictions: RestrictionSet, model: Model | None,
+                tol_rank: float, equation: bool) -> RankReport:
+    """The rank test of :func:`ident_test_affine` (``equation`` false) or
+    :func:`ident_test_equation`, with the membership warning at ``model``."""
+    check_test_kind(restrictions, sys.n, equation)
+    blocks = restrictions.blocks(1 if equation else sys.n)
+    shape, ranks, svals, gaps = kernel_rank_stack(
+        sys.N[None], blocks, np.array([sys.p_norm]), sys.p_shape, tol_rank)
+    report = lane_report(shape, ranks[0], svals[0], shape[1], gaps[0])
+    if model is None:
+        return report
+    return replace(report, warnings=membership_warnings(
+        restrictions, model_coeff_vec(model), sys.n))
 
 
 def ident_test_affine(sys: IdentSystem, restrictions: RestrictionSet,
                       model: Model | None = None,
                       tol_rank: float = DEFAULT_TOL_RANK) -> RankReport:
     """Full-column-rank test for system-wide identification under R vec = u."""
-    check_test_kind(restrictions, sys.n, equation=False)
-    report = _kernel_rank_test(sys, restrictions.blocks(sys.n), tol_rank)
-    if model is None:
-        return report
-    return replace(report, warnings=membership_warnings(
-        restrictions, model_coeff_vec(model), sys.n))
+    return _ident_test(sys, restrictions, model, tol_rank, equation=False)
 
 
 def ident_test_equation(sys: IdentSystem, restrictions: RestrictionSet,
                         model: Model | None = None,
                         tol_rank: float = DEFAULT_TOL_RANK) -> RankReport:
     """Full-column-rank test for identification of a single equation."""
-    check_test_kind(restrictions, sys.n, equation=True)
-    report = _kernel_rank_test(sys, restrictions.blocks(1), tol_rank)
-    if model is None:
-        return report
-    return replace(report, warnings=membership_warnings(
-        restrictions, model_coeff_vec(model), sys.n))
+    return _ident_test(sys, restrictions, model, tol_rank, equation=True)
 
 
 # -- structural-coefficient cross-check (pure VARMA) ------------------------

@@ -21,16 +21,20 @@ optional integer "equation" restricts that row of [B | A] alone.
 
 Every malformed file raises :class:`~ratex.exprs.ModelFileError`; an
 expression syntax error raises its subclass ParseError, with the line and
-column in the file's own text.  Errors name pins and references in the
-file's terms: 1-based rows and columns, and a lag with its window.
+column in the file's own text.  The checks that
+:class:`~ratex.identcore.RestrictionSet` makes of every caller (R and u
+row counts, an empty set) raise its InputError.  Errors name pins and
+references in the file's terms: 1-based rows and columns, and a lag with
+its window.
 
-Decoding is one pass per file: pins in one loop over the list, then placed
-together, giving the column of each pin's unit row, from which the
-equation blocks of R follow (:class:`~ratex.identcore.EquationBlocks`);
-the expressions of a "nonlinear" file in one parse into a flat program
-(:mod:`ratex.exprs`), its distinct references decoded together by one
-regex scan.  Pins and references share one position map,
-:func:`_coeff_positions`.
+Decoding is one pass per file: pins in one loop over the list, each
+checked and placed (:func:`_pin`) in file order, giving the column of
+each pin's unit row, from which the equation blocks of R follow
+(:class:`~ratex.identcore.EquationBlocks`); the expressions of a
+"nonlinear" file in one parse into a flat program (:mod:`ratex.exprs`),
+its distinct references found by one regex scan.  Pins and references
+share one position rule, :func:`_position`, and the first pin or
+reference that fails it is the one reported.
 """
 
 from __future__ import annotations
@@ -114,41 +118,34 @@ def load_model_file(path: str):
 _REFERENCES = re.compile(r"\x00([AB])\[(-?\d+)\]\[(\d+)\]\[(\d+)\](?=\x00)")
 
 
-def _coeff_positions(is_b, lag, row, col, n, m, kappa, lam, equation):
-    """Position of each reference (block B where ``is_b``, else A; 1-based
-    row and column) in vec([B_-lam..B_kappa | A_0..A_kappa]), which stacks
-    the columns of the concatenation (with ``equation``, its one row, so
-    the column alone), and the mask of references outside the coefficient
-    space or, with ``equation``, off its row."""
-    cols, lo = np.where(is_b, n, m), np.where(is_b, -lam, 0)
-    bad = (row < 1) | (row > n) | (col < 1) | (col > cols) | (lag < lo) | (lag > kappa)
-    if equation is not None:
-        bad |= row != equation
-    c = np.where(is_b, (lag + lam) * n, n * (kappa + lam + 1) + lag * m) + col - 1
-    return (c if equation is not None else c * n + row - 1), bad
-
-
-def _reference_error(label, block, lag, row, col, n, m, kappa, lam, equation):
-    """Why a reference (block, lag, 1-based row and column) has no position,
-    in the file's terms and named by ``label``; None when it has one."""
-    cols = n if block == "B" else m
-    if not (1 <= row <= n and 1 <= col <= cols):
-        return f"{label}: row/col outside 1-based bounds"
-    if equation is not None and row != equation:
-        return f"{label}: equation-{equation} restrictions may only reference row {equation}"
-    if block not in ("B", "A"):
-        return f"{label}: block must be 'B' or 'A'"
-    lo = -lam if block == "B" else 0
-    if not lo <= lag <= kappa:
-        return f"{label}: {block} lag {lag} outside {lo}..{kappa}"
-    return None
+def _position(source, block, lag, row, col, n, m, kappa, lam, equation) -> int:
+    """Position of the coefficient ``block``[``lag``] (B or A; 1-based row
+    and column) in vec([B_-lam..B_kappa | A_0..A_kappa]), which stacks the
+    columns of the concatenation (with ``equation``, of its one row, so the
+    column alone).  A coefficient outside that space or, with
+    ``equation``, off its row raises ModelFileError naming ``source``: a
+    pin's number, or a reference's text."""
+    is_b = block == "B"
+    lo = -lam if is_b else 0
+    if not (1 <= row <= n and 1 <= col <= (n if is_b else m)):
+        reason = "row/col outside 1-based bounds"
+    elif equation is not None and row != equation:
+        reason = f"equation-{equation} restrictions may only reference row {equation}"
+    elif not is_b and block != "A":
+        reason = "block must be 'B' or 'A'"
+    elif not lo <= lag <= kappa:
+        reason = f"{block} lag {lag} outside {lo}..{kappa}"
+    else:
+        c = (lag + lam) * n + col - 1 if is_b else n * (kappa + lam + 1) + lag * m + col - 1
+        return c if equation is not None else c * n + row - 1
+    raise ModelFileError(f"{source if type(source) is str else f'pin #{source}'}: {reason}")
 
 
 def compile_nonlinear(exprs, n, m, kappa, lam, equation=None) -> RestrictionSet:
     """Expression strings over coefficient references (B[-1][1][1]) ->
     compiled residual map with its exact Jacobian.  The expressions parse
-    in one pass, and the distinct references decode to their positions
-    (:func:`_coeff_positions`) together, in one scan."""
+    in one pass, and the distinct references are found by one regex scan
+    and placed in order (:func:`_position`)."""
     if not all(isinstance(text, str) for text in exprs):
         raise ModelFileError("nonlinear restrictions must be strings")
     parser = ExprParser()
@@ -156,28 +153,22 @@ def compile_nonlinear(exprs, n, m, kappa, lam, equation=None) -> RestrictionSet:
     names = list(parser.names)
     fields = _REFERENCES.findall("\x00" + "\x00".join(names) + "\x00")
     dims = (n, m, kappa, lam, equation)
-    positions, bad = np.zeros(0, dtype=int), np.zeros(0, dtype=bool)
-    if fields:
-        blocks, lags, rows, cols = zip(*fields)
-        lag, row, col = np.array(list(map(int, lags + rows + cols))).reshape(3, -1)
-        is_b = np.frombuffer("".join(blocks).encode(), dtype=np.uint8) == ord("B")
-        positions, bad = _coeff_positions(is_b, lag, row, col, *dims)
-    if len(fields) < len(names) or bad.any():
+    if len(fields) < len(names):    # the first unknown name, or a bad reference before it
         for name in names:
             ref = _REFERENCES.match(f"\x00{name}\x00")
             if ref is None:
                 raise ModelFileError(f"nonlinear restriction: unknown identifier '{name}'")
-            message = _reference_error(name, ref[1], *map(int, ref.groups()[1:]), *dims)
-            if message is not None:
-                raise ModelFileError(message)
-    program = parser.compile(positions)
+            _position(name, ref[1], *map(int, ref.groups()[1:]), *dims)
+    program = parser.compile([_position(name, block, int(lag), int(row), int(col), *dims)
+                              for name, (block, lag, row, col) in zip(names, fields)])
     return RestrictionSet.nonlinear(program.values, len(parser.roots), equation=equation,
                                     jacobian=program.jacobian)
 
 
-def _pin(pin, k: int):
-    """A pin's block, lag, row, col and value, its fields checked in order:
-    lag, row and col by :func:`json_int`, the value a finite JSON number."""
+def _pin(pin, k: int, dims: tuple) -> tuple:
+    """Pin number ``k``'s position (:func:`_position`) and value, its
+    fields checked first, in order: lag, row and col by :func:`json_int`,
+    the value a finite JSON number."""
     try:
         block, lag = pin["block"], pin["lag"]
         if type(lag) is not int:
@@ -199,35 +190,7 @@ def _pin(pin, k: int):
         finite = False
     if not finite:
         raise ModelFileError(f"pin #{k}: value must be finite")
-    return block, lag, row, col, value
-
-
-def _decode_pins(pins: list, n, m, kappa, lam, equation):
-    """Positions and values of the pins.  Each pin's fields are checked
-    (:func:`_pin`) up to the first pin that fails; the positions of the
-    pins before it come from :func:`_coeff_positions` together, and the
-    first of them without one is reported ahead of that failure."""
-    fields, error = [], None
-    for k, pin in enumerate(pins, 1):
-        try:
-            fields.append(_pin(pin, k))
-        except ModelFileError as exc:
-            error = exc
-            break
-    blocks, *indices, values = zip(*fields) if fields else ((),) * 5
-    # no dtype is forced: a JSON integer beyond int64 makes an object (or
-    # float) array, whose entries the mask compares exactly, not an overflow
-    lag, row, col = np.array(indices)
-    is_b, is_a = (np.array([block == name for block in blocks], dtype=bool) for name in "BA")
-    positions, bad = _coeff_positions(is_b, lag, row, col, n, m, kappa, lam, equation)
-    bad |= ~(is_b | is_a)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ModelFileError(_reference_error(f"pin #{k + 1}", *fields[k][:4],
-                                              n, m, kappa, lam, equation))
-    if error is not None:
-        raise error
-    return positions.astype(int), np.array(values, dtype=float)
+    return _position(k, block, lag, row, col, *dims), value
 
 
 def restrictions_from_dict(spec: dict, n: int, m: int, kappa: int, lam: int) -> RestrictionSet:
@@ -249,9 +212,11 @@ def restrictions_from_dict(spec: dict, n: int, m: int, kappa: int, lam: int) -> 
 
     N = coeff_vec_length(n, m, kappa, lam, equation=equation is not None)
     pinned = None
-    if kind == "pins":
-        pins = json_typed(spec["pins"], list, "pins")
-        pinned, u = _decode_pins(pins, n, m, kappa, lam, equation)
+    if kind == "pins":          # in file order, so the first failing pin is reported
+        pins = [_pin(pin, k, (n, m, kappa, lam, equation))
+                for k, pin in enumerate(json_typed(spec["pins"], list, "pins"), 1)]
+        pinned = np.array([position for position, _ in pins], dtype=int)
+        u = [value for _, value in pins]
         R = np.zeros((len(pins), N))
         R[np.arange(len(pins)), pinned] = 1.0
         rank = len(set(pinned.tolist()))     # unit rows: one per distinct position
@@ -260,8 +225,6 @@ def restrictions_from_dict(spec: dict, n: int, m: int, kappa: int, lam: int) -> 
         u = _finite(np.atleast_1d(json_array(spec.get("u", np.zeros(len(R))), float, "u")), "u")
         if R.shape[1:] != (N,):
             raise ModelFileError(f"R has shape {R.shape}, expected {N} columns")
-        if u.shape != R.shape[:1]:
-            raise ModelFileError("R and u row counts differ")
         rank = numerical_rank(R)[0]
 
     out = RestrictionSet.affine(R, u, pinned) if equation is None else \

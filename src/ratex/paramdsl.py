@@ -326,6 +326,9 @@ def generic_ident(pm: ParamMap, restrictions: RestrictionSet,
     connected domain deficiency at one valid draw almost surely means
     deficiency at all (see the module docstring).  The counts stop at the
     witness, as if the samples ran one at a time.
+
+    Restrictions the rank test cannot use raise InputError before any draw
+    (:func:`~ratex.identcore.check_test_kind`), whatever the draws.
     """
     config = config or SamplerConfig()
     rng = np.random.default_rng(config.seed)
@@ -333,6 +336,7 @@ def generic_ident(pm: ParamMap, restrictions: RestrictionSet,
     probes = [np.atleast_1d(np.asarray(p, dtype=float)) for p in config.probe_points]
     if any(p.shape != (pm.dim,) for p in probes):
         raise InputError(f"theta must have {pm.dim} entries")
+    check_test_kind(restrictions, pm.n, restrictions.kind == "equation")
     draws = lo + (hi - lo) * rng.random((config.num_samples, pm.dim))
     points = np.concatenate([np.reshape(probes, (len(probes), pm.dim)), draws])
 
@@ -439,7 +443,6 @@ def _scan_chunk(pm: ParamMap, restrictions: RestrictionSet, thetas: np.ndarray,
         return outcomes
 
     equation = restrictions.kind == "equation"
-    check_test_kind(restrictions, n, equation)
     T, H = toeplitz_hankel(transfer, n, m, kappa, lam)
     q = kappa + lam + 1
     p_shape = (n * q + m * q, m * q + m * n * kappa)
@@ -540,20 +543,17 @@ def local_ident(model: Model, restrictions: RestrictionSet,
     affine = restrictions.kind != "nonlinear"
     if not affine and restrictions.residual_fn is None:
         raise ValueError("local test needs restrictions with a residual map")
-    bundle = solve_model(model)
-    sys = build_ident_system(bundle.transfer, model.n, model.m,
-                             model.kappa, model.lam, tol_rank)
     equation = restrictions.equation
     x0 = model_coeff_vec(model)
     if equation is not None:
         x0 = x0.reshape(model.n, -1, order="F")[equation - 1]
-
-    resid = (restrictions.R @ x0 - restrictions.u if affine
-             else restrictions.residual_fn(x0))
-    resid = np.max(np.abs(np.atleast_1d(np.asarray(resid, dtype=float))))
+    resid = np.max(np.abs(restrictions.residual(x0)))     # before any numerical work
     if resid > MEMBERSHIP_RTOL * (1.0 + np.max(np.abs(x0))):
         raise InputError(f"restrictions do not hold at the point (residual {resid:.3e})")
 
+    bundle = solve_model(model)
+    sys = build_ident_system(bundle.transfer, model.n, model.m,
+                             model.kappa, model.lam, tol_rank)
     n = 1 if equation is not None else model.n
 
     def jacobian_ranks(points):

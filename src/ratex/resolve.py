@@ -159,27 +159,20 @@ def _assemble(model: Model, fac, horizon: int | None) -> SolutionBundle:
 
 
 def is_canonical_staircase(c0: np.ndarray) -> bool:
-    """First nonzero of column j positive in row i_j with i_1 < ... < i_m;
-    an entry counts as nonzero above CF_ZERO_RTOL * max(1, max |C_0|)."""
-    c0 = np.atleast_2d(np.asarray(c0, dtype=float))
-    mag = np.abs(c0)
-    nonzero = mag > CF_ZERO_RTOL * max(mag.max(initial=0.0), 1.0)
-    rows = nonzero.argmax(axis=0)                       # first nonzero row per column
-    pivot = (rows, np.arange(c0.shape[1]))
-    return bool((nonzero[pivot] & (c0[pivot] > 0)).all() and (rows[1:] > rows[:-1]).all())
+    """:func:`canonical_staircase_mask` of one matrix."""
+    return bool(canonical_staircase_mask(np.atleast_2d(np.asarray(c0, dtype=float))[None])[0])
 
 
 def canonical_staircase_mask(c0: np.ndarray) -> np.ndarray:
-    """:func:`is_canonical_staircase` for each matrix of an (S, n, m) stack."""
-    if len(c0) == 1:
-        return np.array([is_canonical_staircase(c0[0])])
+    """For each matrix of an (S, n, m) stack: is the first nonzero of column
+    j positive, in row i_j, with i_1 < ... < i_m?  An entry counts as
+    nonzero above CF_ZERO_RTOL * max(1, max |C_0|)."""
     mag = np.abs(c0)
-    scale = np.maximum(mag.max(axis=(1, 2), keepdims=True, initial=0.0), 1.0)
-    nonzero = mag > CF_ZERO_RTOL * scale
-    rows = nonzero.argmax(axis=1)                       # first nonzero row per column
+    tol = CF_ZERO_RTOL * mag.max(axis=(1, 2), keepdims=True, initial=1.0)
+    rows = (mag > tol).argmax(axis=1)                   # first nonzero row per column
     pivot = (np.arange(len(c0))[:, None], rows, np.arange(c0.shape[2]))
-    return ((nonzero[pivot] & (c0[pivot] > 0)).all(axis=1)
-            & (rows[:, 1:] > rows[:, :-1]).all(axis=1))
+    # a pivot above tol is nonzero and positive
+    return (c0 > tol)[pivot].all(axis=1) & (rows[:, 1:] > rows[:, :-1]).all(axis=1)
 
 
 def canonical_rotation(c0: np.ndarray) -> np.ndarray:

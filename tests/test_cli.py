@@ -14,7 +14,7 @@ from ratex.cli import build_parser, main
 from ratex.identcore import RestrictionSet
 from ratex.modelio import (
     ModelFileError,
-    _coeff_positions,
+    _position,
     compile_nonlinear,
     load_model_file,
     model_from_dict,
@@ -206,15 +206,12 @@ class TestRestrictionFiles:
                          min_size=1, max_size=12),
            equation=st.none() | st.integers(1, 3))
     def test_position_map_matches_the_scalar_oracle(self, dims, refs, equation):
-        """The position map that pins and references share: each reference
-        (1-based row and column) at coeff_vec_index's position, and in the
-        mask exactly when that has none or, with an equation, when the row
+        """The position rule that pins and references share: each reference
+        (1-based row and column) at coeff_vec_index's position, and an
+        error exactly when that has none or, with an equation, when the row
         is another."""
         n, m, kappa, lam = dims
-        blocks, lags, rows, cols = (np.array(field) for field in zip(*refs))
-        positions, bad = _coeff_positions(blocks == "B", lags, rows, cols,
-                                          n, m, kappa, lam, equation)
-        for k, (block, lag, row, col) in enumerate(refs):
+        for block, lag, row, col in refs:
             try:
                 want = coeff_vec_index(block, lag, row - 1, col - 1, n, m, kappa, lam,
                                        equation is not None)
@@ -222,9 +219,11 @@ class TestRestrictionFiles:
                 want = None
             if equation is not None and row != equation:
                 want = None
-            assert bool(bad[k]) == (want is None)
-            if want is not None:
-                assert positions[k] == want
+            try:
+                got = _position(1, block, lag, row, col, n, m, kappa, lam, equation)
+            except ModelFileError:
+                got = None
+            assert got == want
 
 
 class TestFactorizeCommand:
@@ -260,6 +259,15 @@ class TestFactorizeCommand:
                         f'"B": {{"0": 1, "1": {bad}}}, "A": {{"0": 1}}}}')
         assert main(["factorize", str(path)]) == 1
         assert "B[1]: coefficients must be finite" in capsys.readouterr().err
+
+    def test_band_covering_the_disk(self, tmp_path, capsys):
+        # z B(z) = -0.5 + z + 0.2 z^2 has one zero in 0 < |z| < 2
+        path = write(tmp_path / "m.json", {"n": 1, "m": 1, "lambda": 1, "kappa": 1,
+                                           "B": {"-1": [[-0.5]], "0": [[1.0]], "1": [[0.2]]},
+                                           "A": {"0": [[1.0]]}})
+        assert main(["factorize", path, "--tol-boundary", "1"]) == 2
+        assert capsys.readouterr().out == ("existence/uniqueness fails: 1 zero(s) of "
+                                           "det(z^1 B(z)) within 1 of the unit circle\n")
 
     def test_json_report(self, tmp_path, capsys):
         path = write(tmp_path / "m.json", mixed_lag_model())
@@ -365,6 +373,26 @@ class TestSolveCommand:
         path = write(tmp_path / "m.json", spec)
         assert main(["solve", path]) == 2
 
+    def test_rotation_past_a_dependent_row(self, tmp_path, capsys):
+        # C_0 = A_0 = [[1, 1], [1, 1], [0, 1]]: its second row lies in the
+        # span of the first, so the rotation pivots on rows 1 and 3
+        path = write(tmp_path / "m.json", {"n": 3, "m": 2, "lambda": 0, "kappa": 0,
+                                           "B": {"0": np.eye(3).tolist()},
+                                           "A": {"0": [[1, 1], [1, 1], [0, 1]]}})
+        assert main(["solve", path, "--format", "json-report"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        s = np.sqrt(0.5)
+        assert not payload["cf_canonical_input"]
+        np.testing.assert_allclose(payload["rotation"], [[s, -s], [s, s]], atol=1e-15)
+        np.testing.assert_allclose(payload["transfer"][0], [[2 * s, 0], [2 * s, 0], [s, s]],
+                                   atol=1e-15)
+        assert main(["solve", path]) == 0
+        out = capsys.readouterr().out.splitlines()
+        at = out.index("rotation V:")
+        assert out[at - 1:at + 3] == ["CF: rotated into canonical form", "rotation V:",
+                                      "  [ 0.707106781187  -0.707106781187 ]",
+                                      "  [ 0.707106781187  0.707106781187 ]"]
+
 
 class TestEquivCommand:
     def test_equivalent_pair_both_oracles(self, tmp_path, capsys):
@@ -389,6 +417,16 @@ class TestEquivCommand:
                   for n in (2, 3)]
         assert main(["equiv", *models, "--oracle", "spectral"]) == 1
         assert "models must share the dimension n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_lag_bounds_differ(self, tmp_path, order):
+        # the same model declared with kappa = 1 and kappa = 2: the kernel
+        # test runs at the joint bounds, past the first model's own horizon
+        spec = {"n": 1, "m": 1, "lambda": 1, "kappa": 1,
+                "B": {"-1": [[-0.5]], "0": [[1.0]], "1": [[0.2]]}, "A": {"0": [[1.0]]}}
+        a = write(tmp_path / "a.json", spec)
+        b = write(tmp_path / "b.json", {**spec, "kappa": 2})
+        assert main(["equiv", *[a, b][::order], "--oracle", "kernel"]) == 0
 
     def test_not_equivalent_exit_3(self, tmp_path):
         a = write(tmp_path / "a.json", white_noise_model())
@@ -497,6 +535,15 @@ class TestGenericCommand:
         for report in reports:
             assert report["samples_drawn"] == 2 and report["samples_valid"] == 1
             assert report["invalid_reasons"] == {"not_invertible": 1}
+
+    def test_invalid_draws_in_text(self, tmp_path, capsys):
+        path = write(tmp_path / "p.json", root_model([0.1, 0.5]))
+        r = write(tmp_path / "r.json", pins(("A", 0, 1.0)))
+        assert main(["generic", path, r, "--samples", "8"]) == 4
+        out = capsys.readouterr().out.splitlines()
+        assert out[:3] == ["verdict: inconclusive",
+                           "samples: 8 drawn, 0 valid, 0 rank-deficient, 0 borderline",
+                           "  invalid (eu_failed: WrongStableCount): 8"]
 
     def test_numeric_model_rejected(self, tmp_path):
         path = write(tmp_path / "m.json", white_noise_model())
@@ -747,6 +794,14 @@ def ds_model():
             "B": {"0": [[1.0]], "1": [[-0.5]]}, "A": {"0": [[1.0]]}}
 
 
+def root_model(domain):
+    """B(z) = a - z with lam = 0 and a in ``domain``: a draw fails
+    existence/uniqueness exactly when |a| < 1, its zero inside the circle."""
+    return {"n": 1, "m": 1, "lambda": 0, "kappa": 1,
+            "parametrized": {"params": ["a"], "domain": [domain],
+                             "B": {"0": "a", "1": "-1"}, "A": {"0": "1"}}}
+
+
 def pins(*entries):
     return {"pins": [{"block": b, "lag": lag, "row": 1, "col": 1, "value": v}
                      for b, lag, v in entries]}
@@ -876,8 +931,9 @@ class TestParserAudit:
 
 
 class TestSolveFailureOrder:
-    """Restriction-kind errors are file errors (exit 1) even when the model
-    would fail existence/uniqueness (exit 2): they are checked first."""
+    """Restriction errors (the kind, u = 0, a point off the restrictions)
+    are file errors (exit 1) even when the model would fail
+    existence/uniqueness (exit 2): they are checked first."""
 
     def eu_failing_model(self, tmp_path):
         return write(tmp_path / "m.json", unit_root_model())
@@ -904,6 +960,28 @@ class TestSolveFailureOrder:
     def test_affine_file_still_reports_the_solve_failure(self, tmp_path):
         r = write(tmp_path / "r.json", pins(("B", 0, 1.0)))
         assert main(["ident", self.eu_failing_model(tmp_path), r]) == 2
+
+    def test_local_point_off_the_restrictions(self, tmp_path, capsys):
+        r = write(tmp_path / "r.json", pins(("B", 0, 2.0)))      # B_0 is 1
+        assert main(["local", self.eu_failing_model(tmp_path), r]) == 1
+        assert "error: restrictions do not hold at the point" in capsys.readouterr().err
+
+    def test_zero_u_to_ident(self, tmp_path, capsys):
+        r = write(tmp_path / "r.json", pins(("B", 0, 0.0)))
+        assert main(["ident", self.eu_failing_model(tmp_path), r]) == 1
+        assert "error: u = 0 is meaningless" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("domain, any_valid", [([0.1, 0.5], False), ([2.0, 3.0], True)])
+    def test_nonlinear_file_to_generic_whatever_the_draws(self, tmp_path, capsys, domain,
+                                                          any_valid):
+        path = write(tmp_path / "p.json", root_model(domain))
+        pinned = write(tmp_path / "pins.json", pins(("A", 0, 1.0)))
+        main(["generic", path, pinned, "--samples", "8", "--format", "json-report"])
+        assert (json.loads(capsys.readouterr().out)["samples_valid"] > 0) == any_valid
+        r = write(tmp_path / "r.json", {"nonlinear": ["B[1][1][1] + 1"]})
+        assert main(["generic", path, r, "--samples", "8"]) == 1
+        assert capsys.readouterr().err == \
+            "error: system-wide test needs affine restrictions\n"
 
 
 class TestFailedReordering:
@@ -995,6 +1073,20 @@ class TestMalformedInput:
                           "B": {"0": [[1, 0], [0]]}, "A": {"0": [[1], [1]]}}, "B[0]: "),
         "ragged domain": (param_model(domain=[[0, 1], [2]]), "domain: "),
         "params as a string": (param_model(params="a"), "params must be a JSON array"),
+        "no kappa": ({k: v for k, v in ds_model().items() if k != "kappa"},
+                     "missing required field 'kappa'"),
+        "numeric parameter name": (param_model(params=[1]), "parameter names must be strings"),
+        "parameter named twice": (param_model(params=["a", "a"], domain=[[0, 1], [0, 1]]),
+                                  "duplicate parameter names"),
+        "domain of two boxes": (param_model(domain=[[0, 1], [2, 3]]),
+                                "domain has 4 bounds for 1 parameters, expected one [lo, hi] "
+                                "box each"),
+        "domain with lo > hi": (param_model(domain=[[1, 0]]),
+                                "domain bounds must be finite with lo <= hi"),
+        "unfinished entry": ({"n": 1, "m": 1, "lambda": 1, "kappa": 1,
+                              "parametrized": {"params": ["a"], "B": {"-1": "a +", "0": "1"},
+                                               "A": {"0": "1"}}},
+                             "B[-1][1][1]: unexpected 'end of input' at line 1, column 4"),
     }
 
     RESTRICTIONS = {
@@ -1029,6 +1121,16 @@ class TestMalformedInput:
         "pin block C": (one_pin(block="C"), "pin #1: block must be 'B' or 'A'"),
         "pin lag beyond int64": (pins(("B", 10**30, 1.0)),
                                  f"pin #1: B lag {10**30} outside 0..1"),
+        "pin value beyond the floats": (pins(("B", 0, 10**400)), "pin #1: value must be finite"),
+        "numeric expression": ({"nonlinear": [1]}, "nonlinear restrictions must be strings"),
+        "equation beyond n": ({"equation": 2, **pins(("B", 0, 1.0))},
+                              "equation index 2 outside 1..1"),
+        "no restriction kind": ({}, "restriction file needs exactly one of: pins, R, nonlinear"),
+        "R and u of other lengths": ({"R": [[1, 0, 0, 0]], "u": [1.0, 2.0]},
+                                     "R and u row counts differ"),
+        "no pins": ({"pins": []}, "the restriction set is empty"),
+        "no equation pins": ({"equation": 1, "pins": []}, "the restriction set is empty"),
+        "no expressions": ({"nonlinear": []}, "the restriction set is empty"),
     }
 
     def assert_file_error(self, capsys, argv, fragment):
@@ -1057,3 +1159,43 @@ class TestMalformedInput:
         param = write(tmp_path / "p.json", param_model())
         for argv in (["ident", model, r], ["local", model, r], ["generic", param, r]):
             self.assert_file_error(capsys, argv, fragment)
+
+    @pytest.mark.parametrize("argv", [["solve", "P", "--theta", "0.1,0.2"],
+                                      ["generic", "P", "R", "--probe", "0.1,0.2"]])
+    def test_theta_of_the_wrong_length(self, tmp_path, capsys, argv):
+        param = write(tmp_path / "p.json", param_model())
+        r = write(tmp_path / "r.json", pins(("B", 0, 1.0)))
+        argv = [{"P": param, "R": r}.get(a, a) for a in argv]
+        self.assert_file_error(capsys, argv, "theta must have 1 entries")
+
+
+class TestWarningLines:
+    """A library UserWarning prints as one ``warning: <message>`` line on
+    standard error, once per message, in both formats; standard output is
+    the report alone."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json-report"])
+    def test_dependent_rows_and_zero_u(self, tmp_path, capsys, fmt):
+        path = write(tmp_path / "m.json", ds_model())
+        r = write(tmp_path / "r.json", pins(("B", 0, 0.0), ("B", 0, 0.0)))
+        assert main(["ident", path, r, "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "warning: u = 0 pins only the scale direction, which every equivalence class "
+            "contains; the system test will reject it",
+            "warning: restriction rows are linearly dependent (row rank 1 of 2)",
+            "error: u = 0 is meaningless: the whole scale direction satisfies it"]
+
+    @pytest.mark.parametrize("fmt", ["text", "json-report"])
+    def test_theta_outside_the_box_once(self, tmp_path, capsys, fmt):
+        path = write(tmp_path / "p.json", param_model())
+        r = write(tmp_path / "r.json", pins(("B", 0, 1.0)))
+        # B(z) = 1 + a z fails existence/uniqueness at both: two draws, two warnings
+        main(["generic", path, r, "--probe", "2", "--probe", "3", "--samples", "0",
+              "--format", fmt])
+        captured = capsys.readouterr()
+        assert captured.err == "warning: theta outside the declared domain box\n"
+        if fmt == "json-report":
+            assert len(captured.out.splitlines()) == 1
+            assert json.loads(captured.out)["samples_drawn"] == 2

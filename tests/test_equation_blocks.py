@@ -12,6 +12,7 @@ the largest.
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +26,7 @@ from ratex.identcore import (
     rank_gaps,
 )
 from ratex.modelio import compile_nonlinear, restrictions_from_dict
-from ratex.numrank import DEFAULT_TOL_RANK
+from ratex.numrank import DEFAULT_TOL_RANK, InputError
 
 
 def lifted_kernel_matrix(N: np.ndarray, R: np.ndarray, n: int) -> np.ndarray:
@@ -214,7 +215,7 @@ def assert_same_partition(got, want):
 @given(n=st.integers(1, 5), lam=st.integers(0, 1), kappa=st.integers(0, 2),
        equation=st.one_of(st.none(), st.integers(1, 5)),
        spread=st.sampled_from(["any", "A only", "one equation"]),
-       rows=st.integers(0, 30), seed=st.integers(0, 2 ** 32 - 1))
+       rows=st.integers(1, 30), seed=st.integers(0, 2 ** 32 - 1))
 def test_pin_blocks_match_nonzero_blocks(n, lam, kappa, equation, spread, rows, seed):
     """The blocks of a pin file, built from the pin positions, are the
     blocks EquationBlocks builds from R's nonzeros: in system and equation
@@ -239,3 +240,20 @@ def test_pin_blocks_match_nonzero_blocks(n, lam, kappa, equation, spread, rows, 
     assert res.pinned is not None
     width = n if equation is None else 1      # the tests rank an equation's R alone
     assert_same_partition(res.blocks(width).partition, EquationBlocks(res.R, width).partition)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: restrictions_from_dict({"pins": []}, 2, 1, 1, 0),
+    lambda: restrictions_from_dict({"equation": 1, "pins": []}, 2, 1, 1, 0),
+    lambda: restrictions_from_dict({"nonlinear": []}, 2, 1, 1, 0),
+    lambda: RestrictionSet.affine(np.zeros((0, 10)), np.zeros(0)),
+    lambda: RestrictionSet.for_equation(1, np.zeros((0, 5)), np.zeros(0)),
+    lambda: RestrictionSet.nonlinear(lambda x: x[:0], 0),
+])
+def test_empty_restriction_set_rejected(build):
+    """A set without restrictions has no blocks to rank: building one is an
+    InputError, from a file or a library call, and warns nothing first."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="the restriction set is empty"):
+            build()

@@ -385,3 +385,28 @@ def test_a_stage_failing_on_one_draw_rejects_that_draw_alone(monkeypatch, chosen
     for k, (g, w) in enumerate(zip(got, want)):
         if k != chosen:
             assert same_outcome(g, w), (k, g, w)
+
+
+@pytest.mark.parametrize("stage, error, reason", [
+    ("solve_stack", SingularMatrixError, "eu_failed: SingularMatrixError"),
+    ("rank_drop_stack", np.linalg.LinAlgError, "not_invertible")])
+def test_a_stage_failing_on_every_draw_rejects_them_all(monkeypatch, stage, error, reason):
+    # _lanewise runs the stage on each draw alone, none passes, and the
+    # stage's outputs are those of an empty stack
+    pm, restrictions = parse_model(ARMA), pins([("B", 0, 0, 0, 1.0)], 1, 1, 1, 0)
+    thetas = np.array(LANE_POINTS)
+    want = paramdsl._scan_chunk(pm, restrictions, thetas, DEFAULT_TOL_RANK)
+    inner, sizes = getattr(paramdsl, stage), []
+
+    def failing(*stacks):
+        sizes.append(len(stacks[0]))
+        if len(stacks[0]):
+            raise error("planted failure")
+        return inner(*stacks)
+
+    monkeypatch.setattr(paramdsl, stage, failing)
+    got = paramdsl._scan_chunk(pm, restrictions, thetas, DEFAULT_TOL_RANK)
+    assert sizes == [6] + [1] * 6 + [0]
+    # EU_FAIL (draw 1) fails the factorization before either stage
+    assert want[1] == "eu_failed: WrongStableCount"
+    assert got == [want[1] if k == 1 else reason for k in range(len(thetas))]

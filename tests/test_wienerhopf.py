@@ -315,6 +315,34 @@ class TestStackedScreen:
             A, E = companion_stack(near_band_stack(rng, 0, 1e6, kinds).swapaxes(2, 3))
             assert _screen_counts(A, E, np.linalg.svd(E)[1], 1e-9)[3][0]
 
+    def test_exactly_defective_sample_is_left_to_the_split(self):
+        # B(z) = z^2 I + z [[0, 1], [0, 0]]: the lead is I, and the
+        # eigenvector matrix of E^-1 A is exactly singular, so the screen
+        # decides nothing and the split counts the four zeros at the origin
+        Bc = np.array([np.zeros((2, 2)), [[0.0, 1.0], [0.0, 0.0]], np.eye(2)])
+        A, E = companion_stack(Bc[None].swapaxes(2, 3))
+        assert not _screen_counts(A, E, np.linalg.svd(E)[1], BOUNDARY_TOL)[3][0]
+        with pytest.raises(WrongStableCount, match="found 4 zero") as err:
+            wh_factorize(LaurentMatrix(Bc, 0))
+        assert np.array_equal(err.value.zeros, np.zeros(4))
+
+    def test_split_zeros_off_their_side_are_recounted(self):
+        # a near_band_stack draw (lam = 2, zeros within 1e-8 of the circle,
+        # one inside) whose split settles, but whose restricted pencils'
+        # zeros do not lie on their own sides of the band: the sample is
+        # counted again at the band edges, alone and in a stack alike
+        Bc = np.array([
+            [[6.17819384617216, 12.838454315105988], [0.2188031063772505, 0.45467661053932623]],
+            [[-8.298407201718057, -15.586417060784486],
+             [-0.2939463335173416, -0.5521162769774796]],
+            [[-1.8390986656040704, -6.391949686250836],
+             [-0.06506138509761858, -0.22623863087994858]],
+            [[0.7680599954889744, 0.639398829187679], [0.02719581641083949, 0.02265763256606247]]])
+        with pytest.raises(WrongStableCount, match="need exactly 4"):
+            wh_factorize(LaurentMatrix(Bc, -2))
+        errors = wh_factorize_stack(np.repeat(Bc[None], 3, axis=0), 2)[2]
+        assert [type(e) for e in errors] == [WrongStableCount] * 3
+
 
 def _outcome(B):
     """Type of wh_factorize's error on B, NoneType where it factors."""
