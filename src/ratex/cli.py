@@ -49,6 +49,10 @@ from the library.  Each with its default, constant and the decision it makes:
   ``paramdsl.SamplerConfig`` fields ``num_samples``, ``seed`` and
   ``min_valid``: the draws, their seed, and the valid draws that evidence
   of non-identification needs.
+- Membership takes no option: ``identcore.membership`` bounds the residual
+  of any restrictions at the model's point x by ``MEMBERSHIP_RTOL`` (1e-8)
+  times 1 + max |x|.  ``ident`` and ``generic``'s witness warn past it;
+  ``local`` rejects the point before any numerical work.
 
 The canonical-form checks (rank C_0, rank drops of the moving-average
 part) take no option: ``solve`` and ``generic`` alike decide them at
@@ -70,12 +74,12 @@ from .identcore import (
     EQUIV_GRID,
     EQUIV_RTOL,
     InputError,
-    build_ident_system,
     check_test_kind,
     ds_criterion,
     equivalence_class_dim,
     ident_test_affine,
     ident_test_equation,
+    model_ident_system,
     obs_equivalent,
     spectral_equivalent,
 )
@@ -208,19 +212,15 @@ def cmd_ident(args) -> dict:
     restrictions = load_restriction_file(args.restrictions, model)
     if restrictions.kind == "nonlinear":
         raise ModelFileError("nonlinear restrictions belong to the 'local' command")
+    equation = restrictions.kind == "equation"
     # checked before any numerical work (the rank test repeats it for library callers)
-    check_test_kind(restrictions, model.n, restrictions.kind == "equation")
+    check_test_kind(restrictions, model.n, equation)
     # needs no solution, and rejects lam > 0 and non-affine restrictions
     ds_report = ds_criterion(model, restrictions, args.tol_rank) if args.ds else None
-    bundle = solve_model(model, horizon=(model.n + 1) * model.kappa + model.lam)
-    sys_ = build_ident_system(bundle.transfer, model.n, model.m,
-                              model.kappa, model.lam, args.tol_rank)
-    if restrictions.kind == "equation":
-        report = ident_test_equation(sys_, restrictions, model, args.tol_rank)
-        label = f"equation {restrictions.equation}"
-    else:
-        report = ident_test_affine(sys_, restrictions, model, args.tol_rank)
-        label = "system"
+    sys_ = model_ident_system(model, args.tol_rank)
+    report = (ident_test_equation if equation else ident_test_affine)(
+        sys_, restrictions, model, args.tol_rank)
+    label = f"equation {restrictions.equation}" if equation else "system"
     payload = {"mode": label, "exit_code": EXIT_OK if report.identified else EXIT_NEGATIVE,
                "equivalence_class_dim": equivalence_class_dim(sys_),
                "hankel_rank": sys_.hankel_rank, **_rank_payload(report)}
@@ -383,18 +383,15 @@ def _text_local(p):
 
 def _write_csv(p):
     """Header and rows of the payload's table as csv.writer writes them
-    (CRLF line ends), every entry as _fmt formats it."""
-    if p["out"] in (None, "-"):
-        fh, close = sys.stdout, False
-    else:
-        fh, close = open(p["out"], "w", newline="", encoding="utf-8"), True
+    (CRLF line ends), every entry as _fmt formats it, in one write."""
+    table = p["table"]
     row = ",".join(["%.12g"] * len(p["header"])) + "\r\n"
-    try:
-        fh.write(",".join(p["header"]) + "\r\n")
-        fh.write("".join([row % tuple(r) for r in p["table"].tolist()]))
-    finally:
-        if close:
-            fh.close()
+    text = ",".join(p["header"]) + "\r\n" + (row * len(table)) % tuple(table.ravel().tolist())
+    if p["out"] in (None, "-"):
+        sys.stdout.write(text)
+    else:
+        with open(p["out"], "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def _render(args, payload: dict):
@@ -482,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated theta evaluated before sampling (repeatable)")
     p.set_defaults(fn=cmd_generic, render=_text_generic)
 
-    p = sub.add_parser("local", help="local identification under nonlinear restrictions")
+    p = sub.add_parser("local", help="local identification (the ident test on affine files)")
     _add_common(p, restrictions=True)
     p.set_defaults(fn=cmd_local, render=_text_local)
 

@@ -37,7 +37,7 @@ from .polylab import LaurentMatrix, Model
 from .resolve import (SolutionBundle, TransferSeries, solve_model, spectral_distance,
                       unit_circle_grid)
 
-# tolerance for "the restrictions hold at the supplied point"
+# tolerance for "the restrictions hold at the supplied point" (:func:`membership`)
 MEMBERSHIP_RTOL = 1e-8
 
 # relative residual of observational equivalence, and the spectral oracle's grid
@@ -115,8 +115,8 @@ class RestrictionSet:
     column-stacking order; equation mode restricts row i (1-based) only.
     Nonlinear restrictions supply a residual callable of that same vector
     and, when they come from compiled expressions, its exact Jacobian.
-    Building an empty set raises InputError.  :meth:`residual` is the one
-    residual of every kind, which the membership checks read.
+    Building an empty set raises InputError.  :func:`membership` evaluates
+    the residual of every kind.
     """
 
     kind: str                          # "affine" | "equation" | "nonlinear"
@@ -165,12 +165,6 @@ class RestrictionSet:
         return cls(kind="nonlinear", residual_fn=fn, r=r, equation=equation,
                    jacobian_fn=jacobian)
 
-    def residual(self, x) -> np.ndarray:
-        """R x - u, or the residual map at x (x: an equation's row in equation mode)."""
-        if self.kind == "nonlinear":
-            return np.atleast_1d(np.asarray(self.residual_fn(x), dtype=float))
-        return self.R @ x - self.u
-
     def blocks(self, n: int) -> "EquationBlocks":
         """The equation blocks of R in an n-equation system (n = 1 for one
         equation), partitioned once per n, so a scan of many draws pays once."""
@@ -179,11 +173,8 @@ class RestrictionSet:
         return self._blocks[n]
 
     def jacobian(self, x) -> np.ndarray:
-        """Jacobian of the restriction map at x: R for affine restrictions,
-        the exact Jacobian of compiled expressions, and central differences
-        only for an opaque residual callable."""
-        if self.kind != "nonlinear":
-            return self.R
+        """Jacobian of a nonlinear restriction map at x: exact for compiled
+        expressions, central differences for an opaque residual callable."""
         if self.jacobian_fn is not None:
             return self.jacobian_fn(x)
         from .paramdsl import fd_jacobian  # paramdsl imports this module
@@ -237,6 +228,12 @@ def build_ident_system(transfer: TransferSeries, n: int, m: int,
     return IdentSystem(n=n, m=m, kappa=kappa, lam=lam, T=T[0], H=H[0],
                        hankel_rank=int(ranks[0]),
                        hankel_singular_values=svals[0], N=groups[ranks[0]][1][0])
+
+
+def model_ident_system(model: Model, tol_rank: float = DEFAULT_TOL_RANK) -> IdentSystem:
+    """The system of the ``ident`` and ``local`` tests, solved as far as it needs."""
+    bundle = solve_model(model, horizon=(model.n + 1) * model.kappa + model.lam)
+    return build_ident_system(bundle.transfer, model.n, model.m, model.kappa, model.lam, tol_rank)
 
 
 def p_matrix(T: np.ndarray, H: np.ndarray) -> np.ndarray:
@@ -518,14 +515,22 @@ def check_test_kind(restrictions: RestrictionSet, n: int, equation: bool):
         raise InputError(f"equation index {restrictions.equation} outside 1..{n}")
 
 
+def membership(restrictions: RestrictionSet, x: np.ndarray) -> tuple:
+    """(max |residual|, bound) of any restrictions at the point x (an
+    equation's row in equation mode): the residual R x - u or the residual
+    map's, the bound MEMBERSHIP_RTOL * (1 + max |x|)."""
+    resid = restrictions.residual_fn(x) if restrictions.kind == "nonlinear" else \
+        restrictions.R @ x - restrictions.u
+    return float(np.max(np.abs(resid))), MEMBERSHIP_RTOL * (1.0 + float(np.max(np.abs(x))))
+
+
 def membership_warnings(restrictions: RestrictionSet, vec: np.ndarray, n: int) -> tuple:
     """Warning when affine or equation restrictions miss the point whose
-    coefficient vector (:func:`coeff_vec`) is ``vec``: max |R x - u| above
-    MEMBERSHIP_RTOL * (1 + max |u|)."""
+    coefficient vector (:func:`coeff_vec`) is ``vec`` (:func:`membership`)."""
     i = restrictions.equation
-    x = vec if i is None else vec.reshape(n, -1, order="F")[i - 1]
-    resid = float(np.max(np.abs(restrictions.residual(x))))
-    if resid > MEMBERSHIP_RTOL * (1.0 + float(np.max(np.abs(restrictions.u)))):
+    resid, bound = membership(restrictions, vec if i is None else
+                              vec.reshape(n, -1, order="F")[i - 1])
+    if resid > bound:
         label = "affine" if i is None else f"equation-{i}"
         return (f"{label} restrictions not satisfied at the point "
                 f"(residual {resid:.3e}); the verdict presupposes membership",)

@@ -8,7 +8,7 @@ import numpy as np
 
 from .lapack import svdvals
 
-# relative rank cutoff of numerical_rank (the canonical-form checks), and the
+# relative rank cutoff of stacked_rank (the canonical-form checks), and the
 # default of the tolerance that the Hankel and identification rank tests take
 DEFAULT_TOL_RANK = 1e-10
 
@@ -39,19 +39,15 @@ def env_tol_rank() -> float:
 
 
 def numerical_rank(mat: np.ndarray):
-    """Rank = number of singular values above DEFAULT_TOL_RANK * sigma_max *
-    max(shape).  Returns ``(rank, singular_values, cutoff)``."""
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    svals = svdvals(mat)
-    cutoff = DEFAULT_TOL_RANK * svals.max(initial=0.0) * max(mat.shape)
-    return int(np.count_nonzero(svals > cutoff)), svals, float(cutoff)
+    """:func:`stacked_rank` of one matrix: ``(rank, singular_values, cutoff)``."""
+    ranks, svals, cutoffs = stacked_rank(np.atleast_2d(np.asarray(mat, dtype=float))[None])
+    return int(ranks[0]), svals[0], float(cutoffs[0])
 
 
 def stacked_rank(mats: np.ndarray):
-    """:func:`numerical_rank` of each matrix of an (S, rows, cols) stack, from
-    one stacked SVD.  Returns ``(ranks, singular_values, cutoffs)`` with a
-    leading axis S.
-    """
+    """Rank of each matrix of an (S, rows, cols) stack: its singular values
+    (one stacked SVD) above DEFAULT_TOL_RANK * sigma_max * max(rows, cols).
+    Returns ``(ranks, singular_values, cutoffs)`` with a leading axis S."""
     svals = svdvals(mats)
     ranks, cutoffs = count_above(svals, DEFAULT_TOL_RANK, None, mats.shape[1:])
     return ranks, svals, cutoffs

@@ -47,19 +47,20 @@ import numpy as np
 
 from .exprs import EvalError, ExprParser, ExprProgram, ModelFileError, ParseError
 from .identcore import (
-    MEMBERSHIP_RTOL,
     EquationBlocks,
     InputError,
     RankReport,
     RestrictionSet,
-    build_ident_system,
+    _ident_test,
     check_test_kind,
     coeff_vec,
     kernel_bases,
     kernel_rank_stack,
     lane_report,
+    membership,
     membership_warnings,
     model_coeff_vec,
+    model_ident_system,
     p_norm,
     toeplitz_hankel,
 )
@@ -70,7 +71,6 @@ from .resolve import (
     canonical_staircase_mask,
     default_horizon,
     rank_drop_stack,
-    solve_model,
     solve_stack,
 )
 from .wienerhopf import wh_factorize_stack
@@ -530,45 +530,46 @@ def local_ident(model: Model, restrictions: RestrictionSet,
     """Rank test with the Jacobian of the restriction map on the kernel,
     R(x)·(N⊗Iₙ) (or R(x)·N for one equation).
 
-    ``restrictions.jacobian`` supplies it: R itself for affine or
-    equation-wise restrictions, the exact Jacobian for compiled expressions
-    (restriction files), and central differences only for an opaque
-    residual callable.  Full column rank certifies local identification.
-    A rank-deficient matrix only indicates non-identification when the
-    rank is locally constant (the regularity condition), so LOCAL_PROBES
-    nearby points are probed and the report says whether the rank looks
-    constant; without that, no non-identification claim is made.  An
-    affine map's rank is constant.
+    An affine map's Jacobian is R, so on affine restrictions this is the
+    ``ident`` test, through the same function, and a deficient rank is
+    constant.  Compiled expressions give their exact Jacobian (an opaque
+    residual callable, central differences).  Full column rank certifies
+    local identification.  A rank-deficient matrix only indicates
+    non-identification when the rank is locally constant (the regularity
+    condition), so LOCAL_PROBES nearby points are probed and the report
+    says whether the rank looks constant; without that, no
+    non-identification claim is made.  Restrictions that miss the point
+    (:func:`~ratex.identcore.membership`) or that the ``ident`` test cannot
+    use raise InputError before any numerical work.
     """
-    affine = restrictions.kind != "nonlinear"
+    affine, equation = restrictions.kind != "nonlinear", restrictions.equation
     if not affine and restrictions.residual_fn is None:
         raise ValueError("local test needs restrictions with a residual map")
-    equation = restrictions.equation
-    x0 = model_coeff_vec(model)
+    x0, n = model_coeff_vec(model), model.n
     if equation is not None:
-        x0 = x0.reshape(model.n, -1, order="F")[equation - 1]
-    resid = np.max(np.abs(restrictions.residual(x0)))     # before any numerical work
-    if resid > MEMBERSHIP_RTOL * (1.0 + np.max(np.abs(x0))):
+        x0, n = x0.reshape(n, -1, order="F")[equation - 1], 1
+    resid, bound = membership(restrictions, x0)
+    if resid > bound:
         raise InputError(f"restrictions do not hold at the point (residual {resid:.3e})")
-
-    bundle = solve_model(model)
-    sys = build_ident_system(bundle.transfer, model.n, model.m,
-                             model.kappa, model.lam, tol_rank)
-    n = 1 if equation is not None else model.n
+    if affine:
+        check_test_kind(restrictions, model.n, equation is not None)
+    sys = model_ident_system(model, tol_rank)
 
     def jacobian_ranks(points):
         """kernel_rank_stack at the Jacobians of the (P, size) points, one
         partition of their joint nonzeros covering all P."""
-        blocks = restrictions.blocks(n) if affine else EquationBlocks(np.array(
+        blocks = EquationBlocks(np.array(
             [np.atleast_2d(restrictions.jacobian(x)) for x in points], dtype=float), n)
         return kernel_rank_stack(sys.N[None], blocks, np.array([sys.p_norm]),
                                  sys.p_shape, tol_rank)
 
-    shape, ranks, svals, gaps = jacobian_ranks(x0[None])
-    report = lane_report(shape, ranks[0], svals[0], shape[1], gaps[0])
+    if affine:
+        report = _ident_test(sys, restrictions, None, tol_rank, equation is not None)
+    else:
+        shape, ranks, svals, gaps = jacobian_ranks(x0[None])
+        report = lane_report(shape, ranks[0], svals[0], shape[1], gaps[0])
     if report.identified:
-        return LocalReport(report, True, None, (),
-                           "full column rank: locally identified")
+        return LocalReport(report, True, None, (), "full column rank: locally identified")
     if affine:
         return LocalReport(report, False, True, (), "rank deficient and constant "
                            "(affine restrictions): not locally identified")

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from oracles import coeff_vec_index, parse_expression
 from ratex.cli import build_parser, main
 from ratex.identcore import RestrictionSet
+from ratex.identcore import _ident_test as ident_test
 from ratex.modelio import (
     ModelFileError,
     _position,
@@ -585,6 +586,103 @@ class TestLocalCommand:
         assert code == 3
         assert payload["rank_locally_constant"] is True
         assert payload["probe_ranks"] == []
+
+
+class TestLocalIsIdentOnAffineFiles:
+    """On an affine restriction file ``local`` runs the ``ident`` test, and
+    both commands judge membership by one bound, 1e-8 (1 + max |x|) at the
+    model's point x (``identcore.membership``): ``ident`` warns past it,
+    ``local`` rejects.  Each case gives both commands the same judgement,
+    exit code and standard error."""
+
+    RANK_FIELDS = ("verdict", "required_rank", "numerical_rank", "singular_values",
+                   "gap_ratio", "warnings")
+
+    def run(self, capsys, *argv):
+        code = main([*argv, "--format", "json-report"])
+        captured = capsys.readouterr()
+        out = json.loads(captured.out) if captured.out else None
+        return code, out and {key: out[key] for key in self.RANK_FIELDS}, captured.err
+
+    def large_point(self, tmp_path):
+        """B = 1, A = 1000: the bound at the point is 1e-8 * 1001."""
+        return write(tmp_path / "m.json", {"n": 1, "m": 1, "lambda": 0, "kappa": 0,
+                                           "B": {"0": 1.0}, "A": {"0": 1000.0}})
+
+    def test_pin_missing_by_less_than_the_bound(self, tmp_path, capsys):
+        # B_0 pinned to 1.0000005 misses by 5e-7: a member for both commands,
+        # whether the pin is a pins file or an expression (which ident does
+        # not take, so it answers as for the pins file)
+        path = self.large_point(tmp_path)
+        pinned = write(tmp_path / "pins.json", pins(("B", 0, 1.0000005)))
+        expr = write(tmp_path / "expr.json", {"nonlinear": ["B[0][1][1] - 1.0000005"]})
+        ident = self.run(capsys, "ident", path, pinned)
+        assert (ident[0], ident[1]["verdict"], ident[1]["warnings"], ident[2]) == \
+            (0, "identified", [], "")
+        assert self.run(capsys, "local", path, pinned) == ident
+        assert self.run(capsys, "local", path, expr) == ident
+
+    @pytest.mark.parametrize("miss, member", [(0.9e-5, True), (1.1e-5, False)])
+    def test_ident_warns_where_local_rejects(self, tmp_path, capsys, miss, member):
+        path = self.large_point(tmp_path)
+        pinned = write(tmp_path / "pins.json", pins(("B", 0, 1.0 + miss)))
+        expr = write(tmp_path / "expr.json", {"nonlinear": [f"B[0][1][1] - {1.0 + miss!r}"]})
+        for r in (pinned, expr):
+            code, rank, err = self.run(capsys, "local", path, r)
+            if member:
+                assert (code, err) == (0, "")
+            else:
+                assert (code, rank) == (1, None)
+                assert err == "error: restrictions do not hold at the point " \
+                              f"(residual {miss:.3e})\n"
+        code, rank, err = self.run(capsys, "ident", path, pinned)
+        assert (code, err) == (0, "")
+        assert rank["warnings"] == ([] if member else [
+            f"affine restrictions not satisfied at the point (residual {miss:.3e}); "
+            "the verdict presupposes membership"])
+
+    def test_zero_u_pins(self, tmp_path, capsys):
+        # a VARMA(1, 1) with B_0 = I; pins B_0[1, 2] = B_0[2, 1] = 0 leave u = 0
+        path = write(tmp_path / "m.json", {
+            "n": 2, "m": 2, "lambda": 0, "kappa": 1,
+            "B": {"0": [[1, 0], [0, 1]], "1": [[-0.5, 0.1], [0.2, -0.3]]},
+            "A": {"0": [[1, 0], [0.5, 1]]}})
+        r = write(tmp_path / "r.json", {"pins": [
+            {"block": "B", "lag": 0, "row": 1, "col": 2, "value": 0},
+            {"block": "B", "lag": 0, "row": 2, "col": 1, "value": 0}]})
+        results = []
+        for command in ("ident", "local"):
+            results.append((main([command, path, r]), capsys.readouterr()))
+        (ident_code, ident), (local_code, local) = results
+        assert ident_code == local_code == 1
+        assert ident.out == local.out == ""
+        assert ident.err == local.err == (
+            "warning: u = 0 pins only the scale direction, which every equivalence class "
+            "contains; the system test will reject it\n"
+            "error: u = 0 is meaningless: the whole scale direction satisfies it\n")
+
+    def test_same_rank_test(self, tmp_path, capsys, monkeypatch):
+        # singular values, rank and gap ratio equal to the bit, through one function
+        from conftest import make_valid_model
+        from ratex import paramdsl
+
+        model, *_ = make_valid_model(np.random.default_rng(3), n=2, m=2, lam=1, kappa=1)
+        path = write(tmp_path / "m.json", numeric_spec(model))
+        b_pins = [{"block": "B", "lag": lag, "row": i, "col": j,
+                   "value": float(model.B.coefficient(lag)[i - 1, j - 1])}
+                  for lag in (-1, 0, 1) for i in (1, 2) for j in (1, 2)]
+        row = [pin for pin in b_pins if pin["row"] == 2]
+        calls = []
+        monkeypatch.setattr(paramdsl, "_ident_test",
+                            lambda *args: calls.append(args) or ident_test(*args))
+        for k, (spec, code) in enumerate([({"pins": b_pins}, 0), ({"pins": b_pins[:7]}, 3),
+                                          ({"equation": 2, "pins": row}, 0),
+                                          ({"equation": 2, "pins": row[:3]}, 3)]):
+            r = write(tmp_path / f"r{k}.json", spec)
+            ident = self.run(capsys, "ident", path, r)
+            assert ident[0] == code
+            assert self.run(capsys, "local", path, r) == ident
+        assert len(calls) == 4
 
 
 def numeric_spec(model):

@@ -19,7 +19,7 @@ from ratex.identcore import (
     obs_equivalent,
     spectral_equivalent,
 )
-from ratex.numrank import DEFAULT_TOL_RANK, numerical_rank
+from ratex.numrank import DEFAULT_TOL_RANK, numerical_rank, stacked_rank
 from ratex.polylab import LaurentMatrix, Model
 from ratex.resolve import solve_model
 
@@ -42,6 +42,22 @@ def pin_restriction(pins, n, m, kappa, lam):
         R[k, coeff_vec_index(block, lag, row, col, n, m, kappa, lam)] = 1.0
         u[k] = val
     return RestrictionSet.affine(R, u)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(rows=st.integers(1, 6), cols=st.integers(1, 6), rank=st.integers(0, 6),
+       exponent=st.integers(-300, 300), seed=st.integers(0, 2 ** 32 - 1))
+def test_numerical_rank_is_the_stacked_rule_at_one_sample(rows, cols, rank, exponent, seed):
+    """One rank rule: count the singular values above DEFAULT_TOL_RANK *
+    sigma_max * max(shape), in that order of multiplication, bit for bit."""
+    rng = np.random.default_rng(seed)
+    M = (rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))) * 10.0 ** exponent
+    r, svals, cutoff = numerical_rank(M)
+    ranks, stacked, cutoffs = stacked_rank(M[None])
+    assert (r, cutoff) == (ranks[0], cutoffs[0])
+    assert np.array_equal(svals, stacked[0])
+    assert cutoff == DEFAULT_TOL_RANK * np.linalg.svd(M, compute_uv=False).max() * max(M.shape)
+    assert r == np.count_nonzero(svals > cutoff)
 
 
 class TestBuildSystem:
