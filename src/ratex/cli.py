@@ -12,10 +12,11 @@ payload's table as CSV instead.  ``--theta`` evaluates a parametrized
 model file; on a numeric one it is an input error.
 
 Failures.  ``main`` is the one place that catches solvability failures
-(existence/uniqueness, canonical form, a singular B(z)).  They become the
-failure payload ``{command, verdict, reason, exit_code}``, with verdict
-``eu_failed`` for ``factorize`` and ``solve_failed`` elsewhere; the CSV
-commands print its reason to standard error.  File and validation errors
+(existence/uniqueness, canonical form, a singular B(z), a solution that is
+not all finite: ``resolve.NOT_FINITE``).  They become the failure payload
+``{command, verdict, reason, exit_code}``, with verdict ``eu_failed`` for
+``factorize`` and ``solve_failed`` elsewhere; the CSV commands print its
+reason to standard error.  File and validation errors
 (InputError, OSError, EvalError) print ``error: ...`` to standard error;
 any other exception is a program fault and propagates.  An empty
 restriction file, or one the command's rank test cannot use, is a file

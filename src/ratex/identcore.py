@@ -25,7 +25,6 @@ an exact 0.0.
 
 from __future__ import annotations
 
-import warnings as _warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -33,9 +32,9 @@ import numpy as np
 
 from . import lapack
 from .numrank import DEFAULT_TOL_RANK, InputError, count_above
-from .polylab import LaurentMatrix, Model
-from .resolve import (SolutionBundle, TransferSeries, solve_model, spectral_distance,
-                      unit_circle_grid)
+from .polylab import LaurentMatrix, Model, SingularMatrixError
+from .resolve import (NOT_FINITE, SolutionBundle, TransferSeries, solve_model,
+                      spectral_distance, unit_circle_grid)
 
 # tolerance for "the restrictions hold at the supplied point" (:func:`membership`)
 MEMBERSHIP_RTOL = 1e-8
@@ -62,21 +61,11 @@ class IdentSystem:
     T: np.ndarray
     H: np.ndarray
     hankel_rank: int
-    hankel_singular_values: np.ndarray
     N: np.ndarray                     # null(P') on [B_-lam..B_kappa | A_0..A_kappa]
-
-    @property
-    def p_shape(self) -> tuple:
-        return (self.T.shape[0] + self.T.shape[1], self.T.shape[1] + self.H.shape[1])
 
     @cached_property
     def P(self) -> np.ndarray:
         return p_matrix(self.T, self.H)
-
-    @cached_property
-    def p_norm(self) -> float:
-        """|P|_F, as :func:`p_norm` computes it for a stack."""
-        return float(p_norm(self.T[None], self.H[None])[0])
 
 
 @dataclass(frozen=True)
@@ -136,12 +125,9 @@ class RestrictionSet:
     @classmethod
     def affine(cls, R, u, pinned=None) -> "RestrictionSet":
         """R vec = u; ``pinned`` gives the columns when R's rows are unit
-        rows (pins), so that its equation blocks follow from them."""
-        out = cls._rows("affine", R, u, None, pinned)
-        if not np.any(out.u):
-            _warnings.warn("u = 0 pins only the scale direction, which every "
-                           "equivalence class contains; the system test will reject it")
-        return out
+        rows (pins), so that its equation blocks follow from them.  A u = 0
+        is rejected by the rank test (:func:`check_test_kind`)."""
+        return cls._rows("affine", R, u, None, pinned)
 
     @classmethod
     def for_equation(cls, i: int, R, u, pinned=None) -> "RestrictionSet":
@@ -218,16 +204,19 @@ def build_ident_system(transfer: TransferSeries, n: int, m: int,
     H's bottom-left block is C_1 and its top-right block is
     C_{(n+1)kappa+lam}; the Hankel rank is the McMillan degree of the
     strictly proper part of the transfer function.  P' [x_B; x_A] = 0 iff
-    H' x_B = 0 and x_A = T' x_B; N keeps the rows of A_0..A_kappa.
+    H' x_B = 0 and x_A = T' x_B; N keeps the rows of A_0..A_kappa.  An N
+    that overflows fails as a solution does (:data:`~ratex.resolve.NOT_FINITE`).
     """
     need = (n + 1) * kappa + lam
     if transfer.horizon < need:
         raise ValueError(f"transfer horizon {transfer.horizon} < required {need}")
     T, H = toeplitz_hankel(transfer.coeffs[None], n, m, kappa, lam)
-    ranks, svals, groups = kernel_bases(T, H, m, lam, tol_rank)
+    ranks, groups = kernel_bases(T, H, m, lam, tol_rank)
+    N = groups[ranks[0]][1][0]
+    if not np.isfinite(N).all():
+        raise SingularMatrixError(NOT_FINITE)
     return IdentSystem(n=n, m=m, kappa=kappa, lam=lam, T=T[0], H=H[0],
-                       hankel_rank=int(ranks[0]),
-                       hankel_singular_values=svals[0], N=groups[ranks[0]][1][0])
+                       hankel_rank=int(ranks[0]), N=N)
 
 
 def model_ident_system(model: Model, tol_rank: float = DEFAULT_TOL_RANK) -> IdentSystem:
@@ -254,15 +243,17 @@ def toeplitz_hankel(C: np.ndarray, n: int, m: int, kappa: int, lam: int):
             H.transpose(0, 1, 3, 2, 4).reshape(S, n * q, m * n * kappa))
 
 
+@np.errstate(all="ignore")
 def kernel_bases(T: np.ndarray, H: np.ndarray, m: int, lam: int, tol_rank: float):
-    """Hankel rank, Hankel singular values and N = null(P') of each sample of
-    a (T, H) stack, from one stacked SVD of H.
+    """Hankel rank and N = null(P') of each sample of a (T, H) stack, from
+    one stacked SVD of H.
 
     N has n*q - rank columns, so the bases come grouped by Hankel rank:
     ``{rank: (sample indices, N stack)}``, a stack whose samples share one
     rank (one sample, say) taken whole rather than indexed.  The rank cutoff
     scales with the larger of sigma_max(H) and the largest coefficient in
-    T, so a Hankel block of rounding noise next to C_0 has rank 0.
+    T, so a Hankel block of rounding noise next to C_0 has rank 0.  A
+    T' U that overflows leaves its N not finite, quietly; callers reject it.
     """
     U, svals, _ = lapack.svd(H)
     scale = np.maximum(svals.max(axis=-1, initial=0.0), np.abs(T).max(axis=(1, 2)))
@@ -274,7 +265,13 @@ def kernel_bases(T: np.ndarray, H: np.ndarray, m: int, lam: int, tol_rank: float
         Ur = U[sel][:, :, rank:]
         groups[rank] = (lanes, np.concatenate(
             [Ur, T[sel][:, :, m * lam:].swapaxes(1, 2) @ Ur], axis=1))
-    return ranks, svals, groups
+    return ranks, groups
+
+
+def p_shape(T: np.ndarray, H: np.ndarray) -> tuple:
+    """Shape of P = [[-T, -H], [I, 0]] from those of T and H (one system or
+    a stack)."""
+    return (T.shape[-2] + T.shape[-1], T.shape[-1] + H.shape[-1])
 
 
 def p_norm(T: np.ndarray, H: np.ndarray) -> np.ndarray:
@@ -544,7 +541,8 @@ def _ident_test(sys: IdentSystem, restrictions: RestrictionSet, model: Model | N
     check_test_kind(restrictions, sys.n, equation)
     blocks = restrictions.blocks(1 if equation else sys.n)
     shape, ranks, svals, gaps = kernel_rank_stack(
-        sys.N[None], blocks, np.array([sys.p_norm]), sys.p_shape, tol_rank)
+        sys.N[None], blocks, p_norm(sys.T[None], sys.H[None]), p_shape(sys.T, sys.H),
+        tol_rank)
     report = lane_report(shape, ranks[0], svals[0], shape[1], gaps[0])
     if model is None:
         return report

@@ -5,13 +5,14 @@ takes goes through this module.  Each function calls the LAPACK gufunc of
 ``numpy.linalg._umath_linalg`` that the np.linalg function of the same name
 calls, under the same floating-point error state, so its results are
 bitwise np.linalg's and a singular or non-converged result raises the same
-``np.linalg.LinAlgError``.  What np.linalg adds around the gufunc per call
-(array wrapping, dtype resolution and the ``signature=`` argument, a fresh
-error state) is left out: on the small matrices here that costs 3-7 us
-against a kernel of 1-5 us.  The error states are built once, at import,
-and set through numpy's own context variable, private numpy API like the
-gufuncs themselves; inputs must be float64 or complex128 arrays (...,
-rows, cols), as every caller's are.
+``np.linalg.LinAlgError``; the two quiet functions, :func:`inv_or_nan` and
+:func:`pencil_eigvals`, give a failing sample NaN instead.  What np.linalg
+adds around the gufunc per call (array wrapping, dtype resolution and the
+``signature=`` argument, a fresh error state) is left out: on the small
+matrices here that costs 3-7 us against a kernel of 1-5 us.  The error
+states are built once, at import, and set through numpy's own context
+variable, private numpy API like the gufuncs themselves; inputs must be
+float64 or complex128 arrays (..., rows, cols), as every caller's are.
 """
 
 from __future__ import annotations
@@ -65,6 +66,12 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def inv(a: np.ndarray) -> np.ndarray:
     """np.linalg.inv(a)."""
     return _call(_SINGULAR, _umath_linalg.inv, a)
+
+
+def inv_or_nan(a: np.ndarray) -> np.ndarray:
+    """np.linalg.inv(a) without its error: a singular matrix of the stack
+    gets NaN, the others their inverses, bitwise np.linalg's."""
+    return _call(_QUIET, _umath_linalg.inv, a)
 
 
 def _finite(a: np.ndarray):

@@ -62,10 +62,11 @@ from .identcore import (
     model_coeff_vec,
     model_ident_system,
     p_norm,
+    p_shape,
     toeplitz_hankel,
 )
 from .numrank import DEFAULT_TOL_RANK, stacked_rank
-from .polylab import LaurentMatrix, Model, SingularMatrixError, trim_dust
+from .polylab import LaurentMatrix, Model, trim_dust
 from .resolve import (
     CF_BOUNDARY_MARGIN,
     canonical_staircase_mask,
@@ -388,10 +389,12 @@ def _scan_chunk(pm: ParamMap, restrictions: RestrictionSet, thetas: np.ndarray,
     "deficient" or "borderline" for a rank-deficient valid point, or the
     RankReport of the first full-rank point; later points stay None.  The
     checks run in the order of one point's: evaluate, solve the model
-    (:func:`~ratex.resolve.solve_model`), rank(C_0), rank drops of the
+    (:func:`~ratex.resolve.solve_model`, whose SingularMatrixError is a
+    solution or kernel basis not all finite), rank(C_0), rank drops of the
     moving-average part in the closed disk, canonical form of C_0, then the
-    identification rank test.  A chunk stops at the check that rejects its
-    last sample; a one-sample chunk passes each check whole, unindexed.
+    identification rank test.  No stage raises for one sample; each marks
+    those that fail it.  A chunk stops at the check that rejects its last
+    sample; a check that rejects none passes the stacks on whole.
     """
     n, m, lam, kappa = pm.n, pm.m, pm.lam, pm.kappa
     outcomes = [None] * len(thetas)
@@ -402,11 +405,6 @@ def _scan_chunk(pm: ParamMap, restrictions: RestrictionSet, thetas: np.ndarray,
         flagged ``bad``; the rest of ``lanes`` and ``stacks`` go on, and
         _NoneLeft is raised once no sample does."""
         nonlocal lanes
-        if len(bad) == 1:               # one sample: it goes on whole or not at all
-            if not bad[0]:
-                return stacks
-            outcomes[lanes[0]] = reason if isinstance(reason, str) else reason[0]
-            raise _NoneLeft
         if not bad.any():
             return stacks
         for k in np.flatnonzero(bad).tolist():
@@ -427,14 +425,13 @@ def _scan_chunk(pm: ParamMap, restrictions: RestrictionSet, thetas: np.ndarray,
             np.array([e is not None for e in errors], dtype=bool),
             [e and f"eu_failed: {type(e).__name__}" for e in errors],
             B, A, b_minus, b_plus, inv)
-        horizon = default_horizon(n, kappa, lam)
-        (ma, transfer), singular = _lanewise(
-            lambda bm, bp, a, f: solve_stack(bm, bp, a, horizon, f), b_minus, b_plus, A, inv)
-        B, A = reject(singular, "eu_failed: SingularMatrixError", B, A)
+        ma, transfer, failed = solve_stack(b_minus, b_plus, A,
+                                           default_horizon(n, kappa, lam), inv)
+        B, A, ma, transfer = reject(failed, "eu_failed: SingularMatrixError",
+                                    B, A, ma, transfer)
         c0_ranks = stacked_rank(transfer[:, 0])[0]
         B, A, ma, transfer = reject(c0_ranks < m, "c0_rank_deficient", B, A, ma, transfer)
-        (z, hit), failed = _lanewise(rank_drop_stack, ma)
-        B, A, transfer = reject(failed, "not_invertible", B, A, transfer)  # z, hit: the rest
+        z, hit = rank_drop_stack(ma)
         inside = (hit & (np.abs(z) < 1.0 - CF_BOUNDARY_MARGIN)).any(axis=1)
         B, A, transfer = reject(inside, "not_invertible", B, A, transfer)
         B, A, transfer = reject(~canonical_staircase_mask(transfer[:, 0]), "c0_not_canonical",
@@ -444,13 +441,19 @@ def _scan_chunk(pm: ParamMap, restrictions: RestrictionSet, thetas: np.ndarray,
 
     equation = restrictions.kind == "equation"
     T, H = toeplitz_hankel(transfer, n, m, kappa, lam)
-    q = kappa + lam + 1
-    p_shape = (n * q + m * q, m * q + m * n * kappa)
     pnorm = p_norm(T, H)
     first = None
-    for group, N in kernel_bases(T, H, m, lam, tol_rank)[2].values():
+    for group, N in kernel_bases(T, H, m, lam, tol_rank)[1].values():
+        finite = np.isfinite(N).all(axis=(1, 2))
+        if not finite.all():            # build_ident_system's failure, by mask
+            for s in group[~finite].tolist():
+                outcomes[lanes[s]] = "eu_failed: SingularMatrixError"
+            group, N = group[finite], N[finite]
+            if not group.size:
+                continue
         shape, ranks, svals, gaps = kernel_rank_stack(
-            N, restrictions.blocks(1 if equation else n), pnorm[group], p_shape, tol_rank)
+            N, restrictions.blocks(1 if equation else n), pnorm[group], p_shape(T, H),
+            tol_rank)
         for k, s in enumerate(group.tolist()):
             if ranks[k] == shape[1]:
                 if first is None or s < first[0]:
@@ -466,28 +469,6 @@ def _scan_chunk(pm: ParamMap, restrictions: RestrictionSet, thetas: np.ndarray,
 
 class _NoneLeft(Exception):
     """Every sample of a chunk has been rejected (:func:`_scan_chunk`)."""
-
-
-def _lanewise(fn, *stacks):
-    """``fn`` on stacks with a leading sample axis, returning a tuple of
-    stacks.  If it raises SingularMatrixError or LinAlgError it runs on each
-    sample alone.  Returns (outputs of the samples that passed, mask of the
-    samples that raised)."""
-    try:
-        return fn(*stacks), np.zeros(len(stacks[0]), dtype=bool)
-    except (SingularMatrixError, np.linalg.LinAlgError):
-        pass
-    outputs, failed = [], []
-    for s in range(len(stacks[0])):
-        try:
-            outputs.append(fn(*(a[s:s + 1] for a in stacks)))
-        except (SingularMatrixError, np.linalg.LinAlgError):
-            failed.append(True)
-            continue
-        failed.append(False)
-    if not outputs:  # shapes of an empty result
-        outputs.append(fn(*(a[:0] for a in stacks)))
-    return tuple(np.concatenate(parts) for parts in zip(*outputs)), np.array(failed, dtype=bool)
 
 
 # -- local identification under nonlinear restrictions -----------------------
@@ -560,8 +541,8 @@ def local_ident(model: Model, restrictions: RestrictionSet,
         partition of their joint nonzeros covering all P."""
         blocks = EquationBlocks(np.array(
             [np.atleast_2d(restrictions.jacobian(x)) for x in points], dtype=float), n)
-        return kernel_rank_stack(sys.N[None], blocks, np.array([sys.p_norm]),
-                                 sys.p_shape, tol_rank)
+        return kernel_rank_stack(sys.N[None], blocks, p_norm(sys.T[None], sys.H[None]),
+                                 p_shape(sys.T, sys.H), tol_rank)
 
     if affine:
         report = _ident_test(sys, restrictions, None, tol_rank, equation is not None)

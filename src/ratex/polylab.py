@@ -48,7 +48,7 @@ class ShapeMismatchError(ValueError):
 
 
 class SingularMatrixError(ValueError):
-    """A matrix (or its relevant leading coefficient) is numerically singular."""
+    """A matrix is numerically singular, or a solution is not all finite (resolve.NOT_FINITE)."""
 
 
 @dataclass(frozen=True)
@@ -312,13 +312,10 @@ def series_divide(g: np.ndarray, rhs: np.ndarray, horizon: int,
     returns the (S, horizon + 1, n, c) coefficients of g^-1 rhs from
     out_j = g_0^-1 (rhs_j - sum_{i>=1} g_i out_{j-i}).  A prefix (S, p, n,
     c), the first p coefficients from an earlier call, is extended rather
-    than recomputed, with the same result.  Raises SingularMatrixError when
-    some g_0 is singular.
+    than recomputed, with the same result.  A sample whose g_0 is singular
+    gets NaN coefficients; the others are those of that sample alone.
     """
-    try:
-        g0_inv = lapack.inv(g[:, 0])
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("lag-0 coefficient of the divisor is singular") from exc
+    g0_inv = lapack.inv_or_nan(g[:, 0])
     out = np.zeros((g.shape[0], horizon + 1, g.shape[2], rhs.shape[3]))
     start = 0
     if prefix is not None:

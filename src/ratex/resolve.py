@@ -33,6 +33,9 @@ CF_BOUNDARY_MARGIN = 1e-9
 # C_0 entries above CF_ZERO_RTOL * max(1, max |C_0|) count as nonzero in the CF check
 CF_ZERO_RTOL = 1e-9
 
+# a stationary solution's numbers are finite; one that is not fails with this
+NOT_FINITE = "solution is not all finite: B_plus(0) is singular or its numbers overflow"
+
 # truncation rule of simulate (see there)
 SIM_DECAY_RTOL = 1e-12
 SIM_HORIZON_CAP = 10_000
@@ -111,23 +114,29 @@ def default_horizon(n: int, kappa: int, lam: int) -> int:
     return max((n + 1) * kappa + lam, 2)
 
 
+@np.errstate(all="ignore")
 def solve_stack(b_minus: np.ndarray, b_plus: np.ndarray, A: np.ndarray, horizon: int,
                 inv_series: np.ndarray | None = None):
-    """Moving-average parts, transfer series and rank(C_0) of a stack of factored models.
+    """Moving-average parts, transfer series and failures of a stack of factored models.
 
     b_minus (S, lam+1, n, n) holds lags -lam..0, b_plus (S, L, n, n) and
     A (S, L, n, m) hold lags 0..L-1; inv_series, when given, the leading
     coefficients of B_minus^-1 that the factorization already computed
     (:func:`~ratex.wienerhopf.bminus_inv_plus`).  Returns M = [B_minus^-1
-    A]_+ (dust trimmed, (S, L, n, m)) and C_0..C_horizon ((S, horizon+1,
-    n, m)).  Raises SingularMatrixError when some B_plus(0) is singular.
+    A]_+ (dust trimmed, (S, L, n, m)), C_0..C_horizon ((S, horizon+1, n,
+    m)) and, quietly, the mask (S,) of the samples whose M (before the dust
+    rule zeroes it) or C_j are not all finite (:data:`NOT_FINITE`).
     """
-    ma = trim_dust(bminus_inv_plus(b_minus, A, inv_series))
-    return ma, series_divide(b_plus, ma, horizon)
+    raw = bminus_inv_plus(b_minus, A, inv_series)
+    ma = trim_dust(raw)
+    transfer = series_divide(b_plus, ma, horizon)
+    return ma, transfer, ~(np.isfinite(raw).all(axis=(1, 2, 3))
+                           & np.isfinite(transfer).all(axis=(1, 2, 3)))
 
 
 def solve_model(model: Model, horizon: int | None = None) -> SolutionBundle:
-    """Factorize and assemble the full solution bundle for a model."""
+    """Factorize and assemble the full solution bundle for a model (errors:
+    :func:`_assemble`)."""
     return solve_models([model], horizon)[0]
 
 
@@ -141,16 +150,19 @@ def solve_models(models, horizon: int | None = None) -> list:
 
 def _assemble(model: Model, fac, horizon: int | None) -> SolutionBundle:
     """The solution bundle of a model from its factorization (raised when
-    it is the error that rejected the model)."""
+    it is the error that rejected the model, SingularMatrixError when the
+    solution is not all finite)."""
     if isinstance(fac, Exception):
         raise fac
     if horizon is None:
         horizon = default_horizon(model.n, model.kappa, model.lam)
     L = max(model.A.max_lag, fac.b_plus.max_lag, 0) + 1
-    ma, transfer = solve_stack(
+    ma, transfer, failed = solve_stack(
         fac.b_minus.coeffs[None], fac.b_plus.window(0, L - 1)[None],
         model.A.window(0, L - 1)[None], horizon,
         None if fac.inv_series is None else fac.inv_series[None])
+    if failed[0]:
+        raise SingularMatrixError(NOT_FINITE)
     return SolutionBundle(model=model, factors=fac, ma_part=LaurentMatrix.from_trimmed(ma[0]),
                           transfer=TransferSeries(transfer[0]))
 
@@ -239,8 +251,8 @@ def rank_drop_stack(M: np.ndarray):
     has sigma_min(M(z)) at most DEFAULT_TOL_RANK * max(1, max |M_j|).
 
     Returns ``(z, hit)``, each (S, (L-1)*m): candidate points and the mask of
-    rank drops within CF_BOUNDARY_MARGIN of the closed disk.  Raises
-    np.linalg.LinAlgError when some Q_0 is singular.
+    rank drops within CF_BOUNDARY_MARGIN of the closed disk; a singular
+    Q_0 after all (NaN eigenvalues) puts every candidate at z = 0.
     """
     S, L, n, m = M.shape
     if L == 1:
@@ -248,8 +260,9 @@ def rank_drop_stack(M: np.ndarray):
     u = lapack.svd(M[:, 0])[0][:, :, :m]
     Q = u.swapaxes(1, 2)[:, None] @ M
     A, E = companion_stack(Q[:, ::-1])
-    w = lapack.eigvals(lapack.solve(E, A)).astype(complex)
-    finite = w != 0
+    w = lapack.pencil_eigvals(E, A)
+    singular = np.isnan(w)
+    finite = (w != 0) & ~singular
     z = np.zeros_like(w)
     with np.errstate(over="ignore"):
         np.divide(1.0, w, out=z, where=finite)
@@ -259,7 +272,7 @@ def rank_drop_stack(M: np.ndarray):
         smin = lapack.svdvals(Mz)[..., -1]
         scale = np.maximum(np.abs(M).max(axis=(1, 2, 3)), 1.0)
         hit &= smin <= DEFAULT_TOL_RANK * scale[:, None]
-    return z, hit
+    return z, hit | singular
 
 
 def cf_check_and_normalize(bundle: SolutionBundle):
@@ -335,15 +348,19 @@ def simulate(bundle: SolutionBundle, T: int, seed: int) -> np.ndarray:
     It is cut at the first C_h below SIM_DECAY_RTOL * max-abs(C_0) (or at
     SIM_HORIZON_CAP), searched on series of 16, 32, 64, ... lags, each
     extending the division of the one before; the last series built is the
-    one convolved with the draws.  Deterministic given the seed;
-    innovations are i.i.d. standard normal.
+    one convolved with the draws.  A series that is not all finite raises
+    SingularMatrixError (:data:`NOT_FINITE`).  Deterministic given the
+    seed; innovations are i.i.d. standard normal.
     """
     c0_scale = max(float(np.max(np.abs(bundle.transfer.coefficient(0)))), 1e-300)
     b_plus, ma = bundle.factors.b_plus, bundle.ma_part
     g, rhs = (x.window(0, max(x.max_lag, 0))[None] for x in (b_plus, ma))
     h, coeffs = max(bundle.transfer.horizon, 16), None
     while True:
-        coeffs = series_divide(g, rhs, min(h, SIM_HORIZON_CAP), prefix=coeffs)
+        with np.errstate(all="ignore"):
+            coeffs = series_divide(g, rhs, min(h, SIM_HORIZON_CAP), prefix=coeffs)
+        if not np.isfinite(coeffs).all():
+            raise SingularMatrixError(NOT_FINITE)
         small = np.flatnonzero(np.max(np.abs(coeffs[0]), axis=(1, 2))
                                < SIM_DECAY_RTOL * c0_scale)
         if small.size or h >= SIM_HORIZON_CAP:

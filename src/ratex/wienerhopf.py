@@ -562,15 +562,13 @@ def _screen_counts(A: np.ndarray, E: np.ndarray, s_E: np.ndarray, boundary: floa
     condition number kappa_i of the eigenvalue (from the eigenvectors)
     times N eps times the backward errors of the solve and the eigenvalue
     routine on E^-1 A, plus that of a backward-stable method on (A, E)
-    itself.  Returns (stable, on_band, zeros, decided).
+    itself.  An exactly defective sample is left undecided, alone.  Returns
+    (stable, on_band, zeros, decided).
     """
     N = A.shape[1]
     M = lapack.solve(E, A)
     w, X = lapack.eig(M)
-    try:
-        Y = lapack.inv(X)
-    except np.linalg.LinAlgError:   # an exactly defective sample: decide none
-        Y = np.full_like(X, np.nan)
+    Y = lapack.inv_or_nan(X)        # NaN for an exactly defective sample: undecided
     smax, smin = s_E[:, :1], s_E[:, -1:]
     mods = np.abs(w)
     with np.errstate(invalid="ignore", over="ignore"):

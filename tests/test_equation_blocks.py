@@ -235,7 +235,7 @@ def test_pin_blocks_match_nonzero_blocks(n, lam, kappa, equation, spread, rows, 
         pins.append(dict(pins[int(rng.integers(len(pins)))]))
     spec = {"pins": pins} if equation is None else {"equation": equation, "pins": pins}
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")                   # u = 0, dependent rows
+        warnings.simplefilter("ignore")                   # dependent rows
         res = restrictions_from_dict(spec, n, m, kappa, lam)
     assert res.pinned is not None
     width = n if equation is None else 1      # the tests rank an equation's R alone

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -291,9 +293,10 @@ class TestAffineTest:
     def test_zero_u_rejected(self):
         model, bundle = white_noise_bundle()
         sys = build_ident_system(bundle.transfer, 1, 1, 1, 1)
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")             # built without a warning
             res = RestrictionSet.affine(np.zeros((1, 5)), np.zeros(1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="u = 0 is meaningless"):
             ident_test_affine(sys, res, model)
 
     def test_membership_warning(self):

@@ -45,6 +45,7 @@ def test_each_function_is_bitwise_np_linalg(case):
         assert same(got, want)
     assert same(lapack.solve(a, b), np.linalg.solve(a, b))
     assert same(lapack.inv(a), np.linalg.inv(a))
+    assert same(lapack.inv_or_nan(a), np.linalg.inv(a))
     assert same(lapack.eigvals(a), np.linalg.eigvals(a))
     for got, want in zip(lapack.eig(a), np.linalg.eig(a)):
         assert same(got, want)
@@ -75,6 +76,15 @@ def test_a_singular_matrix_in_a_stack_raises_as_np_linalg(name, dtype):
     with pytest.raises(np.linalg.LinAlgError) as got:
         getattr(lapack, name)(*args)
     assert str(got.value) == str(want.value) == "Singular matrix"
+
+
+@pytest.mark.parametrize("dtype", ["float64", "complex128"])
+def test_inv_or_nan_gives_a_singular_matrix_nan_and_no_error(dtype):
+    a = stack(np.random.default_rng(0), 3, 3, 3, dtype)
+    a[1] = 0.0
+    got = lapack.inv_or_nan(a)              # RuntimeWarnings are errors in the tests
+    assert np.isnan(got[1]).all()
+    assert same(got[[0, 2]], np.linalg.inv(a[[0, 2]]))
 
 
 def test_the_errors_of_a_failed_kernel_and_of_non_finite_input():
