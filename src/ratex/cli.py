@@ -12,16 +12,20 @@ payload's table as CSV instead.  ``--theta`` evaluates a parametrized
 model file; on a numeric one it is an input error.
 
 Failures.  ``main`` is the one place that catches solvability failures
-(existence/uniqueness, canonical form, a singular B(z), a solution that is
-not all finite: ``resolve.NOT_FINITE``).  They become the failure payload
-``{command, verdict, reason, exit_code}``, with verdict ``eu_failed`` for
+(existence/uniqueness, canonical form, a singular B(z), a solution,
+spectral density or simulated path that is not all finite:
+``resolve.NOT_FINITE``).  They become the failure payload ``{command,
+verdict, reason, exit_code}``, with verdict ``eu_failed`` for
 ``factorize`` and ``solve_failed`` elsewhere; the CSV commands print its
 reason to standard error.  File and validation errors
 (InputError, OSError, EvalError) print ``error: ...`` to standard error;
 any other exception is a program fault and propagates.  An empty
 restriction file, or one the command's rank test cannot use, is a file
-error before any numerical work.  Each distinct library UserWarning
-prints once, as ``warning: ...`` on standard error.
+error before any numerical work.  So is a Hankel rank above its bound
+n * kappa, which only a ``--tol-rank`` too small for the rounding in the
+impulse responses counts (``generic`` marks such a draw invalid).  Each
+distinct library UserWarning prints once, as ``warning: ...`` on
+standard error.
 
 Exit codes (``main`` returns them, never raising SystemExit): 0 success
 (identified / equivalent / witness found) or ``--help``, 1 usage errors
@@ -44,8 +48,8 @@ from the library.  Each with its default, constant and the decision it makes:
   ``EQUIV_GRID``, the relative residual under which an oracle finds the
   models equivalent and the unit-circle points of the spectral oracle.
 - ``ident``, ``generic`` and ``local --tol-rank``: 1e-10,
-  ``numrank.DEFAULT_TOL_RANK`` (``RATEX_TOL_RANK`` overrides it), the rank
-  cutoff of the Hankel rank and the identification rank tests, nothing else.
+  ``numrank.DEFAULT_TOL_RANK``, the rank cutoff of the Hankel rank and the
+  identification rank tests, nothing else.
 - ``generic --samples``, ``--seed`` and ``--min-valid``: 64, 0 and 16, the
   ``paramdsl.SamplerConfig`` fields ``num_samples``, ``seed`` and
   ``min_valid``: the draws, their seed, and the valid draws that evidence
@@ -85,7 +89,7 @@ from .identcore import (
     spectral_equivalent,
 )
 from .modelio import load_model_file, load_restriction_file
-from .numrank import env_tol_rank, tolerance
+from .numrank import DEFAULT_TOL_RANK, tolerance
 from .paramdsl import (
     ParamMap,
     SamplerConfig,
@@ -431,8 +435,8 @@ def _add_common(p, restrictions=False, theta=True, report=True):
                        help="comma-separated parameter values for a parametrized model")
     if restrictions:
         p.add_argument("restrictions", help="restriction JSON file")
-        p.add_argument("--tol-rank", type=tolerance, default=None,
-                       help="relative rank threshold (env RATEX_TOL_RANK overrides the default)")
+        p.add_argument("--tol-rank", type=tolerance, default=DEFAULT_TOL_RANK,
+                       help="relative rank threshold")
     if report:
         p.add_argument("--format", choices=["text", "json-report"], default="text")
 
@@ -509,9 +513,6 @@ def main(argv=None) -> int:
         warnings.simplefilter("always", UserWarning)    # _show_warning keeps the first
         warnings.showwarning = functools.partial(_show_warning, set(), warnings.showwarning)
         try:
-            # read at every call: the parser is built once per process
-            if getattr(args, "tol_rank", 0.0) is None:
-                args.tol_rank = env_tol_rank()
             try:
                 payload = args.fn(args)
             except _SOLVE_ERRORS as exc:

@@ -131,8 +131,6 @@ class RestrictionSet:
 
     @classmethod
     def for_equation(cls, i: int, R, u, pinned=None) -> "RestrictionSet":
-        if i < 1:
-            raise ValueError("equation index is 1-based")
         return cls._rows("equation", R, u, i, pinned)
 
     @classmethod
@@ -204,14 +202,19 @@ def build_ident_system(transfer: TransferSeries, n: int, m: int,
     H's bottom-left block is C_1 and its top-right block is
     C_{(n+1)kappa+lam}; the Hankel rank is the McMillan degree of the
     strictly proper part of the transfer function.  P' [x_B; x_A] = 0 iff
-    H' x_B = 0 and x_A = T' x_B; N keeps the rows of A_0..A_kappa.  An N
-    that overflows fails as a solution does (:data:`~ratex.resolve.NOT_FINITE`).
+    H' x_B = 0 and x_A = T' x_B; N keeps the rows of A_0..A_kappa.  A
+    Hankel rank above its bound n * kappa (:func:`kernel_bases`) raises
+    InputError; an N that overflows fails as a solution does
+    (:data:`~ratex.resolve.NOT_FINITE`).
     """
     need = (n + 1) * kappa + lam
     if transfer.horizon < need:
         raise ValueError(f"transfer horizon {transfer.horizon} < required {need}")
     T, H = toeplitz_hankel(transfer.coeffs[None], n, m, kappa, lam)
     ranks, groups = kernel_bases(T, H, m, lam, tol_rank)
+    if ranks[0] > n * kappa:
+        raise InputError(f"Hankel rank {ranks[0]} exceeds its bound n*kappa = {n * kappa} "
+                         f"at --tol-rank {tol_rank:g}; raise --tol-rank")
     N = groups[ranks[0]][1][0]
     if not np.isfinite(N).all():
         raise SingularMatrixError(NOT_FINITE)
@@ -248,12 +251,17 @@ def kernel_bases(T: np.ndarray, H: np.ndarray, m: int, lam: int, tol_rank: float
     """Hankel rank and N = null(P') of each sample of a (T, H) stack, from
     one stacked SVD of H.
 
-    N has n*q - rank columns, so the bases come grouped by Hankel rank:
-    ``{rank: (sample indices, N stack)}``, a stack whose samples share one
-    rank (one sample, say) taken whole rather than indexed.  The rank cutoff
-    scales with the larger of sigma_max(H) and the largest coefficient in
-    T, so a Hankel block of rounding noise next to C_0 has rank 0.  A
-    T' U that overflows leaves its N not finite, quietly; callers reject it.
+    The Hankel rank is the McMillan degree, at most n * kappa, so the
+    equivalence class has dimension at least n^2 (1 + lam).  A cutoff too
+    small for the rounding in H can count a rank above that bound, and the
+    callers reject it (:func:`build_ident_system` raises, the generic scan
+    marks the sample).  N has n*q - rank columns, so the bases come grouped
+    by Hankel rank: ``{rank: (sample indices, N stack)}``, a stack whose
+    samples share one rank (one sample, say) taken whole rather than
+    indexed.  The rank cutoff scales with the larger of sigma_max(H) and
+    the largest coefficient in T, so a Hankel block of rounding noise next
+    to C_0 has rank 0.  A T' U that overflows leaves its N not finite,
+    quietly; callers reject it.
     """
     U, svals, _ = lapack.svd(H)
     scale = np.maximum(svals.max(axis=-1, initial=0.0), np.abs(T).max(axis=(1, 2)))
@@ -280,14 +288,10 @@ def p_norm(T: np.ndarray, H: np.ndarray) -> np.ndarray:
 
 
 def equivalence_class_dim(sys: IdentSystem) -> int:
-    """Dimension of the set of observationally equivalent parameters."""
-    dim = sys.n ** 2 * (sys.kappa + sys.lam + 1) - sys.n * sys.hankel_rank
-    lower = sys.n ** 2 * (1 + sys.lam)
-    if dim < lower:
-        raise RuntimeError(
-            f"computed dimension {dim} below the structural lower bound {lower}; "
-            "the Hankel rank is numerically overestimated")
-    return dim
+    """Dimension of the set of observationally equivalent parameters, at
+    least n^2 (1 + lam) because :func:`build_ident_system` bounds the
+    Hankel rank by n * kappa."""
+    return sys.n ** 2 * (sys.kappa + sys.lam + 1) - sys.n * sys.hankel_rank
 
 
 def obs_equivalent(bundle_a: SolutionBundle, bundle_b: SolutionBundle,

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from .lapack import svdvals
@@ -24,18 +22,6 @@ def tolerance(text: str) -> float:
     if not (np.isfinite(value) and value >= 0.0):
         raise ValueError(f"expected a finite number >= 0, got {text}")
     return value
-
-
-def env_tol_rank() -> float:
-    """Default rank tolerance, overridable through RATEX_TOL_RANK."""
-    raw = os.environ.get("RATEX_TOL_RANK")
-    if not raw:
-        return DEFAULT_TOL_RANK
-    try:
-        return tolerance(raw)
-    except ValueError:
-        raise InputError(
-            f"RATEX_TOL_RANK must be a finite number >= 0, got {raw!r}") from None
 
 
 def numerical_rank(mat: np.ndarray):

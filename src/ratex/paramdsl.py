@@ -385,16 +385,18 @@ def _scan_chunk(pm: ParamMap, restrictions: RestrictionSet, thetas: np.ndarray,
     """The outcome of each point of a chunk, from kernels over the stack.
 
     An outcome is the reason a point is invalid ("eval_error", "eu_failed:
-    <error>", "c0_rank_deficient", "not_invertible", "c0_not_canonical"),
+    <error>", "c0_rank_deficient", "not_invertible", "c0_not_canonical",
+    "hankel_rank_above_bound"),
     "deficient" or "borderline" for a rank-deficient valid point, or the
     RankReport of the first full-rank point; later points stay None.  The
     checks run in the order of one point's: evaluate, solve the model
     (:func:`~ratex.resolve.solve_model`, whose SingularMatrixError is a
     solution or kernel basis not all finite), rank(C_0), rank drops of the
-    moving-average part in the closed disk, canonical form of C_0, then the
-    identification rank test.  No stage raises for one sample; each marks
-    those that fail it.  A chunk stops at the check that rejects its last
-    sample; a check that rejects none passes the stacks on whole.
+    moving-average part in the closed disk, canonical form of C_0, the
+    Hankel rank against its bound n * kappa, then the identification rank
+    test.  No stage raises for one sample; each marks those that fail it.
+    A chunk stops at the check that rejects its last sample; a check that
+    rejects none passes the stacks on whole.
     """
     n, m, lam, kappa = pm.n, pm.m, pm.lam, pm.kappa
     outcomes = [None] * len(thetas)
@@ -443,9 +445,13 @@ def _scan_chunk(pm: ParamMap, restrictions: RestrictionSet, thetas: np.ndarray,
     T, H = toeplitz_hankel(transfer, n, m, kappa, lam)
     pnorm = p_norm(T, H)
     first = None
-    for group, N in kernel_bases(T, H, m, lam, tol_rank)[1].values():
+    for rank, (group, N) in kernel_bases(T, H, m, lam, tol_rank)[1].items():
+        if rank > n * kappa:            # build_ident_system's failures, by mask
+            for s in group.tolist():
+                outcomes[lanes[s]] = "hankel_rank_above_bound"
+            continue
         finite = np.isfinite(N).all(axis=(1, 2))
-        if not finite.all():            # build_ident_system's failure, by mask
+        if not finite.all():
             for s in group[~finite].tolist():
                 outcomes[lanes[s]] = "eu_failed: SingularMatrixError"
             group, N = group[finite], N[finite]

@@ -173,10 +173,6 @@ class LaurentMatrix:
         object.__setattr__(out, "_is_trimmed", True)
         return out
 
-    def __repr__(self):
-        return (f"LaurentMatrix({self.rows}x{self.cols}, "
-                f"lags {self.min_lag}..{self.max_lag})")
-
 
 def trim_dust(arr: np.ndarray) -> np.ndarray:
     """The dust rule on each sample of a (S, n_lags, rows, cols) stack.
@@ -374,6 +370,3 @@ class Model:
     @property
     def m(self) -> int:
         return self.A.cols
-
-    def __repr__(self):
-        return (f"Model(n={self.n}, m={self.m}, lam={self.lam}, kappa={self.kappa})")

@@ -62,11 +62,6 @@ class TransferSeries:
     def horizon(self) -> int:
         return self.coeffs.shape[0] - 1
 
-    def coefficient(self, j: int) -> np.ndarray:
-        if 0 <= j <= self.horizon:
-            return np.array(self.coeffs[j])
-        return np.zeros(self.coeffs.shape[1:])
-
 
 @dataclass(frozen=True)
 class SolutionBundle:
@@ -101,7 +96,7 @@ class SolutionBundle:
     def c0_canonical(self) -> bool:
         if "c0_canonical" in self.given:
             return self.given["c0_canonical"]
-        return is_canonical_staircase(self.transfer.coefficient(0))
+        return is_canonical_staircase(self.transfer.coeffs[0])
 
 
 def a_plus(b_minus: LaurentMatrix, ma_part: LaurentMatrix) -> LaurentMatrix:
@@ -284,7 +279,7 @@ def cf_check_and_normalize(bundle: SolutionBundle):
     circle are reported as warnings on the returned bundle, not errors.
     Its rank decisions (C_0, rank drops) follow DEFAULT_TOL_RANK alone.
     """
-    c0 = bundle.transfer.coefficient(0)
+    c0 = bundle.transfer.coeffs[0]
     m = bundle.model.m
     if bundle.c0_rank < m:
         raise RankDeficientC0(f"rank(C0) = {bundle.c0_rank} < m = {m}")
@@ -318,12 +313,14 @@ def unit_circle_grid(k: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(k) / k)
 
 
+@np.errstate(all="ignore")
 def spectral_density(model: Model, a_plus_mat: LaurentMatrix, z_grid) -> np.ndarray:
     """f(z) = B^-1(z) A_plus(z) A_plus'(1/z) B^-1'(1/z) on unit-circle points.
 
     Returns a (k, n, n) array, one density matrix per grid point, from one
     batched solve.  Hermitian positive semidefinite by construction; the
-    model-agnostic observational-equivalence oracle.
+    model-agnostic observational-equivalence oracle.  A density that is not
+    all finite raises SingularMatrixError (:data:`NOT_FINITE`).
     """
     z = np.asarray(z_grid)
     bz = model.B.value(z)
@@ -332,7 +329,10 @@ def spectral_density(model: Model, a_plus_mat: LaurentMatrix, z_grid) -> np.ndar
     except np.linalg.LinAlgError as exc:
         worst = z[np.argmin(np.abs(np.linalg.det(bz)))]
         raise SingularMatrixError(f"B(z) singular at grid point z = {worst:.6g}") from exc
-    return g @ np.conj(np.swapaxes(g, -1, -2))
+    f = g @ np.conj(np.swapaxes(g, -1, -2))
+    if not np.isfinite(f).all():
+        raise SingularMatrixError(NOT_FINITE)
+    return f
 
 
 def spectral_distance(bundle_a: SolutionBundle, bundle_b: SolutionBundle, z_grid):
@@ -342,23 +342,23 @@ def spectral_distance(bundle_a: SolutionBundle, bundle_b: SolutionBundle, z_grid
     return float(np.max(np.abs(fa - fb))), max(float(np.max(np.abs(fa))), 1e-12)
 
 
+@np.errstate(all="ignore")
 def simulate(bundle: SolutionBundle, T: int, seed: int) -> np.ndarray:
     """Sample path of length T from the truncated moving-average representation.
 
     It is cut at the first C_h below SIM_DECAY_RTOL * max-abs(C_0) (or at
     SIM_HORIZON_CAP), searched on series of 16, 32, 64, ... lags, each
     extending the division of the one before; the last series built is the
-    one convolved with the draws.  A series that is not all finite raises
-    SingularMatrixError (:data:`NOT_FINITE`).  Deterministic given the
-    seed; innovations are i.i.d. standard normal.
+    one convolved with the draws.  A series or a path that is not all
+    finite raises SingularMatrixError (:data:`NOT_FINITE`).  Deterministic
+    given the seed; innovations are i.i.d. standard normal.
     """
-    c0_scale = max(float(np.max(np.abs(bundle.transfer.coefficient(0)))), 1e-300)
+    c0_scale = max(float(np.max(np.abs(bundle.transfer.coeffs[0]))), 1e-300)
     b_plus, ma = bundle.factors.b_plus, bundle.ma_part
     g, rhs = (x.window(0, max(x.max_lag, 0))[None] for x in (b_plus, ma))
     h, coeffs = max(bundle.transfer.horizon, 16), None
     while True:
-        with np.errstate(all="ignore"):
-            coeffs = series_divide(g, rhs, min(h, SIM_HORIZON_CAP), prefix=coeffs)
+        coeffs = series_divide(g, rhs, min(h, SIM_HORIZON_CAP), prefix=coeffs)
         if not np.isfinite(coeffs).all():
             raise SingularMatrixError(NOT_FINITE)
         small = np.flatnonzero(np.max(np.abs(coeffs[0]), axis=(1, 2))
@@ -374,4 +374,6 @@ def simulate(bundle: SolutionBundle, T: int, seed: int) -> np.ndarray:
     y = np.zeros((T, n))
     for j in range(h + 1):
         y += eps[h - j: h - j + T] @ coeffs[j].T
+    if not np.isfinite(y).all():
+        raise SingularMatrixError(NOT_FINITE)
     return y

@@ -547,8 +547,6 @@ def _pencil_zeros(A: np.ndarray, E: np.ndarray) -> np.ndarray:
     SingularMatrixError for a singular pencil): the zeros reported for a
     sample that its split could not decide."""
     a, e, _ = _deflate_infinite(A, E)
-    if not a.size:
-        return np.array([], dtype=complex)
     return lapack.eigvals(lapack.solve(e, a)).astype(complex)
 
 

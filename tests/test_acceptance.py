@@ -142,7 +142,7 @@ def test_criterion_04_equivalence_class_dimension():
     while generic_checked < 10:
         model, *_ = make_valid_model(rng, n=1, m=1, lam=1, kappa=1)
         bundle = solve_model(model)
-        if abs(bundle.transfer.coefficient(1)[0, 0]) < 1e-3:
+        if abs(bundle.transfer.coeffs[1][0, 0]) < 1e-3:
             continue
         sys = build_ident_system(bundle.transfer, 1, 1, 1, 1)
         assert equivalence_class_dim(sys) == 2
@@ -173,7 +173,7 @@ def test_criterion_05_two_pin_identification():
         res = pins([("B", -1, 0, 0, model.B.coefficient(-1)[0, 0]),
                     ("A", 0, 0, 0, model.A.coefficient(0)[0, 0])], 1, 1, 1, 1)
         report = ident_test_affine(sys, res, model)
-        return report, bundle.transfer.coefficient(1)[0, 0]
+        return report, bundle.transfer.coeffs[1][0, 0]
 
     # generic points: nonzero second impulse response is decisive
     checked = 0
@@ -245,7 +245,7 @@ def test_criterion_06_generic_identification():
         s = theta[1] / theta[0] + 2.0
         r2 = (s + np.sqrt(s * s - 4.0)) / 2.0
         for j in range(7):
-            assert bundle.transfer.coefficient(j)[0, 0] == pytest.approx(
+            assert bundle.transfer.coeffs[j][0, 0] == pytest.approx(
                 -1.0 / (theta[0] * r2 ** (j + 1)), abs=1e-8)
     _passed(6, "generic identification")
 
@@ -344,7 +344,7 @@ def test_criterion_08_hankel_rank_and_mcmillan_degree():
         assert sys.hankel_rank == delta, f"{model}: {sys.hankel_rank} != {delta}"
         # independent large-Hankel oracle on a longer expansion
         big = solve_model(model, horizon=26).transfer
-        rows = [np.hstack([big.coefficient(i + j) for j in range(12)])
+        rows = [np.hstack([big.coeffs[i + j] for j in range(12)])
                 for i in range(1, 13)]
         rank_big, _, _ = numerical_rank(np.vstack(rows))
         assert rank_big == delta

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import coeff_vec_index, parse_expression
@@ -320,15 +320,6 @@ class TestUsage:
         assert main([path if a in ("M", "R") else a for a in argv]) == 1
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("raw", ["abc", "nan", "-1", "inf"])
-    def test_bad_env_rank_tolerance_exit_1(self, tmp_path, capsys, monkeypatch, raw):
-        monkeypatch.setenv("RATEX_TOL_RANK", raw)
-        path = write(tmp_path / "m.json", ds_model())
-        r = write(tmp_path / "r.json", pins(("B", 0, 1.0)))
-        assert main(["ident", path, r]) == 1
-        assert capsys.readouterr().err == \
-            f"error: RATEX_TOL_RANK must be a finite number >= 0, got {raw!r}\n"
-
     def test_zero_tolerances_are_accepted(self, tmp_path):
         path = write(tmp_path / "m.json", ds_model())
         r = write(tmp_path / "r.json", pins(("B", 0, 1.0)))
@@ -374,6 +365,14 @@ class TestSolveCommand:
         path = write(tmp_path / "m.json", spec)
         assert main(["solve", path]) == 2
 
+    def test_unit_circle_rank_drop_warns_in_text(self, tmp_path, capsys):
+        # M(z) = 1 + z loses rank at z = -1, on the circle: a warning, not a failure
+        path = write(tmp_path / "m.json", {"n": 1, "m": 1, "lambda": 0, "kappa": 1,
+                                           "B": {"0": 1.0}, "A": {"0": 1.0, "1": 1.0}})
+        assert main(["solve", path]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == \
+            "warning: moving-average rank drop on the unit circle near z = -1-0j"
+
     def test_rotation_past_a_dependent_row(self, tmp_path, capsys):
         # C_0 = A_0 = [[1, 1], [1, 1], [0, 1]]: its second row lies in the
         # span of the first, so the rotation pivots on rows 1 and 3
@@ -418,6 +417,39 @@ class TestEquivCommand:
                   for n in (2, 3)]
         assert main(["equiv", *models, "--oracle", "spectral"]) == 1
         assert "models must share the dimension n" in capsys.readouterr().err
+
+    def test_parametrized_file_rejected(self, tmp_path, capsys):
+        a = write(tmp_path / "a.json", white_noise_model())
+        p = write(tmp_path / "p.json", employment_model())
+        assert main(["equiv", a, p]) == 1
+        assert capsys.readouterr().err == "error: equiv needs numeric models on both sides\n"
+
+    def test_kernel_oracle_needs_equal_dimensions(self, tmp_path, capsys):
+        models = [write(tmp_path / f"m{n}.json", {"n": n, "m": 1, "lambda": 0, "kappa": 0,
+                                                   "B": {"0": np.eye(n).tolist()},
+                                                   "A": {"0": np.ones((n, 1)).tolist()}})
+                  for n in (2, 3)]
+        assert main(["equiv", *models]) == 1
+        assert capsys.readouterr().err == "error: models must share dimensions (n, m)\n"
+
+    def test_oracles_disagree(self, tmp_path, capsys):
+        # A_0 off by 1e-6: relative residuals about 1e-6 (kernel) and 2e-6
+        # (spectral), so a tolerance between them splits the two oracles
+        a = write(tmp_path / "a.json", ds_model())
+        b = write(tmp_path / "b.json", {**ds_model(), "A": {"0": [[1.000001]]}})
+        assert main(["equiv", a, b, "--format", "json-report"]) == 3
+        oracles = json.loads(capsys.readouterr().out)["oracles"]
+        rel = {name: r["residual"] / r["scale"] for name, r in oracles.items()}
+        assert rel["kernel"] < rel["spectral"] / 1.5
+        tol = repr(float(np.sqrt(rel["kernel"] * rel["spectral"])))
+        assert main(["equiv", a, b, "--tol", tol, "--format", "json-report"]) == 4
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] == "oracles_disagree"
+        assert [payload["oracles"][k]["equivalent"] for k in ("kernel", "spectral")] == \
+            [True, False]
+        assert main(["equiv", a, b, "--tol", tol]) == 4
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            "warning: the two oracles disagree; check tolerances", "verdict: oracles_disagree"]
 
     @pytest.mark.parametrize("order", [1, -1])
     def test_lag_bounds_differ(self, tmp_path, order):
@@ -546,6 +578,13 @@ class TestGenericCommand:
                            "samples: 8 drawn, 0 valid, 0 rank-deficient, 0 borderline",
                            "  invalid (eu_failed: WrongStableCount): 8"]
 
+    def test_a_draw_that_fails_evaluation(self, tmp_path, capsys):
+        path = write(tmp_path / "p.json", param_model(A={"0": "1/a"}))
+        r = write(tmp_path / "r.json", pins(("B", 0, 1.0)))
+        assert main(["generic", path, r, "--probe", "0", "--samples", "0",
+                     "--format", "json-report"]) == 4
+        assert json.loads(capsys.readouterr().out)["invalid_reasons"] == {"eval_error": 1}
+
     def test_numeric_model_rejected(self, tmp_path):
         path = write(tmp_path / "m.json", white_noise_model())
         r = write(tmp_path / "r.json", {"pins": [
@@ -640,6 +679,9 @@ class TestLocalIsIdentOnAffineFiles:
         assert rank["warnings"] == ([] if member else [
             f"affine restrictions not satisfied at the point (residual {miss:.3e}); "
             "the verdict presupposes membership"])
+        assert main(["ident", path, pinned]) == 0
+        assert [line for line in capsys.readouterr().out.splitlines() if "warning" in line] \
+            == [f"  warning: {w}" for w in rank["warnings"]]
 
     def test_zero_u_pins(self, tmp_path, capsys):
         # a VARMA(1, 1) with B_0 = I; pins B_0[1, 2] = B_0[2, 1] = 0 leave u = 0
@@ -782,6 +824,15 @@ class TestCsvCommands:
             header = next(csv.reader(fh))
         assert header == ["t", "y_1"]
 
+    @pytest.mark.parametrize("argv", [["spectrum", "--grid", "8"],
+                                      ["simulate", "--T", "6", "--out", "-"]])
+    def test_table_to_standard_output(self, tmp_path, capsys, argv):
+        path = write(tmp_path / "m.json", mixed_lag_model())
+        out = tmp_path / "table.csv"
+        assert main([argv[0], path, *argv[1:], "--out", str(out)]) == 0
+        assert main([argv[0], path, *argv[1:]]) == 0
+        assert capsys.readouterr().out == out.read_bytes().decode()
+
     @pytest.mark.parametrize("command, size", [("spectrum", 24), ("spectrum", 0),
                                                ("simulate", 40)])
     def test_bytes_match_csv_writer(self, tmp_path, command, size):
@@ -841,9 +892,7 @@ class TestThetaOption:
 
 
 class TestMisc:
-    def test_env_var_overrides_rank_tolerance(self, tmp_path, capsys, monkeypatch):
-        # an absurdly large tolerance makes every matrix look rank deficient
-        monkeypatch.setenv("RATEX_TOL_RANK", "1e6")
+    def test_large_rank_tolerance_makes_every_rank_deficient(self, tmp_path):
         spec = {"n": 1, "m": 1, "lambda": 1, "kappa": 1,
                 "B": {"-1": [[0.2]], "0": [[1.1]], "1": [[0.3]]},
                 "A": {"0": [[1.0]], "1": [[0.4]]}}
@@ -851,8 +900,7 @@ class TestMisc:
         r = write(tmp_path / "r.json", {"pins": [
             {"block": "B", "lag": -1, "row": 1, "col": 1, "value": 0.2},
             {"block": "A", "lag": 0, "row": 1, "col": 1, "value": 1.0}]})
-        assert main(["ident", path, r]) == 3
-        monkeypatch.delenv("RATEX_TOL_RANK")
+        assert main(["ident", path, r, "--tol-rank", "1e6"]) == 3
         assert main(["ident", path, r]) == 0
 
     def test_non_object_json_rejected(self, tmp_path):
@@ -1180,6 +1228,8 @@ class TestMalformedInput:
                                 "box each"),
         "domain with lo > hi": (param_model(domain=[[1, 0]]),
                                 "domain bounds must be finite with lo <= hi"),
+        "NUL in an entry": (param_model(A={"0": "1\u0000"}),
+                            "A[0][1][1]: unexpected character '\\x00' at line 1, column 2"),
         "unfinished entry": ({"n": 1, "m": 1, "lambda": 1, "kappa": 1,
                               "parametrized": {"params": ["a"], "B": {"-1": "a +", "0": "1"},
                                                "A": {"0": "1"}}},
@@ -1296,6 +1346,20 @@ class TestWarningLines:
             assert json.loads(captured.out)["samples_drawn"] == 2
 
 
+    def test_other_warnings_pass_through(self, tmp_path, capsys, monkeypatch):
+        from ratex import cli
+
+        def solve_and_warn(*args, **kwargs):
+            warnings.warn("planted", FutureWarning)
+            return solve_model(*args, **kwargs)
+
+        solve_model = cli.solve_model
+        monkeypatch.setattr(cli, "solve_model", solve_and_warn)
+        with pytest.warns(FutureWarning, match="planted"):
+            assert main(["solve", write(tmp_path / "m.json", ds_model())]) == 0
+        assert "planted" not in capsys.readouterr().err
+
+
 def overflow_model(scale=1e308):
     """B = 1 - 0.99 z, A = scale (1 + z): at 1e308, C_1 = 1.99e308 overflows."""
     return {"n": 1, "m": 1, "lambda": 0, "kappa": 1,
@@ -1328,20 +1392,24 @@ class TestNonFiniteSolution:
 
     @pytest.mark.parametrize("command, scale", [
         (command, 1e308) for command in ("solve", "ident", "local", "equiv", "simulate")] + [
-        # finite C_j near the largest float overflow the rank tests' kernel basis
-        (command, 8.7e307) for command in ("ident", "local")])
+        # finite C_j near the largest float overflow the rank tests' kernel basis,
+        # the spectral density and the simulated path
+        (command, 8.7e307) for command in ("ident", "local", "equiv", "simulate")] + [
+        # the horizon-0 solve keeps only C_0 = 1e308; its density overflows
+        ("spectrum", 1e308)])
     def test_exit_2_with_one_line(self, tmp_path, capsys, command, scale):
         reason = "solution is not all finite: B_plus(0) is singular or its numbers overflow"
         path = write(tmp_path / "m.json", overflow_model(scale))
         r = write(tmp_path / "r.json", pins(("B", 0, 1.0)))
         argv = {"solve": ["solve", path], "ident": ["ident", path, r],
                 "local": ["local", path, r], "equiv": ["equiv", path, path],
-                "simulate": ["simulate", path, "--T", "5"]}[command]
+                "simulate": ["simulate", path, "--T", "5"],
+                "spectrum": ["spectrum", path, "--grid", "2"]}[command]
         code, captured = self.run(capsys, argv)
         lines = (captured.out + captured.err).splitlines()
         assert code == 2
         assert lines == [f"solve failed: {reason}"]
-        if command != "simulate":
+        if command not in ("simulate", "spectrum"):
             code, captured = self.run(capsys, argv + ["--format", "json-report"])
             payload = no_constants(captured.out)
             assert (code, payload["verdict"], captured.err) == (2, "solve_failed", "")
@@ -1364,3 +1432,88 @@ class TestNonFiniteSolution:
         assert payload["exit_code"] == code and code in (0, 3, 4)
         assert payload["samples_drawn"] == 64
         assert payload["invalid_reasons"]["eu_failed: SingularMatrixError"] > 0
+
+
+def bound_model(params=False):
+    """A VARMA(1, 1) with n = m = 2 and kappa = 1, so its Hankel rank is at
+    most n * kappa = 2; ``params`` makes B_1's diagonal the parameters."""
+    b1 = [["b11", 0.1], [0.2, "b22"]] if params else [[-0.5, 0.1], [0.2, -0.3]]
+    blocks = {"B": {"0": [[1, 0], [0, 1]], "1": b1},
+              "A": {"0": [[1, 0], [0.3, 1]], "1": [[0.2, 0.1], [-0.1, 0.4]]}}
+    head = {"n": 2, "m": 2, "lambda": 0, "kappa": 1}
+    if params:
+        return {**head, "parametrized": {"params": ["b11", "b22"],
+                                         "domain": [[-0.6, -0.4], [-0.4, -0.2]], **blocks}}
+    return {**head, **blocks}
+
+
+class TestHankelRankBound:
+    """A --tol-rank below the rounding in the impulse responses counts a
+    Hankel rank above its bound n * kappa, which would leave the kernel
+    basis N no columns: ident and local exit 1 naming the rank and the
+    bound, and generic marks every such draw invalid."""
+
+    def files(self, tmp_path):
+        r = write(tmp_path / "r.json", {"pins": [
+            {"block": "B", "lag": 0, "row": i, "col": j, "value": float(i == j)}
+            for i in (1, 2) for j in (1, 2)] + [
+            {"block": "A", "lag": 0, "row": 1, "col": 2, "value": 0.0}]})
+        return (write(tmp_path / "m.json", bound_model()),
+                write(tmp_path / "p.json", bound_model(params=True)), r)
+
+    @pytest.mark.parametrize("tol", ["0", "1e-300"])
+    def test_rank_above_the_bound(self, tmp_path, capsys, tol):
+        path, param, r = self.files(tmp_path)
+        for command in ("ident", "local"):
+            assert main([command, path, r, "--tol-rank", tol]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert re.fullmatch(rf"error: Hankel rank [34] exceeds its bound n\*kappa = 2 "
+                                rf"at --tol-rank {tol}; raise --tol-rank\n", err)
+        assert main(["generic", param, r, "--tol-rank", tol, "--format", "json-report"]) == 4
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["invalid_reasons"] == {"hankel_rank_above_bound": 64}
+
+    @pytest.mark.parametrize("tol", ["1e-17", "1e-10"])
+    def test_identified_at_a_workable_tolerance(self, tmp_path, capsys, tol):
+        path, param, r = self.files(tmp_path)
+        for argv, verdict in ((["ident", path, r], "identified"),
+                              (["local", path, r], "identified"),
+                              (["generic", param, r], "generically_identified")):
+            assert main([*argv, "--tol-rank", tol, "--format", "json-report"]) == 0
+            assert json.loads(capsys.readouterr().out)["verdict"] == verdict
+
+    @settings(max_examples=25, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(dims=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(0, 1),
+                          st.integers(0, 2)),
+           seed=st.integers(0, 2**32 - 1),
+           tol=st.sampled_from(["0", "1e-300", "1e-17", "1e-10", "1e-2"]))
+    def test_every_tolerance_gives_an_exit_code(self, tmp_path, capsys, dims, seed, tol):
+        """Factored models with B_0 pinned: ident, local and generic return
+        a code in 0-4 and raise nothing, and a json-report line holds no
+        NaN or Infinity, whatever the rank tolerance."""
+        from conftest import make_valid_model
+
+        n, m, lam, kappa = dims
+        model, *_ = make_valid_model(np.random.default_rng(seed), n=n, m=min(m, n),
+                                     lam=lam, kappa=kappa)
+        spec = numeric_spec(model)
+        path = write(tmp_path / "m.json", spec)
+        # A_0's first entry scaled by 1 + t, t small: the draws stay valid
+        a0 = [[repr(v) for v in row] for row in spec["A"]["0"]]
+        a0[0][0] = f"{a0[0][0]} * (1 + t)"
+        param = write(tmp_path / "p.json", {
+            **{k: spec[k] for k in ("n", "m", "lambda", "kappa")},
+            "parametrized": {"params": ["t"], "domain": [[-1e-3, 1e-3]], "B": spec["B"],
+                             "A": {**spec["A"], "0": a0}}})
+        r = write(tmp_path / "r.json", {"pins": [
+            {"block": "B", "lag": 0, "row": i + 1, "col": j + 1, "value": v}
+            for i, row in enumerate(spec["B"]["0"]) for j, v in enumerate(row)]})
+        for argv in (["ident", path, r], ["local", path, r],
+                     ["generic", param, r, "--samples", "4"]):
+            code = main([*argv, "--tol-rank", tol, "--format", "json-report"])
+            out = capsys.readouterr().out
+            assert code in range(5)
+            if code != 1:
+                assert no_constants(out)["exit_code"] == code

@@ -107,7 +107,7 @@ def _validate_point(model):
         return None, "not_invertible"
     if inside:
         return None, "not_invertible"
-    if not is_canonical_staircase(bundle.transfer.coefficient(0)):
+    if not is_canonical_staircase(bundle.transfer.coeffs[0]):
         return None, "c0_not_canonical"
     return bundle, None
 

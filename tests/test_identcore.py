@@ -9,6 +9,8 @@ from conftest import make_valid_model
 from oracles import coeff_vec_index, identity, plus_part
 from ratex.identcore import (
     IdentSystem,
+    InputError,
+    RestrictionDimensionError,
     RestrictionSet,
     build_ident_system,
     coeff_vec_length,
@@ -97,8 +99,8 @@ class TestBuildSystem:
         bundle = solve_model(model)
         sys = build_ident_system(bundle.transfer, 2, 2, 2, 1)
         q = 2 + 1 + 1
-        assert np.allclose(sys.H[-2:, :2], bundle.transfer.coefficient(1))
-        assert np.allclose(sys.H[:2, -2:], bundle.transfer.coefficient((2 + 1) * 2 + 1))
+        assert np.allclose(sys.H[-2:, :2], bundle.transfer.coeffs[1])
+        assert np.allclose(sys.H[:2, -2:], bundle.transfer.coeffs[(2 + 1) * 2 + 1])
         assert sys.H.shape == (2 * q, 2 * 2 * 2)
 
     def test_rank_P_identity(self, rng):
@@ -124,7 +126,7 @@ class TestEquivalenceClassDim:
         for _ in range(10):
             model, *_ = make_valid_model(rng, n=1, m=1, lam=1, kappa=1)
             bundle = solve_model(model)
-            if abs(bundle.transfer.coefficient(1)[0, 0]) < 1e-6:
+            if abs(bundle.transfer.coeffs[1][0, 0]) < 1e-6:
                 continue
             sys = build_ident_system(bundle.transfer, 1, 1, 1, 1)
             assert equivalence_class_dim(sys) == 2
@@ -261,7 +263,7 @@ class TestAffineTest:
         for _ in range(8):
             model, *_ = make_valid_model(rng, n=1, m=1, lam=1, kappa=1)
             bundle = solve_model(model)
-            c1 = bundle.transfer.coefficient(1)[0, 0]
+            c1 = bundle.transfer.coeffs[1][0, 0]
             if abs(c1) < 1e-4:
                 continue
             sys = build_ident_system(bundle.transfer, 1, 1, 1, 1)
@@ -309,7 +311,6 @@ class TestAffineTest:
     def test_wrong_columns_rejected(self):
         model, bundle = white_noise_bundle()
         sys = build_ident_system(bundle.transfer, 1, 1, 1, 1)
-        from ratex.identcore import RestrictionDimensionError
         with pytest.raises(RestrictionDimensionError):
             ident_test_affine(sys, RestrictionSet.affine(np.ones((1, 7)), [1.0]), model)
 
@@ -331,6 +332,16 @@ class TestAffineTest:
 
 
 class TestEquationTest:
+    def test_restrictions_it_cannot_use(self):
+        model, bundle = white_noise_bundle()
+        sys = build_ident_system(bundle.transfer, 1, 1, 1, 1)
+        R, u = np.eye(5)[:1], [1.0]
+        with pytest.raises(InputError, match="needs equation-wise restrictions"):
+            ident_test_equation(sys, RestrictionSet.affine(R, u), model)
+        for i in (0, 2):
+            with pytest.raises(InputError, match=f"equation index {i} outside 1..1"):
+                ident_test_equation(sys, RestrictionSet.for_equation(i, R, u), model)
+
     def test_scalar_reduces_to_system_test(self, rng):
         for _ in range(5):
             model, *_ = make_valid_model(rng, n=1, m=1, lam=1, kappa=1)
@@ -437,6 +448,11 @@ class TestDSCriterion:
         with pytest.raises(ValueError):
             ds_criterion(model, RestrictionSet.affine(np.ones((1, 5)), [1.0]))
 
+    def test_restriction_width(self):
+        model = Model(scalar([1.0, -0.5]), scalar([1.0]), lam=0, kappa=1)
+        with pytest.raises(RestrictionDimensionError, match="R has 5 columns, expected 4"):
+            ds_criterion(model, RestrictionSet.affine(np.ones((1, 5)), [1.0]))
+
     def test_ar1_identified_both_ways(self):
         model = Model(scalar([1.0, -0.5]), scalar([1.0]), lam=0, kappa=1)
         bundle = solve_model(model, horizon=4)
@@ -527,7 +543,7 @@ class TestHankelRankLemma:
             assert sys.hankel_rank == delta, f"{model}: got {sys.hankel_rank}, want {delta}"
             # independent oracle: rank of a large block Hankel of the series
             big = solve_model(model, horizon=24).transfer
-            rows = [np.hstack([big.coefficient(i + j) for j in range(12)])
+            rows = [np.hstack([big.coeffs[i + j] for j in range(12)])
                     for i in range(1, 13)]
             rank_big, _, _ = numerical_rank(np.vstack(rows))
             assert rank_big == delta

@@ -210,7 +210,7 @@ class TestEvalModel:
         bundle = solve_model(eval_model(pm, theta), horizon=8)
         r2 = rho2(*theta)
         for j in range(9):
-            assert bundle.transfer.coefficient(j)[0, 0] == pytest.approx(
+            assert bundle.transfer.coeffs[j][0, 0] == pytest.approx(
                 -1.0 / (theta[1] * r2 ** (j + 1)), abs=1e-10)
 
 
@@ -230,7 +230,7 @@ class TestFdJacobian:
 
         def c1(th):
             return np.array([solve_model(eval_model(pm, th), horizon=2)
-                             .transfer.coefficient(1)[0, 0]])
+                             .transfer.coeffs[1][0, 0]])
 
         J = fd_jacobian(c1, theta)
         # hand-differentiated closed form through the quadratic-root formula
@@ -315,6 +315,10 @@ class TestLocalIdent:
     def scalar_model(self):
         return Model(constant([[2.0]]),
                      constant([[1.0]]), lam=0, kappa=0)
+
+    def test_needs_a_residual_map(self):
+        with pytest.raises(ValueError, match="residual map"):
+            local_ident(self.scalar_model(), RestrictionSet.nonlinear(None, r=1))
 
     def test_affine_path_agreement(self, rng):
         from conftest import make_valid_model

@@ -66,6 +66,10 @@ class TestAdd:
 
 
 class TestMul:
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeMismatchError, match="cannot multiply 2x2 by 3x3"):
+            lp_mul(LaurentMatrix.zero(2, 2), LaurentMatrix.zero(3, 3))
+
     def test_scalar_factor_product(self):
         # (1 - b_minus/z) * (b0 (1 - b_plus z)): coefficients from expanding
         # the product by hand.
@@ -199,8 +203,16 @@ class TestTrimmedConstruction:
         with pytest.raises(ValueError, match="n_lags >= 1"):
             LaurentMatrix.from_coeffs(np.zeros((0, 2, 2)))
 
+    def test_from_coeffs_needs_matrices(self):
+        with pytest.raises(ValueError, match="same shape"):
+            LaurentMatrix.from_coeffs([])
+
 
 class TestDetAndZeros:
+    def test_needs_a_square_matrix(self):
+        with pytest.raises(ShapeMismatchError, match="square"):
+            lp_det_and_zeros(LaurentMatrix.zero(2, 3))
+
     def test_scalar_linear_factor(self):
         b0, b_plus = 2.0, 0.4
         a = scalar([b0, -b0 * b_plus])
@@ -373,6 +385,16 @@ class TestModel:
     def test_rejects_out_of_bounds(self):
         with pytest.raises(ValueError):
             Model(scalar([1 / 3, 1.0, 0.5], -1), scalar([1.0]), lam=0)
+
+    @pytest.mark.parametrize("A, kappa, message", [
+        (np.ones((1, 3, 1)), -1, "same number of rows"),
+        (np.ones((1, 2, 0)), -1, "at least 1"),
+        (np.ones((2, 2, 1)), 0, "A max lag 1 exceeds declared kappa=0"),
+    ])
+    def test_rejects_an_inconsistent_A(self, A, kappa, message):
+        with pytest.raises(ValueError, match=message):
+            Model(LaurentMatrix.from_coeffs([np.eye(2)]), LaurentMatrix.from_coeffs(A, trim=False),
+                  kappa=kappa)
 
     def test_rejects_nonsquare_B(self):
         B = LaurentMatrix.from_coeffs([np.ones((2, 3))], 0)

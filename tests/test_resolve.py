@@ -206,6 +206,10 @@ class TestCanonicalForm:
         with pytest.raises(RankDeficientC0):
             cf_check_and_normalize(bundle)
 
+    def test_rotation_needs_full_column_rank(self):
+        with pytest.raises(RankDeficientC0, match=r"rank\(C0\) = 1 < m = 2"):
+            canonical_rotation(np.array([[0.0, 1.0], [0.0, 2.0]]))
+
     def test_not_invertible_detected(self):
         # ma part 1 - 2z has a zero at 0.5 inside the disk
         model = Model(scalar([1.0]), scalar([1.0, -2.0]), lam=0, kappa=1)
@@ -229,7 +233,7 @@ class TestCanonicalForm:
         model, *_ = make_valid_model(rng, n=3, m=2, lam=1, kappa=1)
         bundle = solve_model(model)
         v, rotated = cf_check_and_normalize(bundle)
-        assert is_canonical_staircase(rotated.transfer.coefficient(0))
+        assert is_canonical_staircase(rotated.transfer.coeffs[0])
 
     def test_unit_circle_ma_zero_is_warning_not_error(self):
         # 1 + z loses rank exactly on the circle: boundary case, reported

@@ -203,6 +203,10 @@ class TestProperties:
             WHFactors(b_minus=constant([[2.0]]),
                       b_plus=constant([[1.0]]), residual=0.0)
 
+    def test_needs_a_square_b(self):
+        with pytest.raises(ValueError, match="B must be square"):
+            wh_factorize(LaurentMatrix.zero(2, 3))
+
     def test_deterministic(self):
         B = scalar([1 / 3, 1.0, 0.5], -1)
         a = wh_factorize(B)
