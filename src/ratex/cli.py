@@ -471,7 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ident", help="identification under affine restrictions")
     _add_common(p, restrictions=True)
     p.add_argument("--ds", action="store_true",
-                   help="also run the structural-coefficient cross-check (lam = 0 only)")
+                   help="also run the structural-coefficient cross-check (lam = 0 only), "
+                        "whose coefficient matrix is n*nb x (n+m)*nb, nb = 1 + (n+1)*kappa")
     p.set_defaults(fn=cmd_ident, render=_text_ident)
 
     p = sub.add_parser("generic", help="sampled generic identification of a "

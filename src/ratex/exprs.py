@@ -11,9 +11,9 @@ argument vector (theta for a parametrized model, the coefficient vector
 for a restriction file).  :class:`ExprProgram` evaluates it as an array
 program, one numpy operation per operator kind and tree height, at one
 point or at a stack of samples, and gets the exact Jacobian by reverse
-accumulation: one sweep of adjoints down the heights and one scatter into
-J.  A syntax error scans the failing expression again for its line and
-column.
+accumulation: one sweep of adjoints down the heights, summed into the
+Jacobian's entries, one per (expression, name) pair.  A syntax error
+scans the failing expression again for its line and column.
 """
 
 from __future__ import annotations
@@ -278,8 +278,8 @@ class ExprProgram:
     runs the steps with one numpy operation each, at one point or at every
     row of an (S, d) array of points; ``jacobian`` adds one reverse sweep of
     adjoints (reverse accumulation: each node has one parent, so an adjoint
-    is its parent's times the local partial) and scatters the names'
-    adjoints into J with one ``np.add.at``.  Integer powers use Python's
+    is its parent's times the local partial) and sums the names' adjoints
+    into J's entries with one ``np.add.at``.  Integer powers use Python's
     float power on each value, so that a sample of a stack gets the bits of
     a one-point evaluation.
     """
@@ -362,8 +362,11 @@ class ExprProgram:
             out[failed] = np.nan
         return out
 
-    def jacobian(self, x) -> np.ndarray:
-        """The exact Jacobian d values[k] / d x[j] at one point."""
+    def jacobian(self, x) -> tuple:
+        """The exact Jacobian d values[k] / d x[j] at one point, as entries
+        (rows, cols, values): one per distinct (expression, name) pair, in
+        parse order, the adjoints of a name's leaves in an expression
+        summed.  The pattern is the program's, the same at every point."""
         x = np.asarray(x, dtype=float)
         v = self._run(x)
         adj = np.zeros(self.size)
@@ -386,17 +389,24 @@ class ExprProgram:
                 else:   # d t^k = k t^(k-1), and 0 for k = 0
                     adj[i] = g * (np.array(k, dtype=float)
                                   * _lane_power(v[i], [max(t - 1, 0) for t in k]))
-            J = np.zeros((len(self.roots), x.size))
-            np.add.at(J, (self.var_rows, self.var_pos),
-                      adj[self.n_lit:self.n_lit + self.n_var])
-        return J
+            rows, cols, leaf_entry = self.jacobian_pattern
+            values = np.zeros(len(rows))
+            np.add.at(values, leaf_entry, adj[self.n_lit:self.n_lit + self.n_var])
+        return rows, cols, values
 
     @cached_property
-    def var_rows(self) -> np.ndarray:
-        """The expression of each name leaf: the first root at or after it
-        in parse order."""
+    def jacobian_pattern(self) -> tuple:
+        """(rows, cols) of the Jacobian's entries and the entry of each name
+        leaf: a leaf's expression is the first root at or after it in parse
+        order, and its column the position of its name."""
         leaves = self.postfix[self.n_lit:self.n_lit + self.n_var]
-        return np.searchsorted(self.parser.roots, leaves)
+        rows = np.searchsorted(self.parser.roots, leaves)
+        pairs = rows * (int(self.var_pos.max(initial=0)) + 1) + self.var_pos
+        _, first, inverse = np.unique(pairs, return_index=True, return_inverse=True)
+        order = np.argsort(first)                 # the pairs in parse order
+        entry = np.empty_like(order)
+        entry[order] = np.arange(len(order))
+        return rows[first[order]], self.var_pos[first[order]], entry[inverse.ravel()]
 
 
 def _power(t: float, k: int) -> float:

@@ -25,6 +25,7 @@ an exact 0.0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -102,20 +103,23 @@ class RestrictionSet:
 
     Affine rows act on vec([B_-lam .. B_kappa | A_0 .. A_kappa]) in
     column-stacking order; equation mode restricts row i (1-based) only.
-    Nonlinear restrictions supply a residual callable of that same vector
-    and, when they come from compiled expressions, its exact Jacobian.
-    Building an empty set raises InputError.  :func:`membership` evaluates
-    the residual of every kind.
+    R is held as its entries, never as a dense matrix: ``entries`` =
+    (rows, cols, values), one per nonzero (a pin is one unit entry), and
+    ``shape`` = (r, N).  Nonlinear restrictions supply a residual callable
+    of that same vector and, when they come from compiled expressions, its
+    exact Jacobian as entries on one pattern at every point.  Building an
+    empty set raises InputError.  :func:`membership` evaluates the residual
+    of every kind.
     """
 
     kind: str                          # "affine" | "equation" | "nonlinear"
-    R: np.ndarray | None = None
+    entries: tuple | None = None       # (rows, cols, values) of R (affine kinds)
+    shape: tuple | None = None         # (r, N) of R
     u: np.ndarray | None = None
     equation: int | None = None
     residual_fn: object = None
     r: int = 0
-    jacobian_fn: object = None         # x -> d residual / dx (nonlinear only)
-    pinned: np.ndarray | None = None   # for unit rows of R: the column of each 1
+    jacobian_fn: object = None         # x -> (rows, cols, values): nonlinear only
     _blocks: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
@@ -123,29 +127,31 @@ class RestrictionSet:
             raise InputError("the restriction set is empty")
 
     @classmethod
-    def affine(cls, R, u, pinned=None) -> "RestrictionSet":
-        """R vec = u; ``pinned`` gives the columns when R's rows are unit
-        rows (pins), so that its equation blocks follow from them.  A u = 0
-        is rejected by the rank test (:func:`check_test_kind`)."""
-        return cls._rows("affine", R, u, None, pinned)
+    def affine(cls, R, u) -> "RestrictionSet":
+        """R vec = u for a dense R.  A u = 0 is rejected by the rank test
+        (:func:`check_test_kind`)."""
+        return cls.sparse(*dense_entries(R), u)
 
     @classmethod
-    def for_equation(cls, i: int, R, u, pinned=None) -> "RestrictionSet":
-        return cls._rows("equation", R, u, i, pinned)
+    def for_equation(cls, i: int, R, u) -> "RestrictionSet":
+        return cls.sparse(*dense_entries(R), u, i)
 
     @classmethod
-    def _rows(cls, kind: str, R, u, equation, pinned) -> "RestrictionSet":
-        R = np.atleast_2d(np.asarray(R, dtype=float))
+    def sparse(cls, entries: tuple, shape: tuple, u, equation: int | None = None):
+        """R vec = u, or on equation ``equation``'s row, from R's entries
+        (rows, cols, values), each (row, col) at most once, and its shape."""
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        if u.shape != R.shape[:1]:
+        if u.shape != shape[:1]:
             raise RestrictionDimensionError("R and u row counts differ")
-        return cls(kind=kind, R=R, u=u, equation=equation, r=R.shape[0], pinned=pinned)
+        return cls(kind="affine" if equation is None else "equation", entries=entries,
+                   shape=tuple(shape), u=u, equation=equation, r=shape[0])
 
     @classmethod
     def nonlinear(cls, fn, r: int, equation: int | None = None,
                   jacobian=None) -> "RestrictionSet":
-        """Residual map ``fn``; ``jacobian`` is its exact Jacobian, and
-        without one :meth:`jacobian` falls back to central differences."""
+        """Residual map ``fn``; ``jacobian`` is its exact Jacobian, x ->
+        (rows, cols, values) on one pattern at every x, and without one
+        :meth:`jacobian` falls back to central differences."""
         return cls(kind="nonlinear", residual_fn=fn, r=r, equation=equation,
                    jacobian_fn=jacobian)
 
@@ -153,17 +159,31 @@ class RestrictionSet:
         """The equation blocks of R in an n-equation system (n = 1 for one
         equation), partitioned once per n, so a scan of many draws pays once."""
         if n not in self._blocks:
-            self._blocks[n] = EquationBlocks(self.R, n, self.pinned)
+            self._blocks[n] = EquationBlocks(self.entries, self.shape, n)
         return self._blocks[n]
 
-    def jacobian(self, x) -> np.ndarray:
-        """Jacobian of a nonlinear restriction map at x: exact for compiled
-        expressions, central differences for an opaque residual callable."""
-        if self.jacobian_fn is not None:
-            return self.jacobian_fn(x)
-        from .paramdsl import fd_jacobian  # paramdsl imports this module
+    def jacobian(self, points: np.ndarray) -> tuple:
+        """The Jacobians of a nonlinear restriction map at the (P, size)
+        points as (entries, shape), one pattern for all P, values (P, nnz):
+        exact for compiled expressions; for an opaque residual callable,
+        central differences, whose dense Jacobians give the pattern of
+        their nonzeros."""
+        if self.jacobian_fn is None:
+            from .paramdsl import fd_jacobian  # paramdsl imports this module
 
-        return fd_jacobian(self.residual_fn, x)
+            return dense_entries(np.array(
+                [np.atleast_2d(fd_jacobian(self.residual_fn, x)) for x in points]))
+        each = [self.jacobian_fn(x) for x in points]
+        rows, cols, _ = each[0]
+        return (rows, cols, np.array([values for _, _, values in each])), (self.r, points.shape[1])
+
+
+def dense_entries(R) -> tuple:
+    """(entries, shape) of a dense R (r, N), or of a stack (P, r, N) on the
+    pattern of the nonzeros of any of its P, in row-major order."""
+    R = np.atleast_2d(np.asarray(R, dtype=float))
+    rows, cols = np.nonzero(R if R.ndim == 2 else (R != 0).any(axis=0))
+    return (rows, cols, R[..., rows, cols]), R.shape[-2:]
 
 
 # -- coefficient vectorization (normative ordering) ------------------------
@@ -261,9 +281,10 @@ def kernel_bases(T: np.ndarray, H: np.ndarray, m: int, lam: int, tol_rank: float
     indexed.  The rank cutoff scales with the larger of sigma_max(H) and
     the largest coefficient in T, so a Hankel block of rounding noise next
     to C_0 has rank 0.  A T' U that overflows leaves its N not finite,
-    quietly; callers reject it.
+    quietly; callers reject it.  U is square either way; a wide H takes it
+    from the reduced SVD, which forms no square V^H.
     """
-    U, svals, _ = lapack.svd(H)
+    U, svals, _ = (lapack.svd if H.shape[-2] > H.shape[-1] else lapack.svd_reduced)(H)
     scale = np.maximum(svals.max(axis=-1, initial=0.0), np.abs(T).max(axis=(1, 2)))
     ranks, _ = count_above(svals, tol_rank, scale, H.shape[1:])
     groups = {}
@@ -300,7 +321,9 @@ def obs_equivalent(bundle_a: SolutionBundle, bundle_b: SolutionBundle,
 
     Returns ``(equivalent, residual, scale)``.  The kernel criterion lives
     in the coefficient space with the joint lag bounds of the two models;
-    model b enters through its B and its extended shock loading.
+    model b enters through its B and its extended shock loading.  A
+    residual or scale that is not finite fails as a solution does
+    (:data:`~ratex.resolve.NOT_FINITE`).
     """
     ma, mb = bundle_a.model, bundle_b.model
     if (ma.n, ma.m) != (mb.n, mb.m):
@@ -316,6 +339,8 @@ def obs_equivalent(bundle_a: SolutionBundle, bundle_b: SolutionBundle,
     X = xi.reshape(ma.n, -1, order="F")
     resid = float(np.max(np.abs(X @ P)))
     scale = max(float(np.max(np.abs(xi))), 1.0) * max(float(np.max(np.abs(P))), 1.0)
+    if not np.isfinite([resid, scale]).all():
+        raise SingularMatrixError(NOT_FINITE)
     return resid <= tol * scale, resid, scale
 
 
@@ -333,67 +358,94 @@ def spectral_equivalent(bundle_a: SolutionBundle, bundle_b: SolutionBundle,
 
 class EquationBlocks:
     """The rows of a restriction matrix R on vec of an n-equation coefficient
-    matrix, grouped by the equations their nonzeros touch.
+    matrix, grouped by the equations their entries touch.
 
-    Position c * n + s of the vector holds equation s's coefficient c.  A
-    row that touches several equations merges them, so the components are
-    the connected components of the equations; an all-zero row joins the
-    first component (it adds only a zero singular value), and equations no
-    row touches are free.  Components of equal width w share one array
+    R comes as its entries (rows, cols, values) and its shape (r, N); the
+    values are (nnz,) for one matrix or (P, nnz) for a stack of P on one
+    pattern, such as Jacobians at P points.  Position c * n + s of the
+    vector holds equation s's coefficient c, so an entry in column col
+    touches equation col % n.  A row that touches several equations merges
+    them, so the components are the connected components of the equations;
+    a row without entries joins the first component (it adds only a zero
+    singular value), and equations no row touches are free.  The partition
+    reads the pattern alone.  Components of equal width w share one array
     ``(P, K, r, w, c)``: component k's rows, padded with zero rows to the
     group's largest count r, with coefficient c of its t-th equation at
-    [:, k, :, t, c].  R is one matrix (P = 1) or a stack (P, rows, cols),
-    such as Jacobians at P points, partitioned by the nonzeros of all P.
-    When R's rows are unit rows (pins), ``pinned`` holds the column of each
-    row's 1: each row then touches the one equation its column says, no
-    component joins two equations, and the partition comes from those
-    equations alone.
+    [:, k, :, t, c].
     """
 
-    def __init__(self, R: np.ndarray, n: int, pinned: np.ndarray | None = None):
-        self.R, self.n, self.pinned = R, n, pinned
+    def __init__(self, entries: tuple, shape: tuple, n: int):
+        self.entries, self.shape, self.n = entries, shape, n
 
     @cached_property
     def norm(self):
-        """|R|_F, one per matrix of a stack; for pins, whose rows are unit
-        rows, the square root of their count."""
-        if self.pinned is not None:
-            return np.sqrt(float(len(self.pinned)))
-        return lapack.norm(self.R, axis=(-2, -1))
+        """|R|_F, one per matrix of a stack, over the entries."""
+        return lapack.norm(self.entries[2], axis=-1)
 
     @cached_property
     def partition(self) -> tuple:
-        """(one (take (K, r, w, c), padding (K, r) or None) per width w,
-        free equations): block [k, i, t, j] of R is entry take[k, i, t, j]
-        of R's flat storage, or 0 where row i of block k is padding; take is
-        None for one equation, whose one block is R."""
-        n, (rows, cols) = self.n, self.R.shape[-2:]
+        """(one (block shape (K, r, w, c), entry selector, positions) per
+        width w, free equations): the selected entries sit at those
+        positions of the flat block.  The components with rows go by width,
+        then label, each holding its rows and equations in order."""
+        rows, cols, _ = self.entries
+        n, (r, width) = self.n, self.shape
         if n == 1:
-            return ((None, None),), np.zeros(0, dtype=int)
-        if self.pinned is not None:     # a unit row touches its pin's equation alone
-            return _components(self.pinned % n, list(range(n)), cols)
-        touched = np.zeros((rows, n), dtype=bool)
-        hits = np.flatnonzero(self.R != 0) % (rows * cols)   # far faster than on the floats
-        touched[hits // cols, hits % n] = True
+            return (((1, r, 1, width), slice(None), rows * width + cols),), np.zeros(0, dtype=int)
+        c, (coeff, eq) = width // n, np.divmod(cols, n)
+        row_label = np.zeros(r, dtype=int)      # an equation of each row; none: equation 0
+        row_label[rows] = eq
         # each equation is labelled by the first equation of its component
         label = list(range(n))
-        for k in np.flatnonzero(touched.sum(axis=1) > 1).tolist():
-            joined = {label[e] for e in np.flatnonzero(touched[k]).tolist()}
-            label = [min(joined) if lab in joined else lab for lab in label]
-        row_label = np.array(label)[touched.argmax(axis=1)]   # a zero row: equation 0's
-        return _components(row_label, label, cols)
+        off = eq != row_label[rows]             # entries that join two equations
+        if off.any():
+            for pair in np.unique(eq[off] * n + row_label[rows[off]]).tolist():
+                a, b = label[pair // n], label[pair % n]
+                if a != b:
+                    keep, drop = min(a, b), max(a, b)
+                    label = [keep if lab == drop else lab for lab in label]
+            row_label = np.array(label)[row_label]
+        heights = np.bincount(row_label, minlength=n)
+        # each row's place among its component's rows, in order
+        order = np.argsort(row_label, kind="stable")
+        place = np.empty(r, dtype=int)
+        place[order] = np.arange(r) - (np.cumsum(heights) - heights)[row_label[order]]
+        tall, eqs_of, by_width = heights.tolist(), {}, {}
+        for e, lab in enumerate(label):
+            eqs_of.setdefault(lab, []).append(e)
+        for lab, members in eqs_of.items():     # labels in increasing order
+            if tall[lab]:
+                by_width.setdefault(len(members), []).append(lab)
+        # per equation: the flat offset of its column 0 in its block's row 0,
+        # the stride of a row, and its group
+        offset, stride, group, dims = [0] * n, [0] * n, [0] * n, []
+        for g, (w, labels) in enumerate(sorted(by_width.items())):
+            h = max(tall[lab] for lab in labels)
+            for k, lab in enumerate(labels):
+                for t, e in enumerate(eqs_of[lab]):
+                    offset[e], stride[e], group[e] = (k * h * w + t) * c, w * c, g
+            dims.append((len(labels), h, w, c))
+        flat = np.array(offset)[eq] + place[rows] * np.array(stride)[eq] + coeff
+        if len(dims) == 1:
+            groups = [(dims[0], slice(None), flat)]
+        else:
+            of, groups = np.array(group)[eq], []
+            for g, d in enumerate(dims):
+                sel = np.flatnonzero(of == g)
+                groups.append((d, sel, flat[sel]))
+        free = [e for e, lab in enumerate(label) if not tall[lab]]
+        return tuple(groups), np.array(free, dtype=int)
 
     @cached_property
     def blocks(self) -> tuple:
         """One (P, K, r, w, c) array per width, P = 1 for one matrix."""
-        rows, cols = self.R.shape[-2:]
-        flat = self.R.reshape(-1, rows * cols)
+        values = self.entries[2]
+        P = 1 if values.ndim == 1 else len(values)
         out = []
-        for take, pad in self.partition[0]:
-            block = flat.reshape(-1, 1, rows, 1, cols) if take is None else flat[:, take]
-            if pad is not None:
-                block[:, pad] = 0.0
-            out.append(block)
+        for dims, sel, flat in self.partition[0]:
+            block = np.zeros(values.shape[:-1] + (math.prod(dims),))
+            block.T[flat] = values.T[sel]       # along the last axis, one matrix or P
+            out.append(block.reshape(P, *dims))
         return tuple(out)
 
     def singular_values(self, X: np.ndarray, tail: np.ndarray | None = None):
@@ -403,7 +455,7 @@ class EquationBlocks:
         shape.  Returns (max(S, P), min(rows, cols)) values in descending
         order and the shape (rows, cols) of that matrix."""
         free = self.partition[1]
-        S, q = max(len(X), 1 if self.R.ndim == 2 else len(self.R)), X.shape[2]
+        S, q = max(len(X), len(self.blocks[0])), X.shape[2]
         d = 0 if tail is None else tail.shape[0]
         parts = []
         for block in self.blocks:
@@ -418,7 +470,7 @@ class EquationBlocks:
             parts.append(lapack.svdvals(M).reshape(S, -1))
         if d and free.size:
             parts.append(np.tile(lapack.svdvals(tail), (S, free.size)))
-        shape = (self.R.shape[-2] + self.n * d, self.n * q)
+        shape = (self.shape[0] + self.n * d, self.n * q)
         k = min(shape)
         if len(parts) == 1 and self.blocks[0].shape[1] == 1:
             merged = parts[0]           # one block: LAPACK's order is descending
@@ -428,36 +480,6 @@ class EquationBlocks:
         if merged.shape[1] < k:
             merged = np.concatenate([merged, np.zeros((S, k - merged.shape[1]))], axis=1)
         return merged[:, :k], shape
-
-
-def _components(row_label: np.ndarray, eq_label: list, cols: int) -> tuple:
-    """:attr:`EquationBlocks.partition` from the component label of each
-    row and of each equation (the first equation of its component): the
-    components with rows, by width and then label, each holding its rows
-    and equations in order and padded with row 0."""
-    n = len(eq_label)
-    heights = np.bincount(row_label, minlength=n).tolist()
-    row_order = np.argsort(row_label, kind="stable")     # rows by component, in order
-    eqs_of, start, first = {}, {}, 0
-    for e, lab in enumerate(eq_label):
-        eqs_of.setdefault(lab, []).append(e)
-    by_width = {}
-    for lab in sorted(eqs_of):
-        if heights[lab]:
-            by_width.setdefault(len(eqs_of[lab]), []).append(lab)
-            start[lab], first = first, first + heights[lab]
-    groups = []
-    for _, labels in sorted(by_width.items()):
-        h = [heights[lab] for lab in labels]
-        real = np.arange(max(h)) < np.array(h)[:, None]
-        idx = np.zeros(real.shape, dtype=int)
-        idx[real] = np.concatenate([row_order[start[lab]:start[lab] + heights[lab]]
-                                    for lab in labels])
-        eqs = np.array([eqs_of[lab] for lab in labels])
-        take = (idx * cols)[:, :, None, None] + eqs[:, None, :, None] + n * np.arange(cols // n)
-        groups.append((take, None if real.all() else ~real))
-    free = [e for e, lab in enumerate(eq_label) if not heights[lab]]
-    return tuple(groups), np.array(free, dtype=int)
 
 
 def rank_gaps(svals: np.ndarray, required: int, tol_rank: float, scale, shape: tuple):
@@ -489,13 +511,13 @@ def kernel_rank_stack(N: np.ndarray, blocks: EquationBlocks, pnorm: np.ndarray,
     max(|P|_F, |R|_F) stands in for the stack's sigma_max.  The singular
     values come from R's equation blocks.  Returns (shape of R (N (x) I_n),
     ranks, singular values, gap ratios)."""
-    R, n = blocks.R, blocks.n
+    (rows, width), n = blocks.shape, blocks.n
     cols = n * N.shape[1]
-    if R.shape[-1] != cols:
+    if width != cols:
         raise RestrictionDimensionError(
-            f"restriction matrix has {R.shape[-1]} columns, expected {cols}")
+            f"restriction matrix has {width} columns, expected {cols}")
     svals, shape = blocks.singular_values(N)
-    stacked = (n * p_shape[1] + R.shape[-2], n * p_shape[0])
+    stacked = (n * p_shape[1] + rows, n * p_shape[0])
     scale = np.maximum(pnorm, blocks.norm)
     ranks, gaps = rank_gaps(svals, shape[1], tol_rank, scale, stacked)
     return shape, ranks, svals, gaps
@@ -520,8 +542,11 @@ def membership(restrictions: RestrictionSet, x: np.ndarray) -> tuple:
     """(max |residual|, bound) of any restrictions at the point x (an
     equation's row in equation mode): the residual R x - u or the residual
     map's, the bound MEMBERSHIP_RTOL * (1 + max |x|)."""
-    resid = restrictions.residual_fn(x) if restrictions.kind == "nonlinear" else \
-        restrictions.R @ x - restrictions.u
+    if restrictions.kind == "nonlinear":
+        resid = restrictions.residual_fn(x)
+    else:
+        rows, cols, values = restrictions.entries
+        resid = np.bincount(rows, values * x[cols], restrictions.r) - restrictions.u
     return float(np.max(np.abs(resid))), MEMBERSHIP_RTOL * (1.0 + float(np.max(np.abs(x))))
 
 
@@ -585,9 +610,9 @@ def ds_criterion(model: Model, restrictions: RestrictionSet,
     n, m, kappa = model.n, model.m, model.kappa
     nb = 1 + (n + 1) * kappa          # block count of the lifted space
     expected_cols = coeff_vec_length(n, m, kappa, 0)
-    if restrictions.R.shape[1] != expected_cols:
+    if restrictions.shape[1] != expected_cols:
         raise RestrictionDimensionError(
-            f"R has {restrictions.R.shape[1]} columns, expected {expected_cols}")
+            f"R has {restrictions.shape[1]} columns, expected {expected_cols}")
 
     # block-Toeplitz D: row block i carries B_{j-i} / A_{j-i} at column block j
     D = np.zeros((n * nb, (n + m) * nb))

@@ -58,6 +58,12 @@ def svd(a: np.ndarray):
     return _call(_SVD, _umath_linalg.svd_f, a)
 
 
+def svd_reduced(a: np.ndarray):
+    """np.linalg.svd(a, full_matrices=False): (u, s, vh) with min(rows,
+    cols) columns of u and rows of vh."""
+    return _call(_SVD, _umath_linalg.svd_s, a)
+
+
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.linalg.solve(a, b) for a stack of matrices b (not vectors)."""
     return _call(_SINGULAR, _umath_linalg.solve, a, b)

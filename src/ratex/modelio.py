@@ -28,13 +28,15 @@ references in the file's terms: 1-based rows and columns, and a lag with
 its window.
 
 Decoding is one pass per file: pins in one loop over the list, each
-checked and placed (:func:`_pin`) in file order, giving the column of
-each pin's unit row, from which the equation blocks of R follow
-(:class:`~ratex.identcore.EquationBlocks`); the expressions of a
-"nonlinear" file in one parse into a flat program (:mod:`ratex.exprs`),
-its distinct references found by one regex scan.  Pins and references
-share one position rule, :func:`_position`, and the first pin or
-reference that fails it is the one reported.
+checked and placed (:func:`_pin`) in file order, each pin one unit entry
+of R; an "R" file's matrix, checked for dependent rows, as the entries of
+its nonzeros; the expressions of a "nonlinear" file in one parse into a
+flat program (:mod:`ratex.exprs`), its distinct references found by one
+regex scan, whose exact Jacobian comes as entries too.  No restriction
+reaches the rank tests as a dense matrix
+(:class:`~ratex.identcore.RestrictionSet`).  Pins and references share
+one position rule, :func:`_position`, and the first pin or reference
+that fails it is the one reported.
 """
 
 from __future__ import annotations
@@ -98,11 +100,14 @@ def model_from_dict(spec: dict):
 
 
 def _load_json(path: str, object_pairs_hook=None):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh, object_pairs_hook=object_pairs_hook)
-        except ValueError as exc:  # malformed JSON or text that is not UTF-8
-            raise ModelFileError(f"{path}: {exc}")
+    """The JSON value of a UTF-8 file, read as bytes: a text-mode file
+    costs more than the parse of a small one."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return json.loads(data.decode("utf-8"), object_pairs_hook=object_pairs_hook)
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
+        raise ModelFileError(f"{path}: {exc}")
 
 
 def load_model_file(path: str):
@@ -211,26 +216,23 @@ def restrictions_from_dict(spec: dict, n: int, m: int, kappa: int, lam: int) -> 
                                  n, m, kappa, lam, equation)
 
     N = coeff_vec_length(n, m, kappa, lam, equation=equation is not None)
-    pinned = None
     if kind == "pins":          # in file order, so the first failing pin is reported
         pins = [_pin(pin, k, (n, m, kappa, lam, equation))
                 for k, pin in enumerate(json_typed(spec["pins"], list, "pins"), 1)]
-        pinned = np.array([position for position, _ in pins], dtype=int)
-        u = [value for _, value in pins]
-        R = np.zeros((len(pins), N))
-        R[np.arange(len(pins)), pinned] = 1.0
-        rank = len(set(pinned.tolist()))     # unit rows: one per distinct position
+        r, positions = len(pins), [position for position, _ in pins]
+        rank = len(set(positions))           # unit rows: one per distinct position
+        out = RestrictionSet.sparse((np.arange(r), np.array(positions, dtype=int), np.ones(r)),
+                                    (r, N), [value for _, value in pins], equation)
     else:
         R = _finite(np.atleast_2d(json_array(spec["R"], float, "R")), "R")
         u = _finite(np.atleast_1d(json_array(spec.get("u", np.zeros(len(R))), float, "u")), "u")
         if R.shape[1:] != (N,):
             raise ModelFileError(f"R has shape {R.shape}, expected {N} columns")
         rank = numerical_rank(R)[0]
-
-    out = RestrictionSet.affine(R, u, pinned) if equation is None else \
-        RestrictionSet.for_equation(equation, R, u, pinned)
-    if rank < len(R):
-        warnings.warn(f"restriction rows are linearly dependent (row rank {rank} of {len(R)})")
+        out = RestrictionSet.affine(R, u) if equation is None else \
+            RestrictionSet.for_equation(equation, R, u)
+    if rank < out.r:
+        warnings.warn(f"restriction rows are linearly dependent (row rank {rank} of {out.r})")
     return out
 
 

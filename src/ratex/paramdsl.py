@@ -544,9 +544,8 @@ def local_ident(model: Model, restrictions: RestrictionSet,
 
     def jacobian_ranks(points):
         """kernel_rank_stack at the Jacobians of the (P, size) points, one
-        partition of their joint nonzeros covering all P."""
-        blocks = EquationBlocks(np.array(
-            [np.atleast_2d(restrictions.jacobian(x)) for x in points], dtype=float), n)
+        partition of their one pattern covering all P."""
+        blocks = EquationBlocks(*restrictions.jacobian(points), n)
         return kernel_rank_stack(sys.N[None], blocks, p_norm(sys.T[None], sys.H[None]),
                                  p_shape(sys.T, sys.H), tol_rank)
 

@@ -186,6 +186,16 @@ def coeff_vec_index(block: str, lag: int, row: int, col: int,
     return c if equation else c * n + row
 
 
+def dense(entries: tuple, shape: tuple) -> np.ndarray:
+    """The dense matrix of entries (rows, cols, values), or the (P, r, N)
+    stack of values (P, nnz) on one pattern."""
+    rows, cols, values = entries
+    values = np.asarray(values, dtype=float)
+    R = np.zeros(values.shape[:-1] + tuple(shape))
+    R[..., rows, cols] = values
+    return R
+
+
 def affine_as_nonlinear(R, u, equation: int | None = None) -> RestrictionSet:
     """Wrap affine restrictions as a residual map, for cross-checking paths."""
     R = np.atleast_2d(np.asarray(R, dtype=float))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import coeff_vec_index, parse_expression
 from ratex.cli import build_parser, main
-from ratex.identcore import RestrictionSet
+from ratex.identcore import RestrictionSet, coeff_vec_length
 from ratex.identcore import _ident_test as ident_test
 from ratex.modelio import (
     ModelFileError,
@@ -97,9 +97,10 @@ class TestRestrictionFiles:
                       {"block": "A", "lag": 0, "row": 1, "col": 1, "value": 1.0}]},
             n=1, m=1, kappa=1, lam=1)
         assert res.kind == "affine"
-        assert res.R.shape == (2, 5)
-        assert res.R[0].tolist() == [1, 0, 0, 0, 0]
-        assert res.R[1].tolist() == [0, 0, 0, 1, 0]
+        # R = [[1, 0, 0, 0, 0], [0, 0, 0, 1, 0]], one unit entry per pin
+        assert res.shape == (2, 5)
+        rows, cols, values = res.entries
+        assert (rows.tolist(), cols.tolist(), values.tolist()) == ([0, 1], [0, 3], [1.0, 1.0])
         assert res.u.tolist() == [0.0, 1.0]
 
     def test_dense_form(self):
@@ -113,7 +114,7 @@ class TestRestrictionFiles:
              "pins": [{"block": "A", "lag": 0, "row": 2, "col": 1, "value": 1.0}]},
             n=2, m=1, kappa=1, lam=0)
         assert res.kind == "equation" and res.equation == 2
-        assert res.R.shape == (1, 2 * 2 + 1 * 2)
+        assert res.shape == (1, 2 * 2 + 1 * 2)
 
     def test_equation_row_mismatch(self):
         with pytest.raises(ModelFileError):
@@ -1396,13 +1397,17 @@ class TestNonFiniteSolution:
         # the spectral density and the simulated path
         (command, 8.7e307) for command in ("ident", "local", "equiv", "simulate")] + [
         # the horizon-0 solve keeps only C_0 = 1e308; its density overflows
-        ("spectrum", 1e308)])
+        ("spectrum", 1e308)] + [
+        # each oracle alone: the kernel oracle's scale max|xi| * max|P| overflows
+        (command, 8.7e307) for command in ("equiv-kernel", "equiv-spectral")])
     def test_exit_2_with_one_line(self, tmp_path, capsys, command, scale):
         reason = "solution is not all finite: B_plus(0) is singular or its numbers overflow"
         path = write(tmp_path / "m.json", overflow_model(scale))
         r = write(tmp_path / "r.json", pins(("B", 0, 1.0)))
         argv = {"solve": ["solve", path], "ident": ["ident", path, r],
                 "local": ["local", path, r], "equiv": ["equiv", path, path],
+                "equiv-kernel": ["equiv", path, path, "--oracle", "kernel"],
+                "equiv-spectral": ["equiv", path, path, "--oracle", "spectral"],
                 "simulate": ["simulate", path, "--T", "5"],
                 "spectrum": ["spectrum", path, "--grid", "2"]}[command]
         code, captured = self.run(capsys, argv)
@@ -1517,3 +1522,91 @@ class TestHankelRankBound:
             assert code in range(5)
             if code != 1:
                 assert no_constants(out)["exit_code"] == code
+
+
+def coefficient_refs(model, picks):
+    """(block, lag, 1-based row, 1-based col, value) of the coefficients of
+    ``picks``, (block, lag, 0-based row, 0-based col) each, at the model."""
+    return [(b, lag, i + 1, j + 1, float((model.B if b == "B" else model.A).coefficient(lag)[i, j]))
+            for b, lag, i, j in picks]
+
+
+def restriction_forms(model, refs, equation=None):
+    """The same restrictions coefficient = value as a pin file, a dense R
+    file and an expression file."""
+    n, m, lam, kappa = model.n, model.m, model.lam, model.kappa
+    head = {} if equation is None else {"equation": equation}
+    R = np.zeros((len(refs), coeff_vec_length(n, m, kappa, lam, equation=equation is not None)))
+    for k, (b, lag, i, j, _) in enumerate(refs):
+        R[k, coeff_vec_index(b, lag, i - 1, j - 1, n, m, kappa, lam, equation is not None)] = 1.0
+    return ({**head, "pins": [{"block": b, "lag": lag, "row": i, "col": j, "value": v}
+                              for b, lag, i, j, v in refs]},
+            {**head, "R": R.tolist(), "u": [v for *_, v in refs]},
+            {**head, "nonlinear": [f"{b}[{lag}][{i}][{j}] - {v!r}" for b, lag, i, j, v in refs]})
+
+
+class TestRestrictionsStaySparse:
+    """Pins, R files and compiled expressions reach the rank kernels as
+    their entries: no command forms a dense restriction matrix, and the
+    three forms of one set of restrictions give one result."""
+
+    def test_all_b_pinned_stays_under_a_quarter_of_a_dense_r(self, tmp_path, capsys):
+        """(16, 8, 1, 2) with every B coefficient restricted: 1024 rows on
+        1408 coefficients, whose dense R would take 11.5 MB."""
+        import tracemalloc
+
+        from conftest import make_valid_model
+
+        model, *_ = make_valid_model(np.random.default_rng(0), n=16, m=8, lam=1, kappa=2)
+        path = write(tmp_path / "m.json", numeric_spec(model))
+        refs = coefficient_refs(model, [("B", lag, i, j) for lag in range(-1, 3)
+                                        for j in range(16) for i in range(16)])
+        pin_file, _, expr_file = restriction_forms(model, refs)
+        dense_bytes = len(refs) * 1408 * 8
+        for argv in (["ident", path, write(tmp_path / "pins.json", pin_file)],
+                     ["local", path, write(tmp_path / "exprs.json", expr_file)]):
+            tracemalloc.start()
+            try:
+                code = main([*argv, "--format", "json-report"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (code, json.loads(capsys.readouterr().out)["verdict"]) == (0, "identified")
+            assert peak < dense_bytes / 4, (argv[0], peak)
+
+    @settings(max_examples=30, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(dims=st.tuples(st.integers(1, 3), st.integers(1, 2), st.integers(0, 1),
+                          st.integers(0, 1)),
+           equation=st.booleans(), count=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_pins_dense_r_and_expressions_agree(self, tmp_path, capsys, dims, equation,
+                                                count, seed):
+        """Factored models with coefficients restricted at their values:
+        the pin file, the dense R file and the expression file give the
+        same verdict, rank and bitwise singular values through ``ident``
+        (pins and R) and ``local`` (all three)."""
+        from conftest import make_valid_model
+
+        n, m, lam, kappa = dims
+        rng = np.random.default_rng(seed)
+        model, *_ = make_valid_model(rng, n=n, m=min(m, n), lam=lam, kappa=kappa)
+        row = int(rng.integers(n)) if equation else None
+        picks = []
+        for _ in range(count):
+            b = "B" if rng.random() < 0.7 else "A"
+            lag = int(rng.integers(-lam if b == "B" else 0, kappa + 1))
+            i = row if equation else int(rng.integers(n))
+            picks.append((b, lag, i, int(rng.integers(n if b == "B" else model.m))))
+        forms = restriction_forms(model, coefficient_refs(model, picks),
+                                  None if row is None else row + 1)
+        path = write(tmp_path / "m.json", numeric_spec(model))
+        files = [write(tmp_path / f"r{k}.json", form) for k, form in enumerate(forms)]
+        results = []
+        for argv in (["ident", path, files[0]], ["ident", path, files[1]],
+                     ["local", path, files[0]], ["local", path, files[1]],
+                     ["local", path, files[2]]):
+            code = main([*argv, "--format", "json-report"])
+            payload = json.loads(capsys.readouterr().out)
+            results.append((code, payload["verdict"], payload["numerical_rank"],
+                            payload["singular_values"]))
+        assert all(result == results[0] for result in results), results

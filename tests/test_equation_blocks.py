@@ -17,10 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_valid_model
+from oracles import dense
 from ratex.identcore import (
     EquationBlocks,
     RestrictionSet,
     coeff_vec_length,
+    dense_entries,
     ds_criterion,
     kernel_rank_stack,
     rank_gaps,
@@ -100,7 +102,7 @@ def test_kernel_blocks_match_lift(n, S, c, kind, seed):
     p_shape = (c + 2, c + 1)
 
     shape, ranks, svals, gaps = kernel_rank_stack(
-        N, EquationBlocks(R, n), pnorm, p_shape, DEFAULT_TOL_RANK)
+        N, EquationBlocks(*dense_entries(R), n), pnorm, p_shape, DEFAULT_TOL_RANK)
     lift = lifted_kernel_matrix(N, R, n)
     lifted = np.linalg.svd(lift, compute_uv=False)
     scale = np.maximum(pnorm, np.linalg.norm(R))
@@ -116,8 +118,9 @@ def test_kernel_blocks_match_lift(n, S, c, kind, seed):
 @given(n=st.integers(1, 4), lam=st.integers(0, 1), kappa=st.integers(0, 1),
        rows=st.integers(1, 10), seed=st.integers(0, 2 ** 32 - 1))
 def test_expression_jacobian_blocks_match_lift(n, lam, kappa, rows, seed):
-    """Single-coefficient expressions, ranked at a stack of points that one
-    partition of their joint nonzeros covers."""
+    """Single-coefficient expressions, ranked at a stack of points on the
+    one pattern of their Jacobian entries, against each point ranked alone
+    on the pattern of its nonzeros."""
     rng = np.random.default_rng(seed)
     m = 1
     names = [f"B[{lag}][{i}][{j}]" for lag in range(-lam, kappa + 1)
@@ -130,11 +133,11 @@ def test_expression_jacobian_blocks_match_lift(n, lam, kappa, rows, seed):
     N = rng.standard_normal((1, c, int(rng.integers(1, c + 1))))
 
     shape, ranks, svals, _ = kernel_rank_stack(
-        N, EquationBlocks(np.array([res.jacobian(x) for x in points]), n), np.ones(1), (c, c),
-        DEFAULT_TOL_RANK)
+        N, EquationBlocks(*res.jacobian(points), n), np.ones(1), (c, c), DEFAULT_TOL_RANK)
     for x, rank, sv in zip(points, ranks, svals):
-        J = res.jacobian(x)
-        oracle = kernel_rank_stack(N, EquationBlocks(J, n), np.ones(1), (c, c), DEFAULT_TOL_RANK)
+        J = dense(*res.jacobian(x[None]))[0]
+        oracle = kernel_rank_stack(N, EquationBlocks(*dense_entries(J), n), np.ones(1),
+                                   (c, c), DEFAULT_TOL_RANK)
         lifted = np.linalg.svd(lifted_kernel_matrix(N, J, n), compute_uv=False)
         assert shape == oracle[0]
         assert rank == oracle[1][0]
@@ -185,7 +188,7 @@ def test_partition_groups_connected_equations():
     # {0} and {0, 2}, row 1 touches {3}, row 3 is all zero; equation 1 is free
     R = np.zeros((4, 4))
     R[0, 0], R[2, 0], R[2, 2], R[1, 3] = 1.0, 3.0, 3.5, 2.0
-    blocks = EquationBlocks(R, 4)
+    blocks = EquationBlocks(*dense_entries(R), 4)
     assert blocks.partition[1].tolist() == [1]
     single, pair = (block[0] for block in blocks.blocks)     # widths 1 and 2
     assert single.tolist() == [[[[2.0]]]]
@@ -204,11 +207,9 @@ def assert_same_partition(got, want):
     (got_groups, got_free), (want_groups, want_free) = got, want
     assert np.array_equal(got_free, want_free)
     assert len(got_groups) == len(want_groups)
-    for (take, pad), (want_take, want_pad) in zip(got_groups, want_groups):
-        assert np.array_equal(take, want_take)
-        assert (pad is None) == (want_pad is None)
-        if pad is not None:
-            assert np.array_equal(pad, want_pad)
+    for (dims, _, flat), (want_dims, _, want_flat) in zip(got_groups, want_groups):
+        assert dims == want_dims
+        assert np.array_equal(flat, want_flat)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
@@ -217,9 +218,10 @@ def assert_same_partition(got, want):
        spread=st.sampled_from(["any", "A only", "one equation"]),
        rows=st.integers(1, 30), seed=st.integers(0, 2 ** 32 - 1))
 def test_pin_blocks_match_nonzero_blocks(n, lam, kappa, equation, spread, rows, seed):
-    """The blocks of a pin file, built from the pin positions, are the
-    blocks EquationBlocks builds from R's nonzeros: in system and equation
-    mode, with duplicate pins, pins on A alone and pins on one equation."""
+    """The blocks of a pin file, built from its unit entries, are the blocks
+    of the same rows given as a dense R file, built from R's nonzeros: in
+    system and equation mode, with duplicate pins, pins on A alone and pins
+    on one equation."""
     rng = np.random.default_rng(seed)
     m = int(rng.integers(1, 3))
     equation = None if equation is None else min(equation, n)
@@ -233,13 +235,20 @@ def test_pin_blocks_match_nonzero_blocks(n, lam, kappa, equation, spread, rows, 
         pins.append({"block": block, "lag": lag, "row": row, "col": col, "value": 1.0})
     if pins and rng.random() < 0.5:                       # a duplicate pin
         pins.append(dict(pins[int(rng.integers(len(pins)))]))
-    spec = {"pins": pins} if equation is None else {"equation": equation, "pins": pins}
+    head = {} if equation is None else {"equation": equation}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")                   # dependent rows
-        res = restrictions_from_dict(spec, n, m, kappa, lam)
-    assert res.pinned is not None
+        res = restrictions_from_dict({**head, "pins": pins}, n, m, kappa, lam)
+        R = dense(res.entries, res.shape)
+        assert np.array_equal(R.sum(axis=1), np.ones(len(pins)))     # unit rows
+        as_r = restrictions_from_dict({**head, "R": R.tolist(), "u": res.u.tolist()},
+                                      n, m, kappa, lam)
     width = n if equation is None else 1      # the tests rank an equation's R alone
-    assert_same_partition(res.blocks(width).partition, EquationBlocks(res.R, width).partition)
+    got, want = res.blocks(width), as_r.blocks(width)
+    assert_same_partition(got.partition, want.partition)
+    for block, want_block in zip(got.blocks, want.blocks):
+        assert np.array_equal(block, want_block)
+    assert got.norm == want.norm == np.sqrt(len(pins))
 
 
 @pytest.mark.parametrize("build", [

@@ -43,6 +43,9 @@ def test_each_function_is_bitwise_np_linalg(case):
     assert same(lapack.svdvals(tall), np.linalg.svd(tall, compute_uv=False))
     for got, want in zip(lapack.svd(tall), np.linalg.svd(tall)):
         assert same(got, want)
+    wide = tall.swapaxes(1, 2).copy()
+    for got, want in zip(lapack.svd_reduced(wide), np.linalg.svd(wide, full_matrices=False)):
+        assert same(got, want)
     assert same(lapack.solve(a, b), np.linalg.solve(a, b))
     assert same(lapack.inv(a), np.linalg.inv(a))
     assert same(lapack.inv_or_nan(a), np.linalg.inv(a))
@@ -63,6 +66,20 @@ def test_each_function_is_bitwise_np_linalg(case):
     e = a + 4.0 * np.eye(n)
     assert np.array_equal(lapack.pencil_eigvals(e, a),
                           np.linalg.eigvals(np.linalg.solve(e, a)).astype(complex))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(S=st.sampled_from([1, 4, 63]), rows=st.integers(1, 12), extra=st.integers(0, 60),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_reduced_svd_gives_the_full_svds_u_on_wide_stacks(S, rows, extra, seed):
+    """identcore.kernel_bases reads U and sigma of a wide Hankel stack from
+    the reduced SVD, and of a tall one from the full SVD: on a wide stack
+    the two give bitwise the same square U and singular values."""
+    H = np.random.default_rng(seed).standard_normal((S, rows, rows + extra))
+    U, s, _ = lapack.svd_reduced(H)
+    full_u, full_s, _ = lapack.svd(H)
+    assert U.shape == (S, rows, rows)
+    assert same(U, full_u) and same(s, full_s)
 
 
 @pytest.mark.parametrize("dtype", ["float64", "complex128"])
@@ -89,7 +106,7 @@ def test_inv_or_nan_gives_a_singular_matrix_nan_and_no_error(dtype):
 
 def test_the_errors_of_a_failed_kernel_and_of_non_finite_input():
     a = np.full((1, 3, 3), np.nan)
-    for name in ("svdvals", "svd", "eigvals", "eig"):
+    for name in ("svdvals", "svd", "svd_reduced", "eigvals", "eig"):
         with pytest.raises(np.linalg.LinAlgError):
             getattr(lapack, name)(a)
     a = np.eye(3)[None].copy()

@@ -17,6 +17,7 @@ from oracles import (
     coeff_vec_index,
     compile_exprs,
     constant,
+    dense,
     entry_trees,
     eval_expr,
     expr_trees,
@@ -467,7 +468,7 @@ class TestCompiledExprs:
         got = program.values(np.array(x))
         # the same arithmetic in the same order: bitwise equal values
         assert got.tolist() == want
-        J = program.jacobian(np.array(x))
+        J = dense(program.jacobian(np.array(x)), (len(exprs), 3))
         assert J.shape == (len(exprs), 3)
         F = fd_jacobian(program.values, np.array(x))
         scale = 1.0 + np.abs(J)
@@ -498,9 +499,9 @@ class TestCompiledExprs:
             assert got.tolist() == [p.values(np.array(x))[0] for p in alone]
             stack = program.values(np.array([x, x]))
             assert stack.tolist() == [want, want]
-            J = program.jacobian(np.array(x))
+            J = dense(program.jacobian(np.array(x)), (len(texts), 3))
             for row, p in zip(J, alone):
-                assert np.array_equal(row, p.jacobian(np.array(x))[0])
+                assert np.array_equal(row, dense(p.jacobian(np.array(x)), (1, 3))[0])
 
         k, at, junk = plant
         k %= len(texts)
@@ -530,7 +531,10 @@ class TestCompiledExprs:
         program = compile_exprs(["a^3 - 2*c", "-(b/a)"], {"a": 0, "b": 2, "c": 4})
         x = np.array([2.0, 9.0, 3.0, 9.0, 5.0])
         assert program.values(x).tolist() == [-2.0, -1.5]
-        J = program.jacobian(x)
+        rows, cols, _ = entries = program.jacobian(x)
+        # one entry per (expression, name), in parse order
+        assert (rows.tolist(), cols.tolist()) == ([0, 0, 1, 1], [0, 4, 2, 0])
+        J = dense(entries, (2, 5))
         expected = np.zeros((2, 5))
         expected[0, 0], expected[0, 4] = 12.0, -2.0
         expected[1, 0], expected[1, 2] = 3.0 / 4.0, -0.5
