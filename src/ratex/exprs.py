@@ -276,12 +276,13 @@ class ExprProgram:
     the names (height 0), then one step per opcode present at each height,
     whose outputs are a contiguous slice of the node values.  ``values``
     runs the steps with one numpy operation each, at one point or at every
-    row of an (S, d) array of points; ``jacobian`` adds one reverse sweep of
-    adjoints (reverse accumulation: each node has one parent, so an adjoint
-    is its parent's times the local partial) and sums the names' adjoints
-    into J's entries with one ``np.add.at``.  Integer powers use Python's
-    float power on each value, so that a sample of a stack gets the bits of
-    a one-point evaluation.
+    row of an (S, d) array of points; ``jacobian``, at the rows of such an
+    array, adds one reverse sweep of adjoints (reverse accumulation: each
+    node has one parent, so an adjoint is its parent's times the local
+    partial) and sums the names' adjoints into J's entries with one
+    ``np.add.at``.
+    Integer powers use Python's float power on each value, so that a sample
+    of a stack gets the bits of a one-point evaluation.
     """
 
     def __init__(self, parser: ExprParser, positions: np.ndarray):
@@ -313,8 +314,9 @@ class ExprProgram:
     def _run(self, x: np.ndarray, failed=None) -> np.ndarray:
         """Every node's value at x, (d,) for a point or (d, S) for samples.
         At a point a division below DIV_FLOOR or an overflowing power raises
-        the EvalError of the first such node in parse order; for samples a
-        division below DIV_FLOOR marks its samples in ``failed``."""
+        the EvalError of the first such node in parse order; for samples
+        either marks its samples in ``failed``, so a sample is marked
+        exactly when its one-point run raises."""
         v = np.empty((self.size,) + x.shape[1:])
         v[:self.n_lit] = self.literals.reshape((-1,) + (1,) * (x.ndim - 1))
         v[self.n_lit:self.n_lit + self.n_var] = x[self.var_pos]
@@ -341,8 +343,10 @@ class ExprProgram:
                 else:
                     base = v[i]
                     v[s:e] = _lane_power(base, k)
-                    if failed is None and np.isinf(v[s:e]).any():
-                        over = np.isinf(v[s:e]) & np.isfinite(base)
+                    over = np.isinf(v[s:e]) & np.isfinite(base)
+                    if failed is not None:
+                        failed |= over.any(axis=0)
+                    elif over.any():
                         errors += [(self.postfix[s + t], f"overflow in {float(base[t])!r}^{k[t]}")
                                    for t in np.flatnonzero(over).tolist()]
         if errors:
@@ -352,7 +356,7 @@ class ExprProgram:
     def values(self, x) -> np.ndarray:
         """(K,) values at a point, raising EvalError; or (S, K) values at
         the rows of an (S, d) array, with the rows whose evaluation failed
-        (a division below DIV_FLOOR) set to NaN."""
+        (a division below DIV_FLOOR or an overflowing power) set to NaN."""
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             return self._run(x)[self.roots]
@@ -363,13 +367,20 @@ class ExprProgram:
         return out
 
     def jacobian(self, x) -> tuple:
-        """The exact Jacobian d values[k] / d x[j] at one point, as entries
-        (rows, cols, values): one per distinct (expression, name) pair, in
-        parse order, the adjoints of a name's leaves in an expression
-        summed.  The pattern is the program's, the same at every point."""
+        """The exact Jacobians d values[k] / d x[j] at the rows of a (P, d)
+        stack, as entries (rows, cols, values (P, nnz)): one per distinct
+        (expression, name) pair, in parse order, the adjoints of a name's
+        leaves in an expression summed.  The pattern is the program's, the
+        same at every point.  One forward and one reverse sweep serve the
+        whole stack, each row bitwise the values of a sweep at its point
+        alone.  The first row whose evaluation fails raises the EvalError
+        of its one-point run (its first failing node in parse order)."""
         x = np.asarray(x, dtype=float)
-        v = self._run(x)
-        adj = np.zeros(self.size)
+        failed = np.zeros(len(x), dtype=bool)
+        v = self._run(x.T, failed)
+        if failed.any():
+            self._run(x[np.argmax(failed)])     # raises that row's EvalError
+        adj = np.zeros(v.shape)
         adj[self.roots] = 1.0
         with np.errstate(all="ignore"):
             for code, s, e, i, j, k in reversed(self.steps):
@@ -387,12 +398,12 @@ class ExprProgram:
                 elif code == _NEG:
                     adj[i] = -g
                 else:   # d t^k = k t^(k-1), and 0 for k = 0
-                    adj[i] = g * (np.array(k, dtype=float)
+                    adj[i] = g * (np.array(k, dtype=float)[:, None]
                                   * _lane_power(v[i], [max(t - 1, 0) for t in k]))
             rows, cols, leaf_entry = self.jacobian_pattern
-            values = np.zeros(len(rows))
+            values = np.zeros((len(rows), len(x)))
             np.add.at(values, leaf_entry, adj[self.n_lit:self.n_lit + self.n_var])
-        return rows, cols, values
+        return rows, cols, values.T
 
     @cached_property
     def jacobian_pattern(self) -> tuple:

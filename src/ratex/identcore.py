@@ -149,9 +149,10 @@ class RestrictionSet:
     @classmethod
     def nonlinear(cls, fn, r: int, equation: int | None = None,
                   jacobian=None) -> "RestrictionSet":
-        """Residual map ``fn``; ``jacobian`` is its exact Jacobian, x ->
-        (rows, cols, values) on one pattern at every x, and without one
-        :meth:`jacobian` falls back to central differences."""
+        """Residual map ``fn``; ``jacobian`` is its exact Jacobian, (P, size)
+        points -> (rows, cols, values (P, nnz)) on one pattern at every
+        point, and without one :meth:`jacobian` falls back to central
+        differences."""
         return cls(kind="nonlinear", residual_fn=fn, r=r, equation=equation,
                    jacobian_fn=jacobian)
 
@@ -164,18 +165,18 @@ class RestrictionSet:
 
     def jacobian(self, points: np.ndarray) -> tuple:
         """The Jacobians of a nonlinear restriction map at the (P, size)
-        points as (entries, shape), one pattern for all P, values (P, nnz):
-        exact for compiled expressions; for an opaque residual callable,
-        central differences, whose dense Jacobians give the pattern of
-        their nonzeros."""
+        points as (entries, shape), one pattern for all P, values (P, nnz).
+        Compiled expressions give them exact, from one call over the stack
+        (:meth:`~ratex.exprs.ExprProgram.jacobian`: one forward and one
+        reverse sweep); an opaque residual callable gives central
+        differences, point by point, whose dense Jacobians give the pattern
+        of their nonzeros."""
         if self.jacobian_fn is None:
             from .paramdsl import fd_jacobian  # paramdsl imports this module
 
             return dense_entries(np.array(
                 [np.atleast_2d(fd_jacobian(self.residual_fn, x)) for x in points]))
-        each = [self.jacobian_fn(x) for x in points]
-        rows, cols, _ = each[0]
-        return (rows, cols, np.array([values for _, _, values in each])), (self.r, points.shape[1])
+        return self.jacobian_fn(points), (self.r, points.shape[1])
 
 
 def dense_entries(R) -> tuple:
@@ -399,7 +400,7 @@ class EquationBlocks:
         label = list(range(n))
         off = eq != row_label[rows]             # entries that join two equations
         if off.any():
-            for pair in np.unique(eq[off] * n + row_label[rows[off]]).tolist():
+            for pair in sorted(set((eq[off] * n + row_label[rows[off]]).tolist())):
                 a, b = label[pair // n], label[pair % n]
                 if a != b:
                     keep, drop = min(a, b), max(a, b)

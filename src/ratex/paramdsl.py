@@ -482,9 +482,13 @@ class _NoneLeft(Exception):
 # central-difference step relative to max(1, |x_j|): cbrt(machine epsilon)
 # balances truncation and rounding for the O(h^2) stencil
 FD_REL_STEP = float(np.cbrt(np.finfo(float).eps))
-# points x0 + LOCAL_PROBE_SCALE * max(1, max |x0|) * N(0, I) probed around a
-# rank-deficient x0, drawn from a generator seeded 0
+# points of x0's equivalence class x0 + (N (x) I_n) vec W probed around a
+# rank-deficient x0 (:func:`class_probes`): LOCAL_PROBES fixed directions,
+# each a step LOCAL_PROBE_SCALE * max(1, max |x0|) from x0 in max-norm
 LOCAL_PROBES, LOCAL_PROBE_SCALE = 8, 1e-4
+# the additive recurrence frac(i * phi), phi the golden ratio, spreads the
+# entries of the probes' W evenly over [-1, 1] without a generator
+GOLDEN_RATIO = (1.0 + 5.0 ** 0.5) / 2.0
 
 
 def fd_jacobian(f, x) -> np.ndarray:
@@ -512,6 +516,24 @@ class LocalReport:
     note: str
 
 
+def class_probes(x0: np.ndarray, N: np.ndarray, n: int) -> np.ndarray:
+    """The LOCAL_PROBES points x0 + step vec(D_k) of x0's equivalence class,
+    an (LOCAL_PROBES, x0.size) array.  x0 is vec of an n x rows(N)
+    coefficient matrix (n = 1 for one equation's row); D_k = W_k N', so
+    vec(D_k) = (N (x) I_n) vec(W_k), with W_k's entries 2 frac(i * phi) - 1
+    for i = 1, 2, ... in order, and each D_k scaled to max |D_k| = 1.  The
+    step is LOCAL_PROBE_SCALE * max(1, max |x0|).  The points share x0's
+    T, H and N, which is what makes them the nearby points of the
+    regularity condition."""
+    d = N.shape[1]
+    i = np.arange(1, LOCAL_PROBES * n * d + 1)
+    W = (2.0 * (i * GOLDEN_RATIO % 1.0) - 1.0).reshape(LOCAL_PROBES, n, d)
+    D = W @ N.T
+    D /= np.abs(D).max(axis=(1, 2), keepdims=True)
+    step = LOCAL_PROBE_SCALE * max(1.0, float(np.max(np.abs(x0))))
+    return x0 + step * D.transpose(0, 2, 1).reshape(LOCAL_PROBES, -1)
+
+
 def local_ident(model: Model, restrictions: RestrictionSet,
                 tol_rank: float = DEFAULT_TOL_RANK) -> LocalReport:
     """Rank test with the Jacobian of the restriction map on the kernel,
@@ -523,8 +545,10 @@ def local_ident(model: Model, restrictions: RestrictionSet,
     residual callable, central differences).  Full column rank certifies
     local identification.  A rank-deficient matrix only indicates
     non-identification when the rank is locally constant (the regularity
-    condition), so LOCAL_PROBES nearby points are probed and the report
-    says whether the rank looks constant; without that, no
+    condition), so LOCAL_PROBES nearby points of x0's equivalence class, in
+    fixed directions (:func:`class_probes`), are ranked against x0's N, all
+    of them from one Jacobian call and one stacked rank test; the report
+    says whether the rank looks constant, and without that no
     non-identification claim is made.  Restrictions that miss the point
     (:func:`~ratex.identcore.membership`) or that the ``ident`` test cannot
     use raise InputError before any numerical work.
@@ -560,10 +584,7 @@ def local_ident(model: Model, restrictions: RestrictionSet,
         return LocalReport(report, False, True, (), "rank deficient and constant "
                            "(affine restrictions): not locally identified")
 
-    rng = np.random.default_rng(0)
-    scale = LOCAL_PROBE_SCALE * max(1.0, float(np.max(np.abs(x0))))
-    probes = x0 + scale * rng.standard_normal((LOCAL_PROBES, x0.size))
-    probe_ranks = jacobian_ranks(probes)[1].tolist()
+    probe_ranks = jacobian_ranks(class_probes(x0, sys.N, n))[1].tolist()
     constant = all(r == report.numerical_rank for r in probe_ranks)
     if constant:
         note = ("rank deficient and locally constant: not locally identified "

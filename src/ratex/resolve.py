@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import lapack
 from .numrank import DEFAULT_TOL_RANK, numerical_rank
@@ -39,6 +40,10 @@ NOT_FINITE = "solution is not all finite: B_plus(0) is singular or its numbers o
 # truncation rule of simulate (see there)
 SIM_DECAY_RTOL = 1e-12
 SIM_HORIZON_CAP = 10_000
+# cells of draw windows and products in one block of lags of simulate's
+# convolution (a block holds one lag at least), so that its memory does not
+# grow with the horizon
+SIM_BLOCK_CELLS = 1 << 15
 
 
 class RankDeficientC0(Exception):
@@ -349,9 +354,9 @@ def simulate(bundle: SolutionBundle, T: int, seed: int) -> np.ndarray:
     It is cut at the first C_h below SIM_DECAY_RTOL * max-abs(C_0) (or at
     SIM_HORIZON_CAP), searched on series of 16, 32, 64, ... lags, each
     extending the division of the one before; the last series built is the
-    one convolved with the draws.  A series or a path that is not all
-    finite raises SingularMatrixError (:data:`NOT_FINITE`).  Deterministic
-    given the seed; innovations are i.i.d. standard normal.
+    one convolved with the draws (:func:`_ma_path`).  A series or a path
+    that is not all finite raises SingularMatrixError (:data:`NOT_FINITE`).
+    Deterministic given the seed; innovations are i.i.d. standard normal.
     """
     c0_scale = max(float(np.max(np.abs(bundle.transfer.coeffs[0]))), 1e-300)
     b_plus, ma = bundle.factors.b_plus, bundle.ma_part
@@ -369,11 +374,26 @@ def simulate(bundle: SolutionBundle, T: int, seed: int) -> np.ndarray:
     coeffs = coeffs[0]
     h = int(small[0]) if small.size else SIM_HORIZON_CAP
     rng = np.random.default_rng(seed)
-    m, n = bundle.model.m, bundle.model.n
-    eps = rng.standard_normal((T + h, m))
-    y = np.zeros((T, n))
-    for j in range(h + 1):
-        y += eps[h - j: h - j + T] @ coeffs[j].T
+    y = _ma_path(rng.standard_normal((T + h, bundle.model.m)), coeffs[:h + 1])
     if not np.isfinite(y).all():
         raise SingularMatrixError(NOT_FINITE)
+    return y
+
+
+def _ma_path(eps: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """y_t = sum_j C_j eps_{t+h-j}, t < T, from draws eps (T + h, m) and
+    C_0..C_h (h + 1, n, m): the products eps[h-j : h-j+T] C_j' of a block
+    of lags come from one stacked matmul over a copy of their windows
+    (SIM_BLOCK_CELLS bounds a block), and are summed onto the path in lag
+    order, starting from zeros, so the path is bitwise that of one product
+    and one add per lag."""
+    h1, n, m = coeffs.shape
+    T = len(eps) - h1 + 1
+    windows = sliding_window_view(eps, (T, m))[::-1, 0]     # lag j's starts at h - j
+    y, lags = np.zeros((T, n)), max(1, SIM_BLOCK_CELLS // (max(T, 1) * (m + n)))
+    for j0 in range(0, h1, lags):
+        block = slice(j0, j0 + lags)
+        terms = np.ascontiguousarray(windows[block]) @ coeffs[block].transpose(0, 2, 1)
+        terms[0] += y
+        y = np.add.reduce(terms, axis=0)
     return y

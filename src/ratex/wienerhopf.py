@@ -279,7 +279,8 @@ def wh_factorize_stack(Bc: np.ndarray, lam: int, boundary: float = BOUNDARY_TOL)
         U, c, steps, hard = _unit_circle_split(Ar, Er, boundary)
         hard |= steps > _certified_steps(boundary)
         if hard.any() or c.min() != c.max():
-            groups = [(int(cg), np.flatnonzero((c == cg) & ~hard)) for cg in np.unique(c[~hard])]
+            groups = [(cg, np.flatnonzero((c == cg) & ~hard))
+                      for cg in sorted(set(c[~hard].tolist()))]
         else:                       # one count, every sample settled
             groups = [(int(c[0]), slice(None))]
         for cg, g in groups:

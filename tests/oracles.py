@@ -9,21 +9,24 @@ way (or no longer needs at run time), kept as an oracle:
   one-sided series inverses, transfer series, and the nonnegative-lag part
   of B_minus^-1 A;
 - zero counts inside and on the unit circle's band;
-- autocovariances from the spectrum and from a sample path;
+- autocovariances from the spectrum and from a sample path, and the
+  moving-average path summed one lag at a time;
 - the scalar position of one coefficient in the vec ordering
   (:func:`coeff_vec_index`), and affine restrictions wrapped as an opaque
   residual map;
 - expression trees: the tree view of a parsed program (:func:`expr_trees`,
   :func:`parse_expression`, :func:`entry_trees` of a ParamMap), compilation
   against a name map, one-tree evaluation and a printer whose output
-  parses back to the same tree.
+  parses back to the same tree; a compiled program's Jacobian at one point
+  by its own reverse sweep (:func:`point_jacobian`).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ratex.exprs import _BINARY, _LIT, _NEG, _POW, _VAR, EvalError, ExprParser
+from ratex.exprs import (_ADD, _BINARY, _DIV, _LIT, _MUL, _NEG, _POW, _SUB, _VAR, EvalError,
+                         ExprParser, _lane_power)
 from ratex.identcore import RestrictionSet
 from ratex.polylab import LaurentMatrix, ShapeMismatchError, series_divide
 from ratex.resolve import TransferSeries, spectral_density, unit_circle_grid
@@ -147,6 +150,16 @@ def autocovariances_from_spectrum(bundle, lags: int):
     f = spectral_density(bundle.model, bundle.a_plus, grid)
     weights = grid ** -np.arange(lags + 1)[:, None]
     return np.real(np.tensordot(weights, f, axes=1) / AUTOCOV_GRID)
+
+
+def ma_path_by_lag(eps: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """The path of ``resolve._ma_path`` with one matmul and one add per lag."""
+    h = len(coeffs) - 1
+    T = len(eps) - h
+    y = np.zeros((T, coeffs.shape[1]))
+    for j in range(h + 1):
+        y += eps[h - j: h - j + T] @ coeffs[j].T
+    return y
 
 
 def sample_autocovariances(y: np.ndarray, lags: int):
@@ -328,3 +341,33 @@ def pretty(expr) -> str:
                 right = f"({right})"
         return f"{left}{expr.op}{right}"
     raise TypeError(f"not an expression node: {expr!r}")
+
+
+def point_jacobian(program, x) -> np.ndarray:
+    """The Jacobian values of ``program`` at one point x, (nnz,) on its
+    ``jacobian_pattern``: one reverse sweep over 1-D node values, the way
+    ``ExprProgram.jacobian`` took them one point at a time."""
+    v = program._run(np.asarray(x, dtype=float))
+    adj = np.zeros(program.size)
+    adj[program.roots] = 1.0
+    with np.errstate(all="ignore"):
+        for code, s, e, i, j, k in reversed(program.steps):
+            g = adj[s:e]
+            if code == _ADD or code == _SUB:
+                adj[i] = g
+                adj[j] = g if code == _ADD else -g
+            elif code == _MUL:
+                adj[i] = g * v[j]
+                adj[j] = g * v[i]
+            elif code == _DIV:
+                adj[i] = g * (1.0 / v[j])
+                adj[j] = g * (-v[s:e] / v[j])
+            elif code == _NEG:
+                adj[i] = -g
+            else:
+                adj[i] = g * (np.array(k, dtype=float)
+                              * _lane_power(v[i], [max(t - 1, 0) for t in k]))
+    rows, _, leaf_entry = program.jacobian_pattern
+    values = np.zeros(len(rows))
+    np.add.at(values, leaf_entry, adj[program.n_lit:program.n_lit + program.n_var])
+    return values

@@ -22,6 +22,7 @@ from oracles import (
     eval_expr,
     expr_trees,
     parse_expression,
+    point_jacobian,
     pretty,
 )
 from ratex.identcore import (
@@ -29,6 +30,10 @@ from ratex.identcore import (
     build_ident_system,
     coeff_vec_length,
     ident_test_affine,
+    model_coeff_vec,
+    model_ident_system,
+    obs_equivalent,
+    spectral_equivalent,
 )
 from ratex.exprs import (
     DIV_FLOOR,
@@ -39,14 +44,18 @@ from ratex.exprs import (
 from ratex.paramdsl import (
     GenericReport,
     LocalReport,
+    LOCAL_PROBE_SCALE,
+    LOCAL_PROBES,
     SamplerConfig,
+    class_probes,
     eval_model,
     fd_jacobian,
     generic_ident,
     local_ident,
     parse_model,
 )
-from ratex.polylab import Model
+from ratex.modelio import compile_nonlinear
+from ratex.polylab import LaurentMatrix, Model
 from ratex.resolve import solve_model
 
 
@@ -417,6 +426,143 @@ class TestLocalIdent:
             local_ident(model, RestrictionSet.affine(np.eye(1, N), [x0[0] + 1.0]))
 
 
+def references(model, equation=None) -> list:
+    """The coefficient reference of each position of the vector of
+    :func:`~ratex.identcore.model_coeff_vec`, or of one equation's row."""
+    n, m, kappa, lam = model.n, model.m, model.kappa, model.lam
+    refs = {}
+    for block, lags, cols in (("B", range(-lam, kappa + 1), n), ("A", range(kappa + 1), m)):
+        for lag in lags:
+            for i in range(n) if equation is None else [equation - 1]:
+                for j in range(cols):
+                    k = coeff_vec_index(block, lag, i, j, n, m, kappa, lam, equation is not None)
+                    refs[k] = f"{block}[{lag}][{i + 1}][{j + 1}]"
+    return [refs[k] for k in sorted(refs)]
+
+
+def model_at(model, x, equation=None) -> Model:
+    """The model whose coefficient vector (or equation ``equation``'s row)
+    is x, the other rows those of ``model``."""
+    n, m, kappa, lam = model.n, model.m, model.kappa, model.lam
+    X = model_coeff_vec(model).reshape(n, -1, order="F")
+    if equation is None:
+        X = x.reshape(n, -1, order="F")
+    else:
+        X[equation - 1] = x
+    nb = (kappa + lam + 1) * n
+    B = X[:, :nb].reshape(n, -1, n).transpose(1, 0, 2)
+    A = X[:, nb:].reshape(n, -1, m).transpose(1, 0, 2)
+    return Model(LaurentMatrix.from_coeffs(B, -lam), LaurentMatrix.from_coeffs(A, 0),
+                 lam=lam, kappa=kappa)
+
+
+class TestClassProbes:
+    """The regularity probes of ``local`` lie in x0's equivalence class, and
+    their Jacobians come from one stacked sweep with the one-point bits and
+    the one-point error."""
+
+    # (n, m, lam, kappa) with n <= 3
+    DIMS = [(1, 1, 1, 1), (2, 2, 0, 1), (2, 1, 1, 0), (2, 2, 1, 1), (3, 2, 0, 1), (3, 3, 1, 0)]
+
+    def deficient_point(self, seed, dims, equation, count):
+        """A factored model and smooth restrictions (squares of coefficients,
+        or a coefficient itself near 0) that hold at its point and leave the
+        rank of R(x0)(N (x) I_n) deficient.  Returns the model, the equation
+        (None or 1-based), the restriction texts, x0 and x0's system."""
+        from conftest import make_valid_model
+        n, m, lam, kappa = dims
+        rng = np.random.default_rng(seed)
+        model, *_ = make_valid_model(rng, n=n, m=m, lam=lam, kappa=kappa)
+        equation = None if equation is None else 1 + equation % n
+        sys = model_ident_system(model)
+        width = sys.N.shape[1] * (n if equation is None else 1)
+        assume(width >= 2)
+        x0 = model_coeff_vec(model)
+        if equation is not None:
+            x0 = x0.reshape(n, -1, order="F")[equation - 1]
+        refs = references(model, equation)
+        chosen = rng.permutation(len(refs))[:1 + count % (width - 1)]
+        values = x0.tolist()
+        texts = [f"{refs[k]}^2 - {values[k] ** 2!r}" if abs(values[k]) > 0.1 else
+                 f"{refs[k]} - {values[k]!r}" for k in chosen.tolist()]
+        return model, equation, texts, x0, sys
+
+    def compiled(self, model, texts, equation):
+        return compile_nonlinear(texts, model.n, model.m, model.kappa, model.lam, equation)
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), dims=st.sampled_from(DIMS),
+           equation=st.none() | st.integers(0, 2), count=st.integers(0, 100))
+    def test_probes_are_equivalent_models(self, seed, dims, equation, count):
+        model, equation, texts, x0, sys = self.deficient_point(seed, dims, equation, count)
+        n = model.n if equation is None else 1
+        probes = class_probes(x0, sys.N, n)
+        assert probes.shape == (LOCAL_PROBES, x0.size)
+        # x_k - x0 = (N (x) I_n) vec W_k to rounding, a step of the fixed size
+        step = LOCAL_PROBE_SCALE * max(1.0, float(np.max(np.abs(x0))))
+        lift = np.kron(sys.N, np.eye(n))
+        moves = (probes - x0).T
+        W = np.linalg.lstsq(lift, moves, rcond=None)[0]
+        assert np.max(np.abs(lift @ W - moves)) <= 1e-13 * max(1.0, float(np.max(np.abs(x0))))
+        assert np.allclose(np.abs(moves).max(axis=0), step, rtol=1e-9)
+        # every probe is observationally equivalent to x0 by both oracles
+        bundle = solve_model(model)
+        for x in probes:
+            other = solve_model(model_at(model, x, equation))
+            assert obs_equivalent(bundle, other)[0]
+            assert spectral_equivalent(bundle, other)[0]
+        # one stacked sweep: each row bitwise the one-point reverse sweep
+        res = self.compiled(model, texts, equation)
+        rows, cols, values = res.jacobian_fn(probes)
+        assert values.shape == (LOCAL_PROBES, len(rows))
+        program = res.jacobian_fn.__self__
+        for x, row in zip(probes, values):
+            assert row.tobytes() == point_jacobian(program, x).tobytes()
+        report = local_ident(model, res)
+        assert not report.locally_identified
+        assert len(report.probe_ranks) == LOCAL_PROBES
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), dims=st.sampled_from(DIMS),
+           equation=st.none() | st.integers(0, 2),
+           plants=st.lists(st.tuples(st.integers(0, LOCAL_PROBES - 1),
+                                     st.sampled_from([0.0, 1e-301])),
+                           min_size=1, max_size=3))
+    def test_a_failing_probe_raises_its_one_point_error(self, seed, dims, equation, plants):
+        """A division planted to fail at probe k alone, 1 / (c - x_k[j] +
+        offset) for a coefficient c whose value at probe k is at no other
+        probe and not at x0, raises the error of the first failing probe's
+        one-point run, as one point at a time did: the first failing probe,
+        then its first failing node."""
+        model, equation, texts, x0, sys = self.deficient_point(seed, dims, equation, 0)
+        assume(len(texts) + len(plants) < sys.N.shape[1] * (model.n if equation is None else 1))
+        probes = class_probes(x0, sys.N, model.n if equation is None else 1)
+        refs = references(model, equation)
+        points = np.concatenate([probes, x0[None]])
+        for k, offset in plants:
+            gaps = np.abs(np.delete(points, k, axis=0) - probes[k]).min(axis=0)
+            j = int(np.argmax(gaps))
+            assume(gaps[j] > 0)
+            at = float(probes[k][j])
+            texts.append(f"1 / ({refs[j]} - {at!r} + {offset!r}) - "
+                         f"{1.0 / (float(x0[j]) - at + offset)!r}")
+        res = self.compiled(model, texts, equation)
+        program = res.jacobian_fn.__self__
+        failing = []
+        for k, x in enumerate(probes):
+            try:
+                point_jacobian(program, x)
+            except EvalError as exc:
+                failing.append((k, str(exc)))
+        assert failing and failing[0][0] == min(k for k, _ in plants)
+        with pytest.raises(EvalError) as err:
+            res.jacobian_fn(probes)
+        assert str(err.value) == failing[0][1]
+        with pytest.raises(EvalError) as err:
+            local_ident(model, res)
+        assert str(err.value) == failing[0][1]
+
+
 def walk(expr, env, divisors=None):
     """Plain recursive evaluation, the oracle for the compiled evaluator;
     records |divisor| of every division in ``divisors``."""
@@ -468,7 +614,7 @@ class TestCompiledExprs:
         got = program.values(np.array(x))
         # the same arithmetic in the same order: bitwise equal values
         assert got.tolist() == want
-        J = dense(program.jacobian(np.array(x)), (len(exprs), 3))
+        J = dense(program.jacobian(np.array([x])), (len(exprs), 3))[0]
         assert J.shape == (len(exprs), 3)
         F = fd_jacobian(program.values, np.array(x))
         scale = 1.0 + np.abs(J)
@@ -499,9 +645,9 @@ class TestCompiledExprs:
             assert got.tolist() == [p.values(np.array(x))[0] for p in alone]
             stack = program.values(np.array([x, x]))
             assert stack.tolist() == [want, want]
-            J = dense(program.jacobian(np.array(x)), (len(texts), 3))
+            J = dense(program.jacobian(np.array([x])), (len(texts), 3))[0]
             for row, p in zip(J, alone):
-                assert np.array_equal(row, dense(p.jacobian(np.array(x)), (1, 3))[0])
+                assert np.array_equal(row, dense(p.jacobian(np.array([x])), (1, 3))[0, 0])
 
         k, at, junk = plant
         k %= len(texts)
@@ -521,9 +667,9 @@ class TestCompiledExprs:
     def test_division_below_floor_raises_on_both_paths(self):
         program = compile_exprs(["1 + a / (b * 1e-301)"], {"a": 0, "b": 1})
         assert 1e-301 < DIV_FLOOR
-        for evaluate in (program.values, program.jacobian):
+        for evaluate, x in ((program.values, [1.0, 1.0]), (program.jacobian, [[1.0, 1.0]])):
             with pytest.raises(EvalError, match="division"):
-                evaluate(np.array([1.0, 1.0]))
+                evaluate(np.array(x))
         with pytest.raises(EvalError, match="division"):
             eval_expr(parse_expression("a / (a - a)"), {"a": 3.0})
 
@@ -531,10 +677,10 @@ class TestCompiledExprs:
         program = compile_exprs(["a^3 - 2*c", "-(b/a)"], {"a": 0, "b": 2, "c": 4})
         x = np.array([2.0, 9.0, 3.0, 9.0, 5.0])
         assert program.values(x).tolist() == [-2.0, -1.5]
-        rows, cols, _ = entries = program.jacobian(x)
+        rows, cols, _ = entries = program.jacobian(x[None])
         # one entry per (expression, name), in parse order
         assert (rows.tolist(), cols.tolist()) == ([0, 0, 1, 1], [0, 4, 2, 0])
-        J = dense(entries, (2, 5))
+        J = dense(entries, (2, 5))[0]
         expected = np.zeros((2, 5))
         expected[0, 0], expected[0, 4] = 12.0, -2.0
         expected[1, 0], expected[1, 2] = 3.0 / 4.0, -0.5

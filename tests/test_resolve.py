@@ -7,6 +7,7 @@ from oracles import (
     autocovariances_from_spectrum,
     identity,
     lp_truncated_inverse_series,
+    ma_path_by_lag,
     plus_part,
     plus_part_of_bminus_inv_a,
     sample_autocovariances,
@@ -18,6 +19,7 @@ from ratex.polylab import (
     SingularMatrixError,
     lp_mul,
 )
+from ratex import resolve
 from ratex.resolve import (
     NotInvertible,
     RankDeficientC0,
@@ -367,6 +369,33 @@ class TestSimulate:
         y = simulate(bundle, 50_000, seed=3)
         acf = sample_autocovariances(y, 1)
         assert np.max(np.abs(acf[1])) <= 0.05 * np.max(np.abs(acf[0]))
+
+    # the benchmark's (n, m, lam, kappa) ladder
+    LADDER = ((1, 1, 1, 1), (2, 2, 1, 1), (3, 2, 1, 2), (4, 2, 2, 2), (6, 3, 1, 2), (8, 4, 1, 2))
+
+    @pytest.mark.parametrize("dims", LADDER)
+    def test_blocked_convolution_is_the_lag_loop_bitwise(self, rng, monkeypatch, dims):
+        """The path of the blocked convolution, bytes and signs of zeros
+        included, equals one matmul and one add per lag, on paths of one,
+        several and many blocks."""
+        n, m, lam, kappa = dims
+        bundle = solve_model(make_valid_model(rng, n=n, m=m, lam=lam, kappa=kappa)[0])
+        paths = [simulate(bundle, T, seed=3) for T in (0, 1, 200, 5000)]
+        monkeypatch.setattr(resolve, "_ma_path", ma_path_by_lag)
+        for T, path in zip((0, 1, 200, 5000), paths):
+            assert path.tobytes() == simulate(bundle, T, seed=3).tobytes()
+
+    def test_zero_output_row_stays_positive_zero(self, monkeypatch):
+        """y_2 = 0 in every period: the blocked sum, which starts from
+        zeros as the lag loop does, holds +0.0 there (printed 0, never -0),
+        bitwise the loop's path."""
+        B = LaurentMatrix.from_coeffs([np.eye(2), [[-0.5, 0.0], [0.0, -0.3]]], 0)
+        A = LaurentMatrix.from_coeffs([[[1.0], [0.0]], [[0.4], [0.0]]], 0)
+        bundle = solve_model(Model(B, A, lam=0, kappa=1))
+        y = simulate(bundle, 300, seed=5)
+        assert not y[:, 1].any() and not np.signbit(y[:, 1]).any()
+        monkeypatch.setattr(resolve, "_ma_path", ma_path_by_lag)
+        assert y.tobytes() == simulate(bundle, 300, seed=5).tobytes()
 
     def test_acf_matches_spectral_inverse_transform(self, rng):
         model, *_ = make_valid_model(rng, n=1, m=1, lam=1, kappa=1)
